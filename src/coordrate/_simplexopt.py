@@ -106,9 +106,10 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None)
     running them one at a time.
 
     When ``track`` is given (a function stats -> (restarts,) of exact
-    objective values) the best tracked iterate per restart is kept and
-    returned alongside the final state; subgradient steps on a kinked
-    objective are not monotone, so the best-seen point is the answer.
+    objective values) the best tracked iterate per restart and its tracked
+    value are returned instead of the final state; subgradient steps on a
+    kinked objective are not monotone, so the best-seen point is the
+    answer.  The returned stats always describe the returned batch.
     """
     stats = ChannelStats(q, batch)
     values, grads = objective_and_grad(stats)
@@ -151,11 +152,10 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None)
         batch = np.where(keep, new_batch, batch)
         values = np.where(accepted, new_values, values)
         grads = np.where(keep, new_grads, grads)
-        stats = new_stats
         active &= ~converged
         if not active.any():
             break
     if track is not None:
-        return best_batch, best_values, stats
+        batch, values = best_batch, best_values
     # final stats must describe the returned batch, not the last proposal
     return batch, values, ChannelStats(q, batch)

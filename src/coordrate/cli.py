@@ -67,7 +67,6 @@ def _parse_rates(text, count, what):
 
 def build_parser():
     parser = _Parser(prog="coordrate", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for parallel sections")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="information measures of a distribution file")
@@ -218,8 +217,6 @@ def dispatch(argv, out=None, err=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise _CliError(f"--threads must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](args, out)
     except _CliError as exc:
         err.write(f"error: {exc}\n")

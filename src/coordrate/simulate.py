@@ -15,9 +15,11 @@ draws across trials: the induced distribution being estimated is that of
 one concrete code, which is what makes insufficient rates measurable
 (too few codewords get reused and their sampling noise never averages
 out).  Codewords are never materialized as full tables: each codebook
-slice is a deterministic function of (seed, code stream, indices) through
+block is a deterministic function of (seed, code stream, indices) through
 a seeded generator, which keeps memory flat while preserving the i.i.d.
-codebook statistics and exact reproducibility.
+codebook statistics and exact reproducibility.  A trial draws each of its
+u, x and y blocks once; the processors read their codewords from the
+same keyed blocks the coordinator tested.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -48,8 +50,14 @@ class SimulationError(ValueError):
     """Invalid simulator configuration or index out of range."""
 
 
-def _index_size(n, rate):
-    return max(1, math.ceil(2.0 ** (n * rate) - 1e-9))
+def _index_size(name, n, rate):
+    """ceil(2^(n*rate)) entries, refused before exponentiating if above INDEX_CAP."""
+    exponent = n * rate
+    if exponent > math.log2(INDEX_CAP):
+        raise SimulationError(
+            f"SimConfig: {name} index set needs 2^{exponent:g} entries, cap is 2^{math.log2(INDEX_CAP):g}"
+        )
+    return max(1, math.ceil(2.0 ** exponent - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -107,10 +115,10 @@ class SimConfig:
         """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs."""
         n = self.n
         return (
-            _index_size(n, 0.5 * self.rates.r0),
-            _index_size(n, self.rates.r_star),
-            _index_size(n, self.rates.rt1),
-            _index_size(n, self.rates.rt2),
+            _index_size("m0 half", n, 0.5 * self.rates.r0),
+            _index_size("m*", n, self.rates.r_star),
+            _index_size("b1", n, self.rates.rt1),
+            _index_size("b2", n, self.rates.rt2),
         )
 
 
@@ -146,7 +154,11 @@ def derive_components(channel, q, max_defect=MARKOV_DEFECT_TOL):
     close to a chain X - U - Y; the residual I(X;Y|U) may not exceed
     ``max_defect`` bits.
     """
-    full = compose(q, channel)
+    return _generation(compose(q, channel), max_defect)[1:]
+
+
+def _generation(full, max_defect):
+    """(joint_uxy, p_u, p_x_given_u, p_y_given_u) of a composed joint."""
     defect = conditional_mutual_information(full, ("x",), ("y",), ("u",))
     if defect > max_defect:
         raise SimulationError(
@@ -162,7 +174,7 @@ def derive_components(channel, q, max_defect=MARKOV_DEFECT_TOL):
     zero = p_u <= 0
     p_x_given_u[zero] = 1.0 / joint_uxy.shape[1]
     p_y_given_u[zero] = 1.0 / joint_uxy.shape[2]
-    return Pmf(p_u), p_x_given_u, p_y_given_u
+    return joint_uxy, Pmf(p_u), p_x_given_u, p_y_given_u
 
 
 def _sample(cum, uniforms):
@@ -171,41 +183,32 @@ def _sample(cum, uniforms):
 
 
 class Codebooks:
-    """Lazy keyed access to the codeword tables of one trial.
+    """Keyed access to the codeword tables of one code.
 
-    A slice for given indices is regenerated identically on every call, so
-    coordinator and processors read the same codewords without sharing
-    state.  Slices for distinct indices come from distinct seeded streams
-    and are therefore independent, matching a single i.i.d. codebook draw.
+    Each block is a deterministic function of its indices through a seeded
+    generator, so coordinator and processors read the same codewords.
+    Blocks for distinct indices come from distinct seeded streams and are
+    therefore independent, matching a single i.i.d. codebook draw.  The
+    last block of each stream is kept, read-only: within a trial the
+    coordinator draws the u, x and y blocks once and the processors read
+    their rows from those same blocks.
     """
 
-    def __init__(self, cfg, trial_seed, components=None):
+    def __init__(self, cfg, trial_seed):
         self.cfg = cfg
         self.trial_seed = int(trial_seed)
-        self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
-        for name, size in (("m0 half", self.n01), ("m*", self.nstar), ("b1", self.nb1), ("b2", self.nb2)):
-            if size > INDEX_CAP:
-                raise SimulationError(
-                    f"Codebooks: {name} index set would need {size} entries, cap is {INDEX_CAP}"
-                )
-        p_u, p_x_given_u, p_y_given_u = components if components is not None else derive_components(
-            cfg.channel, cfg.q, cfg.max_markov_defect
+        self.target_uxy, self.p_u, self.p_x_given_u, self.p_y_given_u = _generation(
+            compose(cfg.q, cfg.channel), cfg.max_markov_defect
         )
-        self.p_u = p_u
-        self.p_x_given_u = p_x_given_u
-        self.p_y_given_u = p_y_given_u
-        full = compose(cfg.q, cfg.channel)
-        self.target_uxy = full.probs[:, :, :, 0, 0].transpose(2, 0, 1)
-        self._cum_u = np.cumsum(p_u.probs)
+        self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
+        self._cum_u = np.cumsum(self.p_u.probs)
         self._cum_u[-1] = 1.0
-        self._cum_x = np.cumsum(p_x_given_u, axis=1)
+        self._cum_x = np.cumsum(self.p_x_given_u, axis=1)
         self._cum_x[:, -1] = 1.0
-        self._cum_y = np.cumsum(p_y_given_u, axis=1)
+        self._cum_y = np.cumsum(self.p_y_given_u, axis=1)
         self._cum_y[:, -1] = 1.0
-        # bounded memo of bin slices; regeneration is identical, so eviction
-        # never changes results
-        self._u_cache = {}
-        self._u_cache_cap = 64
+        #: stream -> (indices, block) of the last block drawn from it
+        self._last = {}
 
     def _rng(self, stream, *idx):
         return np.random.default_rng([self.cfg.seed, self.trial_seed, stream, *map(int, idx)])
@@ -214,47 +217,41 @@ class Codebooks:
         if not 0 <= value < size:
             raise SimulationError(f"Codebooks: {name} index {value} outside [0, {size})")
 
+    def _block(self, stream, idx, cum, u=None):
+        """The (nstar, n) block of ``stream`` at ``idx``, drawn only on a miss.
+
+        ``cum`` is the inverse-CDF table, per u symbol when ``u`` is given.
+        """
+        last = self._last.get(stream)
+        if last is not None and last[0] == idx:
+            return last[1]
+        uniforms = self._rng(stream, *idx).random((self.nstar, self.cfg.n))
+        block = _sample(cum if u is None else cum[u], uniforms)
+        block.setflags(write=False)
+        self._last[stream] = (idx, block)
+        return block
+
     def u_block(self, m01, m02):
         """All m* candidates' u-codewords for bin m0 = (m01, m02): (nstar, n) ints."""
         self._check("m01", m01, self.n01)
         self._check("m02", m02, self.n01)
-        key = (int(m01), int(m02))
-        if key not in self._u_cache:
-            if len(self._u_cache) >= self._u_cache_cap:
-                self._u_cache.clear()
-            uniforms = self._rng(_U_STREAM, m01, m02).random((self.nstar, self.cfg.n))
-            self._u_cache[key] = _sample(self._cum_u, uniforms)
-        return self._u_cache[key]
+        return self._block(_U_STREAM, (int(m01), int(m02)), self._cum_u)
 
     def x_block(self, m01, m02, b1):
         """x-codewords for every m* at fixed (m0, b1), drawn per-symbol from p(x|u)."""
         self._check("b1", b1, self.nb1)
         u = self.u_block(m01, m02)
-        uniforms = self._rng(_X_STREAM, m01, m02, b1).random(u.shape)
-        return _sample(self._cum_x[u], uniforms)
+        return self._block(_X_STREAM, (int(m01), int(m02), int(b1)), self._cum_x, u)
 
     def y_block(self, m01, m02, b2):
         self._check("b2", b2, self.nb2)
         u = self.u_block(m01, m02)
-        uniforms = self._rng(_Y_STREAM, m01, m02, b2).random(u.shape)
-        return _sample(self._cum_y[u], uniforms)
-
-    def u_codeword(self, m01, m02, m_star):
-        self._check("m*", m_star, self.nstar)
-        return self.u_block(m01, m02)[m_star]
-
-    def x_codeword(self, m01, m02, m_star, b1):
-        self._check("m*", m_star, self.nstar)
-        return self.x_block(m01, m02, b1)[m_star]
-
-    def y_codeword(self, m01, m02, m_star, b2):
-        self._check("m*", m_star, self.nstar)
-        return self.y_block(m01, m02, b2)[m_star]
+        return self._block(_Y_STREAM, (int(m01), int(m02), int(b2)), self._cum_y, u)
 
 
-def build_codebooks(cfg, trial_seed, components=None):
+def build_codebooks(cfg, trial_seed):
     """One codebook draw; identical (cfg, trial_seed) give identical codewords."""
-    return Codebooks(cfg, trial_seed, components=components)
+    return Codebooks(cfg, trial_seed)
 
 
 @dataclass(frozen=True)
@@ -272,18 +269,9 @@ def typicality_test(u, x, y, p, eps_typ):
     composed per-letter joint indexed [u, x, y].
     """
     u, x, y = (np.asarray(s, dtype=np.int64) for s in (u, x, y))
-    if not (u.shape == x.shape == y.shape and u.ndim == 1):
-        raise SimulationError("typicality_test: sequences must share one length")
-    p = np.asarray(p, dtype=np.float64)
-    cu, nx, ny = p.shape
-    idx = (u * nx + x) * ny + y
-    counts = np.bincount(idx, minlength=cu * nx * ny).reshape(cu, nx, ny)
-    etype = counts / u.shape[0]
-    if np.any(np.abs(etype - p) > eps_typ):
-        return False
-    if np.any((counts > 0) & (p <= 0.0)):
-        return False
-    return True
+    if not (u.shape == x.shape == y.shape and u.ndim == 1 and u.size):
+        raise SimulationError("typicality_test: sequences must share one nonzero length")
+    return bool(_typical_mask(u[None], x[None], y[None], np.asarray(p, dtype=np.float64), eps_typ)[0])
 
 
 def _typical_mask(ub, xb, yb, p, eps_typ):
@@ -326,10 +314,13 @@ def processor_output(which, message, w_i, books):
     other = message.m0_xor ^ half
     if not 0 <= other < books.n01:
         raise SimulationError(f"processor_output: recovered m0 half {other} outside [0, {books.n01})")
+    # numpy would wrap a negative row index silently
+    if not 0 <= message.m_star < books.nstar:
+        raise SimulationError(f"processor_output: m* index {message.m_star} outside [0, {books.nstar})")
     if which == 1:
-        return books.x_codeword(half, other, message.m_star, b)
+        return books.x_block(half, other, b)[message.m_star]
     if which == 2:
-        return books.y_codeword(other, half, message.m_star, b)
+        return books.y_block(other, half, b)[message.m_star]
     raise SimulationError(f"processor_output: processor must be 1 or 2, got {which!r}")
 
 
@@ -343,8 +334,7 @@ def run_trials(cfg):
     """
     if not isinstance(cfg, SimConfig):
         raise SimulationError("run_trials: expected a SimConfig")
-    components = derive_components(cfg.channel, cfg.q, cfg.max_markov_defect)
-    books = build_codebooks(cfg, 0, components=components)
+    books = build_codebooks(cfg, 0)
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0

@@ -170,6 +170,13 @@ class TestSimulate:
                             "--n", "8", "--rates", "0.7,0.3,0.5,0.5", "--trials", "5"])
         assert code == 1 and "X - U - Y" in err
 
+    def test_index_set_beyond_float_range_is_validation_error(self, files):
+        # 2^(4000 * 0.5) overflows a float; the cap is checked on the exponent
+        code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
+                              "--n", "4000", "--rates", "1,0,0,0", "--trials", "1"])
+        assert code == 1 and out == ""
+        assert "needs 2^2000 entries, cap is 2^20" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -178,8 +185,4 @@ class TestUsageErrors:
 
     def test_unknown_flag(self):
         code, _, err = run(["dsbs", "--a", "0.1", "--bogus"])
-        assert code == 1
-
-    def test_threads_validated(self):
-        code, _, err = run(["--threads", "0", "dsbs", "--a", "0.1", "--tstar"])
         assert code == 1

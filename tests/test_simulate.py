@@ -117,6 +117,38 @@ class TestCodebooks:
         with pytest.raises(SimulationError):
             build_codebooks(dsbs_cfg(n=64, r0=1.0, r_star=0.0), 0)  # 2^32 m0 halves
 
+    def test_index_guard_before_float_overflow(self):
+        # 2^2000 is past the float range; the guard must fire on the exponent
+        cfg = dsbs_cfg(n=4000, r0=1.0, r_star=0.0, rt1=0.0, rt2=0.0)
+        with pytest.raises(SimulationError, match=r"m0 half index set needs 2\^2000 entries"):
+            cfg.index_sizes()
+        with pytest.raises(SimulationError, match=r"cap is 2\^20"):
+            build_codebooks(cfg, 0)
+
+    def test_index_guard_boundary(self):
+        # exactly INDEX_CAP entries is allowed, one bit more is not
+        assert dsbs_cfg(n=20, r0=0.0, r_star=1.0).index_sizes()[1] == 2**20
+        with pytest.raises(SimulationError):
+            dsbs_cfg(n=21, r0=0.0, r_star=1.0).index_sizes()
+
+    def test_each_block_drawn_once_per_trial(self):
+        # the processors read the blocks the coordinator drew
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        books = build_codebooks(cfg, 0)
+        drawn = []
+        rng = books._rng
+        books._rng = lambda stream, *idx: drawn.append((stream, *idx)) or rng(stream, *idx)
+        msg, _ = coordinator_select((2, 1), (0, 3), books, 0.2)
+        processor_output(1, msg, (2, 1), books)
+        processor_output(2, msg, (0, 3), books)
+        assert sorted(drawn) == [(1, 2, 0), (2, 2, 0, 1), (3, 2, 0, 3)]
+
+    def test_memoized_blocks_are_read_only(self):
+        books = build_codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.5), 0)
+        for block in (books.u_block(1, 0), books.x_block(1, 0, 2), books.y_block(1, 0, 2)):
+            with pytest.raises(ValueError):
+                block[0, 0] = 1
+
     def test_out_of_range_indices(self):
         books = build_codebooks(dsbs_cfg(n=4, r0=0.5, r_star=0.0), 0)
         with pytest.raises(SimulationError):
@@ -169,6 +201,10 @@ class TestTypicality:
         with pytest.raises(SimulationError):
             typicality_test([0, 1], [0], [0, 1], self.p, 0.1)
 
+    def test_empty_sequences_rejected(self):
+        with pytest.raises(SimulationError):
+            typicality_test([], [], [], self.p, 0.1)
+
 
 class TestCoordinatorAndProcessors:
     def test_xor_recovery_full_sweep(self):
@@ -186,8 +222,8 @@ class TestCoordinatorAndProcessors:
         msg, failed = coordinator_select((2, 1), (0, 3), books, 0.2)
         x = processor_output(1, msg, (2, 1), books)
         y = processor_output(2, msg, (0, 3), books)
-        assert np.array_equal(x, books.x_codeword(2, 0, msg.m_star, 1))
-        assert np.array_equal(y, books.y_codeword(2, 0, msg.m_star, 3))
+        assert np.array_equal(x, books.x_block(2, 0, 1)[msg.m_star])
+        assert np.array_equal(y, books.y_block(2, 0, 3)[msg.m_star])
 
     def test_information_isolation(self):
         # processor 1 output is untouched by any change to w2
@@ -216,6 +252,13 @@ class TestCoordinatorAndProcessors:
         books = build_codebooks(cfg, 0)
         msg, failed = coordinator_select((0, 0), (0, 0), books, 1e-9)
         assert failed and msg.m_star == 0
+
+    def test_m_star_out_of_range(self):
+        cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.25)
+        books = build_codebooks(cfg, 0)
+        for m_star in (-1, books.nstar):
+            with pytest.raises(SimulationError):
+                processor_output(1, Message(0, m_star), (0, 0), books)
 
     def test_invalid_processor(self):
         cfg = dsbs_cfg(n=4, r0=0.5, r_star=0.0)
@@ -264,9 +307,9 @@ class TestRunTrials:
         cfg = SimConfig(q=q, channel=degenerate_channel(2, 2), n=16,
                         rates=SimRates(0, 0, 0, 0), eps_typ=0.5, trials=50, seed=2)
         rep = run_trials(cfg)
-        books = build_codebooks(cfg, 0, components=derive_components(cfg.channel, cfg.q))
-        x = books.x_codeword(0, 0, 0, 0)
-        y = books.y_codeword(0, 0, 0, 0)
+        books = build_codebooks(cfg, 0)
+        x = books.x_block(0, 0, 0)[0]
+        y = books.y_block(0, 0, 0)[0]
         expect = np.zeros((2, 2))
         np.add.at(expect, (x, y), 1.0 / cfg.n)
         assert np.allclose(rep.empirical_joint.probs, expect)
@@ -282,6 +325,42 @@ class TestRunTrials:
         assert r1.tv_per_letter == r2.tv_per_letter
         assert r1.mstar_failure_rate == r2.mstar_failure_rate
         assert np.array_equal(r1.empirical_joint.probs, r2.empirical_joint.probs)
+
+    @pytest.mark.parametrize(
+        "make_cfg, probs, tv, fail",
+        [
+            # DSBS(0.2) above the rate region, index sizes (51, 28, 256, 256)
+            (
+                lambda: dsbs_cfg(n=16, trials=40, seed=5),
+                [[0.396875, 0.09375], [0.109375, 0.4]],
+                0.009375000000000022,
+                0.0,
+            ),
+            # DSBS(0.2) below it, one candidate per bin: (4, 1, 65536, 65536)
+            (
+                lambda: dsbs_cfg(n=32, trials=60, seed=7, r0=I_JOINT_02 - 0.6, r_star=0.0),
+                [[0.4078125, 0.09114583333333333], [0.0984375, 0.40260416666666665]],
+                0.010416666666666657,
+                0.6,
+            ),
+            # product source, degenerate channel, zero bin and index rates: (1, 1, 16, 16)
+            (
+                lambda: SimConfig(q=JointPmf(np.outer([0.3, 0.7], [0.6, 0.4])),
+                                  channel=degenerate_channel(2, 2), n=16,
+                                  rates=SimRates(0, 0, 0.25, 0.25), eps_typ=0.5, trials=30, seed=2),
+                [[0.18541666666666667, 0.11041666666666666], [0.3854166666666667, 0.31875]],
+                0.04416666666666666,
+                0.0,
+            ),
+        ],
+        ids=["above", "below", "zero_rate"],
+    )
+    def test_seeded_report_is_pinned(self, make_cfg, probs, tv, fail):
+        # exact outputs of fixed seeds: any change to the draw order shows here
+        rep = run_trials(make_cfg())
+        assert rep.empirical_joint.probs.tolist() == probs
+        assert rep.tv_per_letter == tv
+        assert rep.mstar_failure_rate == fail
 
     def test_report_consistency(self):
         rep = run_trials(dsbs_cfg(n=8, trials=50, seed=3))
@@ -303,8 +382,7 @@ class TestRunTrials:
     def test_conditional_independence_of_outputs(self):
         # pooled over trials, (x, y) given the selected u factorizes
         cfg = dsbs_cfg(n=32, trials=2000, seed=14)
-        components = derive_components(cfg.channel, cfg.q)
-        books = Codebooks(cfg, 0, components=components)
+        books = Codebooks(cfg, 0)
         counts = np.zeros((2, 2, 2))
         for k in range(cfg.trials):
             rng_w = np.random.default_rng([cfg.seed, k, 0])
@@ -313,7 +391,7 @@ class TestRunTrials:
             b1 = int(rng_w.integers(books.nb1))
             b2 = int(rng_w.integers(books.nb2))
             msg, _ = coordinator_select((m01, b1), (m02, b2), books, cfg.eps_typ)
-            u = books.u_codeword(m01, m02, msg.m_star)
+            u = books.u_block(m01, m02)[msg.m_star]
             x = processor_output(1, msg, (m01, b1), books)
             y = processor_output(2, msg, (m02, b2), books)
             np.add.at(counts, (u, x, y), 1)
