@@ -4,7 +4,10 @@ The optimization variable is a batch of channels p(u|x,y), one per
 restart, stored as an array of shape (restarts, nx, ny, nu).  Updates are
 multiplicative, so iterates stay inside the (floored) simplex without
 projections.  Gradients are preconditioned by 1/q(x,y), which makes the
-update scale-free across source cells.
+update scale-free across source cells.  ``ChannelStats`` takes each log
+once per iterate and holds both gradients as arrays; the two information
+terms are weighted sums of those arrays, so objectives combine terms and
+gradients without recomputing either.
 """
 
 from __future__ import annotations
@@ -54,46 +57,37 @@ def jitter_channels(batch, seed, stage, sigma=1e-3):
 
 
 class ChannelStats:
-    """Marginals and the two information terms of a channel batch (bits)."""
+    """The two information terms of a channel batch and their gradients.
+
+    One natural-log pass gives the preconditioned gradients of I(X,Y;U)
+    and I(X;Y|U) w.r.t. p(u|x,y) as arrays ``g_joint`` and ``g_cond``
+    (nats, zero where q(x,y) = 0).  Each term is the w-weighted sum of its
+    gradient, w = q(x,y) p(u|x,y), so ``i_joint`` and ``i_cond`` (bits)
+    come from the same logs.
+    """
 
     def __init__(self, q, batch):
         self.q = q
         self.batch = batch
         w = q[None, :, :, None] * batch
-        self.w = w
-        self.pu = w.sum(axis=(1, 2))
-        self.pxu = w.sum(axis=2)
-        self.pyu = w.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = np.log2(batch)
-            log_pu = np.log2(np.maximum(self.pu, 1e-300))
-            log_pxu = np.log2(np.maximum(self.pxu, 1e-300))
-            log_pyu = np.log2(np.maximum(self.pyu, 1e-300))
-            joint_terms = w * (log_p - log_pu[:, None, None, :])
-            cond_terms = w * (
-                np.log2(np.maximum(w, 1e-300))
-                + log_pu[:, None, None, :]
-                - log_pxu[:, :, None, :]
-                - log_pyu[:, None, :, :]
-            )
-        mask = w > 0
-        self.i_joint = np.where(mask, joint_terms, 0.0).sum(axis=(1, 2, 3))
-        self.i_cond = np.where(mask, cond_terms, 0.0).sum(axis=(1, 2, 3))
-
-    def grad_joint(self):
-        """Preconditioned gradient of I(X,Y;U) w.r.t. p(u|x,y), in nats."""
-        g = np.log(np.maximum(self.batch, 1e-300)) - np.log(np.maximum(self.pu, 1e-300))[:, None, None, :]
-        return np.where(self.q[None, :, :, None] > 0, g, 0.0)
-
-    def grad_cond(self):
-        """Preconditioned gradient of I(X;Y|U) w.r.t. p(u|x,y), in nats."""
-        g = (
-            np.log(np.maximum(self.w, 1e-300))
-            + np.log(np.maximum(self.pu, 1e-300))[:, None, None, :]
-            - np.log(np.maximum(self.pxu, 1e-300))[:, :, None, :]
-            - np.log(np.maximum(self.pyu, 1e-300))[:, None, :, :]
+        support = q[None, :, :, None] > 0
+        log_pu = np.log(np.maximum(w.sum(axis=(1, 2)), 1e-300))[:, None, None, :]
+        self.g_joint = np.where(support, np.log(np.maximum(batch, 1e-300)) - log_pu, 0.0)
+        self.g_cond = np.where(
+            support,
+            np.log(np.maximum(w, 1e-300))
+            + log_pu
+            - np.log(np.maximum(w.sum(axis=2), 1e-300))[:, :, None, :]
+            - np.log(np.maximum(w.sum(axis=1), 1e-300))[:, None, :, :],
+            0.0,
         )
-        return np.where(self.q[None, :, :, None] > 0, g, 0.0)
+        self.i_joint = (w * self.g_joint).sum(axis=(1, 2, 3)) / LN2
+        self.i_cond = (w * self.g_cond).sum(axis=(1, 2, 3)) / LN2
+
+
+def best_row(values, residuals, batch):
+    """Deterministic, order-independent pick: value, then residual, then bytes."""
+    return int(min(range(batch.shape[0]), key=lambda r: (values[r], residuals[r], batch[r].tobytes())))
 
 
 def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None):

@@ -40,6 +40,9 @@ from .pmf import AuxChannel, JointPmf, Pmf, compose, tv_distance
 
 #: hard cap on each index-set size (desk-scale memory guard)
 INDEX_CAP = 2**20
+#: cap on the bytes of one trial's blocks: 32 * nstar * n covers the three
+#: int64 (nstar, n) u/x/y blocks plus the float64 uniforms drawn for one
+BLOCK_BYTES_CAP = 2**30
 #: default tolerance on I(X;Y|U) of the composed channel, in bits
 MARKOV_DEFECT_TOL = 1e-6
 
@@ -112,14 +115,24 @@ class SimConfig:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
     def index_sizes(self):
-        """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs."""
+        """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs.
+
+        Refused with SimulationError when an index set exceeds INDEX_CAP or
+        one trial's (nstar, n) blocks would exceed BLOCK_BYTES_CAP bytes.
+        """
         n = self.n
-        return (
+        sizes = (
             _index_size("m0 half", n, 0.5 * self.rates.r0),
             _index_size("m*", n, self.rates.r_star),
             _index_size("b1", n, self.rates.rt1),
             _index_size("b2", n, self.rates.rt2),
         )
+        block_bytes = 32 * sizes[1] * n
+        if block_bytes > BLOCK_BYTES_CAP:
+            raise SimulationError(
+                f"SimConfig: (m*, n) = ({sizes[1]}, {n}) blocks need {block_bytes} bytes, cap is {BLOCK_BYTES_CAP}"
+            )
+        return sizes
 
 
 @dataclass(frozen=True)

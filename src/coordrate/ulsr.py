@@ -18,14 +18,13 @@ symmetric binary sources, uniform rows, plus random rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _simplexopt as so
-from .measures import conditional_mutual_information, mutual_information
-from .pmf import AuxChannel, JointPmf, PmfError, compose
-from .wyner import STEP0, SolverInfeasibleError, SolverOptions, wyner_ci
+from .pmf import AuxChannel, JointPmf, PmfError
+from .wyner import STEP0, SolverInfeasibleError, SolverOptions, _bracket, _evaluate, _source_info, wyner_ci
 
 #: softmax temperatures (1/bits) for annealing the kinked max
 TEMPERATURES = (10.0, 100.0, 1000.0)
@@ -48,10 +47,16 @@ class UlsrResult:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
+def _second_term(joint, cond, form):
+    """What I(X;Y|U) is maxed against: I(X,Y;U), or the average of both terms.
+
+    Linear in its inputs, so it maps the two gradients as it maps the terms.
+    """
+    return joint if form is UlsrForm.MAX_PAIR else 0.5 * (joint + cond)
+
+
 def _form_value(i_cond, i_joint, form):
-    if form is UlsrForm.MAX_PAIR:
-        return np.maximum(i_cond, i_joint)
-    return np.maximum(i_cond, 0.5 * (i_joint + i_cond))
+    return np.maximum(i_cond, _second_term(i_joint, i_cond, form))
 
 
 def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
@@ -62,9 +67,7 @@ def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
         form = UlsrForm(form)
     if ch.card_u1 != 1 or ch.card_u2 != 1:
         raise PmfError("ulsr_objective: channel must be a single-auxiliary p(u|x,y)")
-    full = compose(q, ch)
-    i_joint = mutual_information(full, ("x", "y"), ("u",))
-    i_cond = conditional_mutual_information(full, ("x",), ("y",), ("u",))
+    i_joint, i_cond = _evaluate(q, ch)
     return UlsrResult(
         value=float(_form_value(i_cond, i_joint, form)),
         channel=ch,
@@ -74,12 +77,36 @@ def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
     )
 
 
+def _objective(form, temp=None):
+    """Objective on max(a, b): log-sum-exp softmax at ``temp``, exact subgradient when None.
+
+    a = I(X;Y|U) and b is its ``_second_term``; the gradient mixes the two
+    term gradients with weight wa on a.
+    """
+
+    def objective_and_grad(stats):
+        a, b = stats.i_cond, _second_term(stats.i_joint, stats.i_cond, form)
+        ga, gb = stats.g_cond, _second_term(stats.g_joint, stats.g_cond, form)
+        values = np.maximum(a, b)
+        if temp is None:
+            wa = np.where(a > b + 1e-12, 1.0, np.where(b > a + 1e-12, 0.0, 0.5))
+        else:
+            # softmax weight of the a-term, numerically stable
+            z = np.clip(so.LN2 * temp * (b - a), -60.0, 60.0)
+            wa = 1.0 / (1.0 + np.exp(z))
+            values = values + np.log2(
+                np.exp(np.clip(so.LN2 * temp * (np.minimum(a, b) - values), -60.0, 0.0)) + 1.0
+            ) / temp
+        grads = wa[:, None, None, None] * ga + (1.0 - wa)[:, None, None, None] * gb
+        return values, grads
+
+    return objective_and_grad
+
+
 def _pad_rows(rows, card_u):
-    """Embed an (nx, ny, k) channel into card_u symbols, eps mass on the rest."""
+    """Embed an (nx, ny, k) channel, k < card_u, into card_u symbols, eps mass on the rest."""
     nx, ny, k = rows.shape
-    out = np.full((nx, ny, card_u), PAD_EPS / max(card_u - k, 1))
-    if k == card_u:
-        return rows.copy()
+    out = np.full((nx, ny, card_u), PAD_EPS / (card_u - k))
     out[:, :, :k] = rows * (1.0 - PAD_EPS)
     return out / out.sum(axis=-1, keepdims=True)
 
@@ -98,9 +125,7 @@ def _structured_starts(q, card_u, opts):
     nx, ny = q.shape
     starts = []
     # degenerate auxiliary: nearly all mass on the first symbol
-    deg = np.zeros((nx, ny, card_u))
-    deg[:, :, 0] = 1.0
-    starts.append(_pad_rows(deg[:, :, :1], card_u) if card_u > 1 else deg)
+    starts.append(_pad_rows(np.ones((nx, ny, 1)), card_u))
     # uniform rows
     starts.append(np.full((nx, ny, card_u), 1.0 / card_u))
     # a Wyner-minimizing channel plus, for symmetric binary sources, points
@@ -111,23 +136,13 @@ def _structured_starts(q, card_u, opts):
         from .dsbs import interpolated_channel
 
         for t in (0.0, 0.25, 0.5, 0.75):
-            ch = interpolated_channel(a, t)
-            rows = np.stack([[ch.row(x, y)[:, 0, 0] for y in range(2)] for x in range(2)])
+            rows = interpolated_channel(a, t).dense(2, 2)[:, :, :, 0, 0]
             starts.append(_pad_rows(rows, card_u))
     else:
         try:
-            lite = SolverOptions(
-                restarts=min(8, opts.restarts),
-                max_iters=opts.max_iters,
-                tol_objective=opts.tol_objective,
-                penalty_schedule=opts.penalty_schedule,
-                seed=opts.seed,
-            )
+            lite = replace(opts, restarts=min(8, opts.restarts))
             wres = wyner_ci(q, card_u=min(card_u, nx * ny), opts=lite)
-            rows = np.stack(
-                [[wres.channel.row(x, y)[:, 0, 0] for y in range(ny)] for x in range(nx)]
-            )
-            starts.append(_pad_rows(rows, card_u))
+            starts.append(_pad_rows(wres.channel.dense(nx, ny)[:, :, :, 0, 0], card_u))
         except SolverInfeasibleError:
             pass
     return starts
@@ -158,73 +173,40 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     def exact_values(stats):
         return _form_value(stats.i_cond, stats.i_joint, form)
 
-    def smoothed(stats, temp):
-        a = stats.i_cond
-        b = stats.i_joint if form is UlsrForm.MAX_PAIR else 0.5 * (stats.i_joint + stats.i_cond)
-        # softmax weight of the a-term, numerically stable
-        z = np.clip(so.LN2 * temp * (b - a), -60.0, 60.0)
-        wa = 1.0 / (1.0 + np.exp(z))
-        values = np.maximum(a, b) + np.log2(
-            np.exp(np.clip(so.LN2 * temp * (np.minimum(a, b) - np.maximum(a, b)), -60.0, 0.0)) + 1.0
-        ) / temp
-        ga = stats.grad_cond()
-        gb = stats.grad_joint() if form is UlsrForm.MAX_PAIR else 0.5 * (stats.grad_joint() + stats.grad_cond())
-        grads = wa[:, None, None, None] * ga + (1.0 - wa)[:, None, None, None] * gb
-        return values, grads
-
-    def exact_subgradient(stats):
-        a = stats.i_cond
-        b = stats.i_joint if form is UlsrForm.MAX_PAIR else 0.5 * (stats.i_joint + stats.i_cond)
-        values = np.maximum(a, b)
-        ga = stats.grad_cond()
-        gb = stats.grad_joint() if form is UlsrForm.MAX_PAIR else 0.5 * (stats.grad_joint() + stats.grad_cond())
-        wa = np.where(a > b + 1e-12, 1.0, np.where(b > a + 1e-12, 0.0, 0.5))
-        grads = wa[:, None, None, None] * ga + (1.0 - wa)[:, None, None, None] * gb
-        return values, grads
-
-    best_batch = batch.copy()
-    best_values = exact_values(so.ChannelStats(qarr, batch))
+    stats = so.ChannelStats(qarr, batch)
+    candidates = [(batch, exact_values(stats), stats.i_cond)]
     for stage, temp in enumerate(TEMPERATURES):
         batch = so.jitter_channels(batch, opts.seed, stage)
         batch, _, stats = so.eg_minimize(
             qarr,
             batch,
-            lambda stats, temp=temp: smoothed(stats, temp),
+            _objective(form, temp),
             opts.max_iters,
             opts.tol_objective,
             STEP0,
         )
-        stage_values = exact_values(stats)
-        improved = stage_values < best_values
-        best_batch[improved] = batch[improved]
-        best_values = np.where(improved, stage_values, best_values)
+        candidates.append((batch, exact_values(stats), stats.i_cond))
     # polish on the exact kinked objective, keeping the best iterate seen
-    polish_batch, polish_values, _ = so.eg_minimize(
-        qarr, batch, exact_subgradient, opts.max_iters, opts.tol_objective, STEP0,
+    polish_batch, polish_values, stats = so.eg_minimize(
+        qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0,
         track=exact_values,
     )
-    improved = polish_values < best_values
-    best_batch[improved] = polish_batch[improved]
-    best_values = np.where(improved, polish_values, best_values)
-
-    stats = so.ChannelStats(qarr, best_batch)
-    order = sorted(
-        range(best_batch.shape[0]),
-        key=lambda r: (best_values[r], stats.i_cond[r], best_batch[r].tobytes()),
-    )
-    winner = int(order[0])
-    channel = AuxChannel.from_array(best_batch[winner][:, :, :, None, None], card_u=card_u)
+    candidates.append((polish_batch, polish_values, stats.i_cond))
+    # per restart, the earliest candidate with the lowest exact value
+    batches, values, residuals = (np.stack(c) for c in zip(*candidates))
+    pick = (values.argmin(axis=0), np.arange(batch.shape[0]))
+    best_batch, best_values = batches[pick], values[pick]
+    winner = so.best_row(best_values, residuals[pick], best_batch)
+    channel = AuxChannel.from_array(best_batch[winner])
     result = ulsr_objective(q, channel, form)
-    return UlsrResult(
-        value=result.value,
-        channel=channel,
-        term_cond=result.term_cond,
-        term_joint=result.term_joint,
-        form=form,
+    ixy, h_min = _source_info(q)
+    return replace(
+        result,
         diagnostics={
             "restarts": best_batch.shape[0],
             "structured_starts": len(structured),
             "card_u": card_u,
             "best_values": np.sort(best_values)[:5].tolist(),
+            **_bracket(result.value, 0.5 * ixy, min(ixy, 0.5 * h_min)),
         },
     )

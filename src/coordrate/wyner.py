@@ -20,13 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _simplexopt as so
-from .measures import conditional_mutual_information, mutual_information
+from .measures import conditional_mutual_information, mutual_information, table_entropy
 from .pmf import AuxChannel, JointPmf, PmfError, compose
 
 #: feasibility threshold on the residual I(X;Y|U), in bits
 MARKOV_TOL = 1e-6
 #: base step size for the exponentiated-gradient updates
 STEP0 = 2.0
+#: slack in bits when checking a solver value against its known bracket
+BRACKET_SLACK = 1e-9
 
 
 class SolverInfeasibleError(RuntimeError):
@@ -81,25 +83,23 @@ def dsbs_wyner_channel(a):
     return AuxChannel.from_array(rows)
 
 
-def _channel_from_batch(row_block, card_u):
-    return AuxChannel.from_array(row_block[:, :, :, None, None], card_u=card_u)
-
-
 def _evaluate(q, channel):
+    """(I(X,Y;U), I(X;Y|U)) in bits of the source composed with ``channel``."""
     full = compose(q, channel)
     value = mutual_information(full, ("x", "y"), ("u",))
     defect = conditional_mutual_information(full, ("x",), ("y",), ("u",))
     return value, defect
 
 
-def _select_best(q, batch, feasible):
-    """Deterministic, order-independent pick: value, then defect, then bytes."""
-    stats = so.ChannelStats(q.probs, batch)
-    order = sorted(
-        np.flatnonzero(feasible),
-        key=lambda r: (stats.i_joint[r], stats.i_cond[r], batch[r].tobytes()),
-    )
-    return int(order[0])
+def _source_info(q):
+    """(I(X;Y), min(H(X), H(Y))) of the source, in bits."""
+    hx, hy = table_entropy(q.probs.sum(axis=1)), table_entropy(q.probs.sum(axis=0))
+    return hx + hy - table_entropy(q.probs), min(hx, hy)
+
+
+def _bracket(value, lo, hi):
+    """Diagnostics entries recording whether ``value`` lies in its known bracket."""
+    return {"bracket": [lo, hi], "within_bracket": bool(lo - BRACKET_SLACK <= value <= hi + BRACKET_SLACK)}
 
 
 def wyner_ci(q, card_u=None, opts=None):
@@ -123,7 +123,7 @@ def wyner_ci(q, card_u=None, opts=None):
 
         def objective_and_grad(stats, lam=lam):
             values = stats.i_joint + lam * stats.i_cond
-            grads = stats.grad_joint() + lam * stats.grad_cond()
+            grads = stats.g_joint + lam * stats.g_cond
             return values, grads
 
         batch = so.jitter_channels(batch, opts.seed, stage)
@@ -137,9 +137,10 @@ def wyner_ci(q, card_u=None, opts=None):
             f"wyner_ci: no restart reached I(X;Y|U) <= {MARKOV_TOL} bits under the penalty "
             f"schedule {opts.penalty_schedule}; best residual {stats.i_cond.min():.3e} bits"
         )
-    best = _select_best(q, batch, feasible)
-    channel = _channel_from_batch(batch[best], card_u)
+    best = so.best_row(np.where(feasible, stats.i_joint, np.inf), stats.i_cond, batch)
+    channel = AuxChannel.from_array(batch[best])
     value, defect = _evaluate(q, channel)
+    ixy, h_min = _source_info(q)
     return WynerResult(
         value=value,
         channel=channel,
@@ -149,6 +150,7 @@ def wyner_ci(q, card_u=None, opts=None):
             "feasible_restarts": int(feasible.sum()),
             "card_u": card_u,
             "values": np.sort(stats.i_joint[feasible])[: min(5, int(feasible.sum()))].tolist(),
+            **_bracket(value, ixy, h_min),
         },
     )
 

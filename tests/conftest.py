@@ -1,9 +1,21 @@
 import csv
 import pathlib
 
+import numpy as np
 import pytest
 
+from coordrate.pmf import JointPmf
+
 DATA = pathlib.Path(__file__).parent / "data"
+
+#: the benchmark's fixed 3 x 3 solve source, before normalising
+BASE_3X3 = np.array(
+    [
+        [0.1563, 0.0391, 0.0785],
+        [0.0617, 0.1517, 0.0770],
+        [0.0394, 0.1441, 0.2522],
+    ]
+)
 
 
 def load_curve(name):
@@ -19,3 +31,8 @@ def curve_a01():
 @pytest.fixture(scope="session")
 def curve_a02():
     return load_curve("curve_a02.csv")
+
+
+@pytest.fixture(scope="session")
+def source_3x3():
+    return JointPmf(BASE_3X3 / BASE_3X3.sum())

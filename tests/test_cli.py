@@ -177,6 +177,13 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert "needs 2^2000 entries, cap is 2^20" in err
 
+    def test_block_bytes_beyond_cap_is_validation_error(self, files):
+        # 2^(40 * 0.5) candidates fit the index cap; their 40-symbol blocks do not
+        code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
+                              "--n", "40", "--rates", "0,0.5,0,0", "--trials", "1"])
+        assert code == 1 and out == ""
+        assert "blocks need 1342177280 bytes, cap is 1073741824" in err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):

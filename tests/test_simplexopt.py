@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordrate import _simplexopt as so
-from coordrate.pmf import dsbs_joint
+from coordrate.measures import conditional_mutual_information, mutual_information
+from coordrate.pmf import AuxChannel, JointPmf, compose, dsbs_joint
+from coordrate.ulsr import UlsrForm, ulsr_rate
+from coordrate.wyner import SolverOptions, wyner_ci
 
 
 def _max_avg(stats):
@@ -12,7 +17,7 @@ def _max_avg(stats):
 def _max_avg_subgradient(stats):
     a, b = stats.i_cond, 0.5 * (stats.i_joint + stats.i_cond)
     wa = np.where(a > b, 1.0, 0.0)[:, None, None, None]
-    grads = wa * stats.grad_cond() + (1.0 - wa) * 0.5 * (stats.grad_joint() + stats.grad_cond())
+    grads = wa * stats.g_cond + (1.0 - wa) * 0.5 * (stats.g_joint + stats.g_cond)
     return np.maximum(a, b), grads
 
 
@@ -31,3 +36,62 @@ class TestEgMinimize:
         assert np.array_equal(stats.i_joint, ref.i_joint)
         assert np.array_equal(stats.i_cond, ref.i_cond)
         assert np.array_equal(_max_avg(stats), values)
+
+
+def test_solver_values_are_pinned(source_3x3):
+    # seeded solver values on the acceptance source and the benchmark's 3 x 3
+    # source; a change to the solver arithmetic must reproduce them to 1e-9
+    opts = SolverOptions(restarts=16, seed=0)
+    dsbs = dsbs_joint(0.1)
+    assert wyner_ci(dsbs, card_u=2, opts=opts).value == pytest.approx(0.8726099466816017, abs=1e-9)
+    assert ulsr_rate(dsbs, UlsrForm.MAX_AVG, opts).value == pytest.approx(0.30040773036584145, abs=1e-9)
+    assert ulsr_rate(dsbs, UlsrForm.MAX_PAIR, opts).value == pytest.approx(0.300407752681664, abs=1e-9)
+    assert wyner_ci(source_3x3, opts=opts).value == pytest.approx(0.7740102243568705, abs=1e-9)
+    assert ulsr_rate(source_3x3, UlsrForm.MAX_AVG, opts).value == pytest.approx(0.13127363935463765, abs=1e-9)
+
+
+#: cell masses: exact zeros mixed with positive values
+_MASS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _source_and_channel(draw):
+    """A source with possibly zero-mass cells and a channel with possibly zero entries."""
+    nx, ny, nu = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    q = np.array(draw(st.lists(_MASS, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    q[0, 0] += 1e-3
+    rows = np.array(draw(st.lists(_MASS, min_size=nx * ny * nu, max_size=nx * ny * nu))).reshape(nx, ny, nu)
+    rows[..., 0] += 1e-3
+    seed = draw(st.integers(0, 2**32 - 1))
+    return q / q.sum(), rows / rows.sum(axis=-1, keepdims=True), seed
+
+
+class TestChannelStatsReference:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_source_and_channel())
+    def test_terms_match_measures(self, case):
+        q, rows, _ = case
+        stats = so.ChannelStats(q, rows[None])
+        full = compose(JointPmf(q), AuxChannel.from_array(rows))
+        assert stats.i_joint[0] == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-9)
+        assert stats.i_cond[0] == pytest.approx(
+            conditional_mutual_information(full, ("x",), ("y",), ("u",)), abs=1e-9
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_source_and_channel())
+    def test_gradients_match_finite_differences(self, case):
+        q, rows, seed = case
+        nu = rows.shape[-1]
+        # keep every entry >= 0.2 / nu so the step stays inside the simplex
+        p = 0.8 * rows + 0.2 / nu
+        d = np.random.default_rng(seed).standard_normal(p.shape)
+        d -= d.mean(axis=-1, keepdims=True)
+        d /= max(np.abs(d).max(), 1e-300)
+        h = 1e-5
+        stats = so.ChannelStats(q, np.stack([p, p + h * d, p - h * d]))
+        # g is the gradient divided by q(x,y), in nats
+        for g, i in ((stats.g_joint, stats.i_joint), (stats.g_cond, stats.i_cond)):
+            assert np.all(g[:, q == 0] == 0.0)
+            analytic = (q[:, :, None] * g[0] * d).sum() / so.LN2
+            assert (i[1] - i[2]) / (2 * h) == pytest.approx(analytic, abs=1e-6)

@@ -131,6 +131,15 @@ class TestCodebooks:
         with pytest.raises(SimulationError):
             dsbs_cfg(n=21, r0=0.0, r_star=1.0).index_sizes()
 
+    def test_block_bytes_guard(self):
+        # 2^20 entries pass the index cap, but at n=40 one trial's blocks
+        # need 32 * 2^20 * 40 bytes = 1.25 GiB; n=20 (640 MiB) passes above
+        cfg = dsbs_cfg(n=40, r0=0.0, r_star=0.5)
+        with pytest.raises(SimulationError, match=r"\(m\*, n\) = \(1048576, 40\) blocks need 1342177280 bytes"):
+            cfg.index_sizes()
+        with pytest.raises(SimulationError, match=r"cap is 1073741824"):
+            build_codebooks(cfg, 0)
+
     def test_each_block_drawn_once_per_trial(self):
         # the processors read the blocks the coordinator drew
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)

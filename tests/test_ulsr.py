@@ -98,6 +98,15 @@ class TestRateSolver:
             ixy = mutual_information(full, ("x",), ("y",))
             assert res.value <= min(0.5 * w.value, ixy) + 1e-6
 
+    @pytest.mark.parametrize("name", ["dsbs01", "3x3"])
+    def test_bracket_in_diagnostics(self, name, request):
+        q = dsbs_joint(0.1) if name == "dsbs01" else request.getfixturevalue("source_3x3")
+        ixy = mutual_information(compose(q, degenerate_channel(*q.shape)), ("x",), ("y",))
+        h_min = min(table_entropy(q.probs.sum(1)), table_entropy(q.probs.sum(0)))
+        res = ulsr_rate(q, opts=FAST)
+        assert res.diagnostics["bracket"] == pytest.approx([0.5 * ixy, min(ixy, 0.5 * h_min)], abs=1e-12)
+        assert res.diagnostics["within_bracket"] is True
+
     def test_value_consistent_with_terms(self):
         res = ulsr_rate(dsbs_joint(0.3), UlsrForm.MAX_AVG, FAST)
         assert res.value == pytest.approx(

@@ -6,6 +6,7 @@ from coordrate.pmf import JointPmf, PmfError, compose, degenerate_channel, dsbs_
 from coordrate.wyner import (
     SolverInfeasibleError,
     SolverOptions,
+    _bracket,
     dsbs_wyner_channel,
     no_sr_rate,
     wyner_ci,
@@ -121,6 +122,20 @@ class TestWynerSolver:
             assert res.value >= ixy - 1e-6
             assert res.value <= min(hx, hy) + 1e-6
             assert res.markov_defect <= 1e-6
+
+    @pytest.mark.parametrize("name", ["dsbs01", "3x3"])
+    def test_bracket_in_diagnostics(self, name, request):
+        q = dsbs_joint(0.1) if name == "dsbs01" else request.getfixturevalue("source_3x3")
+        ixy = mutual_information(compose(q, degenerate_channel(*q.shape)), ("x",), ("y",))
+        h_min = min(table_entropy(q.probs.sum(1)), table_entropy(q.probs.sum(0)))
+        res = wyner_ci(q, opts=FAST)
+        assert res.diagnostics["bracket"] == pytest.approx([ixy, h_min], abs=1e-12)
+        assert res.diagnostics["within_bracket"] is True
+
+    def test_bracket_slack(self):
+        assert _bracket(0.5 + 0.5e-9, 0.0, 0.5)["within_bracket"] is True
+        assert _bracket(0.5 + 2e-9, 0.0, 0.5)["within_bracket"] is False
+        assert _bracket(-2e-9, 0.0, 0.5)["within_bracket"] is False
 
     def test_infeasibility_is_reported(self):
         # a schedule stopping at lambda = 1 cannot push the residual to 1e-6
