@@ -271,20 +271,6 @@ def degenerate_channel(nx, ny):
     return AuxChannel.from_array(np.ones((nx, ny, 1, 1, 1)))
 
 
-def aux_with_copy_sides(base, nx, ny):
-    """Extend p(u|x,y) to p(u,u1,u2|x,y) with u1 = x and u2 = y deterministically."""
-    if base.card_u1 != 1 or base.card_u2 != 1:
-        raise PmfError("aux_with_copy_sides: base channel must have degenerate side auxiliaries")
-    rows = np.zeros((nx, ny, base.card_u, nx, ny))
-    for x in range(nx):
-        for y in range(ny):
-            if base.has_row(x, y):
-                rows[x, y, :, x, y] = base.row(x, y)[:, 0, 0]
-            else:
-                rows[x, y, :, x, y] = 1.0 / base.card_u
-    return AuxChannel.from_array(rows)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -113,8 +113,8 @@ def in_achievable_region(q, aux, rates):
 
 def xy_equal_region(hx, rates):
     """Exact region for X = Y almost surely: R + min{R1, R2} >= H(X), R >= H(X)/2."""
-    if hx < 0:
-        raise PmfError(f"xy_equal_region: entropy must be nonnegative, got {hx!r}")
+    if not np.isfinite(hx) or hx < 0:
+        raise PmfError(f"xy_equal_region: entropy must be finite and nonnegative, got {hx!r}")
     s = MEMBERSHIP_SLACK
     return (
         rates.r + min(rates.r1, rates.r2) >= hx - s

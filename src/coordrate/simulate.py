@@ -17,9 +17,13 @@ one concrete code, which is what makes insufficient rates measurable
 out).  Codewords are never materialized as full tables: each codebook
 block is a deterministic function of (seed, code stream, indices) through
 a seeded generator, which keeps memory flat while preserving the i.i.d.
-codebook statistics and exact reproducibility.  A trial draws each of its
-u, x and y blocks once; the processors read their codewords from the
-same keyed blocks the coordinator tested.
+codebook statistics and exact reproducibility.  A block's rows are drawn
+in order and only as far as a trial needs them: the coordinator draws and
+tests the candidates in doubling chunks and stops at the first typical
+one, so a trial whose m* is early draws a short prefix of each of its u,
+x and y blocks, and the processors read their codewords from the rows the
+coordinator drew.  Any prefix equals the same rows of a full draw, so the
+seeded results do not depend on how far a search went.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +52,8 @@ BLOCK_BYTES_CAP = 2**30
 MARKOV_DEFECT_TOL = 1e-6
 
 _W_STREAM, _U_STREAM, _X_STREAM, _Y_STREAM = 0, 1, 2, 3
+#: candidate rows the coordinator draws and tests before its first doubling
+_FIRST_CHUNK = 16
 
 
 class SimulationError(ValueError):
@@ -190,21 +197,35 @@ def _generation(full, max_defect):
     return joint_uxy, Pmf(p_u), p_x_given_u, p_y_given_u
 
 
-def _sample(cum, uniforms):
-    """Inverse-CDF sampling: cum rows must end at exactly 1."""
-    return (uniforms[..., None] < cum).argmax(axis=-1)
+def _sample(cum, uniforms, out=None):
+    """Inverse-CDF sampling: the number of CDF entries at or below each uniform.
+
+    ``cum`` rows must be nondecreasing and end at exactly 1, which no uniform
+    in [0, 1) reaches, so the count is the first index whose entry exceeds
+    the uniform.  ``cum`` is one table or a table per uniform (trailing axis).
+    The int64 indices are written to ``out`` when given.
+    """
+    idx = np.empty(uniforms.shape, dtype=np.int64) if out is None else out
+    np.greater_equal(uniforms, cum[..., 0], out=idx)
+    for j in range(1, cum.shape[-1] - 1):
+        idx += uniforms >= cum[..., j]
+    return idx
 
 
 class Codebooks:
     """Keyed access to the codeword tables of one code.
 
-    Each block is a deterministic function of its indices through a seeded
-    generator, so coordinator and processors read the same codewords.
-    Blocks for distinct indices come from distinct seeded streams and are
-    therefore independent, matching a single i.i.d. codebook draw.  The
-    last block of each stream is kept, read-only: within a trial the
-    coordinator draws the u, x and y blocks once and the processors read
-    their rows from those same blocks.
+    Each (nstar, n) block is a deterministic function of its indices through
+    a seeded generator, so coordinator and processors read the same
+    codewords.  Blocks for distinct indices come from distinct seeded
+    streams and are therefore independent, matching a single i.i.d.
+    codebook draw.  Rows are drawn in order and only when first asked for:
+    a call for the first ``rows`` rows draws just the missing ones from the
+    block's generator, so any prefix equals the same rows of a full draw.
+    Each stream keeps its last block (indices, generator, rows drawn so
+    far), filled in place in a buffer of the full block size, and returns
+    read-only views of it.  This generator state makes one ``Codebooks``
+    the property of one thread.
     """
 
     def __init__(self, cfg, trial_seed):
@@ -220,7 +241,7 @@ class Codebooks:
         self._cum_x[:, -1] = 1.0
         self._cum_y = np.cumsum(self.p_y_given_u, axis=1)
         self._cum_y[:, -1] = 1.0
-        #: stream -> (indices, block) of the last block drawn from it
+        #: stream -> [indices, generator, (nstar, n) buffer, read-only view of the rows drawn]
         self._last = {}
 
     def _rng(self, stream, *idx):
@@ -230,36 +251,44 @@ class Codebooks:
         if not 0 <= value < size:
             raise SimulationError(f"Codebooks: {name} index {value} outside [0, {size})")
 
-    def _block(self, stream, idx, cum, u=None):
-        """The (nstar, n) block of ``stream`` at ``idx``, drawn only on a miss.
+    def _block(self, stream, idx, cum, rows, u=None):
+        """The first ``rows`` rows of the block of ``stream`` at ``idx``.
 
-        ``cum`` is the inverse-CDF table, per u symbol when ``u`` is given.
+        ``cum`` is the inverse-CDF table, per u symbol when the u rows ``u``
+        are given.
         """
         last = self._last.get(stream)
-        if last is not None and last[0] == idx:
-            return last[1]
-        uniforms = self._rng(stream, *idx).random((self.nstar, self.cfg.n))
-        block = _sample(cum if u is None else cum[u], uniforms)
-        block.setflags(write=False)
-        self._last[stream] = (idx, block)
-        return block
+        if last is None or last[0] != idx:
+            buf = np.empty((self.nstar, self.cfg.n), dtype=np.int64)
+            last = self._last[stream] = [idx, self._rng(stream, *idx), buf, buf[:0]]
+        _, rng, buf, drawn = last
+        done = len(drawn)
+        if rows > done:
+            uniforms = rng.random((rows - done, self.cfg.n))
+            _sample(cum if u is None else np.take(cum, u[done:], axis=0), uniforms, out=buf[done:rows])
+            drawn = last[3] = buf[:rows]
+            drawn.setflags(write=False)
+        return drawn if rows == len(drawn) else drawn[:rows]
 
-    def u_block(self, m01, m02):
-        """All m* candidates' u-codewords for bin m0 = (m01, m02): (nstar, n) ints."""
+    def u_block(self, m01, m02, rows=None):
+        """u-codewords of the first ``rows`` m* candidates (all by default) of bin m0 = (m01, m02)."""
         self._check("m01", m01, self.n01)
         self._check("m02", m02, self.n01)
-        return self._block(_U_STREAM, (int(m01), int(m02)), self._cum_u)
+        rows = self.nstar if rows is None else operator.index(rows)
+        if not 1 <= rows <= self.nstar:
+            raise SimulationError(f"Codebooks: rows {rows} outside [1, {self.nstar}]")
+        return self._block(_U_STREAM, (int(m01), int(m02)), self._cum_u, rows)
 
-    def x_block(self, m01, m02, b1):
-        """x-codewords for every m* at fixed (m0, b1), drawn per-symbol from p(x|u)."""
+    def x_block(self, m01, m02, b1, rows=None):
+        """x-codewords of the first ``rows`` m* candidates at fixed (m0, b1), drawn per symbol from p(x|u)."""
         self._check("b1", b1, self.nb1)
-        u = self.u_block(m01, m02)
-        return self._block(_X_STREAM, (int(m01), int(m02), int(b1)), self._cum_x, u)
+        u = self.u_block(m01, m02, rows)
+        return self._block(_X_STREAM, (int(m01), int(m02), int(b1)), self._cum_x, len(u), u)
 
-    def y_block(self, m01, m02, b2):
+    def y_block(self, m01, m02, b2, rows=None):
         self._check("b2", b2, self.nb2)
-        u = self.u_block(m01, m02)
-        return self._block(_Y_STREAM, (int(m01), int(m02), int(b2)), self._cum_y, u)
+        u = self.u_block(m01, m02, rows)
+        return self._block(_Y_STREAM, (int(m01), int(m02), int(b2)), self._cum_y, len(u), u)
 
 
 def build_codebooks(cfg, trial_seed):
@@ -289,31 +318,35 @@ def typicality_test(u, x, y, p, eps_typ):
 
 def _typical_mask(ub, xb, yb, p, eps_typ):
     """Vectorized typicality of each candidate row triple."""
-    nstar, n = ub.shape
-    cu, nx, ny = p.shape
-    cells = cu * nx * ny
-    flat = ((ub * nx + xb) * ny + yb) + (np.arange(nstar)[:, None] * cells)
-    counts = np.bincount(flat.ravel(), minlength=nstar * cells).reshape(nstar, cu, nx, ny)
-    etype = counts / n
-    ok = np.all(np.abs(etype - p[None]) <= eps_typ, axis=(1, 2, 3))
-    ok &= ~np.any((counts > 0) & (p[None] <= 0.0), axis=(1, 2, 3))
-    return ok
+    rows, n = ub.shape
+    _, nx, ny = p.shape
+    p = p.ravel()
+    flat = ((ub * nx + xb) * ny + yb) + np.arange(0, rows * p.size, p.size)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=rows * p.size).reshape(rows, p.size)
+    bad = (np.abs(counts / n - p) > eps_typ) | ((counts > 0) & (p <= 0.0))
+    return ~bad.any(axis=1)
 
 
 def coordinator_select(w1, w2, books, eps_typ):
     """Pick the first m* in the bin whose codeword triple is typical.
 
-    Returns (Message, failed).  When no candidate passes, m* falls back to
-    the first index and the trial is flagged instead of raising.
+    Candidates are drawn and tested in chunks, each doubling the rows drawn
+    so far, and the search stops at the first chunk holding a typical row.
+    Returns (Message, failed).  When no candidate passes, every row has been
+    tested once, m* falls back to the first index and the trial is flagged
+    instead of raising.
     """
     m01, b1 = (int(v) for v in w1)
     m02, b2 = (int(v) for v in w2)
-    ub = books.u_block(m01, m02)
-    xb = books.x_block(m01, m02, b1)
-    yb = books.y_block(m01, m02, b2)
-    mask = _typical_mask(ub, xb, yb, books.target_uxy, eps_typ)
-    if mask.any():
-        return Message(m0_xor=m01 ^ m02, m_star=int(mask.argmax())), False
+    tested, rows = 0, min(_FIRST_CHUNK, books.nstar)
+    while tested < books.nstar:
+        ub = books.u_block(m01, m02, rows)[tested:]
+        xb = books.x_block(m01, m02, b1, rows)[tested:]
+        yb = books.y_block(m01, m02, b2, rows)[tested:]
+        mask = _typical_mask(ub, xb, yb, books.target_uxy, eps_typ)
+        if mask.any():
+            return Message(m0_xor=m01 ^ m02, m_star=tested + int(mask.argmax())), False
+        tested, rows = rows, min(2 * rows, books.nstar)
     return Message(m0_xor=m01 ^ m02, m_star=0), True
 
 
@@ -330,10 +363,11 @@ def processor_output(which, message, w_i, books):
     # numpy would wrap a negative row index silently
     if not 0 <= message.m_star < books.nstar:
         raise SimulationError(f"processor_output: m* index {message.m_star} outside [0, {books.nstar})")
+    rows = message.m_star + 1
     if which == 1:
-        return books.x_block(half, other, b)[message.m_star]
+        return books.x_block(half, other, b, rows)[message.m_star]
     if which == 2:
-        return books.y_block(other, half, b)[message.m_star]
+        return books.y_block(other, half, b, rows)[message.m_star]
     raise SimulationError(f"processor_output: processor must be 1 or 2, got {which!r}")
 
 

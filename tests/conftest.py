@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from coordrate.pmf import JointPmf
+from coordrate.pmf import AuxChannel, JointPmf, PmfError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -16,6 +16,20 @@ BASE_3X3 = np.array(
         [0.0394, 0.1441, 0.2522],
     ]
 )
+
+
+def aux_with_copy_sides(base, nx, ny):
+    """Extend p(u|x,y) to p(u,u1,u2|x,y) with u1 = x and u2 = y deterministically."""
+    if base.card_u1 != 1 or base.card_u2 != 1:
+        raise PmfError("aux_with_copy_sides: base channel must have degenerate side auxiliaries")
+    rows = np.zeros((nx, ny, base.card_u, nx, ny))
+    for x in range(nx):
+        for y in range(ny):
+            if base.has_row(x, y):
+                rows[x, y, :, x, y] = base.row(x, y)[:, 0, 0]
+            else:
+                rows[x, y, :, x, y] = 1.0 / base.card_u
+    return AuxChannel.from_array(rows)
 
 
 def load_curve(name):

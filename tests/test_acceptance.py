@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 
+from conftest import aux_with_copy_sides
 from coordrate.dsbs import f_of_t, i_cond_closed_form, i_joint_closed_form, interpolated_channel, t_star
 from coordrate.measures import (
     binary_entropy,
@@ -18,7 +19,6 @@ from coordrate.pmf import (
     FullJoint,
     JointPmf,
     Pmf,
-    aux_with_copy_sides,
     compose,
     degenerate_channel,
     dsbs_joint,

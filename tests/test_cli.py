@@ -140,6 +140,11 @@ class TestRegion:
         code, _, err = run(["region", "xy-equal", "--hx", "1.0", "--rates", "0.5,0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize("hx", ["nan", "inf"])
+    def test_xy_equal_non_finite_entropy(self, hx):
+        code, out, err = run(["region", "xy-equal", "--hx", hx, "--rates", "1,1,1"])
+        assert code == 1 and out == "" and "finite" in err
+
 
 class TestSimulate:
     def test_stdout_and_reproducibility(self, files):

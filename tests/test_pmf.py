@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from conftest import aux_with_copy_sides
 from coordrate.pmf import (
     AuxChannel,
     FullJoint,
     JointPmf,
     Pmf,
     PmfError,
-    aux_with_copy_sides,
     compose,
     degenerate_channel,
     dsbs_joint,

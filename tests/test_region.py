@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import aux_with_copy_sides
 from coordrate.measures import binary_entropy, mutual_information
 from coordrate.pmf import (
     JointPmf,
     PmfError,
-    aux_with_copy_sides,
     compose,
     degenerate_channel,
     dsbs_joint,
@@ -146,3 +146,8 @@ class TestXyEqualRegion:
     def test_rejects_negative_entropy(self):
         with pytest.raises(PmfError):
             xy_equal_region(-1.0, RateTriple(1, 1, 1))
+
+    @pytest.mark.parametrize("hx", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entropy(self, hx):
+        with pytest.raises(PmfError, match="finite"):
+            xy_equal_region(hx, RateTriple(1, 1, 1))

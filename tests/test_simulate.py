@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coordrate import simulate
 from coordrate.dsbs import i_cond_closed_form, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
@@ -11,6 +14,8 @@ from coordrate.simulate import (
     SimConfig,
     SimRates,
     SimulationError,
+    _sample,
+    _typical_mask,
     build_codebooks,
     coordinator_select,
     derive_components,
@@ -141,16 +146,35 @@ class TestCodebooks:
             build_codebooks(cfg, 0)
 
     def test_each_block_drawn_once_per_trial(self):
-        # the processors read the blocks the coordinator drew
+        # the processors read the blocks the coordinator drew; at the strict
+        # tolerance m* = 63 lies in the third chunk of the search
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
-        books = build_codebooks(cfg, 0)
-        drawn = []
-        rng = books._rng
-        books._rng = lambda stream, *idx: drawn.append((stream, *idx)) or rng(stream, *idx)
-        msg, _ = coordinator_select((2, 1), (0, 3), books, 0.2)
-        processor_output(1, msg, (2, 1), books)
-        processor_output(2, msg, (0, 3), books)
-        assert sorted(drawn) == [(1, 2, 0), (2, 2, 0, 1), (3, 2, 0, 3)]
+        for w1, w2, eps, m_star in (((2, 1), (0, 3), 0.2, 0), ((3, 2), (3, 0), 0.05, 63)):
+            books = build_codebooks(cfg, 0)
+            drawn = []
+            rng = books._rng
+            books._rng = lambda stream, *idx: drawn.append((stream, *idx)) or rng(stream, *idx)
+            msg, failed = coordinator_select(w1, w2, books, eps)
+            x = processor_output(1, msg, w1, books)
+            y = processor_output(2, msg, w2, books)
+            m0 = (w1[0], w2[0])
+            assert (msg.m_star, failed) == (m_star, False)
+            assert sorted(drawn) == [(1, *m0), (2, *m0, w1[1]), (3, *m0, w2[1])]
+            full = build_codebooks(cfg, 0)
+            assert np.array_equal(x, full.x_block(*m0, w1[1])[m_star])
+            assert np.array_equal(y, full.y_block(*m0, w2[1])[m_star])
+
+    @pytest.mark.parametrize("rows", [1, 15, 16, 17, 33, 85])
+    def test_prefix_rows_match_full_block(self, rows):
+        # chunks end at rows 16, 32 and 64 of the 85-row block
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        lazy, full = build_codebooks(cfg, 0), build_codebooks(cfg, 0)
+        assert lazy.nstar == 85
+        assert np.array_equal(lazy.x_block(2, 0, 1, rows=rows), full.x_block(2, 0, 1)[:rows])
+        assert np.array_equal(lazy.y_block(2, 0, 3, rows=rows), full.y_block(2, 0, 3)[:rows])
+        # extending the prefix draws the rest of the same block
+        assert np.array_equal(lazy.x_block(2, 0, 1), full.x_block(2, 0, 1))
+        assert np.array_equal(lazy.u_block(2, 0), full.u_block(2, 0))
 
     def test_memoized_blocks_are_read_only(self):
         books = build_codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.5), 0)
@@ -162,6 +186,11 @@ class TestCodebooks:
         books = build_codebooks(dsbs_cfg(n=4, r0=0.5, r_star=0.0), 0)
         with pytest.raises(SimulationError):
             books.u_block(99, 0)
+        for rows in (0, books.nstar + 1):
+            with pytest.raises(SimulationError, match="rows"):
+                books.x_block(0, 0, 0, rows=rows)
+        with pytest.raises(TypeError):
+            books.x_block(0, 0, 0, rows=1.5)
 
     def test_hand_traced_codeword(self):
         # regenerate the same slice from the raw uniform stream by hand
@@ -174,6 +203,41 @@ class TestCodebooks:
         cum[-1] = 1.0
         byhand = (uniforms[..., None] < cum).argmax(-1)
         assert np.array_equal(u, byhand)
+
+
+#: probability masses with zero-mass symbols, which repeat CDF entries
+_MASS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _cdf_tables_and_uniforms(draw):
+    """Per-u CDF tables built as Codebooks builds them, u rows and uniforms,
+    some of them exactly at a CDF entry."""
+    k, card_u = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    masses = np.array(draw(st.lists(_MASS, min_size=card_u * k, max_size=card_u * k))).reshape(card_u, k)
+    masses[masses.sum(axis=1) == 0, -1] = 1.0
+    cum = np.cumsum(masses / masses.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    entries = [float(c) for c in cum.ravel() if c < 1.0] or [0.0]
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(entries))
+    uniforms = np.array(draw(st.lists(uniform, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    u = np.array(draw(st.lists(st.integers(0, card_u - 1), min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    return cum, u, uniforms
+
+
+class TestSample:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_cdf_tables_and_uniforms())
+    def test_matches_argmax_reference(self, case):
+        # the first CDF entry above each uniform, as test_hand_traced_codeword
+        # writes it; ``out`` is overwritten whatever it held
+        cum, u, uniforms = case
+        for table in (cum[0], cum[u]):
+            expect = (uniforms[..., None] < table).argmax(-1)
+            assert np.array_equal(_sample(table, uniforms), expect)
+            out = np.full(uniforms.shape, 7, dtype=np.int64)
+            assert _sample(table, uniforms, out=out) is out and np.array_equal(out, expect)
 
 
 class TestTypicality:
@@ -254,6 +318,37 @@ class TestCoordinatorAndProcessors:
         books = build_codebooks(cfg, 0)
         msg, failed = coordinator_select((0, 0), (1, 1), books, 0.05)
         assert not failed and msg.m_star == 0
+
+    def test_failed_search_tests_every_row_once(self, monkeypatch):
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        books = build_codebooks(cfg, 0)
+        tested = []
+
+        def recording_mask(ub, xb, yb, p, eps_typ):
+            tested.append(np.array(ub))
+            return _typical_mask(ub, xb, yb, p, eps_typ)
+
+        monkeypatch.setattr(simulate, "_typical_mask", recording_mask)
+        msg, failed = coordinator_select((2, 1), (0, 3), books, 1e-9)
+        assert (msg.m_star, failed) == (0, True)
+        assert [len(t) for t in tested] == [16, 16, 32, 21]
+        assert np.array_equal(np.concatenate(tested), build_codebooks(cfg, 0).u_block(2, 0))
+
+    def test_early_hit_draws_first_chunk_only(self, monkeypatch):
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        books = build_codebooks(cfg, 0)
+        sampled = []
+
+        def recording_sample(cum, uniforms, out=None):
+            sampled.append(len(uniforms))
+            return _sample(cum, uniforms, out)
+
+        monkeypatch.setattr(simulate, "_sample", recording_sample)
+        msg, failed = coordinator_select((2, 1), (0, 3), books, 0.2)
+        processor_output(1, msg, (2, 1), books)
+        processor_output(2, msg, (0, 3), books)
+        assert (msg.m_star, failed) == (0, False)
+        assert sampled == [16, 16, 16] and books.nstar == 85
 
     def test_failure_flag_and_fallback(self):
         # an impossible tolerance forces the flagged first-candidate fallback

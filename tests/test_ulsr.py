@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import aux_with_copy_sides
 from coordrate.dsbs import f_of_t, interpolated_channel, t_star
 from coordrate.measures import mutual_information, table_entropy
 from coordrate.pmf import (
     AuxChannel,
     JointPmf,
     PmfError,
-    aux_with_copy_sides,
     compose,
     degenerate_channel,
     dsbs_joint,
