@@ -69,18 +69,20 @@ class ChannelStats:
     def __init__(self, q, batch):
         self.q = q
         self.batch = batch
-        w = q[None, :, :, None] * batch
-        support = q[None, :, :, None] > 0
+        q4 = q[None, :, :, None]
+        w = q4 * batch
         log_pu = np.log(np.maximum(w.sum(axis=(1, 2)), 1e-300))[:, None, None, :]
-        self.g_joint = np.where(support, np.log(np.maximum(batch, 1e-300)) - log_pu, 0.0)
-        self.g_cond = np.where(
-            support,
+        self.g_joint = np.log(np.maximum(batch, 1e-300)) - log_pu
+        self.g_cond = (
             np.log(np.maximum(w, 1e-300))
             + log_pu
             - np.log(np.maximum(w.sum(axis=2), 1e-300))[:, :, None, :]
-            - np.log(np.maximum(w.sum(axis=1), 1e-300))[:, None, :, :],
-            0.0,
+            - np.log(np.maximum(w.sum(axis=1), 1e-300))[:, None, :, :]
         )
+        if not (q > 0).all():
+            support = q4 > 0
+            self.g_joint = np.where(support, self.g_joint, 0.0)
+            self.g_cond = np.where(support, self.g_cond, 0.0)
         self.i_joint = (w * self.g_joint).sum(axis=(1, 2, 3)) / LN2
         self.i_cond = (w * self.g_cond).sum(axis=(1, 2, 3)) / LN2
 
@@ -96,46 +98,50 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None)
     objective_and_grad(stats) must return (values, grads) with shapes
     (restarts,) and batch.shape.  Each restart stops once the objective
     change per iteration drops below ``tol`` (or at ``max_iters``) and is
-    then frozen; restarts never interact, so the result is identical to
-    running them one at a time.
+    then frozen: its row is written to the output and dropped from the
+    working arrays, so each iteration evaluates only the live restarts.
+    Restarts never interact, so the result is identical to running them
+    one at a time.
 
     When ``track`` is given (a function stats -> (restarts,) of exact
     objective values) the best tracked iterate per restart and its tracked
     value are returned instead of the final state; subgradient steps on a
     kinked objective are not monotone, so the best-seen point is the
-    answer.  The returned stats always describe the returned batch.
+    answer.  A frozen restart cannot improve its tracked value.
+
+    Returns (batch, values, stats, frozen_at); the stats describe the
+    returned batch, and frozen_at[r] is the iteration at which restart r
+    froze, 0 if it was still live at ``max_iters``.
     """
     stats = ChannelStats(q, batch)
     values, grads = objective_and_grad(stats)
-    restarts = batch.shape[0]
-    active = np.ones(restarts, dtype=bool)
-    steps = np.full(restarts, step0)
-    small_streak = np.zeros(restarts, dtype=int)
-    best_batch = best_values = None
+    out_batch, out_values = np.empty_like(batch), np.empty_like(values)
+    frozen_at = np.zeros(batch.shape[0], dtype=int)
+    # working set: the live restarts and their row indices in the output
+    rows = np.arange(batch.shape[0])
+    steps = np.full(rows.size, step0)
+    small_streak = np.zeros(rows.size, dtype=int)
     if track is not None:
         best_values = track(stats)
         best_batch = batch.copy()
-    for _ in range(max_iters):
-        g = grads - grads.mean(axis=-1, keepdims=True)
+    for it in range(1, max_iters + 1):
+        g = grads - grads.sum(axis=-1, keepdims=True) / grads.shape[-1]
         # rescale instead of clipping so a steep penalty cannot flip the
         # update direction; a single step never multiplies by more than e^CAP
         gmax = np.abs(g).max(axis=(1, 2, 3))
         scale = np.minimum(steps, EXP_CAP / np.maximum(gmax, 1e-300))
         update = -scale[:, None, None, None] * g
         proposed = normalize_rows(batch * np.exp(update))
-        new_batch = np.where(active[:, None, None, None], proposed, batch)
-        new_stats = ChannelStats(q, new_batch)
+        new_stats = ChannelStats(q, proposed)
         new_values, new_grads = objective_and_grad(new_stats)
         if track is not None:
             tracked = track(new_stats)
-            improved = tracked < best_values
-            best_batch[improved] = new_batch[improved]
-            best_values = np.where(improved, tracked, best_values)
+            improved = tracked < best_values[rows]
+            best_batch[rows[improved]] = proposed[improved]
+            best_values[rows[improved]] = tracked[improved]
         # adaptive step: accept and grow on descent, shrink and stay otherwise
-        accepted = active & (new_values <= values)
-        rejected = active & ~accepted
-        steps[accepted] = np.minimum(steps[accepted] * GROW, step0 * 8.0)
-        steps[rejected] *= SHRINK
+        accepted = new_values <= values
+        steps = np.where(accepted, np.minimum(steps * GROW, step0 * 8.0), steps * SHRINK)
         # a run of sub-tol improvements is required before declaring
         # convergence; single tiny steps also occur while creeping past
         # saddle points and must not stop the descent
@@ -143,13 +149,34 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None)
         small_streak = np.where(small, small_streak + 1, np.where(accepted, 0, small_streak))
         converged = (small_streak >= STREAK) | (steps < 1e-14)
         keep = accepted[:, None, None, None]
-        batch = np.where(keep, new_batch, batch)
+        batch = np.where(keep, proposed, batch)
         values = np.where(accepted, new_values, values)
         grads = np.where(keep, new_grads, grads)
-        active &= ~converged
-        if not active.any():
-            break
+        if converged.any():
+            done = rows[converged]
+            out_batch[done], out_values[done], frozen_at[done] = batch[converged], values[converged], it
+            live = ~converged
+            rows, batch, values, grads = rows[live], batch[live], values[live], grads[live]
+            steps, small_streak = steps[live], small_streak[live]
+            if not rows.size:
+                break
+    out_batch[rows], out_values[rows] = batch, values
     if track is not None:
-        batch, values = best_batch, best_values
-    # final stats must describe the returned batch, not the last proposal
-    return batch, values, ChannelStats(q, batch)
+        out_batch, out_values = best_batch, best_values
+    return out_batch, out_values, ChannelStats(q, out_batch), frozen_at
+
+
+def stage_record(stage, parameter, frozen_at, max_iters):
+    """Diagnostics of one eg_minimize run from its ``frozen_at``.
+
+    ``iterations`` is the number the run took: the last freeze, or
+    ``max_iters`` when a restart was still live then.
+    """
+    stopped = int((frozen_at == 0).sum())
+    return {
+        "stage": stage,
+        "parameter": parameter,
+        "iterations": max_iters if stopped else int(frozen_at.max()),
+        "converged": frozen_at.size - stopped,
+        "max_iters_reached": stopped,
+    }

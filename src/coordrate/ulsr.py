@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _simplexopt as so
 from .pmf import AuxChannel, JointPmf, PmfError
-from .wyner import STEP0, SolverInfeasibleError, SolverOptions, _bracket, _evaluate, _source_info, wyner_ci
+from .wyner import STEP0, SolverInfeasibleError, SolverOptions, _bracket, _check_batch_bytes, _evaluate, _source_info, wyner_ci
 
 #: softmax temperatures (1/bits) for annealing the kinked max
 TEMPERATURES = (10.0, 100.0, 1000.0)
@@ -162,6 +162,8 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     nx, ny = q.shape
     card_u = nx * ny + 2
     qarr = q.probs
+    # at most six structured starts plus one random row
+    _check_batch_bytes("ulsr_rate", max(opts.restarts, 7), nx, ny, card_u)
 
     structured = _structured_starts(q, card_u, opts)
     n_random = max(opts.restarts - len(structured), 1)
@@ -175,9 +177,10 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
 
     stats = so.ChannelStats(qarr, batch)
     candidates = [(batch, exact_values(stats), stats.i_cond)]
+    stages = []
     for stage, temp in enumerate(TEMPERATURES):
         batch = so.jitter_channels(batch, opts.seed, stage)
-        batch, _, stats = so.eg_minimize(
+        batch, _, stats, frozen_at = so.eg_minimize(
             qarr,
             batch,
             _objective(form, temp),
@@ -185,12 +188,14 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
             opts.tol_objective,
             STEP0,
         )
+        stages.append(so.stage_record("temperature", temp, frozen_at, opts.max_iters))
         candidates.append((batch, exact_values(stats), stats.i_cond))
     # polish on the exact kinked objective, keeping the best iterate seen
-    polish_batch, polish_values, stats = so.eg_minimize(
+    polish_batch, polish_values, stats, frozen_at = so.eg_minimize(
         qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0,
         track=exact_values,
     )
+    stages.append(so.stage_record("polish", None, frozen_at, opts.max_iters))
     candidates.append((polish_batch, polish_values, stats.i_cond))
     # per restart, the earliest candidate with the lowest exact value
     batches, values, residuals = (np.stack(c) for c in zip(*candidates))
@@ -207,6 +212,7 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
             "structured_starts": len(structured),
             "card_u": card_u,
             "best_values": np.sort(best_values)[:5].tolist(),
+            "stages": stages,
             **_bracket(result.value, 0.5 * ixy, min(ixy, 0.5 * h_min)),
         },
     )

@@ -29,6 +29,9 @@ MARKOV_TOL = 1e-6
 STEP0 = 2.0
 #: slack in bits when checking a solver value against its known bracket
 BRACKET_SLACK = 1e-9
+#: cap on the solver working memory: the solvers hold at most 32 float64
+#: arrays of the (restarts, nx, ny, card_u) batch at once, 256 bytes per cell
+BATCH_BYTES_CAP = 2**30
 
 
 class SolverInfeasibleError(RuntimeError):
@@ -48,8 +51,8 @@ class SolverOptions:
             raise PmfError(f"SolverOptions: restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise PmfError(f"SolverOptions: max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol_objective > 0:
-            raise PmfError(f"SolverOptions: tol_objective must be > 0, got {self.tol_objective}")
+        if not (math.isfinite(self.tol_objective) and self.tol_objective > 0):
+            raise PmfError(f"SolverOptions: tol_objective must be finite and > 0, got {self.tol_objective}")
         schedule = tuple(float(v) for v in self.penalty_schedule)
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise PmfError(f"SolverOptions: penalty schedule must be strictly increasing, got {schedule}")
@@ -102,6 +105,15 @@ def _bracket(value, lo, hi):
     return {"bracket": [lo, hi], "within_bracket": bool(lo - BRACKET_SLACK <= value <= hi + BRACKET_SLACK)}
 
 
+def _check_batch_bytes(who, restarts, nx, ny, card_u):
+    """Refuse a restart batch whose solver working arrays would exceed BATCH_BYTES_CAP."""
+    need = 256 * restarts * nx * ny * card_u
+    if need > BATCH_BYTES_CAP:
+        raise PmfError(
+            f"{who}: {restarts} restarts of {nx}x{ny}x{card_u} channels need {need} bytes, cap is {BATCH_BYTES_CAP}"
+        )
+
+
 def wyner_ci(q, card_u=None, opts=None):
     """Best upper bound on C(X;Y) found over multi-start penalized descent.
 
@@ -116,9 +128,11 @@ def wyner_ci(q, card_u=None, opts=None):
     card_u = int(card_u) if card_u is not None else nx * ny
     if card_u < 1:
         raise PmfError(f"wyner_ci: card_u must be >= 1, got {card_u}")
+    _check_batch_bytes("wyner_ci", opts.restarts, nx, ny, card_u)
 
     batch = so.random_channels(nx, ny, card_u, opts.restarts, opts.seed)
     qarr = q.probs
+    stages = []
     for stage, lam in enumerate(opts.penalty_schedule):
 
         def objective_and_grad(stats, lam=lam):
@@ -127,9 +141,10 @@ def wyner_ci(q, card_u=None, opts=None):
             return values, grads
 
         batch = so.jitter_channels(batch, opts.seed, stage)
-        batch, _, stats = so.eg_minimize(
+        batch, _, stats, frozen_at = so.eg_minimize(
             qarr, batch, objective_and_grad, opts.max_iters, opts.tol_objective, STEP0
         )
+        stages.append(so.stage_record("penalty", lam, frozen_at, opts.max_iters))
 
     feasible = stats.i_cond <= MARKOV_TOL
     if not feasible.any():
@@ -150,6 +165,7 @@ def wyner_ci(q, card_u=None, opts=None):
             "feasible_restarts": int(feasible.sum()),
             "card_u": card_u,
             "values": np.sort(stats.i_joint[feasible])[: min(5, int(feasible.sum()))].tolist(),
+            "stages": stages,
             **_bracket(value, ixy, h_min),
         },
     )

@@ -70,6 +70,22 @@ class TestSolvers:
         assert code == 0
         assert 0.25 <= float(out) <= 0.300527573378146 + 1e-3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["wyner", "--card", "2000000000"], ["ulsr", "--restarts", "1000000000"]],
+        ids=["wyner-card", "ulsr-restarts"],
+    )
+    def test_batch_beyond_cap_is_validation_error(self, files, argv):
+        code, out, err = run([*argv, "--dist", files["dist02"]])
+        assert code == 1 and out == ""
+        assert "cap is 1073741824" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_is_validation_error(self, files, tol):
+        code, out, err = run(["wyner", "--dist", files["dist02"], "--tol", tol])
+        assert code == 1 and out == ""
+        assert "tol_objective must be finite and > 0" in err
+
     def test_wyner_infeasible_exit_code(self, files, tmp_path):
         # clamp the schedule so the residual tolerance is unreachable
         import coordrate.cli as cli

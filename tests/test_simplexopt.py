@@ -28,7 +28,7 @@ class TestEgMinimize:
         # not leak into the stats returned with the batch
         q = dsbs_joint(0.1).probs
         batch = so.random_channels(2, 2, 6, 8, seed=0)
-        best, values, stats = so.eg_minimize(
+        best, values, stats, _ = so.eg_minimize(
             q, batch, _max_avg_subgradient, 5, 1e-12, 8.0, track=track
         )
         ref = so.ChannelStats(q, best)
@@ -37,6 +37,74 @@ class TestEgMinimize:
         assert np.array_equal(stats.i_cond, ref.i_cond)
         assert np.array_equal(_max_avg(stats), values)
 
+
+
+def _penalized(stats):
+    return stats.i_joint + 10.0 * stats.i_cond, stats.g_joint + 10.0 * stats.g_cond
+
+
+#: (objective, track, max_iters) on six restarts that freeze at different
+#: iterations: after a streak of small accepted steps (penalized; two are
+#: still live at 150 iterations) or by step collapse at the kink (subgradient)
+_RUNS = {
+    "streak": (_penalized, None, 150),
+    "collapse": (_max_avg_subgradient, None, 2000),
+    "tracked": (_max_avg_subgradient, _max_avg, 2000),
+}
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("case", _RUNS)
+    def test_batch_matches_separate_restarts(self, case):
+        objective, track, max_iters = _RUNS[case]
+        q = dsbs_joint(0.1).probs
+        batch = so.random_channels(2, 2, 3, 6, seed=0)
+        best, values, stats, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9, 2.0, track=track)
+        assert len(set(frozen_at.tolist())) > 1
+        for r in range(batch.shape[0]):
+            one, one_values, one_stats, one_frozen = so.eg_minimize(
+                q, batch[r : r + 1], objective, max_iters, 1e-9, 2.0, track=track
+            )
+            assert np.array_equal(one[0], best[r])
+            assert one_values[0] == values[r] and one_frozen[0] == frozen_at[r]
+            for name in ("i_joint", "i_cond", "g_joint", "g_cond"):
+                assert np.array_equal(getattr(one_stats, name)[0], getattr(stats, name)[r])
+            if frozen_at[r]:
+                # a frozen restart keeps its accepted state, never a rejected
+                # proposal, so it is no worse than one iteration earlier
+                before = so.eg_minimize(q, batch[r : r + 1], objective, frozen_at[r] - 1, 1e-9, 2.0, track=track)
+                assert values[r] <= before[1][0]
+
+    def test_frozen_rows_are_not_reevaluated(self, monkeypatch):
+        rows = []
+
+        class CountingStats(so.ChannelStats):
+            def __init__(self, q, batch):
+                rows.append(batch.shape[0])
+                super().__init__(q, batch)
+
+        monkeypatch.setattr(so, "ChannelStats", CountingStats)
+        objective, _, max_iters = _RUNS["streak"]
+        q = dsbs_joint(0.1).probs
+        batch = so.random_channels(2, 2, 3, 6, seed=0)
+        *_, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9, 2.0)
+        counted = list(rows)
+        assert 0 < (frozen_at == 0).sum() < 6
+        live = [int(((frozen_at == 0) | (frozen_at >= it)).sum()) for it in range(1, max_iters + 1)]
+        # the initial batch, one row per live restart per iteration, then the returned batch
+        assert counted == [6, *live, 6]
+        # each restart froze where it first converged: one iteration less leaves it live
+        for r in np.flatnonzero(frozen_at):
+            *_, earlier = so.eg_minimize(q, batch, objective, frozen_at[r] - 1, 1e-9, 2.0)
+            assert earlier[r] == 0
+
+
+def test_stage_record():
+    frozen_at = np.array([12, 0, 30])
+    assert so.stage_record("penalty", 10.0, frozen_at, 50) == {
+        "stage": "penalty", "parameter": 10.0, "iterations": 50, "converged": 2, "max_iters_reached": 1,
+    }
+    assert so.stage_record("polish", None, frozen_at[[0, 2]], 50)["iterations"] == 30
 
 def test_solver_values_are_pinned(source_3x3):
     # seeded solver values on the acceptance source and the benchmark's 3 x 3

@@ -107,6 +107,24 @@ class TestRateSolver:
         assert res.diagnostics["bracket"] == pytest.approx([0.5 * ixy, min(ixy, 0.5 * h_min)], abs=1e-12)
         assert res.diagnostics["within_bracket"] is True
 
+    def test_stages_in_diagnostics(self):
+        # 200 iterations stop some stages with restarts still live
+        opts = SolverOptions(restarts=6, max_iters=200, seed=0)
+        diagnostics = ulsr_rate(dsbs_joint(0.1), UlsrForm.MAX_AVG, opts).diagnostics
+        stages = diagnostics["stages"]
+        assert [(s["stage"], s["parameter"]) for s in stages] == [
+            ("temperature", 10.0), ("temperature", 100.0), ("temperature", 1000.0), ("polish", None)
+        ]
+        assert {s["max_iters_reached"] > 0 for s in stages} == {True, False}
+        for s in stages:
+            assert s["max_iters_reached"] + s["converged"] == diagnostics["restarts"]
+            assert 1 <= s["iterations"] <= opts.max_iters
+            assert (s["iterations"] == opts.max_iters) >= (s["max_iters_reached"] > 0)
+
+    def test_batch_guard(self):
+        with pytest.raises(PmfError, match="ulsr_rate: 1000000000 restarts .* cap is 1073741824"):
+            ulsr_rate(dsbs_joint(0.1), opts=SolverOptions(restarts=10**9))
+
     def test_value_consistent_with_terms(self):
         res = ulsr_rate(dsbs_joint(0.3), UlsrForm.MAX_AVG, FAST)
         assert res.value == pytest.approx(

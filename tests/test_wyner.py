@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coordrate.measures import conditional_mutual_information, mutual_information, table_entropy
 from coordrate.pmf import JointPmf, PmfError, compose, degenerate_channel, dsbs_joint
+from coordrate.ulsr import ulsr_rate
 from coordrate.wyner import (
+    BATCH_BYTES_CAP,
     SolverInfeasibleError,
     SolverOptions,
     _bracket,
+    _check_batch_bytes,
     dsbs_wyner_channel,
     no_sr_rate,
     wyner_ci,
@@ -38,6 +43,41 @@ class TestSolverOptions:
     def test_positive_restarts(self):
         with pytest.raises(PmfError):
             SolverOptions(restarts=0)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(PmfError, match="tol_objective must be finite and > 0"):
+            SolverOptions(tol_objective=tol)
+
+
+class TestBatchGuard:
+    def test_boundary(self):
+        # 256 bytes per cell: 2^19 restarts of 2 x 2 x 2 channels fill the cap exactly
+        _check_batch_bytes("wyner_ci", 2**19, 2, 2, 2)
+        with pytest.raises(PmfError, match="need 1073743872 bytes, cap is 1073741824"):
+            _check_batch_bytes("wyner_ci", 2**19 + 1, 2, 2, 2)
+
+    @pytest.mark.parametrize("card_u, restarts", [(2_000_000_000, 50), (2, 10**9)], ids=["card", "restarts"])
+    def test_refused_before_allocation(self, card_u, restarts):
+        with pytest.raises(PmfError, match="cap is 1073741824"):
+            wyner_ci(dsbs_joint(0.2), card_u=card_u, opts=SolverOptions(restarts=restarts))
+
+    def test_defaults_far_below_cap(self):
+        # the largest default batch of the shipped solvers on a 3 x 3 source: ulsr, |U| = 11
+        restarts = SolverOptions().restarts
+        assert 256 * restarts * 9 * 11 * 500 < BATCH_BYTES_CAP
+
+    def test_cap_bounds_measured_peak(self, source_3x3):
+        # the guard counts 32 float64 arrays of the batch; both solvers hold fewer
+        opts = SolverOptions(restarts=200, max_iters=30, seed=0)
+        for run, card_u in ((lambda: wyner_ci(source_3x3, opts=opts), 9), (lambda: ulsr_rate(source_3x3, opts=opts), 11)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 256 * opts.restarts * 9 * card_u
 
 
 class TestClosedFormChannel:
@@ -136,6 +176,15 @@ class TestWynerSolver:
         assert _bracket(0.5 + 0.5e-9, 0.0, 0.5)["within_bracket"] is True
         assert _bracket(0.5 + 2e-9, 0.0, 0.5)["within_bracket"] is False
         assert _bracket(-2e-9, 0.0, 0.5)["within_bracket"] is False
+
+    def test_stages_in_diagnostics(self):
+        opts = SolverOptions(restarts=6, seed=0)
+        stages = wyner_ci(dsbs_joint(0.2), card_u=2, opts=opts).diagnostics["stages"]
+        assert [(s["stage"], s["parameter"]) for s in stages] == [("penalty", lam) for lam in opts.penalty_schedule]
+        for s in stages:
+            assert s["converged"] + s["max_iters_reached"] == opts.restarts
+            assert 1 <= s["iterations"] <= opts.max_iters
+            assert (s["iterations"] == opts.max_iters) >= (s["max_iters_reached"] > 0)
 
     def test_infeasibility_is_reported(self):
         # a schedule stopping at lambda = 1 cannot push the residual to 1e-6
