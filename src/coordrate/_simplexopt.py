@@ -92,38 +92,31 @@ def best_row(values, residuals, batch):
     return int(min(range(batch.shape[0]), key=lambda r: (values[r], residuals[r], batch[r].tobytes())))
 
 
-def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None):
+def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
     """Minimize per-restart objectives by exponentiated-gradient descent.
 
     objective_and_grad(stats) must return (values, grads) with shapes
-    (restarts,) and batch.shape.  Each restart stops once the objective
-    change per iteration drops below ``tol`` (or at ``max_iters``) and is
-    then frozen: its row is written to the output and dropped from the
-    working arrays, so each iteration evaluates only the live restarts.
-    Restarts never interact, so the result is identical to running them
-    one at a time.
+    (restarts,) and batch.shape.  A step is accepted only if it does not
+    raise the objective, so a restart's accepted row is the best iterate it
+    has seen, subgradient steps on a kinked objective included.  Each
+    restart stops once the objective change per iteration drops below
+    ``tol`` (or at ``max_iters``) and is then frozen: its row is written to
+    the output and dropped from the working arrays, so each iteration
+    evaluates only the live restarts.  Restarts never interact, so the
+    result is identical to running them one at a time.
 
-    When ``track`` is given (a function stats -> (restarts,) of exact
-    objective values) the best tracked iterate per restart and its tracked
-    value are returned instead of the final state; subgradient steps on a
-    kinked objective are not monotone, so the best-seen point is the
-    answer.  A frozen restart cannot improve its tracked value.
-
-    Returns (batch, values, stats, frozen_at); the stats describe the
-    returned batch, and frozen_at[r] is the iteration at which restart r
-    froze, 0 if it was still live at ``max_iters``.
+    Returns (batch, stats, frozen_at); the stats describe the returned
+    batch, and frozen_at[r] is the iteration at which restart r froze, 0 if
+    it was still live at ``max_iters``.
     """
     stats = ChannelStats(q, batch)
     values, grads = objective_and_grad(stats)
-    out_batch, out_values = np.empty_like(batch), np.empty_like(values)
+    out_batch = np.empty_like(batch)
     frozen_at = np.zeros(batch.shape[0], dtype=int)
     # working set: the live restarts and their row indices in the output
     rows = np.arange(batch.shape[0])
     steps = np.full(rows.size, step0)
     small_streak = np.zeros(rows.size, dtype=int)
-    if track is not None:
-        best_values = track(stats)
-        best_batch = batch.copy()
     for it in range(1, max_iters + 1):
         g = grads - grads.sum(axis=-1, keepdims=True) / grads.shape[-1]
         # rescale instead of clipping so a steep penalty cannot flip the
@@ -132,13 +125,7 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None)
         scale = np.minimum(steps, EXP_CAP / np.maximum(gmax, 1e-300))
         update = -scale[:, None, None, None] * g
         proposed = normalize_rows(batch * np.exp(update))
-        new_stats = ChannelStats(q, proposed)
-        new_values, new_grads = objective_and_grad(new_stats)
-        if track is not None:
-            tracked = track(new_stats)
-            improved = tracked < best_values[rows]
-            best_batch[rows[improved]] = proposed[improved]
-            best_values[rows[improved]] = tracked[improved]
+        new_values, new_grads = objective_and_grad(ChannelStats(q, proposed))
         # adaptive step: accept and grow on descent, shrink and stay otherwise
         accepted = new_values <= values
         steps = np.where(accepted, np.minimum(steps * GROW, step0 * 8.0), steps * SHRINK)
@@ -154,16 +141,28 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0, track=None)
         grads = np.where(keep, new_grads, grads)
         if converged.any():
             done = rows[converged]
-            out_batch[done], out_values[done], frozen_at[done] = batch[converged], values[converged], it
+            out_batch[done], frozen_at[done] = batch[converged], it
             live = ~converged
             rows, batch, values, grads = rows[live], batch[live], values[live], grads[live]
             steps, small_streak = steps[live], small_streak[live]
             if not rows.size:
                 break
-    out_batch[rows], out_values[rows] = batch, values
-    if track is not None:
-        out_batch, out_values = best_batch, best_values
-    return out_batch, out_values, ChannelStats(q, out_batch), frozen_at
+    out_batch[rows] = batch
+    return out_batch, ChannelStats(q, out_batch), frozen_at
+
+
+def descend(q, batch, stages, opts, step0, records):
+    """Warm-started stages on a batch, yielding (batch, stats) after each.
+
+    ``stages`` holds (kind, parameter, objective_and_grad) triples.  Each
+    stage jitters the batch (keyed by its index), runs ``eg_minimize`` and
+    appends its ``stage_record`` to ``records``.
+    """
+    for index, (kind, parameter, objective_and_grad) in enumerate(stages):
+        batch = jitter_channels(batch, opts.seed, index)
+        batch, stats, frozen_at = eg_minimize(q, batch, objective_and_grad, opts.max_iters, opts.tol_objective, step0)
+        records.append(stage_record(kind, parameter, frozen_at, opts.max_iters))
+        yield batch, stats
 
 
 def stage_record(stage, parameter, frozen_at, max_iters):

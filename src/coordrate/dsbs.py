@@ -29,6 +29,8 @@ from .wyner import dsbs_wyner_channel
 
 #: closed forms hold strictly inside the crossover range
 _A_MIN_MARGIN = 1e-9
+#: most points ``emit_curve`` evaluates; checked before the t grid is allocated
+CURVE_POINTS_CAP = 10**5
 
 
 def _check_a(a, allow_boundary=False):
@@ -40,6 +42,12 @@ def _check_a(a, allow_boundary=False):
 def crossover_b(a):
     """b = (1 - sqrt(1 - 2a)) / 2, the equivalent additive-noise flip rate."""
     return 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * a))
+
+
+def common_information(a):
+    """Wyner's common information C = 1 + h(a) - 2 h(b) of DSBS(a), in bits (Wyner 1975)."""
+    _check_a(a)
+    return 1.0 + binary_entropy(a) - 2.0 * binary_entropy(crossover_b(a))
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,8 @@ def t_star(a):
 
 def emit_curve(a, num_points):
     """Curve points at uniformly spaced t covering both endpoints."""
-    if num_points < 2:
-        raise PmfError(f"emit_curve: need at least 2 points, got {num_points}")
+    if not 2 <= num_points <= CURVE_POINTS_CAP:
+        raise PmfError(f"emit_curve: need 2 to {CURVE_POINTS_CAP} points, got {num_points}")
     return [f_of_t(a, t) for t in np.linspace(0.0, 1.0, num_points)]
 
 

@@ -288,19 +288,14 @@ def load_joint_pmf(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise PmfError(f"load_joint_pmf: cannot parse {path}: {exc}") from exc
     try:
-        matrix = doc["pmf"]
-        labels_x = doc.get("alphabet_x")
-        labels_y = doc.get("alphabet_y")
-    except (TypeError, KeyError) as exc:
-        raise PmfError(f"load_joint_pmf: missing field in {path}: {exc}") from exc
-    arr = np.asarray(matrix, dtype=np.float64)
+        arr = np.asarray(doc["pmf"], dtype=np.float64)
+        labels = (doc.get("alphabet_x"), doc.get("alphabet_y"))
+        labels_x, labels_y = (None if v is None else tuple(v) for v in labels)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise PmfError(f"load_joint_pmf: missing or bad field in {path}: {exc}") from exc
     if arr.ndim != 2:
         raise PmfError(f"load_joint_pmf: pmf must be a matrix, got shape {arr.shape}")
-    return JointPmf(
-        arr,
-        labels_x=tuple(labels_x) if labels_x is not None else None,
-        labels_y=tuple(labels_y) if labels_y is not None else None,
-    )
+    return JointPmf(arr, labels_x=labels_x, labels_y=labels_y)
 
 
 def save_joint_pmf(q, path):
@@ -331,6 +326,8 @@ def load_aux_channel(path):
         raw = doc["cond"]
     except (TypeError, KeyError, ValueError) as exc:
         raise PmfError(f"load_aux_channel: missing or bad field in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise PmfError(f"load_aux_channel: cond in {path} must map 'x,y' keys to probability vectors")
     cond = {}
     for key, vec in raw.items():
         try:
@@ -338,7 +335,10 @@ def load_aux_channel(path):
             cell = (int(x_s), int(y_s))
         except ValueError as exc:
             raise PmfError(f"load_aux_channel: bad cell key {key!r}, expected 'x,y' indices") from exc
-        cond[cell] = np.asarray(vec, dtype=np.float64).reshape(cards)
+        try:
+            cond[cell] = np.asarray(vec, dtype=np.float64).reshape(cards)
+        except (TypeError, ValueError) as exc:
+            raise PmfError(f"load_aux_channel: row {key!r} is not {cards} probabilities: {exc}") from exc
     return AuxChannel(cond=cond, card_u=cards[0], card_u1=cards[1], card_u2=cards[2])
 
 

@@ -167,36 +167,23 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
 
     structured = _structured_starts(q, card_u, opts)
     n_random = max(opts.restarts - len(structured), 1)
-    batch = np.concatenate(
-        [np.stack(structured), so.random_channels(nx, ny, card_u, n_random, opts.seed)]
+    batch = so.normalize_rows(
+        np.concatenate([np.stack(structured), so.random_channels(nx, ny, card_u, n_random, opts.seed)])
     )
-    batch = so.normalize_rows(batch)
 
-    def exact_values(stats):
-        return _form_value(stats.i_cond, stats.i_joint, form)
+    def candidate(batch, stats):
+        return batch, _form_value(stats.i_cond, stats.i_joint, form), stats.i_cond
 
-    stats = so.ChannelStats(qarr, batch)
-    candidates = [(batch, exact_values(stats), stats.i_cond)]
+    candidates = [candidate(batch, so.ChannelStats(qarr, batch))]
+    schedule = [("temperature", temp, _objective(form, temp)) for temp in TEMPERATURES]
     stages = []
-    for stage, temp in enumerate(TEMPERATURES):
-        batch = so.jitter_channels(batch, opts.seed, stage)
-        batch, _, stats, frozen_at = so.eg_minimize(
-            qarr,
-            batch,
-            _objective(form, temp),
-            opts.max_iters,
-            opts.tol_objective,
-            STEP0,
-        )
-        stages.append(so.stage_record("temperature", temp, frozen_at, opts.max_iters))
-        candidates.append((batch, exact_values(stats), stats.i_cond))
-    # polish on the exact kinked objective, keeping the best iterate seen
-    polish_batch, polish_values, stats, frozen_at = so.eg_minimize(
-        qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0,
-        track=exact_values,
-    )
+    for batch, stats in so.descend(qarr, batch, schedule, opts, STEP0, stages):
+        candidates.append(candidate(batch, stats))
+    # polish on the exact kinked objective; its accepted row is the best
+    # exact iterate, since the polish objective is the exact value
+    batch, stats, frozen_at = so.eg_minimize(qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0)
     stages.append(so.stage_record("polish", None, frozen_at, opts.max_iters))
-    candidates.append((polish_batch, polish_values, stats.i_cond))
+    candidates.append(candidate(batch, stats))
     # per restart, the earliest candidate with the lowest exact value
     batches, values, residuals = (np.stack(c) for c in zip(*candidates))
     pick = (values.argmin(axis=0), np.arange(batch.shape[0]))

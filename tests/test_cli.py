@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import coordrate
 from coordrate.cli import dispatch
+from coordrate.dsbs import CURVE_POINTS_CAP
 from coordrate.pmf import dsbs_joint, save_aux_channel, save_joint_pmf
 from coordrate.wyner import dsbs_wyner_channel
 
@@ -86,20 +92,10 @@ class TestSolvers:
         assert code == 1 and out == ""
         assert "tol_objective must be finite and > 0" in err
 
-    def test_wyner_infeasible_exit_code(self, files, tmp_path):
-        # clamp the schedule so the residual tolerance is unreachable
-        import coordrate.cli as cli
-        from coordrate.wyner import SolverOptions
-
-        orig = cli._solver_options
-        cli._solver_options = lambda args: SolverOptions(
-            restarts=2, max_iters=40, penalty_schedule=(1.0,), seed=0
-        )
-        try:
-            code, _, err = run(["wyner", "--dist", files["dist02"]])
-        finally:
-            cli._solver_options = orig
-        assert code == 2 and "solver failure" in err
+    def test_wyner_infeasible_exit_code(self, files):
+        # with |U| = 1 the residual I(X;Y|U) is I(X;Y), about 0.278 bits
+        code, out, err = run(["wyner", "--dist", files["dist02"], "--card", "1", "--restarts", "2"])
+        assert code == 2 and out == "" and "solver failure" in err
 
 
 class TestDsbs:
@@ -127,6 +123,20 @@ class TestDsbs:
     def test_bad_a(self):
         code, _, err = run(["dsbs", "--a", "0.7", "--tstar"])
         assert code == 1
+
+    @pytest.mark.parametrize("points", [CURVE_POINTS_CAP + 1, 10**12])
+    def test_points_beyond_cap_is_validation_error(self, points):
+        code, out, err = run(["dsbs", "--a", "0.1", "--points", str(points)])
+        assert code == 1 and out == ""
+        assert f"need 2 to {CURVE_POINTS_CAP} points" in err
+
+    def test_points_at_cap(self, monkeypatch):
+        # a cheap stand-in for the closed forms keeps the full-size run short
+        import coordrate.dsbs as dsbs
+
+        monkeypatch.setattr(dsbs, "f_of_t", lambda a, t: dsbs.CurvePoint(t=t, f=1.0, i_joint=1.0, i_cond=1.0))
+        code, out, _ = run(["dsbs", "--a", "0.1", "--points", str(CURVE_POINTS_CAP)])
+        assert code == 0 and out.count("\n") == CURVE_POINTS_CAP + 1
 
 
 class TestRegion:
@@ -204,6 +214,29 @@ class TestSimulate:
                               "--n", "40", "--rates", "0,0.5,0,0", "--trials", "1"])
         assert code == 1 and out == ""
         assert "blocks need 1342177280 bytes, cap is 1073741824" in err
+
+
+class TestMalformedFiles:
+    """A malformed input file ends in exit 1 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "flag, doc",
+        [("--dist", {"alphabet_x": 5, "alphabet_y": ["0"], "pmf": [[1.0]]}), ("--aux", {"card_u": 2, "cond": [1, 2]})],
+        ids=["joint-alphabet", "aux-cond"],
+    )
+    def test_no_traceback(self, files, tmp_path, flag, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        paths = {"--dist": files["dist02"], "--aux": files["aux02"], flag: str(bad)}
+        src = str(pathlib.Path(coordrate.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordrate.cli", "region", "check", "--rates", "1,1,1",
+             "--dist", paths["--dist"], "--aux", paths["--aux"]],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: load_")
 
 
 class TestUsageErrors:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from coordrate.dsbs import (
+    CURVE_POINTS_CAP,
     DsbsParams,
+    common_information,
     crossover_b,
     emit_curve,
     f_of_t,
@@ -84,6 +86,20 @@ class TestClosedForms:
         assert i_cond_closed_form(0.1, 1.0) == pytest.approx(MI_01, abs=1e-12)
         assert i_cond_closed_form(0.2, 1.0) == pytest.approx(MI_02, abs=1e-12)
 
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.4])
+    def test_common_information(self, a):
+        # 1 + h(a) - 2 h(b) is I(X,Y;U) of the Wyner channel, which makes X - U - Y
+        full = compose(dsbs_joint(a), dsbs_wyner_channel(a))
+        assert common_information(a) == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-12)
+        assert conditional_mutual_information(full, ("x",), ("y",), ("u",)) == pytest.approx(0.0, abs=1e-12)
+        assert common_information(a) == pytest.approx(i_joint_closed_form(a, 0.0), abs=1e-12)
+
+    def test_common_information_values(self):
+        assert common_information(0.1) == pytest.approx(C_01, abs=1e-12)
+        assert common_information(0.2) == pytest.approx(C_02, abs=1e-12)
+        with pytest.raises(PmfError):
+            common_information(0.5)
+
     def test_f_values(self):
         assert f_of_t(0.1, 0.0).f == pytest.approx(F0_01, abs=1e-12)
         assert f_of_t(0.1, 0.2142).f == pytest.approx(0.323121673675278, abs=1e-12)
@@ -148,6 +164,16 @@ class TestEmitCurve:
     def test_rejects_single_point(self):
         with pytest.raises(PmfError):
             emit_curve(0.1, 1)
+
+    def test_points_cap(self, monkeypatch):
+        # a cheap stand-in for the closed forms keeps the full-size run short
+        import coordrate.dsbs as dsbs
+
+        monkeypatch.setattr(dsbs, "f_of_t", lambda a, t: t)
+        assert len(emit_curve(0.1, CURVE_POINTS_CAP)) == CURVE_POINTS_CAP
+        for points in (CURVE_POINTS_CAP + 1, 10**12):
+            with pytest.raises(PmfError, match=f"need 2 to {CURVE_POINTS_CAP} points, got {points}"):
+                emit_curve(0.1, points)
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "curve.csv"

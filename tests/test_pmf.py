@@ -238,6 +238,37 @@ class TestFiles:
         for cell in aux.cond:
             assert np.allclose(back.row(*cell), aux.row(*cell))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"alphabet_x": 5, "alphabet_y": ["0"], "pmf": [[1.0]]},
+            {"pmf": [[0.5], [0.25, 0.25]]},
+            {"pmf": {"0": 1.0}},
+            [1, 2],
+        ],
+        ids=["alphabet-int", "ragged", "pmf-object", "not-object"],
+    )
+    def test_malformed_joint_is_pmf_error(self, tmp_path, doc):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PmfError, match="load_joint_pmf"):
+            load_joint_pmf(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"card_u": 2, "cond": [1, 2]},
+            {"card_u": 2, "cond": {"0,0": [1.0]}},
+            {"card_u": 1, "cond": {"0,0": {"u": 1.0}}},
+        ],
+        ids=["cond-list", "row-size", "row-object"],
+    )
+    def test_malformed_aux_is_pmf_error(self, tmp_path, doc):
+        path = tmp_path / "aux.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PmfError, match="load_aux_channel"):
+            load_aux_channel(path)
+
     def test_aux_bad_key(self, tmp_path):
         path = tmp_path / "aux.json"
         path.write_text(json.dumps({"card_u": 1, "card_u1": 1, "card_u2": 1,

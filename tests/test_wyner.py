@@ -1,13 +1,16 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from coordrate.dsbs import common_information
 from coordrate.measures import conditional_mutual_information, mutual_information, table_entropy
 from coordrate.pmf import JointPmf, PmfError, compose, degenerate_channel, dsbs_joint
 from coordrate.ulsr import ulsr_rate
 from coordrate.wyner import (
     BATCH_BYTES_CAP,
+    PENALTIES,
     SolverInfeasibleError,
     SolverOptions,
     _bracket,
@@ -34,11 +37,7 @@ class TestSolverOptions:
         assert opts.restarts == 50
         assert opts.max_iters == 5000
         assert opts.tol_objective == 1e-9
-        assert opts.penalty_schedule == (1.0, 10.0, 100.0, 1000.0)
-
-    def test_schedule_must_increase(self):
-        with pytest.raises(PmfError):
-            SolverOptions(penalty_schedule=(10.0, 10.0))
+        assert [f.name for f in fields(opts)] == ["restarts", "max_iters", "tol_objective", "seed"]
 
     def test_positive_restarts(self):
         with pytest.raises(PmfError):
@@ -180,17 +179,23 @@ class TestWynerSolver:
     def test_stages_in_diagnostics(self):
         opts = SolverOptions(restarts=6, seed=0)
         stages = wyner_ci(dsbs_joint(0.2), card_u=2, opts=opts).diagnostics["stages"]
-        assert [(s["stage"], s["parameter"]) for s in stages] == [("penalty", lam) for lam in opts.penalty_schedule]
+        assert [(s["stage"], s["parameter"]) for s in stages] == [("penalty", lam) for lam in PENALTIES]
         for s in stages:
             assert s["converged"] + s["max_iters_reached"] == opts.restarts
             assert 1 <= s["iterations"] <= opts.max_iters
             assert (s["iterations"] == opts.max_iters) >= (s["max_iters_reached"] > 0)
 
     def test_infeasibility_is_reported(self):
-        # a schedule stopping at lambda = 1 cannot push the residual to 1e-6
-        opts = SolverOptions(restarts=2, max_iters=50, penalty_schedule=(1.0,), seed=0)
-        with pytest.raises(SolverInfeasibleError):
-            wyner_ci(dsbs_joint(0.2), card_u=2, opts=opts)
+        # with |U| = 1 the residual I(X;Y|U) is I(X;Y), about 0.278 bits
+        with pytest.raises(SolverInfeasibleError, match=r"\|U\| = 1; best residual 2\.781e-01 bits"):
+            wyner_ci(dsbs_joint(0.2), card_u=1, opts=SolverOptions(restarts=2, seed=0))
+
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.4])
+    def test_dsbs_value_not_below_common_information(self, a):
+        # the residual left by the last penalty stage must not buy a value
+        # below the closed form; the upper edge is the acceptance tolerance
+        c = common_information(a)
+        assert c - 1e-6 <= wyner_ci(dsbs_joint(a)).value <= c + 1e-3
 
 
 class TestNoSrRate:
