@@ -152,7 +152,7 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
 
 
 def descend(q, batch, stages, opts, step0, records):
-    """Warm-started stages on a batch, yielding (batch, stats) after each.
+    """Warm-started stages on a batch; returns the last stage's (batch, stats).
 
     ``stages`` holds (kind, parameter, objective_and_grad) triples.  Each
     stage jitters the batch (keyed by its index), runs ``eg_minimize`` and
@@ -162,7 +162,7 @@ def descend(q, batch, stages, opts, step0, records):
         batch = jitter_channels(batch, opts.seed, index)
         batch, stats, frozen_at = eg_minimize(q, batch, objective_and_grad, opts.max_iters, opts.tol_objective, step0)
         records.append(stage_record(kind, parameter, frozen_at, opts.max_iters))
-        yield batch, stats
+    return batch, stats
 
 
 def stage_record(stage, parameter, frozen_at, max_iters):

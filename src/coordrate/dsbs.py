@@ -25,7 +25,6 @@ import numpy as np
 
 from .measures import binary_entropy, entropy_vec4, inverse_binary_entropy
 from .pmf import AuxChannel, PmfError
-from .wyner import dsbs_wyner_channel
 
 #: closed forms hold strictly inside the crossover range
 _A_MIN_MARGIN = 1e-9
@@ -75,6 +74,25 @@ class CurvePoint:
     f: float
     i_joint: float
     i_cond: float
+
+
+def dsbs_wyner_channel(a):
+    """Closed-form minimizing channel for the doubly symmetric binary source.
+
+    With b = ``crossover_b(a)`` the rows are p(0|0,1) = p(1|1,0) = 0.5
+    and p(1|0,0) = p(0|1,1) = b^2 / (1 - a), complements accordingly.
+    """
+    if not 0.0 < a < 0.5:
+        raise PmfError(f"dsbs_wyner_channel: crossover must lie strictly inside (0, 0.5), got {a!r}")
+    b = crossover_b(a)
+    r = b * b / (1.0 - a)
+    rows = np.array(
+        [
+            [[1.0 - r, r], [0.5, 0.5]],
+            [[0.5, 0.5], [r, 1.0 - r]],
+        ]
+    )
+    return AuxChannel.from_array(rows)
 
 
 def interpolated_channel(a, t):

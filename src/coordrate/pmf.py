@@ -129,20 +129,19 @@ class AuxChannel:
         object.__setattr__(self, "cond", rows)
 
     @classmethod
-    def from_array(cls, rows, card_u=None, card_u1=1, card_u2=1):
-        """Build from a dense (nx, ny, card_u[, card_u1, card_u2]) array."""
+    def from_array(cls, rows):
+        """Build from a dense (nx, ny, card_u[, card_u1, card_u2]) array; the cardinalities are its shape."""
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 3:
             rows = rows[:, :, :, None, None]
         if rows.ndim != 5:
             raise PmfError(f"AuxChannel.from_array: expected 3-d or 5-d array, got {rows.ndim}-d")
-        cu = rows.shape[2] if card_u is None else card_u
         cond = {
             (x, y): rows[x, y]
             for x in range(rows.shape[0])
             for y in range(rows.shape[1])
         }
-        return cls(cond=cond, card_u=cu, card_u1=rows.shape[3], card_u2=rows.shape[4])
+        return cls(cond=cond, card_u=rows.shape[2], card_u1=rows.shape[3], card_u2=rows.shape[4])
 
     def row(self, x, y):
         return self.cond[(int(x), int(y))]
@@ -179,12 +178,6 @@ class FullJoint:
     @property
     def shape(self):
         return self.probs.shape
-
-    def axis(self, name):
-        try:
-            return AXES.index(name)
-        except ValueError:
-            raise PmfError(f"FullJoint: unknown axis {name!r}; valid axes are {AXES}") from None
 
 
 def dsbs_joint(a):
@@ -289,10 +282,11 @@ def load_joint_pmf(path):
         raise PmfError(f"load_joint_pmf: cannot parse {path}: {exc}") from exc
     try:
         arr = np.asarray(doc["pmf"], dtype=np.float64)
-        labels = (doc.get("alphabet_x"), doc.get("alphabet_y"))
-        labels_x, labels_y = (None if v is None else tuple(v) for v in labels)
+        labels_x, labels_y = doc.get("alphabet_x"), doc.get("alphabet_y")
     except (TypeError, KeyError, ValueError) as exc:
         raise PmfError(f"load_joint_pmf: missing or bad field in {path}: {exc}") from exc
+    if not all(v is None or isinstance(v, list) for v in (labels_x, labels_y)):
+        raise PmfError(f"load_joint_pmf: alphabet_x and alphabet_y in {path} must be lists of symbol names")
     if arr.ndim != 2:
         raise PmfError(f"load_joint_pmf: pmf must be a matrix, got shape {arr.shape}")
     return JointPmf(arr, labels_x=labels_x, labels_y=labels_y)

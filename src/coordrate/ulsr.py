@@ -9,10 +9,11 @@ either of two equivalent objectives:
 The max makes the objective kinked exactly where the two terms meet,
 which is where the minimizer tends to sit.  The solver anneals a
 log-sum-exp softmax of the two terms over increasing temperatures and
-finishes with subgradient steps on the exact max, keeping the best exact
-iterate.  Multi-start with structured initial channels: the degenerate
-auxiliary, a Wyner-minimizing channel, the interpolated family for
-symmetric binary sources, uniform rows, plus random rows.
+finishes with subgradient steps on the exact max, the polish; the answer
+is the best row the polish returns.  Multi-start with structured initial
+channels: the degenerate auxiliary, a Wyner-minimizing channel, the
+interpolated family for symmetric binary sources, uniform rows, plus
+random rows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _simplexopt as so
+from .dsbs import interpolated_channel
 from .pmf import AuxChannel, JointPmf, PmfError
 from .wyner import STEP0, SolverInfeasibleError, SolverOptions, _bracket, _check_batch_bytes, _evaluate, _source_info, wyner_ci
 
@@ -133,8 +135,6 @@ def _structured_starts(q, card_u, opts):
     # other sources get a reduced-budget solver run instead
     a = _symmetric_binary_crossover(q)
     if a is not None and 0.0 < a < 0.5:
-        from .dsbs import interpolated_channel
-
         for t in (0.0, 0.25, 0.5, 0.75):
             rows = interpolated_channel(a, t).dense(2, 2)[:, :, :, 0, 0]
             starts.append(_pad_rows(rows, card_u))
@@ -171,34 +171,24 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
         np.concatenate([np.stack(structured), so.random_channels(nx, ny, card_u, n_random, opts.seed)])
     )
 
-    def candidate(batch, stats):
-        return batch, _form_value(stats.i_cond, stats.i_joint, form), stats.i_cond
-
-    candidates = [candidate(batch, so.ChannelStats(qarr, batch))]
     schedule = [("temperature", temp, _objective(form, temp)) for temp in TEMPERATURES]
     stages = []
-    for batch, stats in so.descend(qarr, batch, schedule, opts, STEP0, stages):
-        candidates.append(candidate(batch, stats))
+    batch, _ = so.descend(qarr, batch, schedule, opts, STEP0, stages)
     # polish on the exact kinked objective; its accepted row is the best
     # exact iterate, since the polish objective is the exact value
     batch, stats, frozen_at = so.eg_minimize(qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0)
     stages.append(so.stage_record("polish", None, frozen_at, opts.max_iters))
-    candidates.append(candidate(batch, stats))
-    # per restart, the earliest candidate with the lowest exact value
-    batches, values, residuals = (np.stack(c) for c in zip(*candidates))
-    pick = (values.argmin(axis=0), np.arange(batch.shape[0]))
-    best_batch, best_values = batches[pick], values[pick]
-    winner = so.best_row(best_values, residuals[pick], best_batch)
-    channel = AuxChannel.from_array(best_batch[winner])
+    values = _form_value(stats.i_cond, stats.i_joint, form)
+    channel = AuxChannel.from_array(batch[so.best_row(values, stats.i_cond, batch)])
     result = ulsr_objective(q, channel, form)
     ixy, h_min = _source_info(q)
     return replace(
         result,
         diagnostics={
-            "restarts": best_batch.shape[0],
+            "restarts": batch.shape[0],
             "structured_starts": len(structured),
             "card_u": card_u,
-            "best_values": np.sort(best_values)[:5].tolist(),
+            "best_values": np.sort(values)[:5].tolist(),
             "stages": stages,
             **_bracket(result.value, 0.5 * ixy, min(ixy, 0.5 * h_min)),
         },

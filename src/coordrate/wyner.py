@@ -66,25 +66,6 @@ class WynerResult:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def dsbs_wyner_channel(a):
-    """Closed-form minimizing channel for the doubly symmetric binary source.
-
-    With b = (1 - sqrt(1 - 2a)) / 2 the rows are p(0|0,1) = p(1|1,0) = 0.5
-    and p(1|0,0) = p(0|1,1) = b^2 / (1 - a), complements accordingly.
-    """
-    if not 0.0 < a < 0.5:
-        raise PmfError(f"dsbs_wyner_channel: crossover must lie strictly inside (0, 0.5), got {a!r}")
-    b = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * a))
-    r = b * b / (1.0 - a)
-    rows = np.array(
-        [
-            [[1.0 - r, r], [0.5, 0.5]],
-            [[0.5, 0.5], [r, 1.0 - r]],
-        ]
-    )
-    return AuxChannel.from_array(rows)
-
-
 def _evaluate(q, channel):
     """(I(X,Y;U), I(X;Y|U)) in bits of the source composed with ``channel``."""
     full = compose(q, channel)
@@ -135,11 +116,10 @@ def wyner_ci(q, card_u=None, opts=None):
         raise PmfError(f"wyner_ci: card_u must be >= 1, got {card_u}")
     _check_batch_bytes("wyner_ci", opts.restarts, nx, ny, card_u)
 
-    batch = so.random_channels(nx, ny, card_u, opts.restarts, opts.seed)
     schedule = [("penalty", lam, partial(_penalized, lam)) for lam in PENALTIES]
     stages = []
-    for batch, stats in so.descend(q.probs, batch, schedule, opts, STEP0, stages):
-        pass
+    # the start batch goes in unnamed, so it is freed once the first stage replaces it
+    batch, stats = so.descend(q.probs, so.random_channels(nx, ny, card_u, opts.restarts, opts.seed), schedule, opts, STEP0, stages)
     feasible = stats.i_cond <= MARKOV_TOL
     if not feasible.any():
         raise SolverInfeasibleError(

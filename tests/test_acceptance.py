@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from conftest import aux_with_copy_sides
-from coordrate.dsbs import f_of_t, i_cond_closed_form, i_joint_closed_form, interpolated_channel, t_star
+from coordrate.dsbs import dsbs_wyner_channel, f_of_t, i_cond_closed_form, i_joint_closed_form, interpolated_channel, t_star
 from coordrate.measures import (
     binary_entropy,
     conditional_mutual_information,
@@ -27,7 +27,7 @@ from coordrate.pmf import (
 from coordrate.region import RateTriple, in_achievable_region, xy_equal_region
 from coordrate.simulate import SimConfig, SimRates, build_codebooks, coordinator_select, processor_output, run_trials
 from coordrate.ulsr import UlsrForm, ulsr_rate
-from coordrate.wyner import SolverOptions, dsbs_wyner_channel, wyner_ci
+from coordrate.wyner import SolverOptions, wyner_ci
 
 C_01 = 0.872760566800152
 C_02 = 0.705904900983266

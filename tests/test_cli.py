@@ -9,9 +9,8 @@ import pytest
 
 import coordrate
 from coordrate.cli import dispatch
-from coordrate.dsbs import CURVE_POINTS_CAP
+from coordrate.dsbs import CURVE_POINTS_CAP, dsbs_wyner_channel
 from coordrate.pmf import dsbs_joint, save_aux_channel, save_joint_pmf
-from coordrate.wyner import dsbs_wyner_channel
 
 
 def run(argv):

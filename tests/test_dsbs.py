@@ -6,6 +6,7 @@ from coordrate.dsbs import (
     DsbsParams,
     common_information,
     crossover_b,
+    dsbs_wyner_channel,
     emit_curve,
     f_of_t,
     i_cond_closed_form,
@@ -16,7 +17,6 @@ from coordrate.dsbs import (
 )
 from coordrate.measures import conditional_mutual_information, mutual_information
 from coordrate.pmf import PmfError, compose, dsbs_joint
-from coordrate.wyner import dsbs_wyner_channel
 
 C_01 = 0.872760566800152
 C_02 = 0.705904900983266

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coordrate.dsbs import dsbs_wyner_channel
 from coordrate.measures import (
     binary_entropy,
     conditional_mutual_information,
@@ -10,7 +11,6 @@ from coordrate.measures import (
     mutual_information,
 )
 from coordrate.pmf import FullJoint, JointPmf, Pmf, PmfError, compose, degenerate_channel, dsbs_joint
-from coordrate.wyner import dsbs_wyner_channel
 
 # frozen reference values for the symmetric binary source
 H_01 = 0.468995593589281          # h(0.1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import aux_with_copy_sides
+from coordrate.dsbs import dsbs_wyner_channel
 from coordrate.pmf import (
     AuxChannel,
     FullJoint,
@@ -20,7 +21,6 @@ from coordrate.pmf import (
     save_joint_pmf,
     tv_distance,
 )
-from coordrate.wyner import dsbs_wyner_channel
 
 
 class TestValidation:
@@ -245,8 +245,10 @@ class TestFiles:
             {"pmf": [[0.5], [0.25, 0.25]]},
             {"pmf": {"0": 1.0}},
             [1, 2],
+            {"alphabet_x": "ab", "pmf": [[0.5], [0.5]]},
+            {"alphabet_x": {"a": 1}, "pmf": [[1.0]]},
         ],
-        ids=["alphabet-int", "ragged", "pmf-object", "not-object"],
+        ids=["alphabet-int", "ragged", "pmf-object", "not-object", "alphabet-string", "alphabet-object"],
     )
     def test_malformed_joint_is_pmf_error(self, tmp_path, doc):
         path = tmp_path / "q.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import aux_with_copy_sides
+from coordrate.dsbs import dsbs_wyner_channel
 from coordrate.measures import binary_entropy, mutual_information
 from coordrate.pmf import (
     JointPmf,
@@ -17,7 +18,6 @@ from coordrate.region import (
     in_achievable_region,
     xy_equal_region,
 )
-from coordrate.wyner import dsbs_wyner_channel
 
 MI_02 = 0.278071905112638
 C_01 = 0.872760566800152

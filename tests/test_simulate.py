@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordrate import simulate
-from coordrate.dsbs import i_cond_closed_form, interpolated_channel
+from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
     Codebooks,
@@ -23,7 +23,6 @@ from coordrate.simulate import (
     run_trials,
     typicality_test,
 )
-from coordrate.wyner import dsbs_wyner_channel
 
 I_JOINT_02 = 0.705904900983266   # I(X,Y;U) of the minimizing channel at a=0.2
 

@@ -13,7 +13,7 @@ from coordrate.pmf import (
     dsbs_joint,
 )
 from coordrate.region import RateTriple, in_achievable_region
-from coordrate.ulsr import UlsrForm, ulsr_objective, ulsr_rate
+from coordrate.ulsr import UlsrForm, _structured_starts, ulsr_objective, ulsr_rate
 from coordrate.wyner import SolverOptions, wyner_ci
 
 FAST = SolverOptions(restarts=10, seed=0)
@@ -120,6 +120,17 @@ class TestRateSolver:
             assert s["max_iters_reached"] + s["converged"] == diagnostics["restarts"]
             assert 1 <= s["iterations"] <= opts.max_iters
             assert (s["iterations"] == opts.max_iters) >= (s["max_iters_reached"] > 0)
+
+    @pytest.mark.parametrize("form", list(UlsrForm))
+    @pytest.mark.parametrize("name", ["dsbs01", "3x3"])
+    def test_no_worse_than_structured_starts(self, name, form, request):
+        # the answer is the best row of the polish; it must not lose to a
+        # structured start that the stages descended from
+        q = dsbs_joint(0.1) if name == "dsbs01" else request.getfixturevalue("source_3x3")
+        nx, ny = q.shape
+        value = ulsr_rate(q, form).value
+        for rows in _structured_starts(q, nx * ny + 2, SolverOptions()):
+            assert value <= ulsr_objective(q, AuxChannel.from_array(rows), form).value
 
     def test_batch_guard(self):
         with pytest.raises(PmfError, match="ulsr_rate: 1000000000 restarts .* cap is 1073741824"):

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from coordrate.dsbs import common_information
+from coordrate.dsbs import common_information, dsbs_wyner_channel
 from coordrate.measures import conditional_mutual_information, mutual_information, table_entropy
 from coordrate.pmf import JointPmf, PmfError, compose, degenerate_channel, dsbs_joint
 from coordrate.ulsr import ulsr_rate
@@ -15,7 +15,6 @@ from coordrate.wyner import (
     SolverOptions,
     _bracket,
     _check_batch_bytes,
-    dsbs_wyner_channel,
     no_sr_rate,
     wyner_ci,
 )
