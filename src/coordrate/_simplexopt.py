@@ -23,6 +23,8 @@ GROW = 1.3
 SHRINK = 0.5
 #: consecutive sub-tolerance improvements required to declare convergence
 STREAK = 25
+#: standard deviation of the log-scale noise jitter_channels applies at each stage start
+JITTER_SIGMA = 1e-3
 LN2 = float(np.log(2.0))
 
 
@@ -41,7 +43,7 @@ def random_channels(nx, ny, nu, restarts, seed):
     return normalize_rows(batch)
 
 
-def jitter_channels(batch, seed, stage, sigma=1e-3):
+def jitter_channels(batch, seed, stage):
     """Multiplicative seeded noise, keyed per restart index.
 
     Fully symmetric channels (all rows equal) are exact fixed points of the
@@ -52,7 +54,7 @@ def jitter_channels(batch, seed, stage, sigma=1e-3):
     out = np.empty_like(batch)
     for r in range(batch.shape[0]):
         rng = np.random.default_rng([seed, r, stage, 811])
-        out[r] = batch[r] * np.exp(sigma * rng.standard_normal(batch.shape[1:]))
+        out[r] = batch[r] * np.exp(JITTER_SIGMA * rng.standard_normal(batch.shape[1:]))
     return normalize_rows(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dsbs import emit_curve, t_star, write_curve_csv
+from .dsbs import curve_csv_lines, emit_curve, t_star, write_curve_csv
 from .measures import entropy, mutual_information
 from .pmf import (
     Pmf,
@@ -155,9 +155,7 @@ def _cmd_dsbs(args, out):
         tmin = min(points, key=lambda p: p.f)
         out.write(f"wrote {len(points)} points to {args.out}; grid minimum f={_fmt(tmin.f)} at t={_fmt(tmin.t)}\n")
     else:
-        out.write("t,f,i_joint,i_cond\n")
-        for p in points:
-            out.write(f"{p.t:.15g},{p.f:.15g},{p.i_joint:.15g},{p.i_cond:.15g}\n")
+        out.writelines(curve_csv_lines(points))
     return 0
 
 
@@ -166,7 +164,7 @@ def _cmd_region(args, out):
     rates = RateTriple(r, r1, r2)
     if args.region_command == "check":
         q = load_joint_pmf(args.dist)
-        aux = load_aux_channel(args.aux)
+        aux = load_aux_channel(args.aux, q)
         member = in_achievable_region(q, aux, rates)
     else:
         member = xy_equal_region(args.hx, rates)
@@ -176,7 +174,7 @@ def _cmd_region(args, out):
 
 def _cmd_simulate(args, out):
     q = load_joint_pmf(args.dist)
-    aux = load_aux_channel(args.aux)
+    aux = load_aux_channel(args.aux, q)
     r0, r_star, rt1, rt2 = _parse_rates(args.rates, 4, "simulate --rates")
     cfg = SimConfig(
         q=q,

@@ -92,7 +92,7 @@ def dsbs_wyner_channel(a):
             [[0.5, 0.5], [r, 1.0 - r]],
         ]
     )
-    return AuxChannel.from_array(rows)
+    return AuxChannel(rows)
 
 
 def interpolated_channel(a, t):
@@ -100,12 +100,7 @@ def interpolated_channel(a, t):
     _check_a(a)
     if not 0.0 <= t <= 1.0:
         raise PmfError(f"interpolated_channel: t must lie in [0, 1], got {t!r}")
-    wyner = dsbs_wyner_channel(a)
-    rows = np.empty((2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            rows[x, y] = t * 0.5 + (1.0 - t) * wyner.row(x, y)[:, 0, 0]
-    return AuxChannel.from_array(rows)
+    return AuxChannel(t * 0.5 + (1.0 - t) * dsbs_wyner_channel(a).probs)
 
 
 def _h4(a, alpha):
@@ -152,9 +147,14 @@ def emit_curve(a, num_points):
     return [f_of_t(a, t) for t in np.linspace(0.0, 1.0, num_points)]
 
 
+def curve_csv_lines(points):
+    """CSV lines with columns t,f,i_joint,i_cond; 15 significant digits, LF endings."""
+    yield "t,f,i_joint,i_cond\n"
+    for p in points:
+        yield f"{p.t:.15g},{p.f:.15g},{p.i_joint:.15g},{p.i_cond:.15g}\n"
+
+
 def write_curve_csv(points, path):
-    """CSV columns t,f,i_joint,i_cond; 15 significant digits, LF endings."""
+    """Write ``curve_csv_lines(points)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,f,i_joint,i_cond\n")
-        for p in points:
-            fh.write(f"{p.t:.15g},{p.f:.15g},{p.i_joint:.15g},{p.i_cond:.15g}\n")
+        fh.writelines(curve_csv_lines(points))

@@ -14,7 +14,8 @@ to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,69 +97,44 @@ class JointPmf:
 
 @dataclass(frozen=True)
 class AuxChannel:
-    """Conditional pmf p(u, u1, u2 | x, y), one row per source cell.
+    """Conditional pmf p(u, u1, u2 | x, y) as a dense table.
 
-    ``cond`` maps (x, y) index pairs to arrays of shape
-    (card_u, card_u1, card_u2).  Rows may be omitted for cells that carry
-    no source probability; coverage is checked when composing with a
-    concrete joint.  The common single-auxiliary case is card_u1 = card_u2 = 1.
+    ``probs`` has shape (nx, ny, card_u, card_u1, card_u2) with one row
+    per source cell; a 3-d (nx, ny, card_u) array is the common
+    single-auxiliary case card_u1 = card_u2 = 1.
     """
 
-    cond: dict[tuple[int, int], np.ndarray]
-    card_u: int
-    card_u1: int = 1
-    card_u2: int = 1
+    probs: np.ndarray
 
     def __post_init__(self):
-        for card, name in ((self.card_u, "card_u"), (self.card_u1, "card_u1"), (self.card_u2, "card_u2")):
-            if not isinstance(card, (int, np.integer)) or card < 1:
-                raise PmfError(f"AuxChannel: {name} must be a positive integer, got {card!r}")
-        shape = (self.card_u, self.card_u1, self.card_u2)
-        rows = {}
-        for key, row in self.cond.items():
-            x, y = key
-            if x < 0 or y < 0:
-                raise PmfError(f"AuxChannel: negative cell index {key}")
-            arr = _check_simplex(row, f"AuxChannel row {key}")
-            arr = arr.reshape(shape) if arr.size == np.prod(shape) else arr
-            if arr.shape != shape:
-                raise PmfError(
-                    f"AuxChannel row {key}: size {arr.size} does not match cardinalities {shape}"
-                )
-            rows[(int(x), int(y))] = _frozen(arr)
-        object.__setattr__(self, "cond", rows)
+        arr = np.asarray(self.probs, dtype=np.float64)
+        if arr.ndim == 3:
+            arr = arr[:, :, :, None, None]
+        if arr.ndim != 5 or arr.size == 0:
+            raise PmfError(f"AuxChannel: expected a nonempty 3-d or 5-d table, got shape {arr.shape}")
+        # NaN fails both tests, and an infinite entry fails one of them
+        rows_ok = (arr >= 0).all(axis=(2, 3, 4)) & (np.abs(arr.sum(axis=(2, 3, 4)) - 1.0) <= SUM_TOL)
+        if not rows_ok.all():
+            x, y = np.argwhere(~rows_ok)[0]
+            raise PmfError(f"AuxChannel row ({x}, {y}): entries must be finite, >= 0 and sum to 1 within {SUM_TOL}")
+        object.__setattr__(self, "probs", _frozen(arr))
 
     @classmethod
     def from_array(cls, rows):
-        """Build from a dense (nx, ny, card_u[, card_u1, card_u2]) array; the cardinalities are its shape."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim == 3:
-            rows = rows[:, :, :, None, None]
-        if rows.ndim != 5:
-            raise PmfError(f"AuxChannel.from_array: expected 3-d or 5-d array, got {rows.ndim}-d")
-        cond = {
-            (x, y): rows[x, y]
-            for x in range(rows.shape[0])
-            for y in range(rows.shape[1])
-        }
-        return cls(cond=cond, card_u=rows.shape[2], card_u1=rows.shape[3], card_u2=rows.shape[4])
+        """The constructor under its older name: ``AuxChannel(rows)``."""
+        return cls(rows)
 
-    def row(self, x, y):
-        return self.cond[(int(x), int(y))]
+    @property
+    def card_u(self):
+        return self.probs.shape[2]
 
-    def has_row(self, x, y):
-        return (int(x), int(y)) in self.cond
+    @property
+    def card_u1(self):
+        return self.probs.shape[3]
 
-    def dense(self, nx, ny):
-        """Dense (nx, ny, card_u, card_u1, card_u2) view; missing rows become uniform."""
-        out = np.full(
-            (nx, ny, self.card_u, self.card_u1, self.card_u2),
-            1.0 / (self.card_u * self.card_u1 * self.card_u2),
-        )
-        for (x, y), row in self.cond.items():
-            if x < nx and y < ny:
-                out[x, y] = row
-        return out
+    @property
+    def card_u2(self):
+        return self.probs.shape[4]
 
 
 @dataclass(frozen=True)
@@ -166,8 +142,6 @@ class FullJoint:
     """Dense joint over (x, y, u, u1, u2); degenerate axes have size 1."""
 
     probs: np.ndarray
-    labels_x: tuple[str, ...] | None = field(default=None, compare=False)
-    labels_y: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         arr = _check_simplex(self.probs, "FullJoint")
@@ -236,23 +210,14 @@ def marginal(p, axes):
 def compose(q, aux):
     """Chain rule q(x,y) * p(u,u1,u2|x,y) as a dense FullJoint.
 
-    Every source cell with q(x,y) > 0 must have a conditional row; rows on
-    zero-probability cells are ignored.  The (x, y) marginal of the result
-    matches q to within 1e-12 by construction.
+    The channel's (x, y) grid must be q's.  The (x, y) marginal of the
+    result matches q to within 1e-12 by construction.
     """
     if not isinstance(q, JointPmf) or not isinstance(aux, AuxChannel):
         raise PmfError("compose: expected (JointPmf, AuxChannel)")
-    nx, ny = q.shape
-    out = np.zeros((nx, ny, aux.card_u, aux.card_u1, aux.card_u2))
-    for x in range(nx):
-        for y in range(ny):
-            mass = q.probs[x, y]
-            if mass == 0.0:
-                continue
-            if not aux.has_row(x, y):
-                raise PmfError(f"compose: missing conditional row for support cell ({x}, {y})")
-            out[x, y] = mass * aux.row(x, y)
-    full = FullJoint(out, labels_x=q.labels_x, labels_y=q.labels_y)
+    if aux.probs.shape[:2] != q.shape:
+        raise PmfError(f"compose: channel grid {aux.probs.shape[:2]} does not match source shape {q.shape}")
+    full = FullJoint(q.probs[:, :, None, None, None] * aux.probs)
     back = full.probs.sum(axis=(2, 3, 4))
     if np.abs(back - q.probs).max() > COMPOSE_TOL:
         raise PmfError("compose: (x, y) marginal drifted beyond 1e-12")
@@ -261,11 +226,20 @@ def compose(q, aux):
 
 def degenerate_channel(nx, ny):
     """Trivial channel with a single auxiliary symbol on every cell."""
-    return AuxChannel.from_array(np.ones((nx, ny, 1, 1, 1)))
+    return AuxChannel(np.ones((nx, ny, 1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
 # file formats
+
+
+def _read_json(path, who):
+    # ValueError covers bad JSON, bad UTF-8 and integers beyond Python's digit limit
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise PmfError(f"{who}: cannot parse {path}: {exc}") from exc
 
 
 def load_joint_pmf(path):
@@ -275,15 +249,11 @@ def load_joint_pmf(path):
     names) and ``pmf`` (row-major matrix of decimals, row index = x).
     Invalid data raises PmfError; nothing is renormalized.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PmfError(f"load_joint_pmf: cannot parse {path}: {exc}") from exc
+    doc = _read_json(path, "load_joint_pmf")
     try:
         arr = np.asarray(doc["pmf"], dtype=np.float64)
         labels_x, labels_y = doc.get("alphabet_x"), doc.get("alphabet_y")
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise PmfError(f"load_joint_pmf: missing or bad field in {path}: {exc}") from exc
     if not all(v is None or isinstance(v, list) for v in (labels_x, labels_y)):
         raise PmfError(f"load_joint_pmf: alphabet_x and alphabet_y in {path} must be lists of symbol names")
@@ -303,37 +273,47 @@ def save_joint_pmf(q, path):
         fh.write("\n")
 
 
-def load_aux_channel(path):
-    """Read an auxiliary channel from a JSON file.
+def load_aux_channel(path, q):
+    """Read the auxiliary channel for source ``q`` from a JSON file.
 
-    Expected fields: ``card_u``, ``card_u1``, ``card_u2`` and ``cond``, a
-    map from "x,y" index pairs to flattened probability vectors over
-    (u, u1, u2) in row-major order.
+    Expected fields: ``card_u``, ``card_u1`` and ``card_u2`` (JSON integers
+    >= 1; the last two default to 1) and ``cond``, a map from "x,y" index
+    pairs to flattened probability vectors over (u, u1, u2) in row-major
+    order.  Rows are resolved against q here: every cell with q(x,y) > 0
+    needs a row, an omitted zero-mass cell gets the uniform row, and a row
+    for a cell outside q's grid is ignored.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PmfError(f"load_aux_channel: cannot parse {path}: {exc}") from exc
-    try:
-        cards = (int(doc["card_u"]), int(doc.get("card_u1", 1)), int(doc.get("card_u2", 1)))
-        raw = doc["cond"]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise PmfError(f"load_aux_channel: missing or bad field in {path}: {exc}") from exc
-    if not isinstance(raw, dict):
+    doc = _read_json(path, "load_aux_channel")
+    if not isinstance(doc, dict) or not isinstance(doc.get("cond"), dict):
         raise PmfError(f"load_aux_channel: cond in {path} must map 'x,y' keys to probability vectors")
-    cond = {}
-    for key, vec in raw.items():
+    cards = (doc.get("card_u"), doc.get("card_u1", 1), doc.get("card_u2", 1))
+    if not all(type(c) is int and c >= 1 for c in cards):
+        raise PmfError(f"load_aux_channel: card_u, card_u1 and card_u2 in {path} must be integers >= 1, got {cards}")
+    size = math.prod(cards)
+    nx, ny = q.shape
+    rows = {}
+    for key, vec in doc["cond"].items():
         try:
-            x_s, y_s = key.split(",")
-            cell = (int(x_s), int(y_s))
+            x, y = (int(i) for i in key.split(","))
         except ValueError as exc:
             raise PmfError(f"load_aux_channel: bad cell key {key!r}, expected 'x,y' indices") from exc
+        if x < 0 or y < 0:
+            raise PmfError(f"load_aux_channel: negative cell index in key {key!r}")
         try:
-            cond[cell] = np.asarray(vec, dtype=np.float64).reshape(cards)
-        except (TypeError, ValueError) as exc:
-            raise PmfError(f"load_aux_channel: row {key!r} is not {cards} probabilities: {exc}") from exc
-    return AuxChannel(cond=cond, card_u=cards[0], card_u1=cards[1], card_u2=cards[2])
+            row = np.asarray(vec, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PmfError(f"load_aux_channel: row {key!r} is not {size} probabilities: {exc}") from exc
+        if row.size != size:
+            raise PmfError(f"load_aux_channel: row {key!r} has {row.size} entries, cardinalities {cards} need {size}")
+        if x < nx and y < ny:
+            rows[x, y] = row.reshape(cards)
+    for x, y in np.argwhere(q.probs > 0):
+        if (x, y) not in rows:
+            raise PmfError(f"load_aux_channel: missing conditional row for support cell ({x}, {y})")
+    probs = np.full((nx, ny, *cards), 1.0 / size)
+    for cell, row in rows.items():
+        probs[cell] = row
+    return AuxChannel(probs)
 
 
 def save_aux_channel(aux, path):
@@ -341,7 +321,7 @@ def save_aux_channel(aux, path):
         "card_u": aux.card_u,
         "card_u1": aux.card_u1,
         "card_u2": aux.card_u2,
-        "cond": {f"{x},{y}": row.ravel().tolist() for (x, y), row in sorted(aux.cond.items())},
+        "cond": {f"{x},{y}": aux.probs[x, y].ravel().tolist() for x, y in np.ndindex(aux.probs.shape[:2])},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -136,13 +136,13 @@ def _structured_starts(q, card_u, opts):
     a = _symmetric_binary_crossover(q)
     if a is not None and 0.0 < a < 0.5:
         for t in (0.0, 0.25, 0.5, 0.75):
-            rows = interpolated_channel(a, t).dense(2, 2)[:, :, :, 0, 0]
+            rows = interpolated_channel(a, t).probs[:, :, :, 0, 0]
             starts.append(_pad_rows(rows, card_u))
     else:
         try:
             lite = replace(opts, restarts=min(8, opts.restarts))
             wres = wyner_ci(q, card_u=min(card_u, nx * ny), opts=lite)
-            starts.append(_pad_rows(wres.channel.dense(nx, ny)[:, :, :, 0, 0], card_u))
+            starts.append(_pad_rows(wres.channel.probs[:, :, :, 0, 0], card_u))
         except SolverInfeasibleError:
             pass
     return starts
@@ -179,7 +179,7 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     batch, stats, frozen_at = so.eg_minimize(qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0)
     stages.append(so.stage_record("polish", None, frozen_at, opts.max_iters))
     values = _form_value(stats.i_cond, stats.i_joint, form)
-    channel = AuxChannel.from_array(batch[so.best_row(values, stats.i_cond, batch)])
+    channel = AuxChannel(batch[so.best_row(values, stats.i_cond, batch)])
     result = ulsr_objective(q, channel, form)
     ixy, h_min = _source_info(q)
     return replace(

@@ -127,7 +127,7 @@ def wyner_ci(q, card_u=None, opts=None):
             f"with |U| = {card_u}; best residual {stats.i_cond.min():.3e} bits"
         )
     best = so.best_row(np.where(feasible, stats.i_joint, np.inf), stats.i_cond, batch)
-    channel = AuxChannel.from_array(batch[best])
+    channel = AuxChannel(batch[best])
     value, defect = _evaluate(q, channel)
     ixy, h_min = _source_info(q)
     return WynerResult(

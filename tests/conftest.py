@@ -25,10 +25,7 @@ def aux_with_copy_sides(base, nx, ny):
     rows = np.zeros((nx, ny, base.card_u, nx, ny))
     for x in range(nx):
         for y in range(ny):
-            if base.has_row(x, y):
-                rows[x, y, :, x, y] = base.row(x, y)[:, 0, 0]
-            else:
-                rows[x, y, :, x, y] = 1.0 / base.card_u
+            rows[x, y, :, x, y] = base.probs[x, y, :, 0, 0]
     return AuxChannel.from_array(rows)
 
 

@@ -119,6 +119,12 @@ class TestDsbs:
         rows = open(path).read().strip().split("\n")
         assert rows[0] == "t,f,i_joint,i_cond" and len(rows) == 12
 
+    def test_curve_stdout_is_file_bytes(self, files):
+        path = files["d"] / "curve-bytes.csv"
+        run(["dsbs", "--a", "0.2", "--points", "7", "--out", str(path)])
+        code, out, _ = run(["dsbs", "--a", "0.2", "--points", "7"])
+        assert code == 0 and out.encode() == path.read_bytes()
+
     def test_bad_a(self):
         code, _, err = run(["dsbs", "--a", "0.7", "--tstar"])
         assert code == 1
@@ -220,12 +226,17 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize(
         "flag, doc",
-        [("--dist", {"alphabet_x": 5, "alphabet_y": ["0"], "pmf": [[1.0]]}), ("--aux", {"card_u": 2, "cond": [1, 2]})],
-        ids=["joint-alphabet", "aux-cond"],
+        [
+            ("--dist", {"alphabet_x": 5, "alphabet_y": ["0"], "pmf": [[1.0]]}),
+            ("--aux", {"card_u": 2, "cond": [1, 2]}),
+            ("--dist", {"pmf": [[10**400]]}),
+            ("--aux", '{"card_u": 1e400, "cond": {}}'),
+        ],
+        ids=["joint-alphabet", "aux-cond", "joint-overflow", "aux-overflow"],
     )
     def test_no_traceback(self, files, tmp_path, flag, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         paths = {"--dist": files["dist02"], "--aux": files["aux02"], flag: str(bad)}
         src = str(pathlib.Path(coordrate.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

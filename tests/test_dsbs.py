@@ -51,21 +51,21 @@ class TestInterpolatedChannel:
         ch = interpolated_channel(0.2, 1.0)
         for x in range(2):
             for y in range(2):
-                assert np.allclose(ch.row(x, y)[:, 0, 0], [0.5, 0.5])
+                assert np.allclose(ch.probs[x, y, :, 0, 0], [0.5, 0.5])
 
     def test_wyner_endpoint(self):
         ch = interpolated_channel(0.2, 0.0)
         ref = dsbs_wyner_channel(0.2)
         for x in range(2):
             for y in range(2):
-                assert np.allclose(ch.row(x, y), ref.row(x, y))
+                assert np.allclose(ch.probs[x, y], ref.probs[x, y])
 
     def test_midpoint_row(self):
         # (x=1, y=1) row: average of b^2/(1-a) and one half
         ch = interpolated_channel(0.1, 0.5)
         b = crossover_b(0.1)
         expect = 0.5 * (b * b / 0.9) + 0.25
-        assert ch.row(1, 1)[0, 0, 0] == pytest.approx(expect, abs=1e-15)
+        assert ch.probs[1, 1, 0, 0, 0] == pytest.approx(expect, abs=1e-15)
         assert expect == pytest.approx(0.251548002500023, abs=1e-12)
 
     def test_rejects_out_of_range(self):

@@ -50,11 +50,14 @@ class TestValidation:
 
     def test_aux_channel_row_must_be_simplex(self):
         with pytest.raises(PmfError):
-            AuxChannel(cond={(0, 0): np.array([0.9, 0.2])}, card_u=2)
+            AuxChannel(np.array([[[0.9, 0.2]]]))
 
-    def test_aux_channel_row_size_must_match_cards(self):
-        with pytest.raises(PmfError):
-            AuxChannel(cond={(0, 0): np.array([0.5, 0.5])}, card_u=3)
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 0.0], [-0.5, 1.5]], ids=["nan", "inf", "negative"])
+    def test_aux_channel_names_first_bad_row(self, bad):
+        rows = np.full((2, 2, 2), 0.5)
+        rows[1, 0] = rows[1, 1] = bad
+        with pytest.raises(PmfError, match=r"row \(1, 0\)"):
+            AuxChannel(rows)
 
 
 class TestDsbsJoint:
@@ -161,17 +164,38 @@ class TestCompose:
         pu_eq_x = sum(full.probs[x, y, x, 0, 0] for x in range(2) for y in range(2))
         assert pu_eq_x == pytest.approx(1.0, abs=1e-15)
 
-    def test_missing_row_on_support(self):
-        q = dsbs_joint(0.2)
-        aux = AuxChannel(cond={(0, 0): np.array([1.0])}, card_u=1)
-        with pytest.raises(PmfError):
-            compose(q, aux)
+    def test_equals_cellwise_chain_rule(self):
+        # equal bit for bit to the cell-by-cell chain rule, zero-mass cells included
+        rng = np.random.default_rng(4)
+        p = rng.random((3, 2)) * (rng.random((3, 2)) < 0.7)
+        p[0, 0] += 0.1
+        q = JointPmf(p / p.sum())
+        rows = rng.random((3, 2, 2, 3, 2))
+        aux = AuxChannel(rows / rows.sum(axis=(2, 3, 4), keepdims=True))
+        expect = np.zeros(aux.probs.shape)
+        for x in range(3):
+            for y in range(2):
+                if q.probs[x, y] != 0.0:
+                    expect[x, y] = q.probs[x, y] * aux.probs[x, y]
+        assert np.array_equal(compose(q, aux).probs, expect)
 
-    def test_missing_row_off_support_is_fine(self):
+    def test_grid_must_match_source(self):
+        with pytest.raises(PmfError, match="does not match source shape"):
+            compose(dsbs_joint(0.2), degenerate_channel(3, 2))
+
+    def test_missing_row_on_support(self, tmp_path):
+        # rows are resolved against the source when a channel file is loaded
+        path = tmp_path / "aux.json"
+        path.write_text(json.dumps({"card_u": 1, "cond": {"0,0": [1.0]}}))
+        with pytest.raises(PmfError, match=r"missing conditional row for support cell \(0, 1\)"):
+            load_aux_channel(path, dsbs_joint(0.2))
+
+    def test_missing_row_off_support_is_fine(self, tmp_path):
         q = JointPmf(np.array([[0.5, 0.5], [0.0, 0.0]]))
-        aux = AuxChannel(
-            cond={(0, 0): np.array([0.5, 0.5]), (0, 1): np.array([0.2, 0.8])}, card_u=2
-        )
+        path = tmp_path / "aux.json"
+        path.write_text(json.dumps({"card_u": 2, "cond": {"0,0": [0.5, 0.5], "0,1": [0.2, 0.8], "5,5": [1, 0]}}))
+        aux = load_aux_channel(path, q)
+        assert np.array_equal(aux.probs[1, :, :, 0, 0], np.full((2, 2), 0.5))
         full = compose(q, aux)
         assert np.allclose(full.probs.sum(axis=(2, 3, 4)), q.probs)
 
@@ -233,10 +257,9 @@ class TestFiles:
         aux = dsbs_wyner_channel(0.1)
         path = tmp_path / "aux.json"
         save_aux_channel(aux, path)
-        back = load_aux_channel(path)
+        back = load_aux_channel(path, dsbs_joint(0.1))
         assert back.card_u == 2 and back.card_u1 == 1 and back.card_u2 == 1
-        for cell in aux.cond:
-            assert np.allclose(back.row(*cell), aux.row(*cell))
+        assert np.array_equal(back.probs, aux.probs)
 
     @pytest.mark.parametrize(
         "doc",
@@ -247,12 +270,15 @@ class TestFiles:
             [1, 2],
             {"alphabet_x": "ab", "pmf": [[0.5], [0.5]]},
             {"alphabet_x": {"a": 1}, "pmf": [[1.0]]},
+            {"pmf": [[10**400]]},
+            "[" * 100000,
         ],
-        ids=["alphabet-int", "ragged", "pmf-object", "not-object", "alphabet-string", "alphabet-object"],
+        ids=["alphabet-int", "ragged", "pmf-object", "not-object", "alphabet-string", "alphabet-object", "entry-overflow",
+             "deep-nesting"],
     )
     def test_malformed_joint_is_pmf_error(self, tmp_path, doc):
         path = tmp_path / "q.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(PmfError, match="load_joint_pmf"):
             load_joint_pmf(path)
 
@@ -262,21 +288,27 @@ class TestFiles:
             {"card_u": 2, "cond": [1, 2]},
             {"card_u": 2, "cond": {"0,0": [1.0]}},
             {"card_u": 1, "cond": {"0,0": {"u": 1.0}}},
+            '{"card_u": 1e400, "cond": {"0,0": [1.0]}}',
+            {"card_u": 10**12, "cond": {}},
+            {"card_u": 2.7, "cond": {"0,0": [0.5, 0.5]}},
+            {"card_u": True, "cond": {"0,0": [1.0]}},
+            {"card_u": 1, "cond": {"0,0": [1.0], "-1,0": [1.0]}},
         ],
-        ids=["cond-list", "row-size", "row-object"],
+        ids=["cond-list", "row-size", "row-object", "card-overflow", "card-huge", "card-float", "card-bool",
+             "negative-index"],
     )
     def test_malformed_aux_is_pmf_error(self, tmp_path, doc):
         path = tmp_path / "aux.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(PmfError, match="load_aux_channel"):
-            load_aux_channel(path)
+            load_aux_channel(path, JointPmf(np.array([[1.0]])))
 
     def test_aux_bad_key(self, tmp_path):
         path = tmp_path / "aux.json"
         path.write_text(json.dumps({"card_u": 1, "card_u1": 1, "card_u2": 1,
                                     "cond": {"zero": [1.0]}}))
         with pytest.raises(PmfError):
-            load_aux_channel(path)
+            load_aux_channel(path, JointPmf(np.array([[1.0]])))
 
 
 class TestRevalidation:

@@ -147,8 +147,7 @@ class TestRateSolver:
         r1 = ulsr_rate(dsbs_joint(0.2), UlsrForm.MAX_AVG, opts)
         r2 = ulsr_rate(dsbs_joint(0.2), UlsrForm.MAX_AVG, opts)
         assert r1.value == r2.value
-        for cell in r1.channel.cond:
-            assert np.array_equal(r1.channel.row(*cell), r2.channel.row(*cell))
+        assert np.array_equal(r1.channel.probs, r2.channel.probs)
 
     def test_terms_cross_near_optimum_on_dsbs(self):
         res = ulsr_rate(dsbs_joint(0.1), UlsrForm.MAX_AVG, FAST)

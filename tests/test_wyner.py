@@ -85,12 +85,12 @@ class TestClosedFormChannel:
         assert b == pytest.approx(0.052786404500042, abs=1e-15)
         r = b * b / 0.9
         assert r == pytest.approx(0.003096005000047, abs=1e-14)
-        assert ch.row(0, 0)[1, 0, 0] == pytest.approx(r)
-        assert ch.row(1, 1)[0, 0, 0] == pytest.approx(r)
-        assert np.allclose(ch.row(0, 1)[:, 0, 0], [0.5, 0.5])
+        assert ch.probs[0, 0, 1, 0, 0] == pytest.approx(r)
+        assert ch.probs[1, 1, 0, 0, 0] == pytest.approx(r)
+        assert np.allclose(ch.probs[0, 1, :, 0, 0], [0.5, 0.5])
         for x in range(2):
             for y in range(2):
-                assert ch.row(x, y).sum() == pytest.approx(1.0, abs=1e-15)
+                assert ch.probs[x, y].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_achieves_markov_chain(self):
         full = compose(dsbs_joint(0.1), dsbs_wyner_channel(0.1))
@@ -137,8 +137,7 @@ class TestWynerSolver:
         r1 = wyner_ci(dsbs_joint(0.2), card_u=2, opts=opts)
         r2 = wyner_ci(dsbs_joint(0.2), card_u=2, opts=opts)
         assert r1.value == r2.value
-        for cell in r1.channel.cond:
-            assert np.array_equal(r1.channel.row(*cell), r2.channel.row(*cell))
+        assert np.array_equal(r1.channel.probs, r2.channel.probs)
 
     def test_monotone_in_cardinality(self):
         opts = SolverOptions(restarts=10, seed=5)
