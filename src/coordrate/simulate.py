@@ -16,8 +16,11 @@ one concrete code, which is what makes insufficient rates measurable
 (too few codewords get reused and their sampling noise never averages
 out).  Codewords are never materialized as full tables: each codebook
 block is a deterministic function of (seed, code stream, indices) through
-a seeded generator, which keeps memory flat while preserving the i.i.d.
-codebook statistics and exact reproducibility.  A block's rows are drawn
+a seeded stream, which keeps memory flat while preserving the i.i.d.
+codebook statistics and exact reproducibility.  The streams are those of
+numpy's ``default_rng([seed, trial_seed, stream, *indices])``; their
+PCG64 states are derived in bulk for a chunk of trials at a time and set
+on one reused generator per stream.  A block's rows are drawn
 in order and only as far as a trial needs them: the coordinator draws and
 tests the candidates in doubling chunks and stops at the first typical
 one, so a trial whose m* is early draws a short prefix of each of its u,
@@ -40,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._seeding import seed_words, set_state
 from .measures import conditional_mutual_information
 from .pmf import AuxChannel, JointPmf, Pmf, compose, tv_distance
 
@@ -54,6 +58,8 @@ MARKOV_DEFECT_TOL = 1e-6
 _W_STREAM, _U_STREAM, _X_STREAM, _Y_STREAM = 0, 1, 2, 3
 #: candidate rows the coordinator draws and tests before its first doubling
 _FIRST_CHUNK = 16
+#: trials whose stream states are derived together; bounds the derivation's memory
+_SEED_CHUNK = 256
 
 
 class SimulationError(ValueError):
@@ -112,12 +118,16 @@ class SimConfig:
     max_markov_defect: float = MARKOV_DEFECT_TOL
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise SimulationError(f"SimConfig: seed must be a nonnegative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         if self.n < 1:
             raise SimulationError(f"SimConfig: block length must be >= 1, got {self.n}")
         if self.trials < 1:
             raise SimulationError(f"SimConfig: trials must be >= 1, got {self.trials}")
-        if not self.eps_typ > 0:
-            raise SimulationError(f"SimConfig: eps_typ must be > 0, got {self.eps_typ}")
+        if not (math.isfinite(self.eps_typ) and self.eps_typ > 0):
+            raise SimulationError(f"SimConfig: eps_typ must be finite and > 0, got {self.eps_typ}")
         if self.channel.card_u1 != 1 or self.channel.card_u2 != 1:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
@@ -216,21 +226,25 @@ class Codebooks:
     """Keyed access to the codeword tables of one code.
 
     Each (nstar, n) block is a deterministic function of its indices through
-    a seeded generator, so coordinator and processors read the same
-    codewords.  Blocks for distinct indices come from distinct seeded
-    streams and are therefore independent, matching a single i.i.d.
-    codebook draw.  Rows are drawn in order and only when first asked for:
-    a call for the first ``rows`` rows draws just the missing ones from the
-    block's generator, so any prefix equals the same rows of a full draw.
-    Each stream keeps its last block (indices, generator, rows drawn so
-    far), filled in place in a buffer of the full block size, and returns
-    read-only views of it.  This generator state makes one ``Codebooks``
-    the property of one thread.
+    a seeded stream, so coordinator and processors read the same codewords.
+    Blocks for distinct indices come from distinct seeded streams and are
+    therefore independent, matching a single i.i.d. codebook draw.  Rows
+    are drawn in order and only when first asked for: a call for the first
+    ``rows`` rows draws just the missing ones from the stream's generator,
+    so any prefix equals the same rows of a full draw.  Each stream draws
+    every block from one reused generator and keeps its last block
+    (indices, generator, rows drawn so far), filled in place in a buffer of
+    the full block size, and returns read-only views of it.  ``seed_trials`` derives the stream states of a
+    chunk of trials' blocks at once; a block outside the chunk is derived
+    alone.  This generator state makes one ``Codebooks`` the property of
+    one thread.
     """
 
     def __init__(self, cfg, trial_seed):
         self.cfg = cfg
         self.trial_seed = int(trial_seed)
+        if self.trial_seed < 0:
+            raise SimulationError(f"Codebooks: trial_seed must be >= 0, got {self.trial_seed}")
         self.target_uxy, self.p_u, self.p_x_given_u, self.p_y_given_u = _generation(
             compose(cfg.q, cfg.channel), cfg.max_markov_defect
         )
@@ -243,9 +257,29 @@ class Codebooks:
         self._cum_y[:, -1] = 1.0
         #: stream -> [indices, generator, (nstar, n) buffer, read-only view of the rows drawn]
         self._last = {}
+        #: stream -> the generator every block of the stream is drawn from
+        self._gens = {s: np.random.Generator(np.random.PCG64(s)) for s in (_U_STREAM, _X_STREAM, _Y_STREAM)}
+        #: stream -> ({indices: row}, seed_words rows) of the current chunk of trials
+        self._states = {}
+
+    def seed_trials(self, trials):
+        """Derive the u, x and y block states of a chunk of trials' (m01, m02, b1, b2).
+
+        The previous chunk's states are dropped first.
+        """
+        self._states = {}
+        table = np.array(trials, dtype=np.int64).reshape(-1, 4)
+        for stream, cols in ((_U_STREAM, (0, 1)), (_X_STREAM, (0, 1, 2)), (_Y_STREAM, (0, 1, 3))):
+            rows = {key: row for row, key in enumerate(map(operator.itemgetter(*cols), trials))}
+            self._states[stream] = rows, seed_words((self.cfg.seed, self.trial_seed, stream), table[:, cols])
 
     def _rng(self, stream, *idx):
-        return np.random.default_rng([self.cfg.seed, self.trial_seed, stream, *map(int, idx)])
+        """The stream's generator, positioned at the start of the block at ``idx``."""
+        rows, words = self._states.get(stream, ({}, None))
+        row = rows.get(idx)
+        if row is None:
+            words, row = seed_words((self.cfg.seed, self.trial_seed, stream), [idx]), 0
+        return set_state(self._gens[stream], words[row].tolist())
 
     def _check(self, name, value, size):
         if not 0 <= value < size:
@@ -374,10 +408,13 @@ def processor_output(which, message, w_i, books):
 def run_trials(cfg):
     """Run all trials against one fixed code, pooling per-letter (x, y) pairs.
 
-    The codebooks are drawn once per run; each trial draws fresh shared
-    randomness (w1, w2) from its own substream.  This estimates the induced
+    The codebooks are drawn once per run; each trial k draws fresh shared
+    randomness (w1, w2) from its own substream, that of
+    ``default_rng([seed, k, 0])``.  This estimates the induced
     per-letter distribution of a single code, the quantity the coordination
-    criterion constrains.
+    criterion constrains.  Trials run in chunks of ``_SEED_CHUNK``: the
+    chunk's shared randomness is drawn first, then the stream states of
+    every block it indexes are derived at once.
     """
     if not isinstance(cfg, SimConfig):
         raise SimulationError("run_trials: expected a SimConfig")
@@ -386,17 +423,21 @@ def run_trials(cfg):
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
     n01, nstar, nb1, nb2 = cfg.index_sizes()
-    for k in range(cfg.trials):
-        rng_w = np.random.default_rng([cfg.seed, k, _W_STREAM])
-        m01 = int(rng_w.integers(n01))
-        m02 = int(rng_w.integers(n01))
-        b1 = int(rng_w.integers(nb1))
-        b2 = int(rng_w.integers(nb2))
-        message, failed = coordinator_select((m01, b1), (m02, b2), books, cfg.eps_typ)
-        x = processor_output(1, message, (m01, b1), books)
-        y = processor_output(2, message, (m02, b2), books)
-        counts += np.bincount(x * ny + y, minlength=nx * ny)
-        failures += failed
+    rng_w = np.random.Generator(np.random.PCG64(_W_STREAM))
+    for start in range(0, cfg.trials, _SEED_CHUNK):
+        ks = np.arange(start, min(start + _SEED_CHUNK, cfg.trials))
+        chunk = []
+        for words in seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM)))):
+            set_state(rng_w, words.tolist())
+            m01, m02 = int(rng_w.integers(n01)), int(rng_w.integers(n01))
+            chunk.append((m01, m02, int(rng_w.integers(nb1)), int(rng_w.integers(nb2))))
+        books.seed_trials(chunk)
+        for m01, m02, b1, b2 in chunk:
+            message, failed = coordinator_select((m01, b1), (m02, b2), books, cfg.eps_typ)
+            x = processor_output(1, message, (m01, b1), books)
+            y = processor_output(2, message, (m02, b2), books)
+            counts += np.bincount(x * ny + y, minlength=nx * ny)
+            failures += failed
     total = cfg.trials * cfg.n
     empirical = JointPmf(
         (counts / total).reshape(nx, ny), labels_x=cfg.q.labels_x, labels_y=cfg.q.labels_y

@@ -213,6 +213,16 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert "needs 2^2000 entries, cap is 2^20" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "seed must be a nonnegative integer"), ("--eps", "inf", "eps_typ must be finite")],
+    )
+    def test_invalid_config_is_validation_error(self, files, flag, value, message):
+        code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
+                              "--n", "8", "--rates", "0.7,0.3,0.5,0.5", "--trials", "5", flag, value])
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: SimConfig: ") and message in err
+
     def test_block_bytes_beyond_cap_is_validation_error(self, files):
         # 2^(40 * 0.5) candidates fit the index cap; their 40-symbol blocks do not
         code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],

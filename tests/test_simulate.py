@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordrate import simulate
+from coordrate._seeding import seed_words, set_state
 from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
@@ -14,6 +16,7 @@ from coordrate.simulate import (
     SimConfig,
     SimRates,
     SimulationError,
+    _SEED_CHUNK,
     _sample,
     _typical_mask,
     build_codebooks,
@@ -48,6 +51,23 @@ class TestRates:
     def test_index_sizes_round_up(self):
         cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.25, rt1=0.0, rt2=1.0)
         assert cfg.index_sizes() == (4, 4, 1, 256)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, np.float64(3.0), "3", None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(SimulationError, match="SimConfig: seed must be a nonnegative integer"):
+            dsbs_cfg(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint64(2**63), 2**70])
+    def test_integer_seeds_are_plain_ints(self, seed):
+        cfg = dsbs_cfg(seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == int(seed)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("inf"), float("nan")])
+    def test_eps_typ_must_be_finite_and_positive(self, eps):
+        with pytest.raises(SimulationError, match="SimConfig: eps_typ must be finite and > 0"):
+            dsbs_cfg(eps=eps)
 
 
 class TestDeriveComponents:
@@ -92,6 +112,10 @@ class TestCodebooks:
         assert np.array_equal(b1.u_block(1, 0), b2.u_block(1, 0))
         assert np.array_equal(b1.x_block(1, 0, 2), b2.x_block(1, 0, 2))
         assert np.array_equal(b1.y_block(1, 0, 2), b2.y_block(1, 0, 2))
+
+    def test_negative_trial_seed(self):
+        with pytest.raises(SimulationError, match="trial_seed must be >= 0"):
+            build_codebooks(dsbs_cfg(n=4), -1)
 
     def test_different_seeds_differ(self):
         cfg = dsbs_cfg(n=16, r0=0.5, r_star=0.5)
@@ -237,6 +261,73 @@ class TestSample:
             assert np.array_equal(_sample(table, uniforms), expect)
             out = np.full(uniforms.shape, 7, dtype=np.int64)
             assert _sample(table, uniforms, out=out) is out and np.array_equal(out, expect)
+
+
+#: entropy entries as SeedSequence splits them: zero, one word, several words
+_ENTRY = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+@st.composite
+def _keyed_entropy(draw):
+    """A shared prefix of any ints and a batch of key tails below 2^64, 1-6 entries in all."""
+    prefix = draw(st.lists(st.one_of(_ENTRY, st.integers(2**64, 2**100)), max_size=3))
+    width = draw(st.integers(max(0, 1 - len(prefix)), 6 - len(prefix)))
+    tails = draw(st.lists(st.lists(_ENTRY, min_size=width, max_size=width), min_size=1, max_size=5))
+    return prefix, tails
+
+
+class TestSeedStreams:
+    """Bulk-derived stream states against ``np.random.default_rng``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_keyed_entropy())
+    def test_matches_default_rng(self, case):
+        prefix, tails = case
+        words = seed_words(prefix, np.array(tails, dtype=np.uint64).reshape(len(tails), -1))
+        gen = np.random.Generator(np.random.PCG64())
+        for tail, row in zip(tails, words.tolist()):
+            expect = np.random.default_rng([*prefix, *tail])
+            assert set_state(gen, row).bit_generator.state == expect.bit_generator.state
+            assert gen.random() == expect.random() and gen.integers(65536) == expect.integers(65536)
+
+    @pytest.mark.parametrize("seed", [7, 2**32 + 5])
+    def test_run_trials_matches_per_block_generators(self, seed):
+        # the streams of one default_rng per trial and per block, over three chunks
+        cfg = dsbs_cfg(n=32, trials=2 * _SEED_CHUNK + 1, seed=seed, r0=I_JOINT_02 - 0.6, r_star=0.0)
+
+        class ReferenceBooks(Codebooks):
+            def _rng(self, stream, *idx):
+                return np.random.default_rng([self.cfg.seed, self.trial_seed, stream, *idx])
+
+        books = ReferenceBooks(cfg, 0)
+        counts, failures = np.zeros((2, 2), dtype=np.int64), 0
+        for k in range(cfg.trials):
+            rng_w = np.random.default_rng([cfg.seed, k, 0])
+            m01, m02 = int(rng_w.integers(books.n01)), int(rng_w.integers(books.n01))
+            b1, b2 = int(rng_w.integers(books.nb1)), int(rng_w.integers(books.nb2))
+            msg, failed = coordinator_select((m01, b1), (m02, b2), books, cfg.eps_typ)
+            x = processor_output(1, msg, (m01, b1), books)
+            y = processor_output(2, msg, (m02, b2), books)
+            np.add.at(counts, (x, y), 1)
+            failures += failed
+        rep = run_trials(cfg)
+        assert np.array_equal(rep.empirical_joint.probs, counts / (cfg.trials * cfg.n))
+        assert rep.mstar_failure_rate == failures / cfg.trials
+
+    def test_memory_is_flat_in_trials(self):
+        # the stream states of one chunk are kept at a time
+        def peak(trials):
+            cfg = dsbs_cfg(n=32, trials=trials, seed=1, r0=I_JOINT_02 - 0.6, r_star=0.0)
+            tracemalloc.start()
+            try:
+                run_trials(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # warm the interpreter's and numpy's one-time caches first
+        run_trials(dsbs_cfg(n=32, trials=_SEED_CHUNK, seed=2, r0=I_JOINT_02 - 0.6, r_star=0.0))
+        assert peak(20 * _SEED_CHUNK) <= peak(_SEED_CHUNK) + 64 * 1024
 
 
 class TestTypicality:
@@ -455,8 +546,15 @@ class TestRunTrials:
                 0.04416666666666666,
                 0.0,
             ),
+            # the below-region configuration at a seed of two 32-bit words
+            (
+                lambda: dsbs_cfg(n=32, trials=60, seed=2**32 + 5, r0=I_JOINT_02 - 0.6, r_star=0.0),
+                [[0.40989583333333335, 0.096875], [0.08333333333333333, 0.40989583333333335]],
+                0.019791666666666666,
+                0.5,
+            ),
         ],
-        ids=["above", "below", "zero_rate"],
+        ids=["above", "below", "zero_rate", "two_word_seed"],
     )
     def test_seeded_report_is_pinned(self, make_cfg, probs, tv, fail):
         # exact outputs of fixed seeds: any change to the draw order shows here
