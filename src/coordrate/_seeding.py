@@ -6,7 +6,9 @@ words) and seeds PCG64 from ``generate_state(4, uint64)``; nearly all the
 cost of building one is per-call overhead.  Here the same hash runs as
 numpy uint32 arithmetic over a whole batch of keys, which costs about as
 much for a few hundred keys as for one, and each state is set on a reused
-``Generator(PCG64)``.  The streams are bit-identical to
+``Generator(PCG64)``.  The keys of a batch share a prefix of any
+nonnegative ints and end in rows of 32-bit entries, so every key has the
+same number of words.  The streams are bit-identical to
 ``default_rng([*prefix, *row])``.
 """
 
@@ -30,12 +32,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def _int_words(value):
     """Little-endian 32-bit words of a nonnegative int; 0 is one zero word."""
     value = int(value)
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hash_consts(init, mult, count):
@@ -82,32 +79,23 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _words(prefix, table):
-    """Each key's entropy words as a zero-padded (words, keys) array, and each key's word count."""
-    head = [w for value in prefix for w in _int_words(value)]
-    table = np.asarray(table, dtype=np.uint64)
-    keys, cols = table.shape
-    high = table >> np.uint64(32)
-    width = 1 + (high > 0)
-    stop = len(head) + np.cumsum(width, axis=1)
-    lengths = stop[:, -1] if cols else np.full(keys, len(head))
-    words = np.zeros((max(_POOL, int(lengths.max(initial=0))), keys), dtype=np.uint32)
-    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    start = stop - width
-    words[start, np.arange(keys)[:, None]] = table & np.uint64(_MASK32)
-    big = high > 0
-    words[start[big] + 1, np.nonzero(big)[0]] = high[big]
-    return words, lengths
-
-
 def seed_words(prefix, table):
     """``generate_state(4, uint64)`` of ``SeedSequence([*prefix, *row])`` for each row of ``table``.
 
     ``prefix`` holds the nonnegative ints every key starts with; ``table``
-    is a (keys, k) array of nonnegative ints below 2^64 ending each key.
+    is a (keys, k) array of ints in [0, 2^32) ending each key, one entropy
+    word each; another entry raises ValueError.
     Returns a (keys, 4) uint64 array: seed hi, seed lo, inc hi, inc lo.
     """
-    words, lengths = _words(prefix, table)
+    table = np.asarray(table)
+    if table.size and not (table.min() >= 0 and table.max() <= _MASK32):
+        raise ValueError(f"seed_words: table entries must lie in [0, 2^32), got {table.min()} to {table.max()}")
+    head = [w for value in prefix for w in _int_words(value)]
+    keys, cols = table.shape
+    # one key per column, zero-padded to the pool size
+    words = np.zeros((max(_POOL, len(head) + cols), keys), dtype=np.uint32)
+    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    words[len(head) : len(head) + cols] = table.T
     steps = _schedule(len(words))
     # seed_seq_fe mix_entropy: fill the pool, cross-mix it, then fold in
     # the words past the pool, each into every pool word
@@ -116,8 +104,8 @@ def seed_words(prefix, table):
         mixed = _mix(pool, _hashmix(pool[src], *consts))
         mixed[src] = pool[src]
         pool = mixed
-    for j, consts in enumerate(steps[_POOL + 1 :], _POOL):
-        pool = np.where(lengths > j, _mix(pool, _hashmix(words[j], *consts)), pool)
+    for word, consts in zip(words[_POOL:], steps[_POOL + 1 :]):
+        pool = _mix(pool, _hashmix(word, *consts))
     # generate_state: eight output words cycling over the pool, paired
     # little-endian into 64-bit words
     out = _hashmix(np.tile(pool, (2, 1)), *_OUTPUT).astype(np.uint64)

@@ -19,7 +19,7 @@ The two information terms cross at a closed-form t*, the minimum of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,8 +32,8 @@ _A_MIN_MARGIN = 1e-9
 CURVE_POINTS_CAP = 10**5
 
 
-def _check_a(a, allow_boundary=False):
-    lo, hi = (0.0, 0.5) if allow_boundary else (_A_MIN_MARGIN, 0.5 - _A_MIN_MARGIN)
+def _check_a(a):
+    lo, hi = _A_MIN_MARGIN, 0.5 - _A_MIN_MARGIN
     if not lo <= a <= hi:
         raise PmfError(f"crossover must lie in ({lo}, {hi}), got {a!r}")
 
@@ -55,8 +55,8 @@ class DsbsParams:
 
     a: float
     t: float
-    b: float = None
-    alpha: float = None
+    b: float = field(init=False)
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         _check_a(self.a)
@@ -103,26 +103,22 @@ def interpolated_channel(a, t):
     return AuxChannel(t * 0.5 + (1.0 - t) * dsbs_wyner_channel(a).probs)
 
 
-def _h4(a, alpha):
-    return entropy_vec4(alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha)
-
-
 def i_joint_closed_form(a, t):
     """I(X,Y;U) under p^t, in bits."""
-    p = DsbsParams(a, t)
-    return 1.0 + binary_entropy(a) - _h4(a, p.alpha)
+    return f_of_t(a, t).i_joint
 
 
 def i_cond_closed_form(a, t):
     """I(X;Y|U) under p^t, in bits."""
-    p = DsbsParams(a, t)
-    return 2.0 * binary_entropy(p.alpha + 0.5 * a) - _h4(a, p.alpha)
+    return f_of_t(a, t).i_cond
 
 
 def f_of_t(a, t):
     """Curve point: both information terms and f = max{cond, (joint+cond)/2}."""
-    i_joint = i_joint_closed_form(a, t)
-    i_cond = i_cond_closed_form(a, t)
+    alpha = DsbsParams(a, t).alpha
+    h4 = entropy_vec4(alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha)
+    i_joint = 1.0 + binary_entropy(a) - h4
+    i_cond = 2.0 * binary_entropy(alpha + 0.5 * a) - h4
     return CurvePoint(t=t, f=max(i_cond, 0.5 * (i_joint + i_cond)), i_joint=i_joint, i_cond=i_cond)
 
 

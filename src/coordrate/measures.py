@@ -7,6 +7,8 @@ is how every rate expression downstream is evaluated.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .pmf import AXES, FullJoint, Pmf, PmfError, _check_simplex
@@ -67,10 +69,9 @@ def entropy_vec4(p1, p2, p3, p4):
     return table_entropy(vec)
 
 
-def _group_axes(full, group):
+def _group_axes(group):
     if isinstance(group, str):
         group = (group,)
-    group = tuple(group)
     idx = []
     for name in group:
         if name not in AXES:
@@ -90,29 +91,20 @@ def _joint_entropy(full, axis_idx):
 
 def mutual_information(full, group_a, group_b):
     """I(A; B) for two disjoint groups of named axes of a FullJoint."""
-    if not isinstance(full, FullJoint):
-        raise PmfError("mutual_information: expected a FullJoint")
-    a = _group_axes(full, group_a)
-    b = _group_axes(full, group_b)
-    if not a or not b:
-        raise PmfError("mutual_information: groups must be nonempty")
-    if set(a) & set(b):
-        raise PmfError(f"mutual_information: overlapping groups {group_a} and {group_b}")
-    return _joint_entropy(full, a) + _joint_entropy(full, b) - _joint_entropy(full, a + b)
+    return conditional_mutual_information(full, group_a, group_b, ())
 
 
 def conditional_mutual_information(full, group_a, group_b, group_c):
     """I(A; B | C) for pairwise disjoint groups of named axes (C may be empty)."""
     if not isinstance(full, FullJoint):
-        raise PmfError("conditional_mutual_information: expected a FullJoint")
-    a = _group_axes(full, group_a)
-    b = _group_axes(full, group_b)
-    c = _group_axes(full, group_c)
+        raise PmfError(f"mutual information needs a FullJoint, got {type(full).__name__}")
+    named = [(group, _group_axes(group)) for group in (group_a, group_b, group_c)]
+    (_, a), (_, b), (_, c) = named
     if not a or not b:
-        raise PmfError("conditional_mutual_information: A and B must be nonempty")
-    for left, right in ((a, b), (a, c), (b, c)):
-        if set(left) & set(right):
-            raise PmfError("conditional_mutual_information: groups overlap")
+        raise PmfError(f"mutual information needs nonempty groups A and B, got {group_a!r} and {group_b!r}")
+    for (g1, axes1), (g2, axes2) in itertools.combinations(named, 2):
+        if set(axes1) & set(axes2):
+            raise PmfError(f"mutual information needs disjoint groups, got {g1!r} and {g2!r}")
     return (
         _joint_entropy(full, a + c)
         + _joint_entropy(full, b + c)

@@ -242,6 +242,12 @@ def _read_json(path, who):
         raise PmfError(f"{who}: cannot parse {path}: {exc}") from exc
 
 
+def _write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def load_joint_pmf(path):
     """Read a joint distribution from a JSON file.
 
@@ -268,9 +274,7 @@ def save_joint_pmf(q, path):
         "alphabet_y": list(q.labels_y) if q.labels_y else [str(i) for i in range(q.shape[1])],
         "pmf": q.probs.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def load_aux_channel(path, q):
@@ -323,6 +327,4 @@ def save_aux_channel(aux, path):
         "card_u2": aux.card_u2,
         "cond": {f"{x},{y}": aux.probs[x, y].ravel().tolist() for x, y in np.ndindex(aux.probs.shape[:2])},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)

@@ -18,9 +18,9 @@ out).  Codewords are never materialized as full tables: each codebook
 block is a deterministic function of (seed, code stream, indices) through
 a seeded stream, which keeps memory flat while preserving the i.i.d.
 codebook statistics and exact reproducibility.  The streams are those of
-numpy's ``default_rng([seed, trial_seed, stream, *indices])``; their
-PCG64 states are derived in bulk for a chunk of trials at a time and set
-on one reused generator per stream.  A block's rows are drawn
+numpy's ``default_rng([seed, 0, stream, *indices])``; their PCG64 states
+are derived in bulk for a chunk of trials at a time and set on one reused
+generator per stream.  A block's rows are drawn
 in order and only as far as a trial needs them: the coordinator draws and
 tests the candidates in doubling chunks and stops at the first typical
 one, so a trial whose m* is early draws a short prefix of each of its u,
@@ -36,7 +36,6 @@ value is necessary for success.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ import numpy as np
 
 from ._seeding import seed_words, set_state
 from .measures import conditional_mutual_information
-from .pmf import AuxChannel, JointPmf, Pmf, compose, tv_distance
+from .pmf import AuxChannel, JointPmf, Pmf, _write_json, compose, tv_distance
 
 #: hard cap on each index-set size (desk-scale memory guard)
 INDEX_CAP = 2**20
@@ -124,8 +123,9 @@ class SimConfig:
         object.__setattr__(self, "seed", int(seed))
         if self.n < 1:
             raise SimulationError(f"SimConfig: block length must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise SimulationError(f"SimConfig: trials must be >= 1, got {self.trials}")
+        # a trial number is one 32-bit word of its stream key
+        if not 1 <= self.trials <= 2**32:
+            raise SimulationError(f"SimConfig: trials must lie in [1, 2^32], got {self.trials}")
         if not (math.isfinite(self.eps_typ) and self.eps_typ > 0):
             raise SimulationError(f"SimConfig: eps_typ must be finite and > 0, got {self.eps_typ}")
         if self.channel.card_u1 != 1 or self.channel.card_u2 != 1:
@@ -170,9 +170,7 @@ class SimReport:
         }
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
 def derive_components(channel, q, max_defect=MARKOV_DEFECT_TOL):
@@ -234,17 +232,14 @@ class Codebooks:
     so any prefix equals the same rows of a full draw.  Each stream draws
     every block from one reused generator and keeps its last block
     (indices, generator, rows drawn so far), filled in place in a buffer of
-    the full block size, and returns read-only views of it.  ``seed_trials`` derives the stream states of a
-    chunk of trials' blocks at once; a block outside the chunk is derived
-    alone.  This generator state makes one ``Codebooks`` the property of
-    one thread.
+    the full block size, and returns read-only views of it.  ``seed_trials``
+    derives the stream states of a chunk of trials' blocks at once; a block
+    outside the chunk gets its state from numpy's own ``SeedSequence``.
+    This generator state makes one ``Codebooks`` the property of one thread.
     """
 
-    def __init__(self, cfg, trial_seed):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.trial_seed = int(trial_seed)
-        if self.trial_seed < 0:
-            raise SimulationError(f"Codebooks: trial_seed must be >= 0, got {self.trial_seed}")
         self.target_uxy, self.p_u, self.p_x_given_u, self.p_y_given_u = _generation(
             compose(cfg.q, cfg.channel), cfg.max_markov_defect
         )
@@ -271,15 +266,17 @@ class Codebooks:
         table = np.array(trials, dtype=np.int64).reshape(-1, 4)
         for stream, cols in ((_U_STREAM, (0, 1)), (_X_STREAM, (0, 1, 2)), (_Y_STREAM, (0, 1, 3))):
             rows = {key: row for row, key in enumerate(map(operator.itemgetter(*cols), trials))}
-            self._states[stream] = rows, seed_words((self.cfg.seed, self.trial_seed, stream), table[:, cols])
+            self._states[stream] = rows, seed_words((self.cfg.seed, 0, stream), table[:, cols])
 
     def _rng(self, stream, *idx):
         """The stream's generator, positioned at the start of the block at ``idx``."""
         rows, words = self._states.get(stream, ({}, None))
         row = rows.get(idx)
         if row is None:
-            words, row = seed_words((self.cfg.seed, self.trial_seed, stream), [idx]), 0
-        return set_state(self._gens[stream], words[row].tolist())
+            state = np.random.SeedSequence([self.cfg.seed, 0, stream, *idx]).generate_state(4, np.uint64)
+        else:
+            state = words[row]
+        return set_state(self._gens[stream], state.tolist())
 
     def _check(self, name, value, size):
         if not 0 <= value < size:
@@ -323,11 +320,6 @@ class Codebooks:
         self._check("b2", b2, self.nb2)
         u = self.u_block(m01, m02, rows)
         return self._block(_Y_STREAM, (int(m01), int(m02), int(b2)), self._cum_y, len(u), u)
-
-
-def build_codebooks(cfg, trial_seed):
-    """One codebook draw; identical (cfg, trial_seed) give identical codewords."""
-    return Codebooks(cfg, trial_seed)
 
 
 @dataclass(frozen=True)
@@ -418,7 +410,7 @@ def run_trials(cfg):
     """
     if not isinstance(cfg, SimConfig):
         raise SimulationError("run_trials: expected a SimConfig")
-    books = build_codebooks(cfg, 0)
+    books = Codebooks(cfg)
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0

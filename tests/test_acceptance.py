@@ -25,7 +25,7 @@ from coordrate.pmf import (
     tv_distance,
 )
 from coordrate.region import RateTriple, in_achievable_region, xy_equal_region
-from coordrate.simulate import SimConfig, SimRates, build_codebooks, coordinator_select, processor_output, run_trials
+from coordrate.simulate import SimConfig, SimRates, Codebooks, coordinator_select, processor_output, run_trials
 from coordrate.ulsr import UlsrForm, ulsr_rate
 from coordrate.wyner import SolverOptions, wyner_ci
 
@@ -259,7 +259,7 @@ def test_criterion_9_invariant_suites():
     det_ok = r1.tv_per_letter == r2.tv_per_letter and np.array_equal(
         r1.empirical_joint.probs, r2.empirical_joint.probs
     )
-    books = build_codebooks(cfg, 0)
+    books = Codebooks(cfg)
     msg, _ = coordinator_select((1, 2), (0, 1), books, 0.1)
     base = processor_output(1, msg, (1, 2), books)
     iso_ok = all(

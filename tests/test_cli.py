@@ -215,7 +215,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--seed", "-1", "seed must be a nonnegative integer"), ("--eps", "inf", "eps_typ must be finite")],
+        [
+            ("--seed", "-1", "seed must be a nonnegative integer"),
+            ("--eps", "inf", "eps_typ must be finite"),
+            ("--trials", "4294967297", "trials must lie in [1, 2^32]"),
+        ],
     )
     def test_invalid_config_is_validation_error(self, files, flag, value, message):
         code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],

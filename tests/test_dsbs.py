@@ -45,6 +45,10 @@ class TestParams:
         with pytest.raises(PmfError):
             DsbsParams(a=0.1, t=1.5)
 
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            DsbsParams(0.1, 0.0, b=0.3)
+
 
 class TestInterpolatedChannel:
     def test_flat_endpoint(self):

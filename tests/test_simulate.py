@@ -19,7 +19,6 @@ from coordrate.simulate import (
     _SEED_CHUNK,
     _sample,
     _typical_mask,
-    build_codebooks,
     coordinator_select,
     derive_components,
     processor_output,
@@ -64,6 +63,16 @@ class TestConfig:
         cfg = dsbs_cfg(seed=seed)
         assert type(cfg.seed) is int and cfg.seed == int(seed)
 
+    @pytest.mark.parametrize("trials", [0, 2**32 + 1])
+    def test_trials_must_fit_one_word(self, trials):
+        # a trial number is one 32-bit word of its w-stream key
+        with pytest.raises(SimulationError, match=r"SimConfig: trials must lie in \[1, 2\^32\]"):
+            dsbs_cfg(trials=trials)
+
+    def test_largest_trial_count_is_accepted(self):
+        # built only, never run
+        assert dsbs_cfg(trials=2**32).trials == 2**32
+
     @pytest.mark.parametrize("eps", [0.0, -0.1, float("inf"), float("nan")])
     def test_eps_typ_must_be_finite_and_positive(self, eps):
         with pytest.raises(SimulationError, match="SimConfig: eps_typ must be finite and > 0"):
@@ -107,32 +116,27 @@ class TestDeriveComponents:
 class TestCodebooks:
     def test_deterministic_rebuild(self):
         cfg = dsbs_cfg(n=4, r0=0.5, r_star=0.5)
-        b1 = build_codebooks(cfg, 3)
-        b2 = build_codebooks(cfg, 3)
+        b1 = Codebooks(cfg)
+        b2 = Codebooks(cfg)
         assert np.array_equal(b1.u_block(1, 0), b2.u_block(1, 0))
         assert np.array_equal(b1.x_block(1, 0, 2), b2.x_block(1, 0, 2))
         assert np.array_equal(b1.y_block(1, 0, 2), b2.y_block(1, 0, 2))
 
-    def test_negative_trial_seed(self):
-        with pytest.raises(SimulationError, match="trial_seed must be >= 0"):
-            build_codebooks(dsbs_cfg(n=4), -1)
-
     def test_different_seeds_differ(self):
-        cfg = dsbs_cfg(n=16, r0=0.5, r_star=0.5)
-        b1 = build_codebooks(cfg, 0)
-        b2 = build_codebooks(cfg, 1)
+        b1 = Codebooks(dsbs_cfg(n=16, r0=0.5, r_star=0.5, seed=0))
+        b2 = Codebooks(dsbs_cfg(n=16, r0=0.5, r_star=0.5, seed=1))
         assert not np.array_equal(b1.u_block(0, 0), b2.u_block(0, 0))
 
     def test_zero_rates_single_codeword(self):
         cfg = dsbs_cfg(n=8, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         assert books.u_block(0, 0).shape == (1, 8)
         assert (books.n01, books.nstar, books.nb1, books.nb2) == (1, 1, 1, 1)
 
     def test_conditional_agreement_rate(self):
         # symbols of the x codeword copy the u codeword except at the flip rate
         cfg = dsbs_cfg(n=8, r0=1.0, r_star=1.0, trials=1)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         b = 0.5 * (1 - np.sqrt(1 - 2 * 0.2))
         agree = []
         for m01 in range(books.n01):
@@ -143,7 +147,7 @@ class TestCodebooks:
 
     def test_index_guard(self):
         with pytest.raises(SimulationError):
-            build_codebooks(dsbs_cfg(n=64, r0=1.0, r_star=0.0), 0)  # 2^32 m0 halves
+            Codebooks(dsbs_cfg(n=64, r0=1.0, r_star=0.0))  # 2^32 m0 halves
 
     def test_index_guard_before_float_overflow(self):
         # 2^2000 is past the float range; the guard must fire on the exponent
@@ -151,7 +155,7 @@ class TestCodebooks:
         with pytest.raises(SimulationError, match=r"m0 half index set needs 2\^2000 entries"):
             cfg.index_sizes()
         with pytest.raises(SimulationError, match=r"cap is 2\^20"):
-            build_codebooks(cfg, 0)
+            Codebooks(cfg)
 
     def test_index_guard_boundary(self):
         # exactly INDEX_CAP entries is allowed, one bit more is not
@@ -166,14 +170,14 @@ class TestCodebooks:
         with pytest.raises(SimulationError, match=r"\(m\*, n\) = \(1048576, 40\) blocks need 1342177280 bytes"):
             cfg.index_sizes()
         with pytest.raises(SimulationError, match=r"cap is 1073741824"):
-            build_codebooks(cfg, 0)
+            Codebooks(cfg)
 
     def test_each_block_drawn_once_per_trial(self):
         # the processors read the blocks the coordinator drew; at the strict
         # tolerance m* = 63 lies in the third chunk of the search
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
         for w1, w2, eps, m_star in (((2, 1), (0, 3), 0.2, 0), ((3, 2), (3, 0), 0.05, 63)):
-            books = build_codebooks(cfg, 0)
+            books = Codebooks(cfg)
             drawn = []
             rng = books._rng
             books._rng = lambda stream, *idx: drawn.append((stream, *idx)) or rng(stream, *idx)
@@ -183,7 +187,7 @@ class TestCodebooks:
             m0 = (w1[0], w2[0])
             assert (msg.m_star, failed) == (m_star, False)
             assert sorted(drawn) == [(1, *m0), (2, *m0, w1[1]), (3, *m0, w2[1])]
-            full = build_codebooks(cfg, 0)
+            full = Codebooks(cfg)
             assert np.array_equal(x, full.x_block(*m0, w1[1])[m_star])
             assert np.array_equal(y, full.y_block(*m0, w2[1])[m_star])
 
@@ -191,7 +195,7 @@ class TestCodebooks:
     def test_prefix_rows_match_full_block(self, rows):
         # chunks end at rows 16, 32 and 64 of the 85-row block
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
-        lazy, full = build_codebooks(cfg, 0), build_codebooks(cfg, 0)
+        lazy, full = Codebooks(cfg), Codebooks(cfg)
         assert lazy.nstar == 85
         assert np.array_equal(lazy.x_block(2, 0, 1, rows=rows), full.x_block(2, 0, 1)[:rows])
         assert np.array_equal(lazy.y_block(2, 0, 3, rows=rows), full.y_block(2, 0, 3)[:rows])
@@ -200,13 +204,13 @@ class TestCodebooks:
         assert np.array_equal(lazy.u_block(2, 0), full.u_block(2, 0))
 
     def test_memoized_blocks_are_read_only(self):
-        books = build_codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.5), 0)
+        books = Codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.5))
         for block in (books.u_block(1, 0), books.x_block(1, 0, 2), books.y_block(1, 0, 2)):
             with pytest.raises(ValueError):
                 block[0, 0] = 1
 
     def test_out_of_range_indices(self):
-        books = build_codebooks(dsbs_cfg(n=4, r0=0.5, r_star=0.0), 0)
+        books = Codebooks(dsbs_cfg(n=4, r0=0.5, r_star=0.0))
         with pytest.raises(SimulationError):
             books.u_block(99, 0)
         for rows in (0, books.nstar + 1):
@@ -218,9 +222,9 @@ class TestCodebooks:
     def test_hand_traced_codeword(self):
         # regenerate the same slice from the raw uniform stream by hand
         cfg = dsbs_cfg(n=4, r0=1.0, r_star=0.5, seed=9)
-        books = build_codebooks(cfg, 2)
+        books = Codebooks(cfg)
         u = books.u_block(1, 0)
-        rng = np.random.default_rng([9, 2, 1, 1, 0])
+        rng = np.random.default_rng([9, 0, 1, 1, 0])
         uniforms = rng.random((books.nstar, 4))
         cum = np.cumsum(books.p_u.probs)
         cum[-1] = 1.0
@@ -263,16 +267,16 @@ class TestSample:
             assert _sample(table, uniforms, out=out) is out and np.array_equal(out, expect)
 
 
-#: entropy entries as SeedSequence splits them: zero, one word, several words
-_ENTRY = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+#: entropy entries of one 32-bit word, as a key's tail holds them
+_WORD = st.one_of(st.just(0), st.integers(1, 2**32 - 1))
 
 
 @st.composite
 def _keyed_entropy(draw):
-    """A shared prefix of any ints and a batch of key tails below 2^64, 1-6 entries in all."""
-    prefix = draw(st.lists(st.one_of(_ENTRY, st.integers(2**64, 2**100)), max_size=3))
+    """A shared prefix of any ints up to 2^100 and a batch of one-word key tails, 1-6 entries in all."""
+    prefix = draw(st.lists(st.one_of(_WORD, st.integers(2**32, 2**100)), max_size=3))
     width = draw(st.integers(max(0, 1 - len(prefix)), 6 - len(prefix)))
-    tails = draw(st.lists(st.lists(_ENTRY, min_size=width, max_size=width), min_size=1, max_size=5))
+    tails = draw(st.lists(st.lists(_WORD, min_size=width, max_size=width), min_size=1, max_size=5))
     return prefix, tails
 
 
@@ -283,12 +287,28 @@ class TestSeedStreams:
     @given(_keyed_entropy())
     def test_matches_default_rng(self, case):
         prefix, tails = case
-        words = seed_words(prefix, np.array(tails, dtype=np.uint64).reshape(len(tails), -1))
+        words = seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1))
         gen = np.random.Generator(np.random.PCG64())
         for tail, row in zip(tails, words.tolist()):
             expect = np.random.default_rng([*prefix, *tail])
             assert set_state(gen, row).bit_generator.state == expect.bit_generator.state
             assert gen.random() == expect.random() and gen.integers(65536) == expect.integers(65536)
+
+    @pytest.mark.parametrize("entry", [2**32, -1])
+    def test_entries_beyond_one_word_are_refused(self, entry):
+        # numpy would wrap them into another key's words
+        with pytest.raises(ValueError, match=r"table entries must lie in \[0, 2\^32\)"):
+            seed_words((7,), [[0, entry]])
+
+    @pytest.mark.parametrize("name, stream, idx", [("u", 1, (2, 0)), ("x", 2, (2, 0, 1)), ("y", 3, (2, 0, 3))])
+    def test_lone_block_matches_seeded_chunk(self, name, stream, idx):
+        # a block outside the current chunk is keyed by SeedSequence itself
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=2**32 + 4)
+        alone, chunked = Codebooks(cfg), Codebooks(cfg)
+        chunked.seed_trials([(1, 3, 0, 2), (2, 0, 1, 3)])
+        assert alone._states == {} and idx in chunked._states[stream][0]
+        block = lambda books: getattr(books, f"{name}_block")(*idx)  # noqa: E731
+        assert np.array_equal(block(alone), block(chunked))
 
     @pytest.mark.parametrize("seed", [7, 2**32 + 5])
     def test_run_trials_matches_per_block_generators(self, seed):
@@ -297,9 +317,9 @@ class TestSeedStreams:
 
         class ReferenceBooks(Codebooks):
             def _rng(self, stream, *idx):
-                return np.random.default_rng([self.cfg.seed, self.trial_seed, stream, *idx])
+                return np.random.default_rng([self.cfg.seed, 0, stream, *idx])
 
-        books = ReferenceBooks(cfg, 0)
+        books = ReferenceBooks(cfg)
         counts, failures = np.zeros((2, 2), dtype=np.int64), 0
         for k in range(cfg.trials):
             rng_w = np.random.default_rng([cfg.seed, k, 0])
@@ -372,7 +392,7 @@ class TestTypicality:
 class TestCoordinatorAndProcessors:
     def test_xor_recovery_full_sweep(self):
         cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.0)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         for m01 in range(books.n01):
             for m02 in range(books.n01):
                 msg, _ = coordinator_select((m01, 0), (m02, 0), books, 0.5)
@@ -381,7 +401,7 @@ class TestCoordinatorAndProcessors:
 
     def test_processors_consistent_with_coordinator(self):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         msg, failed = coordinator_select((2, 1), (0, 3), books, 0.2)
         x = processor_output(1, msg, (2, 1), books)
         y = processor_output(2, msg, (0, 3), books)
@@ -391,7 +411,7 @@ class TestCoordinatorAndProcessors:
     def test_information_isolation(self):
         # processor 1 output is untouched by any change to w2
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         msg, _ = coordinator_select((2, 1), (0, 3), books, 0.2)
         base = processor_output(1, msg, (2, 1), books)
         for other_b2 in range(4):
@@ -405,13 +425,13 @@ class TestCoordinatorAndProcessors:
         q = JointPmf(np.array([[1.0]]))
         cfg = SimConfig(q=q, channel=degenerate_channel(1, 1), n=8,
                         rates=SimRates(0.4, 0.2, 0.2, 0.2), eps_typ=0.05, trials=1, seed=0)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         msg, failed = coordinator_select((0, 0), (1, 1), books, 0.05)
         assert not failed and msg.m_star == 0
 
     def test_failed_search_tests_every_row_once(self, monkeypatch):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         tested = []
 
         def recording_mask(ub, xb, yb, p, eps_typ):
@@ -422,11 +442,11 @@ class TestCoordinatorAndProcessors:
         msg, failed = coordinator_select((2, 1), (0, 3), books, 1e-9)
         assert (msg.m_star, failed) == (0, True)
         assert [len(t) for t in tested] == [16, 16, 32, 21]
-        assert np.array_equal(np.concatenate(tested), build_codebooks(cfg, 0).u_block(2, 0))
+        assert np.array_equal(np.concatenate(tested), Codebooks(cfg).u_block(2, 0))
 
     def test_early_hit_draws_first_chunk_only(self, monkeypatch):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         sampled = []
 
         def recording_sample(cum, uniforms, out=None):
@@ -443,20 +463,20 @@ class TestCoordinatorAndProcessors:
     def test_failure_flag_and_fallback(self):
         # an impossible tolerance forces the flagged first-candidate fallback
         cfg = dsbs_cfg(n=16, r0=0.5, r_star=0.2, seed=1)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         msg, failed = coordinator_select((0, 0), (0, 0), books, 1e-9)
         assert failed and msg.m_star == 0
 
     def test_m_star_out_of_range(self):
         cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.25)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         for m_star in (-1, books.nstar):
             with pytest.raises(SimulationError):
                 processor_output(1, Message(0, m_star), (0, 0), books)
 
     def test_invalid_processor(self):
         cfg = dsbs_cfg(n=4, r0=0.5, r_star=0.0)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         with pytest.raises(SimulationError):
             processor_output(3, Message(0, 0), (0, 0), books)
 
@@ -501,7 +521,7 @@ class TestRunTrials:
         cfg = SimConfig(q=q, channel=degenerate_channel(2, 2), n=16,
                         rates=SimRates(0, 0, 0, 0), eps_typ=0.5, trials=50, seed=2)
         rep = run_trials(cfg)
-        books = build_codebooks(cfg, 0)
+        books = Codebooks(cfg)
         x = books.x_block(0, 0, 0)[0]
         y = books.y_block(0, 0, 0)[0]
         expect = np.zeros((2, 2))
@@ -583,7 +603,7 @@ class TestRunTrials:
     def test_conditional_independence_of_outputs(self):
         # pooled over trials, (x, y) given the selected u factorizes
         cfg = dsbs_cfg(n=32, trials=2000, seed=14)
-        books = Codebooks(cfg, 0)
+        books = Codebooks(cfg)
         counts = np.zeros((2, 2, 2))
         for k in range(cfg.trials):
             rng_w = np.random.default_rng([cfg.seed, k, 0])
