@@ -11,9 +11,8 @@ which is where the minimizer tends to sit.  The solver anneals a
 log-sum-exp softmax of the two terms over increasing temperatures and
 finishes with subgradient steps on the exact max, the polish; the answer
 is the best row the polish returns.  Multi-start with structured initial
-channels: the degenerate auxiliary, a Wyner-minimizing channel, the
-interpolated family for symmetric binary sources, uniform rows, plus
-random rows.
+channels: the degenerate auxiliary, uniform rows, the interpolated
+family for symmetric binary sources, plus random rows.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from . import _simplexopt as so
 from .dsbs import interpolated_channel
 from .pmf import AuxChannel, JointPmf, PmfError
-from .wyner import STEP0, SolverInfeasibleError, SolverOptions, _bracket, _check_batch_bytes, _evaluate, _source_info, wyner_ci
+from .wyner import STEP0, SolverOptions, _bracket, _check_batch_bytes, _evaluate, _source_info
 
 #: softmax temperatures (1/bits) for annealing the kinked max
 TEMPERATURES = (10.0, 100.0, 1000.0)
@@ -123,28 +122,20 @@ def _symmetric_binary_crossover(q):
     return float(p[0, 1] + p[1, 0])
 
 
-def _structured_starts(q, card_u, opts):
+def _structured_starts(q, card_u):
     nx, ny = q.shape
     starts = []
     # degenerate auxiliary: nearly all mass on the first symbol
     starts.append(_pad_rows(np.ones((nx, ny, 1)), card_u))
     # uniform rows
     starts.append(np.full((nx, ny, card_u), 1.0 / card_u))
-    # a Wyner-minimizing channel plus, for symmetric binary sources, points
-    # on the interpolated family between it and the uninformative channel;
-    # other sources get a reduced-budget solver run instead
+    # for symmetric binary sources, points on the interpolated family between
+    # the Wyner-minimizing channel and the uninformative channel
     a = _symmetric_binary_crossover(q)
     if a is not None and 0.0 < a < 0.5:
         for t in (0.0, 0.25, 0.5, 0.75):
             rows = interpolated_channel(a, t).probs[:, :, :, 0, 0]
             starts.append(_pad_rows(rows, card_u))
-    else:
-        try:
-            lite = replace(opts, restarts=min(8, opts.restarts))
-            wres = wyner_ci(q, card_u=min(card_u, nx * ny), opts=lite)
-            starts.append(_pad_rows(wres.channel.probs[:, :, :, 0, 0], card_u))
-        except SolverInfeasibleError:
-            pass
     return starts
 
 
@@ -165,7 +156,7 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     # at most six structured starts plus one random row
     _check_batch_bytes("ulsr_rate", max(opts.restarts, 7), nx, ny, card_u)
 
-    structured = _structured_starts(q, card_u, opts)
+    structured = _structured_starts(q, card_u)
     n_random = max(opts.restarts - len(structured), 1)
     batch = so.normalize_rows(
         np.concatenate([np.stack(structured), so.random_channels(nx, ny, card_u, n_random, opts.seed)])

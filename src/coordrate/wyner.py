@@ -38,6 +38,13 @@ BRACKET_SLACK = 1e-9
 BATCH_BYTES_CAP = 2**30
 
 
+def _check_int(who, name, value, low):
+    """``value`` as an int when it is an integer, not a bool, and >= ``low``; else PmfError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise PmfError(f"{who}: {name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 class SolverInfeasibleError(RuntimeError):
     """No restart reached the conditional-independence tolerance."""
 
@@ -50,10 +57,8 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise PmfError(f"SolverOptions: restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise PmfError(f"SolverOptions: max_iters must be >= 1, got {self.max_iters}")
+        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int("SolverOptions", name, getattr(self, name), low))
         if not (math.isfinite(self.tol_objective) and self.tol_objective > 0):
             raise PmfError(f"SolverOptions: tol_objective must be finite and > 0, got {self.tol_objective}")
 
@@ -71,7 +76,8 @@ def _evaluate(q, channel):
     full = compose(q, channel)
     value = mutual_information(full, ("x", "y"), ("u",))
     defect = conditional_mutual_information(full, ("x",), ("y",), ("u",))
-    return value, defect
+    # both are nonnegative; entropy differences can round a zero below it
+    return max(value, 0.0), max(defect, 0.0)
 
 
 def _source_info(q):
@@ -111,9 +117,7 @@ def wyner_ci(q, card_u=None, opts=None):
         raise PmfError("wyner_ci: expected a JointPmf")
     opts = opts or SolverOptions()
     nx, ny = q.shape
-    card_u = int(card_u) if card_u is not None else nx * ny
-    if card_u < 1:
-        raise PmfError(f"wyner_ci: card_u must be >= 1, got {card_u}")
+    card_u = _check_int("wyner_ci", "card_u", card_u, 1) if card_u is not None else nx * ny
     _check_batch_bytes("wyner_ci", opts.restarts, nx, ny, card_u)
 
     schedule = [("penalty", lam, partial(_penalized, lam)) for lam in PENALTIES]

@@ -91,6 +91,12 @@ class TestSolvers:
         assert code == 1 and out == ""
         assert "tol_objective must be finite and > 0" in err
 
+    def test_wyner_on_a_one_row_source_is_zero(self, tmp_path):
+        # X is constant, so C = 0; a value rounded below zero is reported as 0
+        dist = tmp_path / "row.json"
+        dist.write_text(json.dumps({"pmf": [[0.5, 0.5]]}))
+        assert run(["wyner", "--dist", str(dist)]) == (0, "0\n", "")
+
     def test_wyner_infeasible_exit_code(self, files):
         # with |U| = 1 the residual I(X;Y|U) is I(X;Y), about 0.278 bits
         code, out, err = run(["wyner", "--dist", files["dist02"], "--card", "1", "--restarts", "2"])
@@ -214,18 +220,23 @@ class TestSimulate:
         assert "needs 2^2000 entries, cap is 2^20" in err
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "flag, value, message, command",
         [
-            ("--seed", "-1", "seed must be a nonnegative integer"),
-            ("--eps", "inf", "eps_typ must be finite"),
-            ("--trials", "4294967297", "trials must lie in [1, 2^32]"),
+            ("--seed", "-1", "seed must be a nonnegative integer", "simulate"),
+            ("--eps", "inf", "eps_typ must be finite", "simulate"),
+            ("--trials", "4294967297", "trials must lie in [1, 2^32]", "simulate"),
+            ("--seed", "-5", "seed must be an integer >= 0", "ulsr"),
         ],
     )
-    def test_invalid_config_is_validation_error(self, files, flag, value, message):
-        code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
-                              "--n", "8", "--rates", "0.7,0.3,0.5,0.5", "--trials", "5", flag, value])
+    def test_invalid_config_is_validation_error(self, files, flag, value, message, command):
+        args, owner = {
+            "simulate": (["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
+                          "--n", "8", "--rates", "0.7,0.3,0.5,0.5", "--trials", "5"], "SimConfig"),
+            "ulsr": (["ulsr", "--dist", files["dist02"], "--restarts", "2"], "SolverOptions"),
+        }[command]
+        code, out, err = run([*args, flag, value])
         assert code == 1 and out == "" and "Traceback" not in err
-        assert err.startswith("error: SimConfig: ") and message in err
+        assert err.startswith(f"error: {owner}: ") and message in err
 
     def test_block_bytes_beyond_cap_is_validation_error(self, files):
         # 2^(40 * 0.5) candidates fit the index cap; their 40-symbol blocks do not

@@ -13,7 +13,7 @@ from coordrate.pmf import (
     dsbs_joint,
 )
 from coordrate.region import RateTriple, in_achievable_region
-from coordrate.ulsr import UlsrForm, _structured_starts, ulsr_objective, ulsr_rate
+from coordrate.ulsr import UlsrForm, _pad_rows, _structured_starts, ulsr_objective, ulsr_rate
 from coordrate.wyner import SolverOptions, wyner_ci
 
 FAST = SolverOptions(restarts=10, seed=0)
@@ -129,8 +129,11 @@ class TestRateSolver:
         q = dsbs_joint(0.1) if name == "dsbs01" else request.getfixturevalue("source_3x3")
         nx, ny = q.shape
         value = ulsr_rate(q, form).value
-        for rows in _structured_starts(q, nx * ny + 2, SolverOptions()):
+        for rows in _structured_starts(q, nx * ny + 2):
             assert value <= ulsr_objective(q, AuxChannel.from_array(rows), form).value
+        # nor to a Wyner-minimizing channel, which is not among the starts
+        wyner_rows = _pad_rows(wyner_ci(q).channel.probs[:, :, :, 0, 0], nx * ny + 2)
+        assert value <= ulsr_objective(q, AuxChannel.from_array(wyner_rows), form).value
 
     def test_batch_guard(self):
         with pytest.raises(PmfError, match="ulsr_rate: 1000000000 restarts .* cap is 1073741824"):

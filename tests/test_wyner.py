@@ -42,6 +42,23 @@ class TestSolverOptions:
         with pytest.raises(PmfError):
             SolverOptions(restarts=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -5), ("seed", True), ("seed", 1.0), ("restarts", 2.5), ("restarts", True), ("max_iters", 2.5)],
+    )
+    def test_integer_fields_are_checked(self, field, value):
+        with pytest.raises(PmfError, match=f"SolverOptions: {field} must be an integer"):
+            SolverOptions(**{field: value})
+
+    def test_seed_of_any_size_is_accepted(self):
+        assert SolverOptions(seed=2**100).seed == 2**100
+        seed = SolverOptions(seed=np.int64(3)).seed
+        assert seed == 3 and type(seed) is int
+
+    def test_non_integer_card_u_is_refused(self):
+        with pytest.raises(PmfError, match="wyner_ci: card_u must be an integer"):
+            wyner_ci(dsbs_joint(0.2), card_u=2.5)
+
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-9])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(PmfError, match="tol_objective must be finite and > 0"):
