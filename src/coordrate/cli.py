@@ -10,6 +10,7 @@ carries a one-line summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .dsbs import curve_csv_lines, emit_curve, t_star, write_curve_csv
@@ -45,14 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_options(args):
-    kwargs = {}
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol_objective"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return SolverOptions(**kwargs)
+    """SolverOptions from the fields the command line gave; the rest keep their defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SolverOptions)}
+    return SolverOptions(**{name: value for name, value in given.items() if value is not None})
 
 
 def _parse_rates(text, count, what):
@@ -75,18 +71,14 @@ def build_parser():
     p_info.add_argument("--dist2", help="second distribution (tv only)")
 
     p_wyner = sub.add_parser("wyner", help="common information of a source")
-    p_wyner.add_argument("--dist", required=True)
-    p_wyner.add_argument("--card", type=int, default=None)
-    p_wyner.add_argument("--restarts", type=int, default=None)
-    p_wyner.add_argument("--tol", type=float, default=None)
-    p_wyner.add_argument("--seed", type=int, default=None)
-
     p_ulsr = sub.add_parser("ulsr", help="optimal rate under unlimited shared randomness")
-    p_ulsr.add_argument("--dist", required=True)
+    for p_solver in (p_wyner, p_ulsr):
+        p_solver.add_argument("--dist", required=True)
+        p_solver.add_argument("--restarts", type=int)
+        p_solver.add_argument("--tol", type=float, dest="tol_objective")
+        p_solver.add_argument("--seed", type=int)
+    p_wyner.add_argument("--card", type=int)
     p_ulsr.add_argument("--form", choices=("maxpair", "maxavg"), default="maxavg")
-    p_ulsr.add_argument("--restarts", type=int, default=None)
-    p_ulsr.add_argument("--tol", type=float, default=None)
-    p_ulsr.add_argument("--seed", type=int, default=None)
 
     p_dsbs = sub.add_parser("dsbs", help="closed-form curve for the symmetric binary source")
     p_dsbs.add_argument("--a", type=float, required=True)

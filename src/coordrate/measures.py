@@ -1,8 +1,8 @@
 """Shannon information quantities over finite joints, in bits.
 
 All logarithms are base 2 and 0 * log 0 = 0 throughout.  The group-wise
-mutual informations operate on the five named axes of a FullJoint, which
-is how every rate expression downstream is evaluated.
+mutual informations operate on the five named axes of a FullJoint.  The
+region bounds and the simulator use them; the solvers' terms are tested against them.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,19 @@ AXES = ("x", "y", "u", "u1", "u2")
 
 class PmfError(ValueError):
     """Invalid probability data: negative mass, bad normalization, bad shape."""
+
+
+def _is_int(value):
+    """Is ``value`` a Python or numpy integer other than a bool?"""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """Is ``value`` a Python or numpy real other than a bool, and finite as a float64?"""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float64 range
+        return False
 
 
 def _check_simplex(arr, what, tol=SUM_TOL):

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .measures import conditional_mutual_information, mutual_information
-from .pmf import AuxChannel, FullJoint, JointPmf, PmfError, compose
+from .pmf import AuxChannel, FullJoint, JointPmf, PmfError, _is_real, compose
 
 #: Markov-defect tolerance for composed channels, in bits
 MARKOV_QUAD_TOL = 1e-6
@@ -33,7 +31,7 @@ class RateTriple:
 
     def __post_init__(self):
         for name, value in (("r", self.r), ("r1", self.r1), ("r2", self.r2)):
-            if not np.isfinite(value) or value < 0:
+            if not (_is_real(value) and value >= 0):
                 raise PmfError(f"RateTriple: {name} must be finite and nonnegative, got {value!r}")
 
 
@@ -113,7 +111,7 @@ def in_achievable_region(q, aux, rates):
 
 def xy_equal_region(hx, rates):
     """Exact region for X = Y almost surely: R + min{R1, R2} >= H(X), R >= H(X)/2."""
-    if not np.isfinite(hx) or hx < 0:
+    if not (_is_real(hx) and hx >= 0):
         raise PmfError(f"xy_equal_region: entropy must be finite and nonnegative, got {hx!r}")
     s = MEMBERSHIP_SLACK
     return (

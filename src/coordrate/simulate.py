@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._seeding import seed_words, set_state
 from .measures import conditional_mutual_information
-from .pmf import AuxChannel, JointPmf, Pmf, _write_json, compose, tv_distance
+from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _write_json, compose, tv_distance
 
 #: hard cap on each index-set size (desk-scale memory guard)
 INDEX_CAP = 2**20
@@ -87,7 +87,7 @@ class SimRates:
     def __post_init__(self):
         for name in ("r0", "r_star", "rt1", "rt2"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not (_is_real(value) and value >= 0):
                 raise SimulationError(f"SimRates: {name} must be finite and nonnegative, got {value!r}")
 
     @property
@@ -117,17 +117,18 @@ class SimConfig:
     max_markov_defect: float = MARKOV_DEFECT_TOL
 
     def __post_init__(self):
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise SimulationError(f"SimConfig: seed must be a nonnegative integer, got {seed!r}")
-        object.__setattr__(self, "seed", int(seed))
-        if self.n < 1:
-            raise SimulationError(f"SimConfig: block length must be >= 1, got {self.n}")
-        # a trial number is one 32-bit word of its stream key
-        if not 1 <= self.trials <= 2**32:
-            raise SimulationError(f"SimConfig: trials must lie in [1, 2^32], got {self.trials}")
-        if not (math.isfinite(self.eps_typ) and self.eps_typ > 0):
-            raise SimulationError(f"SimConfig: eps_typ must be finite and > 0, got {self.eps_typ}")
+        for name, low, high, rule in (
+            ("seed", 0, math.inf, "must be a nonnegative integer"),
+            ("n", 1, math.inf, "(block length) must be an integer >= 1"),
+            # a trial number is one 32-bit word of its stream key
+            ("trials", 1, 2**32, "must lie in [1, 2^32] and be an integer"),
+        ):
+            value = getattr(self, name)
+            if not (_is_int(value) and low <= value <= high):
+                raise SimulationError(f"SimConfig: {name} {rule}, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not (_is_real(self.eps_typ) and self.eps_typ > 0):
+            raise SimulationError(f"SimConfig: eps_typ must be finite and > 0, got {self.eps_typ!r}")
         if self.channel.card_u1 != 1 or self.channel.card_u2 != 1:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
@@ -187,6 +188,8 @@ def derive_components(channel, q, max_defect=MARKOV_DEFECT_TOL):
 
 def _generation(full, max_defect):
     """(joint_uxy, p_u, p_x_given_u, p_y_given_u) of a composed joint."""
+    if not (_is_real(max_defect) and max_defect >= 0):
+        raise SimulationError(f"derive_components: max_defect must be a finite real >= 0, got {max_defect!r}")
     defect = conditional_mutual_information(full, ("x",), ("y",), ("u",))
     if defect > max_defect:
         raise SimulationError(
@@ -414,7 +417,7 @@ def run_trials(cfg):
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
-    n01, nstar, nb1, nb2 = cfg.index_sizes()
+    n01, nstar, nb1, nb2 = sizes = cfg.index_sizes()
     rng_w = np.random.Generator(np.random.PCG64(_W_STREAM))
     for start in range(0, cfg.trials, _SEED_CHUNK):
         ks = np.arange(start, min(start + _SEED_CHUNK, cfg.trials))
@@ -444,15 +447,7 @@ def run_trials(cfg):
             "trials": cfg.trials,
             "seed": cfg.seed,
             "eps_typ": cfg.eps_typ,
-            "rates": {
-                "r0": cfg.rates.r0,
-                "r_star": cfg.rates.r_star,
-                "rt1": cfg.rates.rt1,
-                "rt2": cfg.rates.rt2,
-                "r": cfg.rates.r,
-                "r1": cfg.rates.r1,
-                "r2": cfg.rates.r2,
-            },
-            "index_sizes": {"m0_half": n01, "m_star": nstar, "b1": nb1, "b2": nb2},
+            "rates": {**asdict(cfg.rates), "r": cfg.rates.r, "r1": cfg.rates.r1, "r2": cfg.rates.r2},
+            "index_sizes": dict(zip(("m0_half", "m_star", "b1", "b2"), sizes)),
         },
     )

@@ -18,14 +18,14 @@ family for symmetric binary sources, plus random rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _simplexopt as so
 from .dsbs import interpolated_channel
 from .pmf import AuxChannel, JointPmf, PmfError
-from .wyner import STEP0, SolverOptions, _bracket, _check_batch_bytes, _evaluate, _source_info
+from .wyner import STEP0, SolverOptions, _bracket, _check_batch_bytes, _source_info
 
 #: softmax temperatures (1/bits) for annealing the kinked max
 TEMPERATURES = (10.0, 100.0, 1000.0)
@@ -57,25 +57,26 @@ def _second_term(joint, cond, form):
 
 
 def _form_value(i_cond, i_joint, form):
+    """The exact objective max{I(X;Y|U), _second_term}."""
     return np.maximum(i_cond, _second_term(i_joint, i_cond, form))
+
+
+def _result(stats, row, channel, form):
+    """UlsrResult of ``channel`` from row ``row`` of its ``ChannelStats``."""
+    # both terms are nonnegative; rounding can leave a zero just below it
+    i_cond, i_joint = max(float(stats.i_cond[row]), 0.0), max(float(stats.i_joint[row]), 0.0)
+    return UlsrResult(float(_form_value(i_cond, i_joint, form)), channel, i_cond, i_joint, form)
 
 
 def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
     """Evaluate the chosen objective for one channel, no optimization."""
-    if not isinstance(q, JointPmf):
-        raise PmfError("ulsr_objective: expected a JointPmf")
+    if not isinstance(q, JointPmf) or not isinstance(ch, AuxChannel):
+        raise PmfError("ulsr_objective: expected (JointPmf, AuxChannel)")
     if not isinstance(form, UlsrForm):
         form = UlsrForm(form)
-    if ch.card_u1 != 1 or ch.card_u2 != 1:
-        raise PmfError("ulsr_objective: channel must be a single-auxiliary p(u|x,y)")
-    i_joint, i_cond = _evaluate(q, ch)
-    return UlsrResult(
-        value=float(_form_value(i_cond, i_joint, form)),
-        channel=ch,
-        term_cond=i_cond,
-        term_joint=i_joint,
-        form=form,
-    )
+    if ch.probs.shape[:2] != q.shape or ch.card_u1 != 1 or ch.card_u2 != 1:
+        raise PmfError("ulsr_objective: channel must be a single-auxiliary p(u|x,y) on the source's grid")
+    return _result(so.ChannelStats(q.probs, ch.probs[None, :, :, :, 0, 0]), 0, ch, form)
 
 
 def _objective(form, temp=None):
@@ -88,7 +89,7 @@ def _objective(form, temp=None):
     def objective_and_grad(stats):
         a, b = stats.i_cond, _second_term(stats.i_joint, stats.i_cond, form)
         ga, gb = stats.g_cond, _second_term(stats.g_joint, stats.g_cond, form)
-        values = np.maximum(a, b)
+        values = _form_value(stats.i_cond, stats.i_joint, form)
         if temp is None:
             wa = np.where(a > b + 1e-12, 1.0, np.where(b > a + 1e-12, 0.0, 0.5))
         else:
@@ -170,17 +171,15 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     batch, stats, frozen_at = so.eg_minimize(qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0)
     stages.append(so.stage_record("polish", None, frozen_at, opts.max_iters))
     values = _form_value(stats.i_cond, stats.i_joint, form)
-    channel = AuxChannel(batch[so.best_row(values, stats.i_cond, batch)])
-    result = ulsr_objective(q, channel, form)
+    best = so.best_row(values, stats.i_cond, batch)
+    result = _result(stats, best, AuxChannel(batch[best]), form)
     ixy, h_min = _source_info(q)
-    return replace(
-        result,
-        diagnostics={
-            "restarts": batch.shape[0],
-            "structured_starts": len(structured),
-            "card_u": card_u,
-            "best_values": np.sort(values)[:5].tolist(),
-            "stages": stages,
-            **_bracket(result.value, 0.5 * ixy, min(ixy, 0.5 * h_min)),
-        },
+    result.diagnostics.update(
+        restarts=batch.shape[0],
+        structured_starts=len(structured),
+        card_u=card_u,
+        best_values=np.sort(values)[:5].tolist(),
+        stages=stages,
+        **_bracket(result.value, 0.5 * ixy, min(ixy, 0.5 * h_min)),
     )
+    return result

@@ -15,15 +15,14 @@ residuals below 1e-12 bits; on DSBS(a) the value then lies at or above C.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import _simplexopt as so
-from .measures import conditional_mutual_information, mutual_information, table_entropy
-from .pmf import AuxChannel, JointPmf, PmfError, compose
+from .measures import table_entropy
+from .pmf import AuxChannel, JointPmf, PmfError, _is_int, _is_real
 
 #: feasibility threshold on the residual I(X;Y|U), in bits
 MARKOV_TOL = 1e-6
@@ -40,7 +39,7 @@ BATCH_BYTES_CAP = 2**30
 
 def _check_int(who, name, value, low):
     """``value`` as an int when it is an integer, not a bool, and >= ``low``; else PmfError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    if not (_is_int(value) and value >= low):
         raise PmfError(f"{who}: {name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -59,8 +58,8 @@ class SolverOptions:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_int("SolverOptions", name, getattr(self, name), low))
-        if not (math.isfinite(self.tol_objective) and self.tol_objective > 0):
-            raise PmfError(f"SolverOptions: tol_objective must be finite and > 0, got {self.tol_objective}")
+        if not (_is_real(self.tol_objective) and self.tol_objective > 0):
+            raise PmfError(f"SolverOptions: tol_objective must be finite and > 0, got {self.tol_objective!r}")
 
 
 @dataclass(frozen=True)
@@ -69,15 +68,6 @@ class WynerResult:
     channel: AuxChannel
     markov_defect: float
     diagnostics: dict = field(default_factory=dict, compare=False)
-
-
-def _evaluate(q, channel):
-    """(I(X,Y;U), I(X;Y|U)) in bits of the source composed with ``channel``."""
-    full = compose(q, channel)
-    value = mutual_information(full, ("x", "y"), ("u",))
-    defect = conditional_mutual_information(full, ("x",), ("y",), ("u",))
-    # both are nonnegative; entropy differences can round a zero below it
-    return max(value, 0.0), max(defect, 0.0)
 
 
 def _source_info(q):
@@ -131,12 +121,12 @@ def wyner_ci(q, card_u=None, opts=None):
             f"with |U| = {card_u}; best residual {stats.i_cond.min():.3e} bits"
         )
     best = so.best_row(np.where(feasible, stats.i_joint, np.inf), stats.i_cond, batch)
-    channel = AuxChannel(batch[best])
-    value, defect = _evaluate(q, channel)
+    # both terms are nonnegative; rounding can leave a zero just below it
+    value, defect = max(float(stats.i_joint[best]), 0.0), max(float(stats.i_cond[best]), 0.0)
     ixy, h_min = _source_info(q)
     return WynerResult(
         value=value,
-        channel=channel,
+        channel=AuxChannel(batch[best]),
         markov_defect=defect,
         diagnostics={
             "restarts": opts.restarts,

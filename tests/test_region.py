@@ -36,6 +36,11 @@ class TestRateTriple:
         with pytest.raises(PmfError):
             RateTriple(float("nan"), 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", ["1", True, None])
+    def test_rejects_non_reals(self, value):
+        with pytest.raises(PmfError, match="RateTriple: r must be finite and nonnegative"):
+            RateTriple(value, 1, 1)
+
 
 class TestMarkovQuadruple:
     def test_copy_sides_always_chain(self):
@@ -147,7 +152,7 @@ class TestXyEqualRegion:
         with pytest.raises(PmfError):
             xy_equal_region(-1.0, RateTriple(1, 1, 1))
 
-    @pytest.mark.parametrize("hx", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("hx", [float("nan"), float("inf"), "1", True])
     def test_rejects_non_finite_entropy(self, hx):
         with pytest.raises(PmfError, match="finite"):
             xy_equal_region(hx, RateTriple(1, 1, 1))

@@ -150,9 +150,9 @@ class TestChannelStatsReference:
         q, rows, _ = case
         stats = so.ChannelStats(q, rows[None])
         full = compose(JointPmf(q), AuxChannel.from_array(rows))
-        assert stats.i_joint[0] == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-9)
+        assert stats.i_joint[0] == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-12)
         assert stats.i_cond[0] == pytest.approx(
-            conditional_mutual_information(full, ("x",), ("y",), ("u",)), abs=1e-9
+            conditional_mutual_information(full, ("x",), ("y",), ("u",)), abs=1e-12
         )
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

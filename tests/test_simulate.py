@@ -47,6 +47,11 @@ class TestRates:
         with pytest.raises(SimulationError):
             SimRates(r0=-0.1, r_star=0, rt1=0, rt2=0)
 
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_rates_must_be_reals(self, value):
+        with pytest.raises(SimulationError, match="SimRates: r0 must be finite and nonnegative"):
+            SimRates(r0=value, r_star=0.3, rt1=0.5, rt2=0.5)
+
     def test_index_sizes_round_up(self):
         cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.25, rt1=0.0, rt2=1.0)
         assert cfg.index_sizes() == (4, 4, 1, 256)
@@ -73,10 +78,32 @@ class TestConfig:
         # built only, never run
         assert dsbs_cfg(trials=2**32).trials == 2**32
 
-    @pytest.mark.parametrize("eps", [0.0, -0.1, float("inf"), float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("inf"), float("nan"), "0.1", True])
     def test_eps_typ_must_be_finite_and_positive(self, eps):
         with pytest.raises(SimulationError, match="SimConfig: eps_typ must be finite and > 0"):
             dsbs_cfg(eps=eps)
+
+    @pytest.mark.parametrize("field, value", [("n", 2.5), ("n", True), ("n", "4"), ("trials", 1.5), ("trials", "3")])
+    def test_integer_fields_are_checked(self, field, value):
+        with pytest.raises(SimulationError, match=f"SimConfig: {field} .*must .*integer"):
+            dsbs_cfg(**{field: value})
+
+    def test_integer_fields_are_plain_ints(self):
+        cfg = dsbs_cfg(n=np.int64(16), trials=np.uint32(10))
+        assert (type(cfg.n), type(cfg.trials)) == (int, int) and (cfg.n, cfg.trials) == (16, 10)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, "1e-6", True])
+    def test_markov_defect_tolerance_is_checked(self, tol):
+        # the degenerate channel has I(X;Y|U) = 0.278 bits on DSBS(0.2): a
+        # tolerance that compares false against it must not let it through
+        q, ch = dsbs_joint(0.2), degenerate_channel(2, 2)
+        rates = SimRates(r0=0.5, r_star=0.25, rt1=0.5, rt2=0.5)
+        cfg = SimConfig(q=q, channel=ch, n=4, rates=rates, max_markov_defect=tol)
+        match = "max_defect must be a finite real >= 0"
+        with pytest.raises(SimulationError, match=match):
+            run_trials(cfg)
+        with pytest.raises(SimulationError, match=match):
+            derive_components(ch, q, max_defect=tol)
 
 
 class TestDeriveComponents:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import aux_with_copy_sides
 from coordrate.dsbs import f_of_t, interpolated_channel, t_star
-from coordrate.measures import mutual_information, table_entropy
+from coordrate.measures import conditional_mutual_information, mutual_information, table_entropy
 from coordrate.pmf import (
     AuxChannel,
     JointPmf,
@@ -138,6 +138,17 @@ class TestRateSolver:
     def test_batch_guard(self):
         with pytest.raises(PmfError, match="ulsr_rate: 1000000000 restarts .* cap is 1073741824"):
             ulsr_rate(dsbs_joint(0.1), opts=SolverOptions(restarts=10**9))
+
+    @pytest.mark.parametrize("form", list(UlsrForm))
+    @pytest.mark.parametrize("name", ["dsbs03", "3x3"])
+    def test_terms_match_returned_channel(self, name, form, request):
+        q = dsbs_joint(0.3) if name == "dsbs03" else request.getfixturevalue("source_3x3")
+        res = ulsr_rate(q, form, FAST)
+        full = compose(q, res.channel)
+        assert res.term_joint == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-12)
+        assert res.term_cond == pytest.approx(
+            conditional_mutual_information(full, ("x",), ("y",), ("u",)), abs=1e-12
+        )
 
     def test_value_consistent_with_terms(self):
         res = ulsr_rate(dsbs_joint(0.3), UlsrForm.MAX_AVG, FAST)

@@ -59,7 +59,7 @@ class TestSolverOptions:
         with pytest.raises(PmfError, match="wyner_ci: card_u must be an integer"):
             wyner_ci(dsbs_joint(0.2), card_u=2.5)
 
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-9])
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1e-9, "1e-9", True, 10**400])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(PmfError, match="tol_objective must be finite and > 0"):
             SolverOptions(tol_objective=tol)
@@ -144,7 +144,7 @@ class TestWynerSolver:
     def test_value_matches_returned_channel(self):
         res = wyner_ci(dsbs_joint(0.15), card_u=2, opts=FAST)
         full = compose(dsbs_joint(0.15), res.channel)
-        assert res.value == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-9)
+        assert res.value == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-12)
         assert res.markov_defect == pytest.approx(
             conditional_mutual_information(full, ("x",), ("y",), ("u",)), abs=1e-12
         )
