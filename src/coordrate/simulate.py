@@ -16,17 +16,12 @@ one concrete code, which is what makes insufficient rates measurable
 (too few codewords get reused and their sampling noise never averages
 out).  Codewords are never materialized as full tables: each codebook
 block is a deterministic function of (seed, code stream, indices) through
-a seeded stream, which keeps memory flat while preserving the i.i.d.
-codebook statistics and exact reproducibility.  The streams are those of
-numpy's ``default_rng([seed, 0, stream, *indices])``; their PCG64 states
-are derived in bulk for a chunk of trials at a time and set on one reused
-generator per stream.  A block's rows are drawn
-in order and only as far as a trial needs them: the coordinator draws and
-tests the candidates in doubling chunks and stops at the first typical
-one, so a trial whose m* is early draws a short prefix of each of its u,
-x and y blocks, and the processors read their codewords from the rows the
-coordinator drew.  Any prefix equals the same rows of a full draw, so the
-seeded results do not depend on how far a search went.
+the stream of numpy's ``default_rng([seed, 0, stream, *indices])``, which
+keeps memory flat while preserving the i.i.d. codebook statistics and
+exact reproducibility.  The trials of a chunk search their bins together,
+as arrays (``_search``), drawing each row once; a row's uniforms continue
+its block's stream from where the row begins, so the seeded results do
+not depend on how far a search went.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -48,8 +43,9 @@ from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _write_json, comp
 
 #: hard cap on each index-set size (desk-scale memory guard)
 INDEX_CAP = 2**20
-#: cap on the bytes of one trial's blocks: 32 * nstar * n covers the three
-#: int64 (nstar, n) u/x/y blocks plus the float64 uniforms drawn for one
+#: cap on the bytes of the largest draw a configuration needs: a one-block
+#: view's (nstar, n) blocks, 32 bytes a symbol, or one search row plus one
+#: trial's emitted rows, which is the least ``run_trials`` holds
 BLOCK_BYTES_CAP = 2**30
 #: default tolerance on I(X;Y|U) of the composed channel, in bits
 MARKOV_DEFECT_TOL = 1e-6
@@ -57,8 +53,13 @@ MARKOV_DEFECT_TOL = 1e-6
 _W_STREAM, _U_STREAM, _X_STREAM, _Y_STREAM = 0, 1, 2, 3
 #: candidate rows the coordinator draws and tests before its first doubling
 _FIRST_CHUNK = 16
-#: trials whose stream states are derived together; bounds the derivation's memory
+#: most trials drawn and searched together; bounds the stream states held
 _SEED_CHUNK = 256
+#: cap on the bytes of the arrays one part of a search round holds, and on
+#: the emitted rows of one chunk of trials (at least one row or trial each)
+_ROUND_BYTES = 2**18
+#: columns of a trial's (m01, m02, b1, b2) that key the blocks of each stream
+_KEY_COLUMNS = {_U_STREAM: [0, 1], _X_STREAM: [0, 1, 2], _Y_STREAM: [0, 1, 3]}
 
 
 class SimulationError(ValueError):
@@ -117,6 +118,10 @@ class SimConfig:
     max_markov_defect: float = MARKOV_DEFECT_TOL
 
     def __post_init__(self):
+        for name, kind in (("q", JointPmf), ("channel", AuxChannel), ("rates", SimRates)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise SimulationError(f"SimConfig: {name} must be a {kind.__name__}, got {type(value).__name__}")
         for name, low, high, rule in (
             ("seed", 0, math.inf, "must be a nonnegative integer"),
             ("n", 1, math.inf, "(block length) must be an integer >= 1"),
@@ -132,11 +137,15 @@ class SimConfig:
         if self.channel.card_u1 != 1 or self.channel.card_u2 != 1:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
+    def _row_bytes(self):
+        """Bytes of one drawn row: 8 a symbol for each uniform, symbol and gathered CDF entry."""
+        return 8 * (6 + max(self.q.shape)) * self.n
+
     def index_sizes(self):
         """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs.
 
         Refused with SimulationError when an index set exceeds INDEX_CAP or
-        one trial's (nstar, n) blocks would exceed BLOCK_BYTES_CAP bytes.
+        the largest draw would exceed BLOCK_BYTES_CAP bytes.
         """
         n = self.n
         sizes = (
@@ -145,7 +154,7 @@ class SimConfig:
             _index_size("b1", n, self.rates.rt1),
             _index_size("b2", n, self.rates.rt2),
         )
-        block_bytes = 32 * sizes[1] * n
+        block_bytes = max(32 * sizes[1] * n, self._row_bytes() + 16 * n)
         if block_bytes > BLOCK_BYTES_CAP:
             raise SimulationError(
                 f"SimConfig: (m*, n) = ({sizes[1]}, {n}) blocks need {block_bytes} bytes, cap is {BLOCK_BYTES_CAP}"
@@ -229,16 +238,13 @@ class Codebooks:
     Each (nstar, n) block is a deterministic function of its indices through
     a seeded stream, so coordinator and processors read the same codewords.
     Blocks for distinct indices come from distinct seeded streams and are
-    therefore independent, matching a single i.i.d. codebook draw.  Rows
-    are drawn in order and only when first asked for: a call for the first
-    ``rows`` rows draws just the missing ones from the stream's generator,
-    so any prefix equals the same rows of a full draw.  Each stream draws
-    every block from one reused generator and keeps its last block
-    (indices, generator, rows drawn so far), filled in place in a buffer of
-    the full block size, and returns read-only views of it.  ``seed_trials``
-    derives the stream states of a chunk of trials' blocks at once; a block
-    outside the chunk gets its state from numpy's own ``SeedSequence``.
-    This generator state makes one ``Codebooks`` the property of one thread.
+    therefore independent, matching a single i.i.d. codebook draw.  No block
+    is stored: ``draw`` samples rows [start, stop) of many blocks at once,
+    each from the block's stream advanced to where row ``start`` begins, so
+    any range equals the same rows of a full draw.  ``u_block``, ``x_block``
+    and ``y_block`` are one-block views of the same draw.  Every block of a
+    stream is drawn from one reused generator, which makes one ``Codebooks``
+    the property of one thread.
     """
 
     def __init__(self, cfg):
@@ -247,82 +253,68 @@ class Codebooks:
             compose(cfg.q, cfg.channel), cfg.max_markov_defect
         )
         self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
-        self._cum_u = np.cumsum(self.p_u.probs)
-        self._cum_u[-1] = 1.0
-        self._cum_x = np.cumsum(self.p_x_given_u, axis=1)
-        self._cum_x[:, -1] = 1.0
-        self._cum_y = np.cumsum(self.p_y_given_u, axis=1)
-        self._cum_y[:, -1] = 1.0
-        #: stream -> [indices, generator, (nstar, n) buffer, read-only view of the rows drawn]
-        self._last = {}
+        #: stream -> inverse-CDF table, one row per u symbol for x and y
+        self._cum = {}
+        tables = (self.p_u.probs, self.p_x_given_u, self.p_y_given_u)
+        for stream, probs in zip((_U_STREAM, _X_STREAM, _Y_STREAM), tables):
+            cum = self._cum[stream] = np.cumsum(probs, axis=-1)
+            cum[..., -1] = 1.0
         #: stream -> the generator every block of the stream is drawn from
-        self._gens = {s: np.random.Generator(np.random.PCG64(s)) for s in (_U_STREAM, _X_STREAM, _Y_STREAM)}
-        #: stream -> ({indices: row}, seed_words rows) of the current chunk of trials
-        self._states = {}
+        self._gens = {s: np.random.Generator(np.random.PCG64(s)) for s in self._cum}
 
-    def seed_trials(self, trials):
-        """Derive the u, x and y block states of a chunk of trials' (m01, m02, b1, b2).
+    def _key(self, m01, m02, b1=0, b2=0):
+        """The trial row (m01, m02, b1, b2) as ints, each checked against its index set."""
+        key, sizes = (m01, m02, b1, b2), (self.n01, self.n01, self.nb1, self.nb2)
+        for name, value, size in zip(("m01", "m02", "b1", "b2"), key, sizes):
+            if not 0 <= value < size:
+                raise SimulationError(f"Codebooks: {name} index {value} outside [0, {size})")
+        return tuple(int(v) for v in key)
 
-        The previous chunk's states are dropped first.
+    def words(self, stream, table):
+        """Seed words of the block of ``stream`` keyed by each trial row (m01, m02, b1, b2) of ``table``."""
+        return seed_words((self.cfg.seed, 0, stream), np.asarray(table)[:, _KEY_COLUMNS[stream]]).tolist()
+
+    def draw(self, stream, words, start, stop, u=None):
+        """Rows [start, stop) of the block seeded by each of ``words``: a (blocks, stop - start, n) array.
+
+        x and y symbols are drawn from p(.|u) per symbol of the same-shaped u rows ``u``.
         """
-        self._states = {}
-        table = np.array(trials, dtype=np.int64).reshape(-1, 4)
-        for stream, cols in ((_U_STREAM, (0, 1)), (_X_STREAM, (0, 1, 2)), (_Y_STREAM, (0, 1, 3))):
-            rows = {key: row for row, key in enumerate(map(operator.itemgetter(*cols), trials))}
-            self._states[stream] = rows, seed_words((self.cfg.seed, 0, stream), table[:, cols])
+        n = self.cfg.n
+        gen = self._gens[stream]
+        uniforms = np.empty((len(words), stop - start, n))
+        for out, row in zip(uniforms, words):
+            set_state(gen, row)
+            if start:
+                gen.bit_generator.advance(start * n)
+            gen.random(out=out)
+        cum = self._cum[stream]
+        return _sample(cum if u is None else np.take(cum, u, axis=0), uniforms)
 
-    def _rng(self, stream, *idx):
-        """The stream's generator, positioned at the start of the block at ``idx``."""
-        rows, words = self._states.get(stream, ({}, None))
-        row = rows.get(idx)
-        if row is None:
-            state = np.random.SeedSequence([self.cfg.seed, 0, stream, *idx]).generate_state(4, np.uint64)
-        else:
-            state = words[row]
-        return set_state(self._gens[stream], state.tolist())
+    def _block(self, stream, key, start, stop):
+        """Rows [start, stop) of the block of ``stream`` of trial row ``key``, read-only."""
+        rows = self.draw(_U_STREAM, self.words(_U_STREAM, [key]), start, stop)
+        if stream != _U_STREAM:
+            rows = self.draw(stream, self.words(stream, [key]), start, stop, rows)
+        rows = rows[0]
+        rows.setflags(write=False)
+        return rows
 
-    def _check(self, name, value, size):
-        if not 0 <= value < size:
-            raise SimulationError(f"Codebooks: {name} index {value} outside [0, {size})")
-
-    def _block(self, stream, idx, cum, rows, u=None):
-        """The first ``rows`` rows of the block of ``stream`` at ``idx``.
-
-        ``cum`` is the inverse-CDF table, per u symbol when the u rows ``u``
-        are given.
-        """
-        last = self._last.get(stream)
-        if last is None or last[0] != idx:
-            buf = np.empty((self.nstar, self.cfg.n), dtype=np.int64)
-            last = self._last[stream] = [idx, self._rng(stream, *idx), buf, buf[:0]]
-        _, rng, buf, drawn = last
-        done = len(drawn)
-        if rows > done:
-            uniforms = rng.random((rows - done, self.cfg.n))
-            _sample(cum if u is None else np.take(cum, u[done:], axis=0), uniforms, out=buf[done:rows])
-            drawn = last[3] = buf[:rows]
-            drawn.setflags(write=False)
-        return drawn if rows == len(drawn) else drawn[:rows]
-
-    def u_block(self, m01, m02, rows=None):
-        """u-codewords of the first ``rows`` m* candidates (all by default) of bin m0 = (m01, m02)."""
-        self._check("m01", m01, self.n01)
-        self._check("m02", m02, self.n01)
+    def _rows(self, rows):
         rows = self.nstar if rows is None else operator.index(rows)
         if not 1 <= rows <= self.nstar:
             raise SimulationError(f"Codebooks: rows {rows} outside [1, {self.nstar}]")
-        return self._block(_U_STREAM, (int(m01), int(m02)), self._cum_u, rows)
+        return rows
+
+    def u_block(self, m01, m02, rows=None):
+        """u-codewords of the first ``rows`` m* candidates (all by default) of bin m0 = (m01, m02)."""
+        return self._block(_U_STREAM, self._key(m01, m02), 0, self._rows(rows))
 
     def x_block(self, m01, m02, b1, rows=None):
         """x-codewords of the first ``rows`` m* candidates at fixed (m0, b1), drawn per symbol from p(x|u)."""
-        self._check("b1", b1, self.nb1)
-        u = self.u_block(m01, m02, rows)
-        return self._block(_X_STREAM, (int(m01), int(m02), int(b1)), self._cum_x, len(u), u)
+        return self._block(_X_STREAM, self._key(m01, m02, b1=b1), 0, self._rows(rows))
 
     def y_block(self, m01, m02, b2, rows=None):
-        self._check("b2", b2, self.nb2)
-        u = self.u_block(m01, m02, rows)
-        return self._block(_Y_STREAM, (int(m01), int(m02), int(b2)), self._cum_y, len(u), u)
+        return self._block(_Y_STREAM, self._key(m01, m02, b2=b2), 0, self._rows(rows))
 
 
 @dataclass(frozen=True)
@@ -356,35 +348,65 @@ def _typical_mask(ub, xb, yb, p, eps_typ):
     return ~bad.any(axis=1)
 
 
-def coordinator_select(w1, w2, books, eps_typ):
-    """Pick the first m* in the bin whose codeword triple is typical.
+def _search(books, table, eps_typ):
+    """The coordinator's bin search for each trial (m01, m02, b1, b2) in the rows of ``table``.
 
-    Candidates are drawn and tested in chunks, each doubling the rows drawn
-    so far, and the search stops at the first chunk holding a typical row.
-    Returns (Message, failed).  When no candidate passes, every row has been
-    tested once, m* falls back to the first index and the trial is flagged
-    instead of raising.
+    The trials search together in rounds: a round draws and tests rows
+    [tested, rows) of every trial still searching, the first 16 and then
+    doubling up to n*, in parts of trials whose arrays fit ``_ROUND_BYTES``
+    (a round ends early where one trial's rows would not fit).  A trial's m*
+    is its first typical row; with none, every row has been tested once, m*
+    falls back to 0 and the trial is flagged.  Returns (m_star, failed, x,
+    y), x and y the (trials, n) emitted codewords, read from the rows the
+    search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
     """
-    m01, b1 = (int(v) for v in w1)
-    m02, b2 = (int(v) for v in w2)
-    tested, rows = 0, min(_FIRST_CHUNK, books.nstar)
-    while tested < books.nstar:
-        ub = books.u_block(m01, m02, rows)[tested:]
-        xb = books.x_block(m01, m02, b1, rows)[tested:]
-        yb = books.y_block(m01, m02, b2, rows)[tested:]
-        mask = _typical_mask(ub, xb, yb, books.target_uxy, eps_typ)
-        if mask.any():
-            return Message(m0_xor=m01 ^ m02, m_star=tested + int(mask.argmax())), False
-        tested, rows = rows, min(2 * rows, books.nstar)
-    return Message(m0_xor=m01 ^ m02, m_star=0), True
+    n, nstar = books.cfg.n, books.nstar
+    words = [books.words(stream, table) for stream in (_U_STREAM, _X_STREAM, _Y_STREAM)]
+    m_star, failed = np.zeros(len(table), dtype=np.int64), np.ones(len(table), dtype=bool)
+    x_out, y_out = np.empty((2, len(table), n), dtype=np.int64)
+    cap = max(1, _ROUND_BYTES // books.cfg._row_bytes())  # rows one part of a round may hold
+    live = np.arange(len(table))
+    tested, rows = 0, min(_FIRST_CHUNK, nstar, cap)
+    while live.size and tested < nstar:
+        step = max(1, cap // (rows - tested))
+        for part in (live[i : i + step] for i in range(0, live.size, step)):
+            u_words, x_words, y_words = ([w[t] for t in part.tolist()] for w in words)
+            u = books.draw(_U_STREAM, u_words, tested, rows)
+            x = books.draw(_X_STREAM, x_words, tested, rows, u)
+            y = books.draw(_Y_STREAM, y_words, tested, rows, u)
+            mask = _typical_mask(*(a.reshape(-1, n) for a in (u, x, y)), books.target_uxy, eps_typ)
+            mask = mask.reshape(part.size, -1)
+            if not tested:
+                x_out[part], y_out[part] = x[:, 0], y[:, 0]
+            hit = mask.any(axis=1)
+            first, found = mask.argmax(axis=1)[hit], part[hit]
+            m_star[found], failed[found] = tested + first, False
+            x_out[found], y_out[found] = x[hit, first], y[hit, first]
+        live = live[failed[live]]
+        tested, rows = rows, min(2 * rows, nstar, rows + cap)
+    return m_star, failed, x_out, y_out
+
+
+def coordinator_select(w1, w2, books, eps_typ):
+    """Pick the first m* in the bin whose codeword triple is typical: a one-trial ``_search``.
+
+    Returns (Message, failed).  When no candidate passes, m* falls back to
+    the first index and the trial is flagged instead of raising.
+    """
+    (m01, b1), (m02, b2) = w1, w2
+    key = books._key(m01, m02, b1, b2)
+    m_star, failed, _, _ = _search(books, np.array([key]), eps_typ)
+    return Message(m0_xor=key[0] ^ key[1], m_star=int(m_star[0])), bool(failed[0])
 
 
 def processor_output(which, message, w_i, books):
     """Reconstruct m0 from the XOR and this processor's half, emit the codeword.
 
     Processor 1 sees w1 = (m01, b1) and never touches w2; symmetrically for
-    processor 2.
+    processor 2.  It draws only row m* of the u block and of its own block.
     """
+    if which not in (1, 2):
+        raise SimulationError(f"processor_output: processor must be 1 or 2, got {which!r}")
     half, b = (int(v) for v in w_i)
     other = message.m0_xor ^ half
     if not 0 <= other < books.n01:
@@ -392,24 +414,21 @@ def processor_output(which, message, w_i, books):
     # numpy would wrap a negative row index silently
     if not 0 <= message.m_star < books.nstar:
         raise SimulationError(f"processor_output: m* index {message.m_star} outside [0, {books.nstar})")
-    rows = message.m_star + 1
-    if which == 1:
-        return books.x_block(half, other, b, rows)[message.m_star]
-    if which == 2:
-        return books.y_block(other, half, b, rows)[message.m_star]
-    raise SimulationError(f"processor_output: processor must be 1 or 2, got {which!r}")
+    m0 = (half, other) if which == 1 else (other, half)
+    key = books._key(*m0, **{f"b{which}": b})
+    stream = _X_STREAM if which == 1 else _Y_STREAM
+    return books._block(stream, key, message.m_star, message.m_star + 1)[0]
 
 
 def run_trials(cfg):
     """Run all trials against one fixed code, pooling per-letter (x, y) pairs.
 
     The codebooks are drawn once per run; each trial k draws fresh shared
-    randomness (w1, w2) from its own substream, that of
-    ``default_rng([seed, k, 0])``.  This estimates the induced
-    per-letter distribution of a single code, the quantity the coordination
-    criterion constrains.  Trials run in chunks of ``_SEED_CHUNK``: the
-    chunk's shared randomness is drawn first, then the stream states of
-    every block it indexes are derived at once.
+    randomness (w1, w2) from the stream of ``default_rng([seed, k, 0])``.
+    This estimates the induced per-letter distribution of a single code,
+    the quantity the coordination criterion constrains.  Trials run in
+    chunks of ``_SEED_CHUNK``, fewer where their emitted rows would not fit
+    ``_ROUND_BYTES``; a chunk's bin searches run together (``_search``).
     """
     if not isinstance(cfg, SimConfig):
         raise SimulationError("run_trials: expected a SimConfig")
@@ -417,22 +436,22 @@ def run_trials(cfg):
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
-    n01, nstar, nb1, nb2 = sizes = cfg.index_sizes()
+    n01, _, nb1, nb2 = sizes = cfg.index_sizes()
+    # one bounded draw per trial: the same (m01, m02, b1, b2) as a call per index
+    highs = np.array((n01, n01, nb1, nb2))
     rng_w = np.random.Generator(np.random.PCG64(_W_STREAM))
-    for start in range(0, cfg.trials, _SEED_CHUNK):
-        ks = np.arange(start, min(start + _SEED_CHUNK, cfg.trials))
-        chunk = []
-        for words in seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM)))):
-            set_state(rng_w, words.tolist())
-            m01, m02 = int(rng_w.integers(n01)), int(rng_w.integers(n01))
-            chunk.append((m01, m02, int(rng_w.integers(nb1)), int(rng_w.integers(nb2))))
-        books.seed_trials(chunk)
-        for m01, m02, b1, b2 in chunk:
-            message, failed = coordinator_select((m01, b1), (m02, b2), books, cfg.eps_typ)
-            x = processor_output(1, message, (m01, b1), books)
-            y = processor_output(2, message, (m02, b2), books)
-            counts += np.bincount(x * ny + y, minlength=nx * ny)
-            failures += failed
+    # trials a chunk may hold: their emitted x and y rows take 16 bytes a symbol
+    chunk = max(1, min(_SEED_CHUNK, _ROUND_BYTES // (16 * cfg.n)))
+    for start in range(0, cfg.trials, chunk):
+        ks = np.arange(start, min(start + chunk, cfg.trials))
+        keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
+        table = np.array([set_state(rng_w, words).integers(highs) for words in keys.tolist()])
+        _, failed, x, y = _search(books, table, cfg.eps_typ)
+        x *= ny
+        x += y  # each pair's cell index, in place
+        counts += np.bincount(x.ravel(), minlength=nx * ny)
+        failures += int(failed.sum())
+        del x, y  # freed before the next chunk's search allocates its own
     total = cfg.trials * cfg.n
     empirical = JointPmf(
         (counts / total).reshape(nx, ny), labels_x=cfg.q.labels_x, labels_y=cfg.q.labels_y

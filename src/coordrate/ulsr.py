@@ -18,14 +18,14 @@ family for symmetric binary sources, plus random rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _simplexopt as so
 from .dsbs import interpolated_channel
 from .pmf import AuxChannel, JointPmf, PmfError
-from .wyner import STEP0, SolverOptions, _bracket, _check_batch_bytes, _source_info
+from .wyner import BRACKET_SLACK, STEP0, SolverOptions, _bracket, _check_batch_bytes, _source_info
 
 #: softmax temperatures (1/bits) for annealing the kinked max
 TEMPERATURES = (10.0, 100.0, 1000.0)
@@ -40,6 +40,8 @@ class UlsrForm(enum.Enum):
 
 @dataclass(frozen=True)
 class UlsrResult:
+    #: the objective of the channel's terms; ``ulsr_rate`` reports one above
+    #: its bracket by at most BRACKET_SLACK as the bracket's upper end
     value: float
     channel: AuxChannel
     term_cond: float
@@ -174,12 +176,16 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     best = so.best_row(values, stats.i_cond, batch)
     result = _result(stats, best, AuxChannel(batch[best]), form)
     ixy, h_min = _source_info(q)
+    # the upper end is a theorem, so a value above it within the slack is rounding
+    hi = max(min(ixy, 0.5 * h_min), 0.0)
+    if hi < result.value <= hi + BRACKET_SLACK:
+        result = replace(result, value=hi)
     result.diagnostics.update(
         restarts=batch.shape[0],
         structured_starts=len(structured),
         card_u=card_u,
         best_values=np.sort(values)[:5].tolist(),
         stages=stages,
-        **_bracket(result.value, 0.5 * ixy, min(ixy, 0.5 * h_min)),
+        **_bracket(result.value, 0.5 * ixy, hi),
     )
     return result

@@ -36,6 +36,42 @@ def dsbs_cfg(n=16, trials=10, seed=0, r0=None, r_star=0.3, rt1=0.5, rt2=0.5, eps
     return SimConfig(q=q, channel=ch, n=n, rates=rates, eps_typ=eps, trials=trials, seed=seed)
 
 
+#: a bin search that reaches every round: n* = 85 candidates at n = 16 and a
+#: tolerance finer than one symbol's share (1/16), so trials hit past row 16,
+#: past row 64, or not at all
+DEEP = dict(n=16, r0=0.6, r_star=0.4, eps=0.04)
+
+
+def reference_trials(cfg):
+    """Each trial of ``cfg`` from one default_rng per trial and per block.
+
+    Every block is drawn in full and all its rows are tested at once.
+    Returns a list of ((m01, m02, b1, b2), m_star, failed, x, y).
+    """
+    p_u, p_x_u, p_y_u = derive_components(cfg.channel, cfg.q, cfg.max_markov_defect)
+    target = compose(cfg.q, cfg.channel).probs[:, :, :, 0, 0].transpose(2, 0, 1)
+    cum_u, cum_x, cum_y = (np.cumsum(p, axis=-1) for p in (p_u.probs, p_x_u, p_y_u))
+    for cum in (cum_u, cum_x, cum_y):
+        cum[..., -1] = 1.0
+    n01, nstar, nb1, nb2 = cfg.index_sizes()
+
+    def block(stream, idx, table):
+        uniforms = np.random.default_rng([cfg.seed, 0, stream, *idx]).random((nstar, cfg.n))
+        return (uniforms[..., None] < table).argmax(-1)
+
+    out = []
+    for k in range(cfg.trials):
+        rng_w = np.random.default_rng([cfg.seed, k, 0])
+        m01, m02, b1, b2 = (int(rng_w.integers(size)) for size in (n01, n01, nb1, nb2))
+        u = block(1, (m01, m02), cum_u)
+        x = block(2, (m01, m02, b1), cum_x[u])
+        y = block(3, (m01, m02, b2), cum_y[u])
+        mask = _typical_mask(u, x, y, target, cfg.eps_typ)
+        m_star = int(mask.argmax())
+        out.append(((m01, m02, b1, b2), m_star, not mask.any(), x[m_star], y[m_star]))
+    return out
+
+
 class TestRates:
     def test_accounting_identities(self):
         rates = SimRates(r0=0.8, r_star=0.25, rt1=0.4, rt2=0.7)
@@ -91,6 +127,19 @@ class TestConfig:
     def test_integer_fields_are_plain_ints(self):
         cfg = dsbs_cfg(n=np.int64(16), trials=np.uint32(10))
         assert (type(cfg.n), type(cfg.trials)) == (int, int) and (cfg.n, cfg.trials) == (16, 10)
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("q", np.array([[0.4, 0.1], [0.1, 0.4]]), "JointPmf"),
+            ("channel", np.full((2, 2, 2), 0.5), "AuxChannel"),
+            ("rates", (0.5, 0.3, 0.5, 0.5), "SimRates"),
+        ],
+    )
+    def test_component_types_are_checked(self, field, value, kind):
+        cfg = dsbs_cfg()
+        with pytest.raises(SimulationError, match=f"SimConfig: {field} must be a {kind}, got"):
+            SimConfig(**{**{f: getattr(cfg, f) for f in ("q", "channel", "n", "rates")}, field: value})
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, "1e-6", True])
     def test_markov_defect_tolerance_is_checked(self, tol):
@@ -199,24 +248,42 @@ class TestCodebooks:
         with pytest.raises(SimulationError, match=r"cap is 1073741824"):
             Codebooks(cfg)
 
-    def test_each_block_drawn_once_per_trial(self):
-        # the processors read the blocks the coordinator drew; at the strict
-        # tolerance m* = 63 lies in the third chunk of the search
-        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
-        for w1, w2, eps, m_star in (((2, 1), (0, 3), 0.2, 0), ((3, 2), (3, 0), 0.05, 63)):
-            books = Codebooks(cfg)
-            drawn = []
-            rng = books._rng
-            books._rng = lambda stream, *idx: drawn.append((stream, *idx)) or rng(stream, *idx)
-            msg, failed = coordinator_select(w1, w2, books, eps)
-            x = processor_output(1, msg, w1, books)
-            y = processor_output(2, msg, w2, books)
-            m0 = (w1[0], w2[0])
-            assert (msg.m_star, failed) == (m_star, False)
-            assert sorted(drawn) == [(1, *m0), (2, *m0, w1[1]), (3, *m0, w2[1])]
-            full = Codebooks(cfg)
-            assert np.array_equal(x, full.x_block(*m0, w1[1])[m_star])
-            assert np.array_equal(y, full.y_block(*m0, w2[1])[m_star])
+    def test_search_row_bytes_guard(self):
+        # one candidate passes the full-block term at any n up to 2^25, but
+        # one search row plus one trial's emitted rows take 80 * n bytes on
+        # binary alphabets: 640 MiB at n = 2^23, 1.25 GiB at n = 2^24
+        dsbs_cfg(n=2**23, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0).index_sizes()
+        cfg = dsbs_cfg(n=2**24, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
+        with pytest.raises(SimulationError, match=r"\(m\*, n\) = \(1, 16777216\) blocks need 1342177280 bytes"):
+            cfg.index_sizes()
+
+    def test_each_block_drawn_once_per_trial(self, monkeypatch):
+        # a run draws each row of a trial's u, x and y blocks once, up to the
+        # end of the round that found m* (all n* rows on a failure), and
+        # emits from those rows without drawing again
+        cfg = dsbs_cfg(trials=60, seed=4, **DEEP)
+        uniforms = []
+
+        def recording_sample(cum, u, out=None):
+            uniforms.append(u.reshape(-1, cfg.n))
+            return _sample(cum, u, out)
+
+        monkeypatch.setattr(simulate, "_sample", recording_sample)
+        run_trials(cfg)
+        trials = reference_trials(cfg)
+        # rounds end at rows 16, 32, 64 and 85; a failed search draws them all
+        ends = [
+            85 if failed else next(e for e in (16, 32, 64, 85) if e > m_star) for _, m_star, failed, _, _ in trials
+        ]
+        assert set(ends) == {16, 32, 64, 85} and any(failed for _, _, failed, _, _ in trials)
+        for stream, cols in ((1, [0, 1]), (2, [0, 1, 2]), (3, [0, 1, 3])):
+            expect = []
+            for (key, *_), end in zip(trials, ends):
+                rng = np.random.default_rng([cfg.seed, 0, stream, *(key[c] for c in cols)])
+                expect.extend(rng.random((end, cfg.n)))
+            # u, x and y draws alternate, one each per part of a round
+            drawn = np.concatenate(uniforms[stream - 1 :: 3])
+            assert sorted(r.tobytes() for r in drawn) == sorted(r.tobytes() for r in expect)
 
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 33, 85])
     def test_prefix_rows_match_full_block(self, rows):
@@ -229,6 +296,9 @@ class TestCodebooks:
         # extending the prefix draws the rest of the same block
         assert np.array_equal(lazy.x_block(2, 0, 1), full.x_block(2, 0, 1))
         assert np.array_equal(lazy.u_block(2, 0), full.u_block(2, 0))
+        # a processor draws its last row alone, from the same stream
+        last = processor_output(1, Message(2, rows - 1), (2, 1), lazy)
+        assert np.array_equal(last, full.x_block(2, 0, 1)[rows - 1])
 
     def test_memoized_blocks_are_read_only(self):
         books = Codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.5))
@@ -329,32 +399,39 @@ class TestSeedStreams:
 
     @pytest.mark.parametrize("name, stream, idx", [("u", 1, (2, 0)), ("x", 2, (2, 0, 1)), ("y", 3, (2, 0, 3))])
     def test_lone_block_matches_seeded_chunk(self, name, stream, idx):
-        # a block outside the current chunk is keyed by SeedSequence itself
+        # a one-block view equals the block's rows in a draw of a chunk of
+        # trials' blocks, and any range of them, at a seed of two words
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=2**32 + 4)
-        alone, chunked = Codebooks(cfg), Codebooks(cfg)
-        chunked.seed_trials([(1, 3, 0, 2), (2, 0, 1, 3)])
-        assert alone._states == {} and idx in chunked._states[stream][0]
-        block = lambda books: getattr(books, f"{name}_block")(*idx)  # noqa: E731
-        assert np.array_equal(block(alone), block(chunked))
+        books = Codebooks(cfg)
+        lone = getattr(books, f"{name}_block")(*idx)
+        table = np.array([(1, 3, 0, 2), (2, 0, 1, 3)])
+        for start, stop in ((0, books.nstar), (17, 40)):
+            u = books.draw(1, books.words(1, table), start, stop)
+            rows = u if stream == 1 else books.draw(stream, books.words(stream, table), start, stop, u)
+            assert np.array_equal(rows[1], lone[start:stop])
 
-    @pytest.mark.parametrize("seed", [7, 2**32 + 5])
-    def test_run_trials_matches_per_block_generators(self, seed):
+    @pytest.mark.parametrize(
+        "kwargs, round_bytes",
+        [
+            pytest.param(dict(n=32, seed=7, r0=I_JOINT_02 - 0.6, r_star=0.0), None, id="7"),
+            pytest.param(dict(n=32, seed=2**32 + 5, r0=I_JOINT_02 - 0.6, r_star=0.0), None, id="4294967301"),
+            pytest.param(dict(seed=7, **DEEP), None, id="deep"),
+            pytest.param(dict(seed=2**32 + 5, **DEEP), None, id="deep-two-word-seed"),
+            # 20 rows a part at n = 16: rounds split by trials and long rounds by rows
+            pytest.param(dict(seed=7, **DEEP), 20 * 1024, id="deep-small-parts"),
+        ],
+    )
+    def test_run_trials_matches_per_block_generators(self, kwargs, round_bytes, monkeypatch):
         # the streams of one default_rng per trial and per block, over three chunks
-        cfg = dsbs_cfg(n=32, trials=2 * _SEED_CHUNK + 1, seed=seed, r0=I_JOINT_02 - 0.6, r_star=0.0)
-
-        class ReferenceBooks(Codebooks):
-            def _rng(self, stream, *idx):
-                return np.random.default_rng([self.cfg.seed, 0, stream, *idx])
-
-        books = ReferenceBooks(cfg)
+        cfg = dsbs_cfg(trials=2 * _SEED_CHUNK + 1, **kwargs)
+        if round_bytes is not None:
+            monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes)
+        trials = reference_trials(cfg)
+        if cfg.index_sizes()[1] > 2 * simulate._FIRST_CHUNK:
+            assert any(m_star > 2 * simulate._FIRST_CHUNK for _, m_star, _, _, _ in trials)
+            assert 0 < sum(failed for _, _, failed, _, _ in trials) < cfg.trials
         counts, failures = np.zeros((2, 2), dtype=np.int64), 0
-        for k in range(cfg.trials):
-            rng_w = np.random.default_rng([cfg.seed, k, 0])
-            m01, m02 = int(rng_w.integers(books.n01)), int(rng_w.integers(books.n01))
-            b1, b2 = int(rng_w.integers(books.nb1)), int(rng_w.integers(books.nb2))
-            msg, failed = coordinator_select((m01, b1), (m02, b2), books, cfg.eps_typ)
-            x = processor_output(1, msg, (m01, b1), books)
-            y = processor_output(2, msg, (m02, b2), books)
+        for _, _, failed, x, y in trials:
             np.add.at(counts, (x, y), 1)
             failures += failed
         rep = run_trials(cfg)
@@ -375,6 +452,27 @@ class TestSeedStreams:
         # warm the interpreter's and numpy's one-time caches first
         run_trials(dsbs_cfg(n=32, trials=_SEED_CHUNK, seed=2, r0=I_JOINT_02 - 0.6, r_star=0.0))
         assert peak(20 * _SEED_CHUNK) <= peak(_SEED_CHUNK) + 64 * 1024
+
+    @pytest.mark.parametrize(
+        "trials, eps, failure_rate", [(8, 0.001, 1.0), (_SEED_CHUNK + 1, 0.1, 0.0)], ids=["failing", "full-chunk"]
+    )
+    def test_long_blocks_run_in_capped_parts(self, trials, eps, failure_rate):
+        # at n = 4096 one part of a search round holds one row of the 71-row
+        # blocks and a chunk holds 4 trials, whose emitted rows fit the round
+        # cap too; whole blocks would take 32 * 71 * n bytes and the emitted
+        # rows of a chunk of 256 trials 16 MiB
+        kwargs = dict(n=4096, seed=1, r0=0.001, r_star=0.0015, rt1=0.001, rt2=0.001)
+        cfg = dsbs_cfg(trials=trials, eps=eps, **kwargs)
+        assert cfg.index_sizes()[1] == 71
+        run_trials(dsbs_cfg(trials=1, **kwargs))
+        tracemalloc.start()
+        try:
+            rep = run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mstar_failure_rate == failure_rate
+        assert peak <= 2 * simulate._ROUND_BYTES + 256 * 1024
 
 
 class TestTypicality:
@@ -477,15 +575,18 @@ class TestCoordinatorAndProcessors:
         sampled = []
 
         def recording_sample(cum, uniforms, out=None):
-            sampled.append(len(uniforms))
+            sampled.append(uniforms.shape[-2])
             return _sample(cum, uniforms, out)
 
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         msg, failed = coordinator_select((2, 1), (0, 3), books, 0.2)
-        processor_output(1, msg, (2, 1), books)
-        processor_output(2, msg, (0, 3), books)
         assert (msg.m_star, failed) == (0, False)
         assert sampled == [16, 16, 16] and books.nstar == 85
+        # each processor draws row m* of the u block and of its own block
+        sampled.clear()
+        processor_output(1, msg, (2, 1), books)
+        processor_output(2, msg, (0, 3), books)
+        assert sampled == [1, 1, 1, 1]
 
     def test_failure_flag_and_fallback(self):
         # an impossible tolerance forces the flagged first-candidate fallback

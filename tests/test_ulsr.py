@@ -14,7 +14,7 @@ from coordrate.pmf import (
 )
 from coordrate.region import RateTriple, in_achievable_region
 from coordrate.ulsr import UlsrForm, _pad_rows, _structured_starts, ulsr_objective, ulsr_rate
-from coordrate.wyner import SolverOptions, wyner_ci
+from coordrate.wyner import BRACKET_SLACK, SolverOptions, wyner_ci
 
 FAST = SolverOptions(restarts=10, seed=0)
 
@@ -106,6 +106,21 @@ class TestRateSolver:
         res = ulsr_rate(q, opts=FAST)
         assert res.diagnostics["bracket"] == pytest.approx([0.5 * ixy, min(ixy, 0.5 * h_min)], abs=1e-12)
         assert res.diagnostics["within_bracket"] is True
+
+    def test_row_source_rate_is_exactly_zero(self, source_3x3):
+        # a one-row source has bracket [0, 0]: its solved value, which rounds
+        # a little above 0, is reported as exactly 0; values inside their
+        # bracket keep their pins
+        q = JointPmf(np.array([[0.5, 0.5]]))
+        res = ulsr_rate(q, opts=FAST)
+        assert res.value == 0.0 and res.diagnostics["bracket"] == [0.0, 0.0]
+        assert res.diagnostics["within_bracket"] is True
+        # the terms stay the channel's, whose objective is the value up to the slack
+        exact = ulsr_objective(q, res.channel)
+        assert (res.term_cond, res.term_joint) == (exact.term_cond, exact.term_joint)
+        assert 0.0 <= exact.value <= BRACKET_SLACK
+        for q, value in ((dsbs_joint(0.1), 0.3004077303658418), (source_3x3, 0.1312736255910273)):
+            assert ulsr_rate(q, opts=FAST).value == pytest.approx(value, abs=1e-12)
 
     def test_stages_in_diagnostics(self):
         # 200 iterations stop some stages with restarts still live
