@@ -36,6 +36,6 @@ from .wyner import SolverInfeasibleError, SolverOptions, WynerResult, no_sr_rate
 from .ulsr import UlsrForm, UlsrResult, ulsr_objective, ulsr_rate
 from .dsbs import CurvePoint, DsbsParams, curve_csv_lines, dsbs_wyner_channel, emit_curve, f_of_t, i_cond_closed_form, i_joint_closed_form, interpolated_channel, t_star, write_curve_csv
 from .region import RateTriple, RegionBounds, achievable_bounds, check_markov_quadruple, in_achievable_region, xy_equal_region
-from .simulate import Codebooks, SimConfig, SimRates, SimReport, coordinator_select, derive_components, processor_output, run_trials, typicality_test
+from .simulate import Codebooks, SimConfig, SimRates, SimReport, derive_components, run_trials
 
 __version__ = "0.1.0"

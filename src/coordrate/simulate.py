@@ -7,8 +7,11 @@ u ~ p(u), then x | u and y | u conditionally independently.  The
 coordinator searches the bin for the first candidate index m* whose
 codeword triple is typical for the composed target joint, broadcasts
 (m01 XOR m02, m*), and each processor reconstructs m0 from its own half
-and emits its codeword.  Rates follow the accounting
-R = R0/2 + R*, R_i = Rt_i + R0/2.
+and emits its codeword.  That reconstruction is exact by construction, so
+``run_trials`` emits the rows the coordinator's search drew; processor 1's
+row is a function of (m01, m02, b1, m*) alone and processor 2's of
+(m01, m02, b2, m*), which the isolation test pins.  Rates follow the
+accounting R = R0/2 + R*, R_i = Rt_i + R0/2.
 
 A run holds the codebooks fixed and varies only the shared-randomness
 draws across trials: the induced distribution being estimated is that of
@@ -32,7 +35,6 @@ value is necessary for success.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,9 +45,8 @@ from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _write_json, comp
 
 #: hard cap on each index-set size (desk-scale memory guard)
 INDEX_CAP = 2**20
-#: cap on the bytes of the largest draw a configuration needs: a one-block
-#: view's (nstar, n) blocks, 32 bytes a symbol, or one search row plus one
-#: trial's emitted rows, which is the least ``run_trials`` holds
+#: cap on the bytes of one search row plus one trial's emitted rows, which is
+#: the least ``run_trials`` holds
 BLOCK_BYTES_CAP = 2**30
 #: default tolerance on I(X;Y|U) of the composed channel, in bits
 MARKOV_DEFECT_TOL = 1e-6
@@ -63,7 +64,7 @@ _KEY_COLUMNS = {_U_STREAM: [0, 1], _X_STREAM: [0, 1, 2], _Y_STREAM: [0, 1, 3]}
 
 
 class SimulationError(ValueError):
-    """Invalid simulator configuration or index out of range."""
+    """Invalid simulator configuration."""
 
 
 def _index_size(name, n, rate):
@@ -145,7 +146,8 @@ class SimConfig:
         """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs.
 
         Refused with SimulationError when an index set exceeds INDEX_CAP or
-        the largest draw would exceed BLOCK_BYTES_CAP bytes.
+        one search row plus one trial's emitted rows would exceed
+        BLOCK_BYTES_CAP bytes.
         """
         n = self.n
         sizes = (
@@ -154,10 +156,11 @@ class SimConfig:
             _index_size("b1", n, self.rates.rt1),
             _index_size("b2", n, self.rates.rt2),
         )
-        block_bytes = max(32 * sizes[1] * n, self._row_bytes() + 16 * n)
-        if block_bytes > BLOCK_BYTES_CAP:
+        row_bytes = self._row_bytes() + 16 * n
+        if row_bytes > BLOCK_BYTES_CAP:
             raise SimulationError(
-                f"SimConfig: (m*, n) = ({sizes[1]}, {n}) blocks need {block_bytes} bytes, cap is {BLOCK_BYTES_CAP}"
+                f"SimConfig: one search row and one trial's emitted rows at n = {n} "
+                f"need {row_bytes} bytes, cap is {BLOCK_BYTES_CAP}"
             )
         return sizes
 
@@ -241,10 +244,9 @@ class Codebooks:
     therefore independent, matching a single i.i.d. codebook draw.  No block
     is stored: ``draw`` samples rows [start, stop) of many blocks at once,
     each from the block's stream advanced to where row ``start`` begins, so
-    any range equals the same rows of a full draw.  ``u_block``, ``x_block``
-    and ``y_block`` are one-block views of the same draw.  Every block of a
-    stream is drawn from one reused generator, which makes one ``Codebooks``
-    the property of one thread.
+    any range equals the same rows of a full draw.  Every block of a stream
+    is drawn from one reused generator, which makes one ``Codebooks`` the
+    property of one thread.
     """
 
     def __init__(self, cfg):
@@ -261,14 +263,6 @@ class Codebooks:
             cum[..., -1] = 1.0
         #: stream -> the generator every block of the stream is drawn from
         self._gens = {s: np.random.Generator(np.random.PCG64(s)) for s in self._cum}
-
-    def _key(self, m01, m02, b1=0, b2=0):
-        """The trial row (m01, m02, b1, b2) as ints, each checked against its index set."""
-        key, sizes = (m01, m02, b1, b2), (self.n01, self.n01, self.nb1, self.nb2)
-        for name, value, size in zip(("m01", "m02", "b1", "b2"), key, sizes):
-            if not 0 <= value < size:
-                raise SimulationError(f"Codebooks: {name} index {value} outside [0, {size})")
-        return tuple(int(v) for v in key)
 
     def words(self, stream, table):
         """Seed words of the block of ``stream`` keyed by each trial row (m01, m02, b1, b2) of ``table``."""
@@ -290,55 +284,14 @@ class Codebooks:
         cum = self._cum[stream]
         return _sample(cum if u is None else np.take(cum, u, axis=0), uniforms)
 
-    def _block(self, stream, key, start, stop):
-        """Rows [start, stop) of the block of ``stream`` of trial row ``key``, read-only."""
-        rows = self.draw(_U_STREAM, self.words(_U_STREAM, [key]), start, stop)
-        if stream != _U_STREAM:
-            rows = self.draw(stream, self.words(stream, [key]), start, stop, rows)
-        rows = rows[0]
-        rows.setflags(write=False)
-        return rows
-
-    def _rows(self, rows):
-        rows = self.nstar if rows is None else operator.index(rows)
-        if not 1 <= rows <= self.nstar:
-            raise SimulationError(f"Codebooks: rows {rows} outside [1, {self.nstar}]")
-        return rows
-
-    def u_block(self, m01, m02, rows=None):
-        """u-codewords of the first ``rows`` m* candidates (all by default) of bin m0 = (m01, m02)."""
-        return self._block(_U_STREAM, self._key(m01, m02), 0, self._rows(rows))
-
-    def x_block(self, m01, m02, b1, rows=None):
-        """x-codewords of the first ``rows`` m* candidates at fixed (m0, b1), drawn per symbol from p(x|u)."""
-        return self._block(_X_STREAM, self._key(m01, m02, b1=b1), 0, self._rows(rows))
-
-    def y_block(self, m01, m02, b2, rows=None):
-        return self._block(_Y_STREAM, self._key(m01, m02, b2=b2), 0, self._rows(rows))
-
-
-@dataclass(frozen=True)
-class Message:
-    """Common broadcast: XOR of the two m0 halves plus the selected index."""
-
-    m0_xor: int
-    m_star: int
-
-
-def typicality_test(u, x, y, p, eps_typ):
-    """Is the empirical type of (u,x,y) within eps of p in every cell?
-
-    Also rejects any occurrence of a zero-probability cell.  ``p`` is the
-    composed per-letter joint indexed [u, x, y].
-    """
-    u, x, y = (np.asarray(s, dtype=np.int64) for s in (u, x, y))
-    if not (u.shape == x.shape == y.shape and u.ndim == 1 and u.size):
-        raise SimulationError("typicality_test: sequences must share one nonzero length")
-    return bool(_typical_mask(u[None], x[None], y[None], np.asarray(p, dtype=np.float64), eps_typ)[0])
-
 
 def _typical_mask(ub, xb, yb, p, eps_typ):
-    """Vectorized typicality of each candidate row triple."""
+    """Typicality of each candidate row triple of the (rows, n) arrays ``ub``, ``xb``, ``yb``.
+
+    A triple is typical when its empirical type is within ``eps_typ`` of
+    ``p``, the composed per-letter joint indexed [u, x, y], in every cell,
+    and no zero-probability cell occurs in it.
+    """
     rows, n = ub.shape
     _, nx, ny = p.shape
     p = p.ravel()
@@ -387,39 +340,6 @@ def _search(books, table, eps_typ):
     return m_star, failed, x_out, y_out
 
 
-def coordinator_select(w1, w2, books, eps_typ):
-    """Pick the first m* in the bin whose codeword triple is typical: a one-trial ``_search``.
-
-    Returns (Message, failed).  When no candidate passes, m* falls back to
-    the first index and the trial is flagged instead of raising.
-    """
-    (m01, b1), (m02, b2) = w1, w2
-    key = books._key(m01, m02, b1, b2)
-    m_star, failed, _, _ = _search(books, np.array([key]), eps_typ)
-    return Message(m0_xor=key[0] ^ key[1], m_star=int(m_star[0])), bool(failed[0])
-
-
-def processor_output(which, message, w_i, books):
-    """Reconstruct m0 from the XOR and this processor's half, emit the codeword.
-
-    Processor 1 sees w1 = (m01, b1) and never touches w2; symmetrically for
-    processor 2.  It draws only row m* of the u block and of its own block.
-    """
-    if which not in (1, 2):
-        raise SimulationError(f"processor_output: processor must be 1 or 2, got {which!r}")
-    half, b = (int(v) for v in w_i)
-    other = message.m0_xor ^ half
-    if not 0 <= other < books.n01:
-        raise SimulationError(f"processor_output: recovered m0 half {other} outside [0, {books.n01})")
-    # numpy would wrap a negative row index silently
-    if not 0 <= message.m_star < books.nstar:
-        raise SimulationError(f"processor_output: m* index {message.m_star} outside [0, {books.nstar})")
-    m0 = (half, other) if which == 1 else (other, half)
-    key = books._key(*m0, **{f"b{which}": b})
-    stream = _X_STREAM if which == 1 else _Y_STREAM
-    return books._block(stream, key, message.m_star, message.m_star + 1)[0]
-
-
 def run_trials(cfg):
     """Run all trials against one fixed code, pooling per-letter (x, y) pairs.
 
@@ -436,7 +356,7 @@ def run_trials(cfg):
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
-    n01, _, nb1, nb2 = sizes = cfg.index_sizes()
+    n01, _, nb1, nb2 = sizes = books.n01, books.nstar, books.nb1, books.nb2
     # one bounded draw per trial: the same (m01, m02, b1, b2) as a call per index
     highs = np.array((n01, n01, nb1, nb2))
     rng_w = np.random.Generator(np.random.PCG64(_W_STREAM))

@@ -4,7 +4,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from coordrate._seeding import seed_words
 from coordrate.pmf import AuxChannel, JointPmf, PmfError
+from coordrate.simulate import _search
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -27,6 +29,38 @@ def aux_with_copy_sides(base, nx, ny):
         for y in range(ny):
             rows[x, y, :, x, y] = base.probs[x, y, :, 0, 0]
     return AuxChannel.from_array(rows)
+
+
+def processor_isolation(books, table, eps_typ, which):
+    """Check that processor ``which`` emits from its own view of a trial only.
+
+    Runs ``_search`` on the trial rows (m01, m02, b1, b2) of ``table`` and on
+    a copy that differs only in the other processor's b index.  Where m*
+    agrees, processor ``which``'s emitted rows must be equal; in both runs,
+    each must be row m* of the block keyed by (m01, m02, b_which) alone, its
+    stream key written out here rather than read from the simulator.
+    Returns (trials whose m* agreed, whether both checks held).
+    """
+    own, other = (2, 3) if which == 1 else (3, 2)
+    stream, seed = 1 + which, books.cfg.seed  # x is stream 2, y stream 3
+    table = np.asarray(table)
+    changed = table.copy()
+    changed[:, other] = (changed[:, other] + 1) % (books.nb1, books.nb2)[other - 2]
+    assert not np.array_equal(changed, table), "the other processor's index set has one entry"
+    runs = []
+    for t in (table, changed):
+        m_star, _, x, y = _search(books, t, eps_typ)
+        runs.append((t, m_star, (x, y)[which - 1]))
+    (_, m_a, rows_a), (_, m_b, rows_b) = runs
+    agree = m_a == m_b
+    ok = np.array_equal(rows_a[agree], rows_b[agree])
+    for t, m_star, rows in runs:
+        u_words = seed_words((seed, 0, 1), t[:, [0, 1]]).tolist()
+        own_words = seed_words((seed, 0, stream), t[:, [0, 1, own]]).tolist()
+        for k, m in enumerate(m_star.tolist()):
+            u = books.draw(1, u_words[k : k + 1], m, m + 1)
+            ok &= np.array_equal(rows[k], books.draw(stream, own_words[k : k + 1], m, m + 1, u)[0, 0])
+    return int(agree.sum()), bool(ok)
 
 
 def load_curve(name):

@@ -239,11 +239,12 @@ class TestSimulate:
         assert err.startswith(f"error: {owner}: ") and message in err
 
     def test_block_bytes_beyond_cap_is_validation_error(self, files):
-        # 2^(40 * 0.5) candidates fit the index cap; their 40-symbol blocks do not
+        # one candidate fits the index cap; one search row and one trial's
+        # emitted rows of 2^24 symbols do not
         code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
-                              "--n", "40", "--rates", "0,0.5,0,0", "--trials", "1"])
-        assert code == 1 and out == ""
-        assert "blocks need 1342177280 bytes, cap is 1073741824" in err
+                              "--n", "16777216", "--rates", "0,0,0,0", "--trials", "1"])
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "need 1342177280 bytes, cap is 1073741824" in err
 
 
 class TestMalformedFiles:

@@ -6,24 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import processor_isolation
 from coordrate import simulate
 from coordrate._seeding import seed_words, set_state
 from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
     Codebooks,
-    Message,
     SimConfig,
     SimRates,
     SimulationError,
     _SEED_CHUNK,
     _sample,
+    _search,
     _typical_mask,
-    coordinator_select,
     derive_components,
-    processor_output,
     run_trials,
-    typicality_test,
 )
 
 I_JOINT_02 = 0.705904900983266   # I(X,Y;U) of the minimizing channel at a=0.2
@@ -40,6 +38,16 @@ def dsbs_cfg(n=16, trials=10, seed=0, r0=None, r_star=0.3, rt1=0.5, rt2=0.5, eps
 #: tolerance finer than one symbol's share (1/16), so trials hit past row 16,
 #: past row 64, or not at all
 DEEP = dict(n=16, r0=0.6, r_star=0.4, eps=0.04)
+
+#: one trial row (m01, m02, b1, b2) of the hand-picked searches below
+KEY = np.array([(2, 0, 1, 3)])
+
+
+def blocks(books, table, start=0, stop=None):
+    """Rows [start, stop) (all n* by default) of the u, x and y blocks of each trial row of ``table``."""
+    stop = books.nstar if stop is None else stop
+    u = books.draw(1, books.words(1, table), start, stop)
+    return u, books.draw(2, books.words(2, table), start, stop, u), books.draw(3, books.words(3, table), start, stop, u)
 
 
 def reference_trials(cfg):
@@ -192,21 +200,20 @@ class TestDeriveComponents:
 class TestCodebooks:
     def test_deterministic_rebuild(self):
         cfg = dsbs_cfg(n=4, r0=0.5, r_star=0.5)
-        b1 = Codebooks(cfg)
-        b2 = Codebooks(cfg)
-        assert np.array_equal(b1.u_block(1, 0), b2.u_block(1, 0))
-        assert np.array_equal(b1.x_block(1, 0, 2), b2.x_block(1, 0, 2))
-        assert np.array_equal(b1.y_block(1, 0, 2), b2.y_block(1, 0, 2))
+        table = [(1, 0, 2, 2)]
+        for first, again in zip(blocks(Codebooks(cfg), table), blocks(Codebooks(cfg), table)):
+            assert np.array_equal(first, again)
 
     def test_different_seeds_differ(self):
         b1 = Codebooks(dsbs_cfg(n=16, r0=0.5, r_star=0.5, seed=0))
         b2 = Codebooks(dsbs_cfg(n=16, r0=0.5, r_star=0.5, seed=1))
-        assert not np.array_equal(b1.u_block(0, 0), b2.u_block(0, 0))
+        table = [(0, 0, 0, 0)]
+        assert not np.array_equal(blocks(b1, table)[0], blocks(b2, table)[0])
 
     def test_zero_rates_single_codeword(self):
         cfg = dsbs_cfg(n=8, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
         books = Codebooks(cfg)
-        assert books.u_block(0, 0).shape == (1, 8)
+        assert blocks(books, [(0, 0, 0, 0)])[0].shape == (1, 1, 8)
         assert (books.n01, books.nstar, books.nb1, books.nb2) == (1, 1, 1, 1)
 
     def test_conditional_agreement_rate(self):
@@ -214,12 +221,8 @@ class TestCodebooks:
         cfg = dsbs_cfg(n=8, r0=1.0, r_star=1.0, trials=1)
         books = Codebooks(cfg)
         b = 0.5 * (1 - np.sqrt(1 - 2 * 0.2))
-        agree = []
-        for m01 in range(books.n01):
-            u = books.u_block(m01, 0)
-            x = books.x_block(m01, 0, 0)
-            agree.append((u == x).mean())
-        assert np.mean(agree) == pytest.approx(1 - b, abs=0.05)
+        u, x, _ = blocks(books, [(m01, 0, 0, 0) for m01 in range(books.n01)])
+        assert (u == x).mean() == pytest.approx(1 - b, abs=0.05)
 
     def test_index_guard(self):
         with pytest.raises(SimulationError):
@@ -240,22 +243,32 @@ class TestCodebooks:
             dsbs_cfg(n=21, r0=0.0, r_star=1.0).index_sizes()
 
     def test_block_bytes_guard(self):
-        # 2^20 entries pass the index cap, but at n=40 one trial's blocks
-        # need 32 * 2^20 * 40 bytes = 1.25 GiB; n=20 (640 MiB) passes above
-        cfg = dsbs_cfg(n=40, r0=0.0, r_star=0.5)
-        with pytest.raises(SimulationError, match=r"\(m\*, n\) = \(1048576, 40\) blocks need 1342177280 bytes"):
-            cfg.index_sizes()
-        with pytest.raises(SimulationError, match=r"cap is 1073741824"):
-            Codebooks(cfg)
+        # the 2^20 candidates of a bin at n = 40 would take 32 * 2^20 * 40
+        # bytes = 1.25 GiB as full blocks, but a run holds only the rows one
+        # part of a search round draws, so the guard accepts them
+        kwargs = dict(n=40, r0=0.7, r_star=0.5, rt1=0.5, rt2=0.5)
+        cfg = dsbs_cfg(trials=50, **kwargs)
+        assert cfg.index_sizes()[1] == 2**20
+        run_trials(dsbs_cfg(trials=1, **kwargs))
+        tracemalloc.start()
+        try:
+            rep = run_trials(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.trials_run == 50
+        assert peak <= 2 * simulate._ROUND_BYTES + 256 * 1024
 
     def test_search_row_bytes_guard(self):
-        # one candidate passes the full-block term at any n up to 2^25, but
         # one search row plus one trial's emitted rows take 80 * n bytes on
         # binary alphabets: 640 MiB at n = 2^23, 1.25 GiB at n = 2^24
         dsbs_cfg(n=2**23, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0).index_sizes()
         cfg = dsbs_cfg(n=2**24, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
-        with pytest.raises(SimulationError, match=r"\(m\*, n\) = \(1, 16777216\) blocks need 1342177280 bytes"):
+        match = r"one search row and one trial's emitted rows at n = 16777216 need 1342177280 bytes, cap is 1073741824"
+        with pytest.raises(SimulationError, match=match):
             cfg.index_sizes()
+        with pytest.raises(SimulationError, match=match):
+            Codebooks(cfg)
 
     def test_each_block_drawn_once_per_trial(self, monkeypatch):
         # a run draws each row of a trial's u, x and y blocks once, up to the
@@ -291,36 +304,18 @@ class TestCodebooks:
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
         lazy, full = Codebooks(cfg), Codebooks(cfg)
         assert lazy.nstar == 85
-        assert np.array_equal(lazy.x_block(2, 0, 1, rows=rows), full.x_block(2, 0, 1)[:rows])
-        assert np.array_equal(lazy.y_block(2, 0, 3, rows=rows), full.y_block(2, 0, 3)[:rows])
-        # extending the prefix draws the rest of the same block
-        assert np.array_equal(lazy.x_block(2, 0, 1), full.x_block(2, 0, 1))
-        assert np.array_equal(lazy.u_block(2, 0), full.u_block(2, 0))
-        # a processor draws its last row alone, from the same stream
-        last = processor_output(1, Message(2, rows - 1), (2, 1), lazy)
-        assert np.array_equal(last, full.x_block(2, 0, 1)[rows - 1])
-
-    def test_memoized_blocks_are_read_only(self):
-        books = Codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.5))
-        for block in (books.u_block(1, 0), books.x_block(1, 0, 2), books.y_block(1, 0, 2)):
-            with pytest.raises(ValueError):
-                block[0, 0] = 1
-
-    def test_out_of_range_indices(self):
-        books = Codebooks(dsbs_cfg(n=4, r0=0.5, r_star=0.0))
-        with pytest.raises(SimulationError):
-            books.u_block(99, 0)
-        for rows in (0, books.nstar + 1):
-            with pytest.raises(SimulationError, match="rows"):
-                books.x_block(0, 0, 0, rows=rows)
-        with pytest.raises(TypeError):
-            books.x_block(0, 0, 0, rows=1.5)
+        whole = blocks(full, KEY)
+        for prefix, block in zip(blocks(lazy, KEY, 0, rows), whole):
+            assert np.array_equal(prefix, block[:, :rows])
+        # the last row drawn alone, from the same streams
+        for last, block in zip(blocks(lazy, KEY, rows - 1, rows), whole):
+            assert np.array_equal(last, block[:, rows - 1 : rows])
 
     def test_hand_traced_codeword(self):
         # regenerate the same slice from the raw uniform stream by hand
         cfg = dsbs_cfg(n=4, r0=1.0, r_star=0.5, seed=9)
         books = Codebooks(cfg)
-        u = books.u_block(1, 0)
+        u = blocks(books, [(1, 0, 0, 0)])[0][0]
         rng = np.random.default_rng([9, 0, 1, 1, 0])
         uniforms = rng.random((books.nstar, 4))
         cum = np.cumsum(books.p_u.probs)
@@ -399,16 +394,17 @@ class TestSeedStreams:
 
     @pytest.mark.parametrize("name, stream, idx", [("u", 1, (2, 0)), ("x", 2, (2, 0, 1)), ("y", 3, (2, 0, 3))])
     def test_lone_block_matches_seeded_chunk(self, name, stream, idx):
-        # a one-block view equals the block's rows in a draw of a chunk of
-        # trials' blocks, and any range of them, at a seed of two words
+        # a block drawn alone from the stream keyed by its own indices equals
+        # its rows in a draw of a chunk of trials' blocks, whole and over any
+        # range, at a seed of two words
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=2**32 + 4)
         books = Codebooks(cfg)
-        lone = getattr(books, f"{name}_block")(*idx)
         table = np.array([(1, 3, 0, 2), (2, 0, 1, 3)])
         for start, stop in ((0, books.nstar), (17, 40)):
-            u = books.draw(1, books.words(1, table), start, stop)
-            rows = u if stream == 1 else books.draw(stream, books.words(stream, table), start, stop, u)
-            assert np.array_equal(rows[1], lone[start:stop])
+            lone = books.draw(1, seed_words((cfg.seed, 0, 1), [idx[:2]]).tolist(), start, stop)
+            if stream != 1:
+                lone = books.draw(stream, seed_words((cfg.seed, 0, stream), [idx]).tolist(), start, stop, lone)
+            assert np.array_equal(blocks(books, table, start, stop)[stream - 1][1], lone[0]), name
 
     @pytest.mark.parametrize(
         "kwargs, round_bytes",
@@ -475,6 +471,11 @@ class TestSeedStreams:
         assert peak <= 2 * simulate._ROUND_BYTES + 256 * 1024
 
 
+def typical(u, x, y, p, eps_typ):
+    """``_typical_mask`` of one row triple."""
+    return bool(_typical_mask(*(np.asarray(s)[None] for s in (u, x, y)), p, eps_typ)[0])
+
+
 class TestTypicality:
     def setup_method(self):
         full = compose(dsbs_joint(0.2), dsbs_wyner_channel(0.2))
@@ -489,70 +490,64 @@ class TestTypicality:
         rng = np.random.default_rng(1)
         for n, floor in ((64, 0.8), (128, 0.9)):
             passes = sum(
-                typicality_test(*self._draw(rng, n), self.p, 0.1) for _ in range(500)
+                typical(*self._draw(rng, n), self.p, 0.1) for _ in range(500)
             )
             assert passes / 500 >= floor
 
     def test_constant_sequence_fails(self):
         n = 64
         u = np.zeros(n, dtype=int)
-        assert not typicality_test(u, u, u, self.p, 0.01)
+        assert not typical(u, u, u, self.p, 0.01)
 
     def test_zero_probability_cell_fails(self):
         p = np.array(self.p)
         p[1, 1, 1] = 0.0
         p /= p.sum()
         u = np.ones(4, dtype=int)
-        assert not typicality_test(u, u, u, p, 1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(SimulationError):
-            typicality_test([0, 1], [0], [0, 1], self.p, 0.1)
-
-    def test_empty_sequences_rejected(self):
-        with pytest.raises(SimulationError):
-            typicality_test([], [], [], self.p, 0.1)
+        assert not typical(u, u, u, p, 1.0)
 
 
 class TestCoordinatorAndProcessors:
+    """The coordinator's bin search and the rows each processor emits, on ``_search``."""
+
     def test_xor_recovery_full_sweep(self):
-        cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.0)
+        # for every pair of halves, each processor emits row m* of its block
+        # in the bin m0 = (m01, m02) the coordinator searched: its
+        # reconstruction of m0 from the broadcast XOR is exact
+        cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.5)
         books = Codebooks(cfg)
-        for m01 in range(books.n01):
-            for m02 in range(books.n01):
-                msg, _ = coordinator_select((m01, 0), (m02, 0), books, 0.5)
-                assert msg.m0_xor ^ m01 == m02
-                assert msg.m0_xor ^ m02 == m01
+        table = np.array([(m01, m02, 0, 0) for m01 in range(books.n01) for m02 in range(books.n01)])
+        m_star, _, x, y = _search(books, table, 0.2)
+        assert len(set(m_star.tolist())) > 1
+        _, x_rows, y_rows = blocks(books, table)
+        trials = np.arange(len(table))
+        assert np.array_equal(x, x_rows[trials, m_star]) and np.array_equal(y, y_rows[trials, m_star])
 
     def test_processors_consistent_with_coordinator(self):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
         books = Codebooks(cfg)
-        msg, failed = coordinator_select((2, 1), (0, 3), books, 0.2)
-        x = processor_output(1, msg, (2, 1), books)
-        y = processor_output(2, msg, (0, 3), books)
-        assert np.array_equal(x, books.x_block(2, 0, 1)[msg.m_star])
-        assert np.array_equal(y, books.y_block(2, 0, 3)[msg.m_star])
+        m_star, _, x, y = _search(books, KEY, 0.2)
+        _, x_rows, y_rows = blocks(books, KEY)
+        assert np.array_equal(x[0], x_rows[0, m_star[0]])
+        assert np.array_equal(y[0], y_rows[0, m_star[0]])
 
     def test_information_isolation(self):
-        # processor 1 output is untouched by any change to w2
+        # each processor's output is untouched by any change to the other's
+        # codeword index; that index reaches it only through m*
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
         books = Codebooks(cfg)
-        msg, _ = coordinator_select((2, 1), (0, 3), books, 0.2)
-        base = processor_output(1, msg, (2, 1), books)
-        for other_b2 in range(4):
-            again = processor_output(1, msg, (2, 1), books)
-            assert np.array_equal(base, again)
-        # the dependence on w2 flows only through the broadcast message
-        sweep = {processor_output(1, msg, (2, 1), books).tobytes()}
-        assert len(sweep) == 1
+        rng = np.random.default_rng(5)
+        table = rng.integers((books.n01, books.n01, books.nb1, books.nb2), size=(200, 4))
+        for which in (1, 2):
+            matched, ok = processor_isolation(books, table, cfg.eps_typ, which)
+            assert ok and 0 < matched < len(table)
 
     def test_deterministic_source_never_fails(self):
         q = JointPmf(np.array([[1.0]]))
         cfg = SimConfig(q=q, channel=degenerate_channel(1, 1), n=8,
                         rates=SimRates(0.4, 0.2, 0.2, 0.2), eps_typ=0.05, trials=1, seed=0)
-        books = Codebooks(cfg)
-        msg, failed = coordinator_select((0, 0), (1, 1), books, 0.05)
-        assert not failed and msg.m_star == 0
+        m_star, failed, _, _ = _search(Codebooks(cfg), np.array([(0, 1, 0, 1)]), 0.05)
+        assert not failed[0] and m_star[0] == 0
 
     def test_failed_search_tests_every_row_once(self, monkeypatch):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
@@ -564,10 +559,10 @@ class TestCoordinatorAndProcessors:
             return _typical_mask(ub, xb, yb, p, eps_typ)
 
         monkeypatch.setattr(simulate, "_typical_mask", recording_mask)
-        msg, failed = coordinator_select((2, 1), (0, 3), books, 1e-9)
-        assert (msg.m_star, failed) == (0, True)
+        m_star, failed, _, _ = _search(books, KEY, 1e-9)
+        assert (m_star[0], failed[0]) == (0, True)
         assert [len(t) for t in tested] == [16, 16, 32, 21]
-        assert np.array_equal(np.concatenate(tested), Codebooks(cfg).u_block(2, 0))
+        assert np.array_equal(np.concatenate(tested), blocks(Codebooks(cfg), KEY)[0][0])
 
     def test_early_hit_draws_first_chunk_only(self, monkeypatch):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
@@ -579,34 +574,20 @@ class TestCoordinatorAndProcessors:
             return _sample(cum, uniforms, out)
 
         monkeypatch.setattr(simulate, "_sample", recording_sample)
-        msg, failed = coordinator_select((2, 1), (0, 3), books, 0.2)
-        assert (msg.m_star, failed) == (0, False)
+        m_star, failed, _, _ = _search(books, KEY, 0.2)
+        assert (m_star[0], failed[0]) == (0, False)
+        # u, x and y draw their first 16 rows once; the emitted rows are read from them
         assert sampled == [16, 16, 16] and books.nstar == 85
-        # each processor draws row m* of the u block and of its own block
-        sampled.clear()
-        processor_output(1, msg, (2, 1), books)
-        processor_output(2, msg, (0, 3), books)
-        assert sampled == [1, 1, 1, 1]
 
     def test_failure_flag_and_fallback(self):
         # an impossible tolerance forces the flagged first-candidate fallback
         cfg = dsbs_cfg(n=16, r0=0.5, r_star=0.2, seed=1)
         books = Codebooks(cfg)
-        msg, failed = coordinator_select((0, 0), (0, 0), books, 1e-9)
-        assert failed and msg.m_star == 0
-
-    def test_m_star_out_of_range(self):
-        cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.25)
-        books = Codebooks(cfg)
-        for m_star in (-1, books.nstar):
-            with pytest.raises(SimulationError):
-                processor_output(1, Message(0, m_star), (0, 0), books)
-
-    def test_invalid_processor(self):
-        cfg = dsbs_cfg(n=4, r0=0.5, r_star=0.0)
-        books = Codebooks(cfg)
-        with pytest.raises(SimulationError):
-            processor_output(3, Message(0, 0), (0, 0), books)
+        table = np.zeros((1, 4), dtype=np.int64)
+        m_star, failed, x, y = _search(books, table, 1e-9)
+        assert failed[0] and m_star[0] == 0
+        _, x_rows, y_rows = blocks(books, table)
+        assert np.array_equal(x[0], x_rows[0, 0]) and np.array_equal(y[0], y_rows[0, 0])
 
 
 class TestMstarScarcity:
@@ -649,9 +630,7 @@ class TestRunTrials:
         cfg = SimConfig(q=q, channel=degenerate_channel(2, 2), n=16,
                         rates=SimRates(0, 0, 0, 0), eps_typ=0.5, trials=50, seed=2)
         rep = run_trials(cfg)
-        books = Codebooks(cfg)
-        x = books.x_block(0, 0, 0)[0]
-        y = books.y_block(0, 0, 0)[0]
+        _, x, y = (rows[0, 0] for rows in blocks(Codebooks(cfg), [(0, 0, 0, 0)]))
         expect = np.zeros((2, 2))
         np.add.at(expect, (x, y), 1.0 / cfg.n)
         assert np.allclose(rep.empirical_joint.probs, expect)
@@ -732,18 +711,19 @@ class TestRunTrials:
         # pooled over trials, (x, y) given the selected u factorizes
         cfg = dsbs_cfg(n=32, trials=2000, seed=14)
         books = Codebooks(cfg)
+        sizes = (books.n01, books.n01, books.nb1, books.nb2)
+        table = np.array(
+            [[int(rng_w.integers(size)) for size in sizes]
+             for rng_w in (np.random.default_rng([cfg.seed, k, 0]) for k in range(cfg.trials))]
+        )
+        m_star, _, x, y = _search(books, table, cfg.eps_typ)
+        # the selected u rows, drawn for the trials of each m* together
+        u, u_words = np.empty_like(x), books.words(1, table)
+        for m in np.unique(m_star).tolist():
+            picked = np.flatnonzero(m_star == m)
+            u[picked] = books.draw(1, [u_words[k] for k in picked.tolist()], m, m + 1)[:, 0]
         counts = np.zeros((2, 2, 2))
-        for k in range(cfg.trials):
-            rng_w = np.random.default_rng([cfg.seed, k, 0])
-            m01 = int(rng_w.integers(books.n01))
-            m02 = int(rng_w.integers(books.n01))
-            b1 = int(rng_w.integers(books.nb1))
-            b2 = int(rng_w.integers(books.nb2))
-            msg, _ = coordinator_select((m01, b1), (m02, b2), books, cfg.eps_typ)
-            u = books.u_block(m01, m02)[msg.m_star]
-            x = processor_output(1, msg, (m01, b1), books)
-            y = processor_output(2, msg, (m02, b2), books)
-            np.add.at(counts, (u, x, y), 1)
+        np.add.at(counts, (u, x, y), 1)
         for u in range(2):
             joint = counts[u] / counts[u].sum()
             product = np.outer(joint.sum(1), joint.sum(0))
