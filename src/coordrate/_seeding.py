@@ -10,6 +10,11 @@ much for a few hundred keys as for one, and each state is set on a reused
 nonnegative ints and end in rows of 32-bit entries, so every key has the
 same number of words.  The streams are bit-identical to
 ``default_rng([*prefix, *row])``.
+
+The module also reproduces ``Generator.integers``: ``draw_integers`` runs
+PCG64 and numpy's bounded 32-bit draws on uint64 arrays, one key per
+element, and returns bit for bit what ``integers`` draws from each key's
+state, with no generator set per key.
 """
 
 from __future__ import annotations
@@ -18,15 +23,22 @@ import functools
 
 import numpy as np
 
+from .pmf import _is_int
+
 _POOL = 4
 _XSHIFT = 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 #: PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: the multiplier's high and low 64-bit words, and the low word's 32-bit limbs
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_MULT_LO1, _MULT_LO0 = np.uint64(_PCG_MULT >> 32 & _MASK32), np.uint64(_PCG_MULT & _MASK32)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def _int_words(value):
@@ -125,3 +137,59 @@ def set_state(generator, words):
         "uinteger": 0,
     }
     return generator
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * multiplier + inc mod 2^128, on (hi, lo) uint64 arrays."""
+    # the high word of lo * multiplier's low word, from 32-bit limbs
+    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
+    cross0, cross1 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (lo0 * _MULT_LO0 >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    carry_hi = lo1 * _MULT_LO1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (mid >> _SHIFT32)
+    new_lo = lo * _MULT_LO + inc_lo
+    return carry_hi + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of each (hi, lo) state: hi XOR lo rotated right by the top 6 bits of hi."""
+    folded, rot = hi ^ lo, hi >> np.uint64(58)
+    return folded >> rot | folded << ((np.uint64(64) - rot) & np.uint64(63))
+
+
+def draw_integers(words, highs):
+    """``set_state(gen, row).integers(highs)`` for each row of ``words``: a (keys, len(highs)) int64 array.
+
+    ``words`` holds rows of ``seed_words``; ``highs`` holds integer bounds
+    in [1, 2^32], and another bound raises ValueError.  Each key's PCG64 is
+    seeded by srandom and stepped as arrays.  Its raw outputs are handed out
+    as 32-bit halves, the low half first, as ``next_uint32`` does.  Each
+    bound takes Lemire's method over the key's next halves, retrying a
+    rejected key on its next half, and a bound of 1 takes no half.
+    """
+    for high in highs:
+        if not (_is_int(high) and 1 <= high <= 1 << 32):
+            raise ValueError(f"draw_integers: bounds must be integers in [1, 2^32], got {high!r}")
+    seed_hi, seed_lo, inc_hi, inc_lo = np.asarray(words, dtype=np.uint64).T
+    # srandom: inc = 2 initseq + 1, step from 0 (giving inc), add the seed, step
+    inc_hi, inc_lo = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63), inc_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + seed_lo
+    state = _step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+    keys = np.arange(len(seed_hi))
+    halves = np.empty((0, keys.size), dtype=np.uint64)  # row i: each key's i-th 32-bit half
+    used = np.zeros(keys.size, dtype=np.intp)  # halves each key has taken
+    out = np.zeros((len(highs), keys.size), dtype=np.uint64)
+    for bound, high in zip(out, map(int, highs)):
+        if high == 1:  # draws 0 and takes no half
+            continue
+        # Lemire: a product whose low word is below 2^32 mod high is rejected
+        todo, threshold = keys, np.uint64((1 << 32) % high)
+        while todo.size:
+            if used[todo].max() == len(halves):  # one more raw output for every key
+                state = _step(*state, inc_hi, inc_lo)
+                raw = _xsl_rr(*state)
+                halves = np.concatenate((halves, [raw & _LOW32, raw >> _SHIFT32]))
+            product = halves[used[todo], todo] * np.uint64(high)
+            used[todo] += 1
+            bound[todo] = product >> _SHIFT32
+            todo = todo[(product & _LOW32) < threshold]
+    return out.T.astype(np.int64)

@@ -21,10 +21,12 @@ out).  Codewords are never materialized as full tables: each codebook
 block is a deterministic function of (seed, code stream, indices) through
 the stream of numpy's ``default_rng([seed, 0, stream, *indices])``, which
 keeps memory flat while preserving the i.i.d. codebook statistics and
-exact reproducibility.  The trials of a chunk search their bins together,
-as arrays (``_search``), drawing each row once; a row's uniforms continue
-its block's stream from where the row begins, so the seeded results do
-not depend on how far a search went.
+exact reproducibility.  The shared randomness of a chunk of trials is
+drawn in one array pass (``_seeding.draw_integers``), bit-identical to one
+``default_rng([seed, k, 0])`` per trial k.  The trials of a chunk search
+their bins together, as arrays (``_search``), drawing each row once; a
+row's uniforms continue its block's stream from where the row begins, so
+the seeded results do not depend on how far a search went.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -39,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._seeding import seed_words, set_state
+from ._seeding import draw_integers, seed_words, set_state
 from .measures import conditional_mutual_information
 from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _write_json, compose, tv_distance
 
@@ -348,7 +350,10 @@ def run_trials(cfg):
     This estimates the induced per-letter distribution of a single code,
     the quantity the coordination criterion constrains.  Trials run in
     chunks of ``_SEED_CHUNK``, fewer where their emitted rows would not fit
-    ``_ROUND_BYTES``; a chunk's bin searches run together (``_search``).
+    ``_ROUND_BYTES``.  A chunk's (m01, m02, b1, b2) are drawn in one array
+    pass over its w streams (``draw_integers``), bit-identical to one
+    ``default_rng([seed, k, 0])`` per trial, and its bin searches run
+    together (``_search``).
     """
     if not isinstance(cfg, SimConfig):
         raise SimulationError("run_trials: expected a SimConfig")
@@ -357,15 +362,13 @@ def run_trials(cfg):
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
     n01, _, nb1, nb2 = sizes = books.n01, books.nstar, books.nb1, books.nb2
-    # one bounded draw per trial: the same (m01, m02, b1, b2) as a call per index
-    highs = np.array((n01, n01, nb1, nb2))
-    rng_w = np.random.Generator(np.random.PCG64(_W_STREAM))
     # trials a chunk may hold: their emitted x and y rows take 16 bytes a symbol
     chunk = max(1, min(_SEED_CHUNK, _ROUND_BYTES // (16 * cfg.n)))
     for start in range(0, cfg.trials, chunk):
         ks = np.arange(start, min(start + chunk, cfg.trials))
         keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
-        table = np.array([set_state(rng_w, words).integers(highs) for words in keys.tolist()])
+        # each trial's (m01, m02, b1, b2), as integers(size) per index on its w stream draws them
+        table = draw_integers(keys, (n01, n01, nb1, nb2))
         _, failed, x, y = _search(books, table, cfg.eps_typ)
         x *= ny
         x += y  # each pair's cell index, in place

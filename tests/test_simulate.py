@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import processor_isolation
 from coordrate import simulate
-from coordrate._seeding import seed_words, set_state
+from coordrate._seeding import draw_integers, seed_words, set_state
 from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
@@ -372,6 +372,22 @@ def _keyed_entropy(draw):
     return prefix, tails
 
 
+#: bounds of the bounded draws: 1 takes no half of a raw output, 3 * 2^30 + 1
+#: rejects about a quarter of its draws, 2^32 takes a half as it is
+_HIGHS = st.sampled_from([1, 2, 3, 2**20, 3 * 2**30 + 1, 2**32])
+
+
+def _steps_taken(gen, row):
+    """Raw outputs ``gen`` drew since ``set_state(., row)``, counted by advancing a fresh copy to its state."""
+    fresh = set_state(np.random.Generator(np.random.PCG64()), row)
+    state = gen.bit_generator.state["state"]
+    for steps in range(64):
+        if fresh.bit_generator.state["state"] == state:
+            return steps
+        fresh.bit_generator.advance(1)
+    raise AssertionError("more than 64 raw outputs drawn")
+
+
 class TestSeedStreams:
     """Bulk-derived stream states against ``np.random.default_rng``."""
 
@@ -385,6 +401,34 @@ class TestSeedStreams:
             expect = np.random.default_rng([*prefix, *tail])
             assert set_state(gen, row).bit_generator.state == expect.bit_generator.state
             assert gen.random() == expect.random() and gen.integers(65536) == expect.integers(65536)
+
+    def test_draw_integers_matches_generator(self):
+        # (rejected, raw outputs drawn) of every key over all examples
+        keys = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(_keyed_entropy(), st.lists(_HIGHS, min_size=1, max_size=6))
+        def check(case, highs):
+            prefix, tails = case
+            words = seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1))
+            drawn = draw_integers(words, highs)
+            assert drawn.dtype == np.int64 and drawn.shape == (len(tails), len(highs))
+            gen = np.random.Generator(np.random.PCG64())
+            for row, got in zip(words.tolist(), drawn):
+                assert np.array_equal(got, set_state(gen, row).integers(np.array(highs)))
+                steps = _steps_taken(gen, row)
+                taken = 2 * steps - gen.bit_generator.state["has_uint32"]  # 32-bit halves
+                keys.append((taken > sum(high > 1 for high in highs), steps))
+
+        check()
+        # a rejection happened, and one drew a third raw output on demand
+        assert any(rejected for rejected, _ in keys)
+        assert any(rejected and steps >= 3 for rejected, steps in keys)
+
+    @pytest.mark.parametrize("high", [0, -1, 2**32 + 1, 2.0, 2.5, "3", True])
+    def test_draw_integers_refuses_bounds(self, high):
+        with pytest.raises(ValueError, match=r"bounds must be integers in \[1, 2\^32\]"):
+            draw_integers(seed_words((7,), [[0]]), [5, high])
 
     @pytest.mark.parametrize("entry", [2**32, -1])
     def test_entries_beyond_one_word_are_refused(self, entry):
@@ -415,6 +459,9 @@ class TestSeedStreams:
             pytest.param(dict(seed=2**32 + 5, **DEEP), None, id="deep-two-word-seed"),
             # 20 rows a part at n = 16: rounds split by trials and long rounds by rows
             pytest.param(dict(seed=7, **DEEP), 20 * 1024, id="deep-small-parts"),
+            # r0 = 0 and rt1 = 0 give n01 = nb1 = 1: draws of size 1 take nothing
+            # from the w stream, so b2 comes from its first half
+            pytest.param(dict(n=32, seed=7, r0=0.0, r_star=0.0, rt1=0.0), None, id="one-entry-indices"),
         ],
     )
     def test_run_trials_matches_per_block_generators(self, kwargs, round_bytes, monkeypatch):
