@@ -5,11 +5,16 @@ numpy's ``SeedSequence`` (O'Neill's seed_seq_fe: a pool of four 32-bit
 words) and seeds PCG64 from ``generate_state(4, uint64)``; nearly all the
 cost of building one is per-call overhead.  Here the same hash runs as
 numpy uint32 arithmetic over a whole batch of keys, which costs about as
-much for a few hundred keys as for one, and each state is set on a reused
-``Generator(PCG64)``.  The keys of a batch share a prefix of any
-nonnegative ints and end in rows of 32-bit entries, so every key has the
-same number of words.  The streams are bit-identical to
-``default_rng([*prefix, *row])``.
+much for a few hundred keys as for one.  The keys of a batch share a
+prefix of any nonnegative ints and end in rows of 32-bit entries, so every
+key has the same number of words.  ``_srandom`` then runs PCG64's seeding
+on the batch and gives each key's (state, inc) as four uint64 words, which
+a reused ``Generator(PCG64)`` takes with one 32-byte copy to the address
+``state_address`` finds.  That address and the word order are numpy's
+``pcg64_state`` internals, so the first call of ``state_address`` in a
+process checks them against the generator's ``state`` dict and
+``default_rng`` and raises ``StateLayoutError`` on a mismatch.  The
+streams are bit-identical to ``default_rng([*prefix, *row])``.
 
 The module also reproduces ``Generator.integers``: ``draw_integers`` runs
 PCG64 and numpy's bounded 32-bit draws on uint64 arrays, one key per
@@ -19,6 +24,7 @@ state, with no generator set per key.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 
 import numpy as np
@@ -32,7 +38,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 #: PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: the multiplier's high and low 64-bit words, and the low word's 32-bit limbs
@@ -124,19 +129,75 @@ def seed_words(prefix, table):
     return (out[0::2] | (out[1::2] << np.uint64(32))).T
 
 
-def set_state(generator, words):
-    """Seed a PCG64 ``generator`` from one row of ``seed_words``, as ``PCG64(seed_seq)`` does."""
-    seed_hi, seed_lo, inc_hi, inc_lo = words
-    # PCG64 srandom: inc = 2 initseq + 1, step from 0, add the seed, step
-    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return generator
+def _srandom(words):
+    """PCG64's seeding (srandom) of each row of ``words``: a C-contiguous (keys, 4) uint64 array.
+
+    ``words`` holds rows of ``seed_words``.  Each output row is the seeded
+    state and increment as 64-bit words: state lo, state hi, inc lo, inc hi.
+    """
+    seed_hi, seed_lo, inc_hi, inc_lo = np.asarray(words, dtype=np.uint64).T
+    # inc = 2 initseq + 1, step from 0 (giving inc), add the seed, step
+    inc_hi, inc_lo = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63), inc_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + seed_lo
+    state_hi, state_lo = _step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+    return np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=1)
+
+
+class StateLayoutError(RuntimeError):
+    """numpy's PCG64 does not hold its state as the words of a ``_srandom`` row."""
+
+
+#: whether this process has checked numpy's PCG64 state layout
+_layout_checked = False
+
+
+def _read_words(address):
+    """The four uint64 words at ``address``, as ints."""
+    return list((ctypes.c_uint64 * 4).from_address(address))
+
+
+def _check_layout(gen, address):
+    """Raise StateLayoutError unless a ``_srandom`` row written to ``address`` seeds ``gen`` as numpy would.
+
+    The 32 bytes at ``address`` must read as ``gen``'s own (state, inc) in
+    a row's word order, which is checked before anything is written.  Then
+    one row is written and ``gen``'s next double must equal that of
+    ``default_rng`` on the row's key.  ``gen`` is left as it was found.
+    """
+    bits = gen.bit_generator
+    saved = bits.state
+    pcg = saved["state"]
+    expect = [pcg["state"] & _MASK64, pcg["state"] >> 64, pcg["inc"] & _MASK64, pcg["inc"] >> 64]
+    found = _read_words(address)
+    if found != expect:
+        raise StateLayoutError(
+            f"PCG64 state words read {found}, expected (state lo, state hi, inc lo, inc hi) = {expect}"
+        )
+    key = [_MASK32, 0, 1]
+    row = _srandom(seed_words((), [key]))
+    ctypes.memmove(address, row.ctypes.data, row.nbytes)
+    try:
+        drawn = gen.random()
+    finally:
+        bits.state = saved
+    expect_draw = np.random.default_rng(key).random()
+    if drawn != expect_draw:
+        raise StateLayoutError(f"PCG64 seeded by a written state drew {drawn!r}, default_rng drew {expect_draw!r}")
+
+
+def state_address(gen):
+    """Address of the 32 bytes holding the PCG64 (state, inc) of ``gen``, where a ``_srandom`` row may be written.
+
+    The first call in a process checks the layout (``_check_layout``) and
+    raises StateLayoutError on a mismatch; later calls skip the check.
+    """
+    global _layout_checked
+    # numpy's pcg64_state, whose first member points to the (state, inc) pair
+    address = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
+    if not _layout_checked:
+        _check_layout(gen, address)
+        _layout_checked = True
+    return address
 
 
 def _step(hi, lo, inc_hi, inc_lo):
@@ -157,24 +218,22 @@ def _xsl_rr(hi, lo):
 
 
 def draw_integers(words, highs):
-    """``set_state(gen, row).integers(highs)`` for each row of ``words``: a (keys, len(highs)) int64 array.
+    """``default_rng(key).integers(highs)`` for the key of each row of ``words``: a (keys, len(highs)) int64 array.
 
     ``words`` holds rows of ``seed_words``; ``highs`` holds integer bounds
     in [1, 2^32], and another bound raises ValueError.  Each key's PCG64 is
-    seeded by srandom and stepped as arrays.  Its raw outputs are handed out
-    as 32-bit halves, the low half first, as ``next_uint32`` does.  Each
-    bound takes Lemire's method over the key's next halves, retrying a
-    rejected key on its next half, and a bound of 1 takes no half.
+    seeded by ``_srandom`` and stepped as arrays.  Its raw outputs are
+    handed out as 32-bit halves, the low half first, as ``next_uint32``
+    does.  Each bound takes Lemire's method over the key's next halves,
+    retrying a rejected key on its next half, and a bound of 1 takes no
+    half.
     """
     for high in highs:
         if not (_is_int(high) and 1 <= high <= 1 << 32):
             raise ValueError(f"draw_integers: bounds must be integers in [1, 2^32], got {high!r}")
-    seed_hi, seed_lo, inc_hi, inc_lo = np.asarray(words, dtype=np.uint64).T
-    # srandom: inc = 2 initseq + 1, step from 0 (giving inc), add the seed, step
-    inc_hi, inc_lo = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63), inc_lo << np.uint64(1) | np.uint64(1)
-    lo = inc_lo + seed_lo
-    state = _step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-    keys = np.arange(len(seed_hi))
+    state_lo, state_hi, inc_lo, inc_hi = _srandom(words).T
+    state = state_hi, state_lo
+    keys = np.arange(len(state_lo))
     halves = np.empty((0, keys.size), dtype=np.uint64)  # row i: each key's i-th 32-bit half
     used = np.zeros(keys.size, dtype=np.intp)  # halves each key has taken
     out = np.zeros((len(highs), keys.size), dtype=np.uint64)

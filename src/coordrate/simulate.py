@@ -36,12 +36,13 @@ value is necessary for success.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._seeding import draw_integers, seed_words, set_state
+from ._seeding import _srandom, draw_integers, seed_words, state_address
 from .measures import conditional_mutual_information
 from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _write_json, compose, tv_distance
 
@@ -50,6 +51,9 @@ INDEX_CAP = 2**20
 #: cap on the bytes of one search row plus one trial's emitted rows, which is
 #: the least ``run_trials`` holds
 BLOCK_BYTES_CAP = 2**30
+#: cap on the symbols a run may test, trials * n* * n: every trial's search
+#: failing tests all n* rows of n symbols
+WORK_CAP = 2**32
 #: default tolerance on I(X;Y|U) of the composed channel, in bits
 MARKOV_DEFECT_TOL = 1e-6
 
@@ -147,9 +151,10 @@ class SimConfig:
     def index_sizes(self):
         """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs.
 
-        Refused with SimulationError when an index set exceeds INDEX_CAP or
+        Refused with SimulationError when an index set exceeds INDEX_CAP,
         one search row plus one trial's emitted rows would exceed
-        BLOCK_BYTES_CAP bytes.
+        BLOCK_BYTES_CAP bytes, or trials * n* * n, the symbols a run tests
+        when every search fails, would exceed WORK_CAP.
         """
         n = self.n
         sizes = (
@@ -163,6 +168,12 @@ class SimConfig:
             raise SimulationError(
                 f"SimConfig: one search row and one trial's emitted rows at n = {n} "
                 f"need {row_bytes} bytes, cap is {BLOCK_BYTES_CAP}"
+            )
+        work = self.trials * sizes[1] * n
+        if work > WORK_CAP:
+            raise SimulationError(
+                f"SimConfig: trials * n* * n = {self.trials} * {sizes[1]} * {n} = {work} symbols "
+                f"tested when every search fails, cap is {WORK_CAP}"
             )
         return sizes
 
@@ -248,7 +259,11 @@ class Codebooks:
     each from the block's stream advanced to where row ``start`` begins, so
     any range equals the same rows of a full draw.  Every block of a stream
     is drawn from one reused generator, which makes one ``Codebooks`` the
-    property of one thread.
+    property of one thread: a block's ``_srandom`` row is copied into the
+    generator's PCG64 (state, inc), 32 bytes at the address numpy's
+    ``pcg64_state`` points to (``_seeding.state_address``, which checks
+    that layout once per process and raises ``StateLayoutError`` on a
+    mismatch).
     """
 
     def __init__(self, cfg):
@@ -265,23 +280,33 @@ class Codebooks:
             cum[..., -1] = 1.0
         #: stream -> the generator every block of the stream is drawn from
         self._gens = {s: np.random.Generator(np.random.PCG64(s)) for s in self._cum}
+        #: stream -> address of its generator's PCG64 (state, inc)
+        self._addresses = {s: state_address(gen) for s, gen in self._gens.items()}
 
     def words(self, stream, table):
-        """Seed words of the block of ``stream`` keyed by each trial row (m01, m02, b1, b2) of ``table``."""
-        return seed_words((self.cfg.seed, 0, stream), np.asarray(table)[:, _KEY_COLUMNS[stream]]).tolist()
+        """``_srandom`` rows of the blocks of ``stream`` keyed by the trial rows (m01, m02, b1, b2) of ``table``."""
+        return _srandom(seed_words((self.cfg.seed, 0, stream), np.asarray(table)[:, _KEY_COLUMNS[stream]]))
 
-    def draw(self, stream, words, start, stop, u=None):
-        """Rows [start, stop) of the block seeded by each of ``words``: a (blocks, stop - start, n) array.
+    def draw(self, stream, states, start, stop, u=None):
+        """Rows [start, stop) of the block of each row of ``states``: a (blocks, stop - start, n) array.
 
-        x and y symbols are drawn from p(.|u) per symbol of the same-shaped u rows ``u``.
+        ``states`` holds ``_srandom`` rows, as ``words`` returns them.  x and
+        y symbols are drawn from p(.|u) per symbol of the same-shaped u rows ``u``.
         """
         n = self.cfg.n
-        gen = self._gens[stream]
-        uniforms = np.empty((len(words), stop - start, n))
-        for out, row in zip(uniforms, words):
-            set_state(gen, row)
+        gen, address = self._gens[stream], self._addresses[stream]
+        advance = gen.bit_generator.advance
+        states = np.ascontiguousarray(states, dtype=np.uint64)
+        if states.ndim != 2 or states.shape[1] != 4:
+            raise ValueError(f"Codebooks.draw: states must be (blocks, 4) _srandom rows, got shape {states.shape}")
+        uniforms = np.empty((len(states), stop - start, n))
+        row = states.ctypes.data
+        for out in uniforms:
+            # the copy leaves has_uint32 as it was: random and advance never set it
+            ctypes.memmove(address, row, 32)
+            row += 32
             if start:
-                gen.bit_generator.advance(start * n)
+                advance(start * n)
             gen.random(out=out)
         cum = self._cum[stream]
         return _sample(cum if u is None else np.take(cum, u, axis=0), uniforms)
@@ -316,7 +341,7 @@ def _search(books, table, eps_typ):
     search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
     """
     n, nstar = books.cfg.n, books.nstar
-    words = [books.words(stream, table) for stream in (_U_STREAM, _X_STREAM, _Y_STREAM)]
+    states = [books.words(stream, table) for stream in (_U_STREAM, _X_STREAM, _Y_STREAM)]
     m_star, failed = np.zeros(len(table), dtype=np.int64), np.ones(len(table), dtype=bool)
     x_out, y_out = np.empty((2, len(table), n), dtype=np.int64)
     cap = max(1, _ROUND_BYTES // books.cfg._row_bytes())  # rows one part of a round may hold
@@ -325,10 +350,10 @@ def _search(books, table, eps_typ):
     while live.size and tested < nstar:
         step = max(1, cap // (rows - tested))
         for part in (live[i : i + step] for i in range(0, live.size, step)):
-            u_words, x_words, y_words = ([w[t] for t in part.tolist()] for w in words)
-            u = books.draw(_U_STREAM, u_words, tested, rows)
-            x = books.draw(_X_STREAM, x_words, tested, rows, u)
-            y = books.draw(_Y_STREAM, y_words, tested, rows, u)
+            u_states, x_states, y_states = (w[part] for w in states)
+            u = books.draw(_U_STREAM, u_states, tested, rows)
+            x = books.draw(_X_STREAM, x_states, tested, rows, u)
+            y = books.draw(_Y_STREAM, y_states, tested, rows, u)
             mask = _typical_mask(*(a.reshape(-1, n) for a in (u, x, y)), books.target_uxy, eps_typ)
             mask = mask.reshape(part.size, -1)
             if not tested:

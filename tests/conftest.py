@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from coordrate._seeding import seed_words
+from coordrate._seeding import _srandom, seed_words
 from coordrate.pmf import AuxChannel, JointPmf, PmfError
 from coordrate.simulate import _search
 
@@ -55,11 +55,11 @@ def processor_isolation(books, table, eps_typ, which):
     agree = m_a == m_b
     ok = np.array_equal(rows_a[agree], rows_b[agree])
     for t, m_star, rows in runs:
-        u_words = seed_words((seed, 0, 1), t[:, [0, 1]]).tolist()
-        own_words = seed_words((seed, 0, stream), t[:, [0, 1, own]]).tolist()
+        u_states = _srandom(seed_words((seed, 0, 1), t[:, [0, 1]]))
+        own_states = _srandom(seed_words((seed, 0, stream), t[:, [0, 1, own]]))
         for k, m in enumerate(m_star.tolist()):
-            u = books.draw(1, u_words[k : k + 1], m, m + 1)
-            ok &= np.array_equal(rows[k], books.draw(stream, own_words[k : k + 1], m, m + 1, u)[0, 0])
+            u = books.draw(1, u_states[k : k + 1], m, m + 1)
+            ok &= np.array_equal(rows[k], books.draw(stream, own_states[k : k + 1], m, m + 1, u)[0, 0])
     return int(agree.sum()), bool(ok)
 
 

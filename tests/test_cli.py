@@ -246,6 +246,14 @@ class TestSimulate:
         assert code == 1 and out == "" and "Traceback" not in err
         assert "need 1342177280 bytes, cap is 1073741824" in err
 
+    def test_work_beyond_cap_is_validation_error(self, files):
+        # 2^20 candidates of 40 symbols, tested in full by each of 103 failed
+        # trials, pass the 2^32 symbols of WORK_CAP
+        code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
+                              "--n", "40", "--rates", "0,0.5,0,0", "--trials", "103"])
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "= 4320133120 symbols tested when every search fails, cap is 4294967296" in err
+
 
 class TestMalformedFiles:
     """A malformed input file ends in exit 1 and one error line, never a traceback."""

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import tracemalloc
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 from conftest import processor_isolation
-from coordrate import simulate
-from coordrate._seeding import draw_integers, seed_words, set_state
+from coordrate import _seeding, simulate
+from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words, state_address
 from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
@@ -259,6 +261,21 @@ class TestCodebooks:
         assert rep.trials_run == 50
         assert peak <= 2 * simulate._ROUND_BYTES + 256 * 1024
 
+    def test_work_guard_boundary(self):
+        # at n = 32 and n* = 2^20 a failed search tests 2^25 symbols, so 128
+        # trials reach WORK_CAP = 2^32 exactly and 129 pass it
+        kwargs = dict(n=32, r0=0.0, r_star=0.625, rt1=0.0, rt2=0.0)
+        assert dsbs_cfg(trials=128, **kwargs).index_sizes()[1] == 2**20
+        cfg = dsbs_cfg(trials=129, **kwargs)
+        match = (
+            r"trials \* n\* \* n = 129 \* 1048576 \* 32 = 4328521728 symbols tested "
+            r"when every search fails, cap is 4294967296"
+        )
+        with pytest.raises(SimulationError, match=match):
+            cfg.index_sizes()
+        with pytest.raises(SimulationError, match=match):
+            Codebooks(cfg)
+
     def test_search_row_bytes_guard(self):
         # one search row plus one trial's emitted rows take 80 * n bytes on
         # binary alphabets: 640 MiB at n = 2^23, 1.25 GiB at n = 2^24
@@ -377,9 +394,30 @@ def _keyed_entropy(draw):
 _HIGHS = st.sampled_from([1, 2, 3, 2**20, 3 * 2**30 + 1, 2**32])
 
 
-def _steps_taken(gen, row):
-    """Raw outputs ``gen`` drew since ``set_state(., row)``, counted by advancing a fresh copy to its state."""
-    fresh = set_state(np.random.Generator(np.random.PCG64()), row)
+#: 64-bit seed words of PCG64's seeding, the all-zero and all-ones words among them
+_SEED_WORD = st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1))
+
+
+class _FixedSeedSequence(ISeedSequence):
+    """Hands PCG64 four given seed words, as ``generate_state(4, uint64)`` would."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return np.array(self.words, dtype=np.uint64)
+
+
+def _state_words(gen):
+    """The PCG64 state and increment of ``gen`` as a ``_srandom`` row: state lo, state hi, inc lo, inc hi."""
+    pcg = gen.bit_generator.state["state"]
+    return [pcg["state"] & (2**64 - 1), pcg["state"] >> 64, pcg["inc"] & (2**64 - 1), pcg["inc"] >> 64]
+
+
+def _steps_taken(gen, key):
+    """Raw outputs ``gen`` drew since ``default_rng(key)``, counted by advancing a fresh one to its state."""
+    fresh = np.random.default_rng(key)
     state = gen.bit_generator.state["state"]
     for steps in range(64):
         if fresh.bit_generator.state["state"] == state:
@@ -388,19 +426,77 @@ def _steps_taken(gen, row):
     raise AssertionError("more than 64 raw outputs drawn")
 
 
+class TestStateLayout:
+    """The once-per-process check of numpy's PCG64 state layout, which ``Codebooks.draw`` writes into."""
+
+    @pytest.fixture(autouse=True)
+    def unchecked(self, monkeypatch):
+        monkeypatch.setattr(_seeding, "_layout_checked", False)
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            # the high word of each 128-bit value first, as emulated-128-bit builds store it
+            pytest.param(("_read_words", lambda read: lambda address: [read(address)[i] for i in (1, 0, 3, 2)]),
+                         id="bytes-read"),
+            # rows in that word order, which then disagree with the generator's own
+            pytest.param(("_srandom", lambda srandom: lambda words: srandom(words)[:, [1, 0, 3, 2]]),
+                         id="row-order"),
+        ],
+    )
+    def test_mismatch_raises_and_leaves_generator(self, monkeypatch, patch):
+        name, wrap = patch
+        monkeypatch.setattr(_seeding, name, wrap(getattr(_seeding, name)))
+        memmove, written = ctypes.memmove, []
+        monkeypatch.setattr(ctypes, "memmove", lambda *args: written.append(args) or memmove(*args))
+        gen = np.random.Generator(np.random.PCG64(5))
+        before = gen.bit_generator.state
+        with pytest.raises(StateLayoutError):
+            state_address(gen)
+        assert gen.bit_generator.state == before
+        # a mismatch in the bytes read is caught before anything is written
+        assert written == [] if name == "_read_words" else len(written) == 1
+        assert not _seeding._layout_checked
+        with pytest.raises(StateLayoutError):
+            Codebooks(dsbs_cfg())
+
+    def test_check_runs_once_per_process(self, monkeypatch):
+        check, calls = _seeding._check_layout, []
+        monkeypatch.setattr(_seeding, "_check_layout", lambda gen, address: calls.append(address) or check(gen, address))
+        for seed in range(3):
+            Codebooks(dsbs_cfg(seed=seed))
+        assert len(calls) == 1 and _seeding._layout_checked
+
+
 class TestSeedStreams:
     """Bulk-derived stream states against ``np.random.default_rng``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_keyed_entropy())
     def test_matches_default_rng(self, case):
+        # each key's state, copied into a reused generator as Codebooks.draw
+        # copies it, seeds the stream of default_rng on that key
         prefix, tails = case
-        words = seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1))
+        states = _srandom(seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1)))
         gen = np.random.Generator(np.random.PCG64())
-        for tail, row in zip(tails, words.tolist()):
+        address = state_address(gen)
+        for tail, row in zip(tails, states):
+            ctypes.memmove(address, row.ctypes.data, 32)
             expect = np.random.default_rng([*prefix, *tail])
-            assert set_state(gen, row).bit_generator.state == expect.bit_generator.state
-            assert gen.random() == expect.random() and gen.integers(65536) == expect.integers(65536)
+            assert gen.bit_generator.state == expect.bit_generator.state
+            assert gen.random() == expect.random()
+            assert gen.bit_generator.random_raw() == expect.bit_generator.random_raw()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(_SEED_WORD, min_size=4, max_size=4), min_size=1, max_size=5))
+    def test_srandom_matches_pcg64_seeding(self, rows):
+        # any seed words, all-zero and all-ones rows included, seed PCG64 as
+        # numpy seeds it from generate_state(4, uint64)
+        rows = [[0] * 4, [2**64 - 1] * 4, *rows]
+        states = _srandom(np.array(rows, dtype=np.uint64))
+        assert states.dtype == np.uint64 and states.shape == (len(rows), 4) and states.flags.c_contiguous
+        for row, state in zip(rows, states.tolist()):
+            assert state == _state_words(np.random.Generator(np.random.PCG64(_FixedSeedSequence(row))))
 
     def test_draw_integers_matches_generator(self):
         # (rejected, raw outputs drawn) of every key over all examples
@@ -413,10 +509,10 @@ class TestSeedStreams:
             words = seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1))
             drawn = draw_integers(words, highs)
             assert drawn.dtype == np.int64 and drawn.shape == (len(tails), len(highs))
-            gen = np.random.Generator(np.random.PCG64())
-            for row, got in zip(words.tolist(), drawn):
-                assert np.array_equal(got, set_state(gen, row).integers(np.array(highs)))
-                steps = _steps_taken(gen, row)
+            for tail, got in zip(tails, drawn):
+                gen = np.random.default_rng([*prefix, *tail])
+                assert np.array_equal(got, gen.integers(np.array(highs)))
+                steps = _steps_taken(gen, [*prefix, *tail])
                 taken = 2 * steps - gen.bit_generator.state["has_uint32"]  # 32-bit halves
                 keys.append((taken > sum(high > 1 for high in highs), steps))
 
@@ -445,10 +541,16 @@ class TestSeedStreams:
         books = Codebooks(cfg)
         table = np.array([(1, 3, 0, 2), (2, 0, 1, 3)])
         for start, stop in ((0, books.nstar), (17, 40)):
-            lone = books.draw(1, seed_words((cfg.seed, 0, 1), [idx[:2]]).tolist(), start, stop)
+            lone = books.draw(1, _srandom(seed_words((cfg.seed, 0, 1), [idx[:2]])), start, stop)
             if stream != 1:
-                lone = books.draw(stream, seed_words((cfg.seed, 0, stream), [idx]).tolist(), start, stop, lone)
+                lone = books.draw(stream, _srandom(seed_words((cfg.seed, 0, stream), [idx])), start, stop, lone)
             assert np.array_equal(blocks(books, table, start, stop)[stream - 1][1], lone[0]), name
+
+    @pytest.mark.parametrize("states", [np.zeros((2, 3)), np.zeros(4), np.zeros((1, 2, 4))])
+    def test_draw_refuses_states_of_another_shape(self, states):
+        # each state is copied to the generator as 32 bytes, so a row must hold four words
+        with pytest.raises(ValueError, match=r"states must be \(blocks, 4\) _srandom rows"):
+            Codebooks(dsbs_cfg()).draw(1, states, 0, 1)
 
     @pytest.mark.parametrize(
         "kwargs, round_bytes",
@@ -765,10 +867,10 @@ class TestRunTrials:
         )
         m_star, _, x, y = _search(books, table, cfg.eps_typ)
         # the selected u rows, drawn for the trials of each m* together
-        u, u_words = np.empty_like(x), books.words(1, table)
+        u, u_states = np.empty_like(x), books.words(1, table)
         for m in np.unique(m_star).tolist():
             picked = np.flatnonzero(m_star == m)
-            u[picked] = books.draw(1, [u_words[k] for k in picked.tolist()], m, m + 1)[:, 0]
+            u[picked] = books.draw(1, u_states[picked], m, m + 1)[:, 0]
         counts = np.zeros((2, 2, 2))
         np.add.at(counts, (u, x, y), 1)
         for u in range(2):
