@@ -256,6 +256,18 @@ def _read_json(path, who):
         raise PmfError(f"{who}: cannot parse {path}: {exc}") from exc
 
 
+def _json_floats(value):
+    """Nested JSON lists of numbers as a float64 array; TypeError on any other entry, e.g. true, which numpy reads as 1."""
+    arr = np.asarray(value, dtype=np.float64)
+    entries = [value]
+    for _ in range(arr.ndim):
+        entries = [v for row in entries for v in row]
+    bad = [v for v in entries if type(v) not in (int, float)]
+    if bad:
+        raise TypeError(f"entries must be JSON numbers, got {bad[0]!r}")
+    return arr
+
+
 def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -271,7 +283,7 @@ def load_joint_pmf(path):
     """
     doc = _read_json(path, "load_joint_pmf")
     try:
-        arr = np.asarray(doc["pmf"], dtype=np.float64)
+        arr = _json_floats(doc["pmf"])
         labels_x, labels_y = doc.get("alphabet_x"), doc.get("alphabet_y")
     except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise PmfError(f"load_joint_pmf: missing or bad field in {path}: {exc}") from exc
@@ -318,7 +330,7 @@ def load_aux_channel(path, q):
         if x < 0 or y < 0:
             raise PmfError(f"load_aux_channel: negative cell index in key {key!r}")
         try:
-            row = np.asarray(vec, dtype=np.float64)
+            row = _json_floats(vec)
         except (TypeError, ValueError, OverflowError) as exc:
             raise PmfError(f"load_aux_channel: row {key!r} is not {size} probabilities: {exc}") from exc
         if row.size != size:

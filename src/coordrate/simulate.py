@@ -24,9 +24,10 @@ keeps memory flat while preserving the i.i.d. codebook statistics and
 exact reproducibility.  The shared randomness of a chunk of trials is
 drawn in one array pass (``_seeding.draw_integers``), bit-identical to one
 ``default_rng([seed, k, 0])`` per trial k.  The trials of a chunk search
-their bins together, as arrays (``_search``), drawing each row once; a
-row's uniforms continue its block's stream from where the row begins, so
-the seeded results do not depend on how far a search went.
+their bins together, as arrays (``_search``), drawing each row once, the
+u, x and y rows of a search part in one ``Codebooks.rows`` call; a row's
+uniforms continue its block's stream from where the row begins, so the
+seeded results do not depend on how far a search went.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -65,8 +66,6 @@ _SEED_CHUNK = 256
 #: cap on the bytes of the arrays one part of a search round holds, and on
 #: the emitted rows of one chunk of trials (at least one row or trial each)
 _ROUND_BYTES = 2**18
-#: columns of a trial's (m01, m02, b1, b2) that key the blocks of each stream
-_KEY_COLUMNS = {_U_STREAM: [0, 1], _X_STREAM: [0, 1, 2], _Y_STREAM: [0, 1, 3]}
 
 
 class SimulationError(ValueError):
@@ -145,7 +144,7 @@ class SimConfig:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
     def _row_bytes(self):
-        """Bytes of one drawn row: 8 a symbol for each uniform, symbol and gathered CDF entry."""
+        """Bytes of one row ``Codebooks.rows`` draws: 8 a symbol for 3 uniforms, 3 symbols and k gathered CDF entries."""
         return 8 * (6 + max(self.q.shape)) * self.n
 
     def index_sizes(self):
@@ -249,21 +248,21 @@ def _sample(cum, uniforms, out=None):
 
 
 class Codebooks:
-    """Keyed access to the codeword tables of one code.
+    """Keyed access to the codeword tables of one code, in the generation order u, then x | u and y | u.
 
     Each (nstar, n) block is a deterministic function of its indices through
     a seeded stream, so coordinator and processors read the same codewords.
     Blocks for distinct indices come from distinct seeded streams and are
     therefore independent, matching a single i.i.d. codebook draw.  No block
-    is stored: ``draw`` samples rows [start, stop) of many blocks at once,
-    each from the block's stream advanced to where row ``start`` begins, so
-    any range equals the same rows of a full draw.  Every block of a stream
-    is drawn from one reused generator, which makes one ``Codebooks`` the
-    property of one thread: a block's ``_srandom`` row is copied into the
-    generator's PCG64 (state, inc), 32 bytes at the address numpy's
-    ``pcg64_state`` points to (``_seeding.state_address``, which checks
-    that layout once per process and raises ``StateLayoutError`` on a
-    mismatch).
+    is stored: ``states`` keys the u, x and y blocks of many trials in one
+    table, and ``rows`` samples rows [start, stop) of all of them, each from
+    the block's stream advanced to where row ``start`` begins, so any range
+    equals the same rows of a full draw.  Every block is drawn from one
+    reused generator, which makes one ``Codebooks`` the property of one
+    thread: a block's ``_srandom`` row is copied into the generator's PCG64
+    (state, inc), 32 bytes at the address numpy's ``pcg64_state`` points to
+    (``_seeding.state_address``, which checks that layout once per process
+    and raises ``StateLayoutError`` on a mismatch).
     """
 
     def __init__(self, cfg):
@@ -272,44 +271,47 @@ class Codebooks:
             compose(cfg.q, cfg.channel), cfg.max_markov_defect
         )
         self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
-        #: stream -> inverse-CDF table, one row per u symbol for x and y
-        self._cum = {}
-        tables = (self.p_u.probs, self.p_x_given_u, self.p_y_given_u)
-        for stream, probs in zip((_U_STREAM, _X_STREAM, _Y_STREAM), tables):
-            cum = self._cum[stream] = np.cumsum(probs, axis=-1)
+        #: inverse-CDF tables of u, x and y, one row per u symbol for x and y
+        self._cum = tuple(np.cumsum(p, axis=-1) for p in (self.p_u.probs, self.p_x_given_u, self.p_y_given_u))
+        for cum in self._cum:
             cum[..., -1] = 1.0
-        #: stream -> the generator every block of the stream is drawn from
-        self._gens = {s: np.random.Generator(np.random.PCG64(s)) for s in self._cum}
-        #: stream -> address of its generator's PCG64 (state, inc)
-        self._addresses = {s: state_address(gen) for s, gen in self._gens.items()}
+        #: the generator every block is drawn from, and the address of its PCG64 (state, inc)
+        self._gen = np.random.Generator(np.random.PCG64(0))
+        self._address = state_address(self._gen)
 
-    def words(self, stream, table):
-        """``_srandom`` rows of the blocks of ``stream`` keyed by the trial rows (m01, m02, b1, b2) of ``table``."""
-        return _srandom(seed_words((self.cfg.seed, 0, stream), np.asarray(table)[:, _KEY_COLUMNS[stream]]))
+    def states(self, table):
+        """(3, trials, 4) ``_srandom`` rows of the u, x and y blocks of the trial rows (m01, m02, b1, b2) of ``table``."""
+        table = np.asarray(table)
+        # rows [stream, m01, m02, b_i] after the prefix [seed, 0]; a u key ends
+        # at m02, and the x and y keys, of one length, hash in one pass
+        keys = np.empty((3, len(table), 4), dtype=np.int64)
+        keys[..., 0], keys[..., 1:3] = [[_U_STREAM], [_X_STREAM], [_Y_STREAM]], table[:, :2]
+        keys[1:, :, 3] = table[:, 2:].T
+        words = [seed_words((self.cfg.seed, 0), k) for k in (keys[0, :, :3], keys[1:].reshape(-1, 4))]
+        return _srandom(np.concatenate(words)).reshape(keys.shape)
 
-    def draw(self, stream, states, start, stop, u=None):
-        """Rows [start, stop) of the block of each row of ``states``: a (blocks, stop - start, n) array.
+    def rows(self, states, start, stop):
+        """Rows [start, stop) of the u, x and y blocks of a ``states`` table: three (blocks, stop - start, n) arrays.
 
-        ``states`` holds ``_srandom`` rows, as ``words`` returns them.  x and
-        y symbols are drawn from p(.|u) per symbol of the same-shaped u rows ``u``.
+        x and y symbols are drawn from p(.|u) per symbol of the u rows.
         """
-        n = self.cfg.n
-        gen, address = self._gens[stream], self._addresses[stream]
-        advance = gen.bit_generator.advance
+        n, gen = self.cfg.n, self._gen
         states = np.ascontiguousarray(states, dtype=np.uint64)
-        if states.ndim != 2 or states.shape[1] != 4:
-            raise ValueError(f"Codebooks.draw: states must be (blocks, 4) _srandom rows, got shape {states.shape}")
-        uniforms = np.empty((len(states), stop - start, n))
+        if states.ndim != 3 or states.shape[0] != 3 or states.shape[2] != 4:
+            raise ValueError(f"Codebooks.rows: states must be (3, blocks, 4) _srandom rows, got shape {states.shape}")
+        uniforms = np.empty((*states.shape[:2], stop - start, n))
         row = states.ctypes.data
-        for out in uniforms:
-            # the copy leaves has_uint32 as it was: random and advance never set it
-            ctypes.memmove(address, row, 32)
+        for out in uniforms.reshape(-1, stop - start, n):
+            # the whole (state, inc) is written, so nothing carries over from the
+            # last block; has_uint32 stays as it was: random and advance never set it
+            ctypes.memmove(self._address, row, 32)
             row += 32
             if start:
-                advance(start * n)
+                gen.bit_generator.advance(start * n)
             gen.random(out=out)
-        cum = self._cum[stream]
-        return _sample(cum if u is None else np.take(cum, u, axis=0), uniforms)
+        cum_u, cum_x, cum_y = self._cum
+        u = _sample(cum_u, uniforms[0])
+        return u, _sample(np.take(cum_x, u, axis=0), uniforms[1]), _sample(np.take(cum_y, u, axis=0), uniforms[2])
 
 
 def _typical_mask(ub, xb, yb, p, eps_typ):
@@ -334,14 +336,15 @@ def _search(books, table, eps_typ):
     The trials search together in rounds: a round draws and tests rows
     [tested, rows) of every trial still searching, the first 16 and then
     doubling up to n*, in parts of trials whose arrays fit ``_ROUND_BYTES``
-    (a round ends early where one trial's rows would not fit).  A trial's m*
-    is its first typical row; with none, every row has been tested once, m*
-    falls back to 0 and the trial is flagged.  Returns (m_star, failed, x,
+    (a round ends early where one trial's rows would not fit), each part's
+    u, x and y rows from one ``Codebooks.rows`` call.  A trial's m* is its
+    first typical row; with none, every row has been tested once, m* falls
+    back to 0 and the trial is flagged.  Returns (m_star, failed, x,
     y), x and y the (trials, n) emitted codewords, read from the rows the
     search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
     """
     n, nstar = books.cfg.n, books.nstar
-    states = [books.words(stream, table) for stream in (_U_STREAM, _X_STREAM, _Y_STREAM)]
+    states = books.states(table)
     m_star, failed = np.zeros(len(table), dtype=np.int64), np.ones(len(table), dtype=bool)
     x_out, y_out = np.empty((2, len(table), n), dtype=np.int64)
     cap = max(1, _ROUND_BYTES // books.cfg._row_bytes())  # rows one part of a round may hold
@@ -350,10 +353,7 @@ def _search(books, table, eps_typ):
     while live.size and tested < nstar:
         step = max(1, cap // (rows - tested))
         for part in (live[i : i + step] for i in range(0, live.size, step)):
-            u_states, x_states, y_states = (w[part] for w in states)
-            u = books.draw(_U_STREAM, u_states, tested, rows)
-            x = books.draw(_X_STREAM, x_states, tested, rows, u)
-            y = books.draw(_Y_STREAM, y_states, tested, rows, u)
+            u, x, y = books.rows(states[:, part], tested, rows)
             mask = _typical_mask(*(a.reshape(-1, n) for a in (u, x, y)), books.target_uxy, eps_typ)
             mask = mask.reshape(part.size, -1)
             if not tested:

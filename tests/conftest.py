@@ -42,7 +42,7 @@ def processor_isolation(books, table, eps_typ, which):
     Returns (trials whose m* agreed, whether both checks held).
     """
     own, other = (2, 3) if which == 1 else (3, 2)
-    stream, seed = 1 + which, books.cfg.seed  # x is stream 2, y stream 3
+    seed = books.cfg.seed
     table = np.asarray(table)
     changed = table.copy()
     changed[:, other] = (changed[:, other] + 1) % (books.nb1, books.nb2)[other - 2]
@@ -55,11 +55,15 @@ def processor_isolation(books, table, eps_typ, which):
     agree = m_a == m_b
     ok = np.array_equal(rows_a[agree], rows_b[agree])
     for t, m_star, rows in runs:
-        u_states = _srandom(seed_words((seed, 0, 1), t[:, [0, 1]]))
-        own_states = _srandom(seed_words((seed, 0, stream), t[:, [0, 1, own]]))
+        # u is stream 1; b1 and b2, columns 2 and 3, key x and y, streams 2
+        # and 3.  The other processor's stream gets a state no search used,
+        # that of its index plus one
+        states = np.empty((3, len(t), 4), dtype=np.uint64)
+        states[0] = _srandom(seed_words((seed, 0, 1), t[:, [0, 1]]))
+        states[own - 1] = _srandom(seed_words((seed, 0, own), t[:, [0, 1, own]]))
+        states[other - 1] = _srandom(seed_words((seed, 0, other), t[:, [0, 1, other]] + [0, 0, 1]))
         for k, m in enumerate(m_star.tolist()):
-            u = books.draw(1, u_states[k : k + 1], m, m + 1)
-            ok &= np.array_equal(rows[k], books.draw(stream, own_states[k : k + 1], m, m + 1, u)[0, 0])
+            ok &= np.array_equal(rows[k], books.rows(states[:, k : k + 1], m, m + 1)[which][0, 0])
     return int(agree.sum()), bool(ok)
 
 

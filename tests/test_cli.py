@@ -53,6 +53,13 @@ class TestInfo:
         # four cells differing by 0.05 each
         assert float(out) == pytest.approx(0.1, abs=1e-12)
 
+    def test_boolean_probabilities_are_refused(self, tmp_path):
+        # numpy would read the table as [[1, 0]] and the measure print 0
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"pmf": [[true, false]]}')
+        code, out, err = run(["info", "--dist", str(bad), "--measure", "mi"])
+        assert code == 1 and out == "" and "entries must be JSON numbers, got True" in err
+
     def test_missing_file(self):
         code, _, err = run(["info", "--dist", "/no/such.json", "--measure", "mi"])
         assert code == 1 and "error" in err
@@ -265,8 +272,10 @@ class TestMalformedFiles:
             ("--aux", {"card_u": 2, "cond": [1, 2]}),
             ("--dist", {"pmf": [[10**400]]}),
             ("--aux", '{"card_u": 1e400, "cond": {}}'),
+            ("--dist", {"pmf": [[True, False], [False, False]]}),
+            ("--aux", {"card_u": 2, "cond": {f"{x},{y}": [True, False] for x in range(2) for y in range(2)}}),
         ],
-        ids=["joint-alphabet", "aux-cond", "joint-overflow", "aux-overflow"],
+        ids=["joint-alphabet", "aux-cond", "joint-overflow", "aux-overflow", "joint-bool", "aux-bool"],
     )
     def test_no_traceback(self, files, tmp_path, flag, doc):
         bad = tmp_path / "bad.json"

@@ -272,9 +272,14 @@ class TestFiles:
             {"alphabet_x": {"a": 1}, "pmf": [[1.0]]},
             {"pmf": [[10**400]]},
             "[" * 100000,
+            # numpy reads true and false as 1 and 0, and parses numeric strings
+            {"pmf": [[True, False]]},
+            {"pmf": [[True, 0.0]]},
+            {"pmf": [[0.5, 0.5], [False, 0]]},
+            {"pmf": [["0.5", "0.5"]]},
         ],
         ids=["alphabet-int", "ragged", "pmf-object", "not-object", "alphabet-string", "alphabet-object", "entry-overflow",
-             "deep-nesting"],
+             "deep-nesting", "entry-bool", "entry-mixed-bool", "entry-false", "entry-string"],
     )
     def test_malformed_joint_is_pmf_error(self, tmp_path, doc):
         path = tmp_path / "q.json"
@@ -293,9 +298,12 @@ class TestFiles:
             {"card_u": 2.7, "cond": {"0,0": [0.5, 0.5]}},
             {"card_u": True, "cond": {"0,0": [1.0]}},
             {"card_u": 1, "cond": {"0,0": [1.0], "-1,0": [1.0]}},
+            {"card_u": 2, "cond": {"0,0": [True, False]}},
+            {"card_u": 2, "cond": {"0,0": [0.0, True]}},
+            {"card_u": 1, "cond": {"0,0": ["1"]}},
         ],
         ids=["cond-list", "row-size", "row-object", "card-overflow", "card-huge", "card-float", "card-bool",
-             "negative-index"],
+             "negative-index", "row-bool", "row-mixed-bool", "row-string"],
     )
     def test_malformed_aux_is_pmf_error(self, tmp_path, doc):
         path = tmp_path / "aux.json"

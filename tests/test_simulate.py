@@ -47,9 +47,7 @@ KEY = np.array([(2, 0, 1, 3)])
 
 def blocks(books, table, start=0, stop=None):
     """Rows [start, stop) (all n* by default) of the u, x and y blocks of each trial row of ``table``."""
-    stop = books.nstar if stop is None else stop
-    u = books.draw(1, books.words(1, table), start, stop)
-    return u, books.draw(2, books.words(2, table), start, stop, u), books.draw(3, books.words(3, table), start, stop, u)
+    return books.rows(books.states(table), start, books.nstar if stop is None else stop)
 
 
 def reference_trials(cfg):
@@ -427,7 +425,7 @@ def _steps_taken(gen, key):
 
 
 class TestStateLayout:
-    """The once-per-process check of numpy's PCG64 state layout, which ``Codebooks.draw`` writes into."""
+    """The once-per-process check of numpy's PCG64 state layout, which ``Codebooks.rows`` writes into."""
 
     @pytest.fixture(autouse=True)
     def unchecked(self, monkeypatch):
@@ -474,7 +472,7 @@ class TestSeedStreams:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_keyed_entropy())
     def test_matches_default_rng(self, case):
-        # each key's state, copied into a reused generator as Codebooks.draw
+        # each key's state, copied into a reused generator as Codebooks.rows
         # copies it, seeds the stream of default_rng on that key
         prefix, tails = case
         states = _srandom(seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1)))
@@ -536,21 +534,37 @@ class TestSeedStreams:
     def test_lone_block_matches_seeded_chunk(self, name, stream, idx):
         # a block drawn alone from the stream keyed by its own indices equals
         # its rows in a draw of a chunk of trials' blocks, whole and over any
-        # range, at a seed of two words
+        # range, at a seed of two words; the lone triple of trial (2, 0, 1, 3)
+        # is built from its keys written out, x and y drawn given its u
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=2**32 + 4)
         books = Codebooks(cfg)
         table = np.array([(1, 3, 0, 2), (2, 0, 1, 3)])
+        keys = [(2, 0), (2, 0, 1), (2, 0, 3)]
+        assert keys[stream - 1] == idx
+        lone = np.stack([_srandom(seed_words((cfg.seed, 0, s), [key])) for s, key in enumerate(keys, start=1)])
         for start, stop in ((0, books.nstar), (17, 40)):
-            lone = books.draw(1, _srandom(seed_words((cfg.seed, 0, 1), [idx[:2]])), start, stop)
-            if stream != 1:
-                lone = books.draw(stream, _srandom(seed_words((cfg.seed, 0, stream), [idx])), start, stop, lone)
-            assert np.array_equal(blocks(books, table, start, stop)[stream - 1][1], lone[0]), name
+            drawn = books.rows(lone, start, stop)[stream - 1]
+            assert np.array_equal(blocks(books, table, start, stop)[stream - 1][1], drawn[0]), name
 
-    @pytest.mark.parametrize("states", [np.zeros((2, 3)), np.zeros(4), np.zeros((1, 2, 4))])
+    @pytest.mark.parametrize("states", [np.zeros((2, 3)), np.zeros(4), np.zeros((1, 2, 4)), np.zeros((2, 2, 4))])
     def test_draw_refuses_states_of_another_shape(self, states):
-        # each state is copied to the generator as 32 bytes, so a row must hold four words
-        with pytest.raises(ValueError, match=r"states must be \(blocks, 4\) _srandom rows"):
-            Codebooks(dsbs_cfg()).draw(1, states, 0, 1)
+        # each state is copied to the generator as 32 bytes, so a row must
+        # hold four words, and every block has a u, an x and a y state
+        with pytest.raises(ValueError, match=r"states must be \(3, blocks, 4\) _srandom rows"):
+            Codebooks(dsbs_cfg()).rows(states, 0, 1)
+
+    def test_states_are_keyed_by_stream_and_indices(self):
+        # row k of stream s is the PCG64 state of default_rng on the key
+        # [seed, 0, s, m01, m02] (u), with b1 (x) or b2 (y) appended, written
+        # out here, at a seed of two words
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=2**32 + 4)
+        states = Codebooks(cfg).states([(1, 3, 0, 2), (2, 0, 1, 3)])
+        keys = [[(1, 3), (1, 3, 0), (1, 3, 2)], [(2, 0), (2, 0, 1), (2, 0, 3)]]
+        assert states.shape == (3, 2, 4)
+        for k, trial in enumerate(keys):
+            for s, key in enumerate(trial, start=1):
+                expect = _state_words(np.random.default_rng([cfg.seed, 0, s, *key]))
+                assert states[s - 1, k].tolist() == expect, (k, s)
 
     @pytest.mark.parametrize(
         "kwargs, round_bytes",
@@ -867,10 +881,10 @@ class TestRunTrials:
         )
         m_star, _, x, y = _search(books, table, cfg.eps_typ)
         # the selected u rows, drawn for the trials of each m* together
-        u, u_states = np.empty_like(x), books.words(1, table)
+        u, states = np.empty_like(x), books.states(table)
         for m in np.unique(m_star).tolist():
             picked = np.flatnonzero(m_star == m)
-            u[picked] = books.draw(1, u_states[picked], m, m + 1)[:, 0]
+            u[picked] = books.rows(states[:, picked], m, m + 1)[0][:, 0]
         counts = np.zeros((2, 2, 2))
         np.add.at(counts, (u, x, y), 1)
         for u in range(2):
