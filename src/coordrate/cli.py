@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .dsbs import curve_csv_lines, emit_curve, t_star, write_curve_csv
@@ -61,7 +62,14 @@ def _parse_rates(text, count, what):
         raise _CliError(f"{what}: {exc}") from exc
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree of every subcommand, built on the first call.
+
+    Later calls return the same parser, which every ``dispatch`` in the
+    process shares: parsing leaves it unchanged, and callers must not
+    mutate it.
+    """
     parser = _Parser(prog="coordrate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

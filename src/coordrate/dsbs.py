@@ -14,6 +14,13 @@ b = (1 - sqrt(1 - 2a)) / 2 and alpha = (1-t) b^2 + t (1-a)/2:
 
 and the broadcast-rate curve is f(t) = max{I(X;Y|U), (I(X,Y;U)+I(X;Y|U))/2}.
 The two information terms cross at a closed-form t*, the minimum of f.
+
+One private kernel evaluates the curve over a whole array of t in one
+array pass, with the per-point arithmetic: the four cells of h4 are
+checked to be a distribution and their plog p terms summed left to right,
+0 log 0 = 0, and h(p) = -p log2 p - (1-p) log2(1-p).  ``emit_curve`` runs
+it once on its grid and ``f_of_t`` is its one-point case, so a curve point
+and the matching ``f_of_t`` are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import binary_entropy, entropy_vec4, inverse_binary_entropy
-from .pmf import AuxChannel, PmfError
+from .measures import binary_entropy, inverse_binary_entropy
+from .pmf import SUM_TOL, AuxChannel, PmfError
 
 #: closed forms hold strictly inside the crossover range
 _A_MIN_MARGIN = 1e-9
@@ -113,13 +120,33 @@ def i_cond_closed_form(a, t):
     return f_of_t(a, t).i_cond
 
 
+def _curve(a, t):
+    """f, I(X,Y;U) and I(X;Y|U) at every entry of the float array ``t`` in [0, 1], in bits."""
+    _check_a(a)
+    b = crossover_b(a)
+    alpha = (1.0 - t) * b * b + 0.5 * t * (1.0 - a)
+    cells = np.stack(np.broadcast_arrays(alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha))
+    # NaN fails both tests, and an infinite cell fails one of them
+    total = ((cells[0] + cells[1]) + cells[2]) + cells[3]
+    ok = (cells >= 0.0).all(axis=0) & (np.abs(total - 1.0) <= SUM_TOL)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)[0]
+        raise PmfError(f"DSBS curve cells at t={t[bad].item()!r} must be finite, >= 0 and sum to 1 within {SUM_TOL}")
+    plogp = cells * np.log2(cells, out=np.zeros_like(cells), where=cells > 0.0)
+    h4 = -(((plogp[0] + plogp[1]) + plogp[2]) + plogp[3])
+    p = alpha + 0.5 * a
+    h_p = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    i_joint = 1.0 + binary_entropy(a) - h4
+    i_cond = 2.0 * h_p - h4
+    return np.maximum(i_cond, 0.5 * (i_joint + i_cond)), i_joint, i_cond
+
+
 def f_of_t(a, t):
     """Curve point: both information terms and f = max{cond, (joint+cond)/2}."""
-    alpha = DsbsParams(a, t).alpha
-    h4 = entropy_vec4(alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha)
-    i_joint = 1.0 + binary_entropy(a) - h4
-    i_cond = 2.0 * binary_entropy(alpha + 0.5 * a) - h4
-    return CurvePoint(t=t, f=max(i_cond, 0.5 * (i_joint + i_cond)), i_joint=i_joint, i_cond=i_cond)
+    if not 0.0 <= t <= 1.0:
+        raise PmfError(f"f_of_t: t must lie in [0, 1], got {t!r}")
+    (f,), (i_joint,), (i_cond,) = (v.tolist() for v in _curve(a, np.array([t], dtype=np.float64)))
+    return CurvePoint(t=t, f=f, i_joint=i_joint, i_cond=i_cond)
 
 
 def t_star(a):
@@ -140,7 +167,8 @@ def emit_curve(a, num_points):
     """Curve points at uniformly spaced t covering both endpoints."""
     if not 2 <= num_points <= CURVE_POINTS_CAP:
         raise PmfError(f"emit_curve: need 2 to {CURVE_POINTS_CAP} points, got {num_points}")
-    return [f_of_t(a, t) for t in np.linspace(0.0, 1.0, num_points)]
+    t = np.linspace(0.0, 1.0, num_points)
+    return [CurvePoint(*row) for row in zip(t.tolist(), *(v.tolist() for v in _curve(a, t)))]
 
 
 def curve_csv_lines(points):

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import coordrate
-from coordrate.cli import dispatch
-from coordrate.dsbs import CURVE_POINTS_CAP, dsbs_wyner_channel
+from coordrate.cli import build_parser, dispatch
+from coordrate.dsbs import CURVE_POINTS_CAP, curve_csv_lines, dsbs_wyner_channel, f_of_t
 from coordrate.pmf import dsbs_joint, save_aux_channel, save_joint_pmf
 
 
@@ -148,13 +148,46 @@ class TestDsbs:
         assert code == 1 and out == ""
         assert f"need 2 to {CURVE_POINTS_CAP} points" in err
 
-    def test_points_at_cap(self, monkeypatch):
-        # a cheap stand-in for the closed forms keeps the full-size run short
-        import coordrate.dsbs as dsbs
-
-        monkeypatch.setattr(dsbs, "f_of_t", lambda a, t: dsbs.CurvePoint(t=t, f=1.0, i_joint=1.0, i_cond=1.0))
+    def test_points_at_cap(self):
         code, out, _ = run(["dsbs", "--a", "0.1", "--points", str(CURVE_POINTS_CAP)])
-        assert code == 0 and out.count("\n") == CURVE_POINTS_CAP + 1
+        lines = out.splitlines(keepends=True)
+        assert code == 0 and len(lines) == CURVE_POINTS_CAP + 1
+        assert lines[-1] == list(curve_csv_lines([f_of_t(0.1, 1.0)]))[1]
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_parse_error_usage_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(["region", "xy-equal", "--rates", "0.5,0.5"]) == (
+            1,
+            "",
+            "error: the following arguments are required: --hx\n"
+            "usage: coordrate [-h] {info,wyner,ulsr,dsbs,region,simulate} ...\n",
+        )
+
+    def test_mixed_sequence_matches_fresh_parsers(self, files, monkeypatch, tmp_path):
+        # whatever one command leaves in the shared parser must not reach the next
+        monkeypatch.setenv("COLUMNS", "80")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"pmf": [[0.6, 0.6], [0.0, 0.0]]}))
+        commands = [
+            ["region", "xy-equal", "--rates", "0.5,0.5"],
+            [],
+            ["info", "--dist", str(bad), "--measure", "mi"],
+            ["info", "--dist", files["dist02"], "--measure", "mi"],
+            ["dsbs", "--a", "0.2", "--points", "5"],
+            ["dsbs", "--a", "0.1", "--tstar"],
+            ["region", "xy-equal", "--hx", "1.0", "--rates", "0.5,0.5,0.5"],
+        ]
+        alone = []
+        for argv in commands:
+            build_parser.cache_clear()
+            alone.append(run(argv))
+        assert [code for code, _, _ in alone] == [1, 1, 1, 0, 0, 0, 0]
+        assert [run(argv) for argv in commands + commands] == alone + alone
 
 
 class TestRegion:

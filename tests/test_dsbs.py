@@ -3,9 +3,11 @@ import pytest
 
 from coordrate.dsbs import (
     CURVE_POINTS_CAP,
+    CurvePoint,
     DsbsParams,
     common_information,
     crossover_b,
+    curve_csv_lines,
     dsbs_wyner_channel,
     emit_curve,
     f_of_t,
@@ -15,7 +17,7 @@ from coordrate.dsbs import (
     t_star,
     write_curve_csv,
 )
-from coordrate.measures import conditional_mutual_information, mutual_information
+from coordrate.measures import binary_entropy, conditional_mutual_information, entropy_vec4, mutual_information
 from coordrate.pmf import PmfError, compose, dsbs_joint
 
 C_01 = 0.872760566800152
@@ -169,12 +171,10 @@ class TestEmitCurve:
         with pytest.raises(PmfError):
             emit_curve(0.1, 1)
 
-    def test_points_cap(self, monkeypatch):
-        # a cheap stand-in for the closed forms keeps the full-size run short
-        import coordrate.dsbs as dsbs
-
-        monkeypatch.setattr(dsbs, "f_of_t", lambda a, t: t)
-        assert len(emit_curve(0.1, CURVE_POINTS_CAP)) == CURVE_POINTS_CAP
+    def test_points_cap(self):
+        pts = emit_curve(0.1, CURVE_POINTS_CAP)
+        assert len(pts) == CURVE_POINTS_CAP
+        assert pts[-1] == f_of_t(0.1, 1.0)
         for points in (CURVE_POINTS_CAP + 1, 10**12):
             with pytest.raises(PmfError, match=f"need 2 to {CURVE_POINTS_CAP} points, got {points}"):
                 emit_curve(0.1, points)
@@ -190,6 +190,47 @@ class TestEmitCurve:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert abs(float(first[1]) - F0_01) < 1e-12
+
+
+def oracle_point(a, t):
+    """One curve point by the per-point formulas, written out."""
+    alpha = DsbsParams(a, t).alpha
+    h4 = entropy_vec4(alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha)
+    i_joint = 1.0 + binary_entropy(a) - h4
+    i_cond = 2.0 * binary_entropy(alpha + 0.5 * a) - h4
+    return CurvePoint(t=t, f=max(i_cond, 0.5 * (i_joint + i_cond)), i_joint=i_joint, i_cond=i_cond)
+
+
+SPREAD = np.random.default_rng(2018).uniform(1e-9, 0.5 - 1e-9, 6).tolist()
+
+
+class TestCurveKernel:
+    @pytest.mark.parametrize("a", [1e-9, 0.5 - 1e-9, 0.499999999, 0.1, 0.2, *SPREAD])
+    def test_curve_equals_per_point_oracle(self, a):
+        for n in (2, 3, 201, 1001):
+            pts = emit_curve(a, n)
+            expect = [oracle_point(a, t) for t in np.linspace(0.0, 1.0, n)]
+            assert pts == expect
+            assert "".join(curve_csv_lines(pts)) == "".join(curve_csv_lines(expect))
+            if n == 201:
+                assert [f_of_t(a, p.t) for p in pts] == pts
+
+    @pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12, float("nan"), float("inf")])
+    def test_f_of_t_rejects_t_outside_unit_interval(self, t):
+        with pytest.raises(PmfError, match=r"t must lie in \[0, 1\]"):
+            f_of_t(0.1, t)
+
+    def test_f_of_t_rejects_crossover(self):
+        with pytest.raises(PmfError, match="crossover must lie in"):
+            f_of_t(0.5, 0.5)
+
+    def test_cell_check_is_live(self, monkeypatch):
+        # the four cells always sum to 1 within SUM_TOL; a negative tolerance shows the check runs
+        import coordrate.dsbs as dsbs
+
+        monkeypatch.setattr(dsbs, "SUM_TOL", -1.0)
+        with pytest.raises(PmfError, match=r"cells at t=0.0 must be finite"):
+            emit_curve(0.1, 3)
 
 
 class TestGoldenCurves:
