@@ -69,8 +69,6 @@ class ChannelStats:
     """
 
     def __init__(self, q, batch):
-        self.q = q
-        self.batch = batch
         q4 = q[None, :, :, None]
         w = q4 * batch
         log_pu = np.log(np.maximum(w.sum(axis=(1, 2)), 1e-300))[:, None, None, :]

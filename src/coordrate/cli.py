@@ -90,7 +90,7 @@ def build_parser():
 
     p_dsbs = sub.add_parser("dsbs", help="closed-form curve for the symmetric binary source")
     p_dsbs.add_argument("--a", type=float, required=True)
-    p_dsbs.add_argument("--points", type=int, default=101)
+    p_dsbs.add_argument("--points", type=int)
     p_dsbs.add_argument("--out")
     p_dsbs.add_argument("--tstar", action="store_true")
 
@@ -117,6 +117,8 @@ def build_parser():
 
 
 def _cmd_info(args, out):
+    if bool(args.dist2) != (args.measure == "tv"):
+        raise _CliError("info --measure tv needs --dist2, and only tv reads it")
     q = load_joint_pmf(args.dist)
     if args.measure == "entropy":
         out.write(_fmt(entropy(Pmf(q.probs.ravel()))) + "\n")
@@ -124,10 +126,7 @@ def _cmd_info(args, out):
         full = compose(q, degenerate_channel(*q.shape))
         out.write(_fmt(mutual_information(full, ("x",), ("y",))) + "\n")
     else:
-        if not args.dist2:
-            raise _CliError("info --measure tv needs --dist2")
-        q2 = load_joint_pmf(args.dist2)
-        out.write(_fmt(tv_distance(q, q2)) + "\n")
+        out.write(_fmt(tv_distance(q, load_joint_pmf(args.dist2))) + "\n")
     return 0
 
 
@@ -147,9 +146,11 @@ def _cmd_ulsr(args, out):
 
 def _cmd_dsbs(args, out):
     if args.tstar:
+        if args.out or args.points is not None:
+            raise _CliError("dsbs --tstar prints t* only; it takes neither --out nor --points")
         out.write(_fmt(t_star(args.a)) + "\n")
         return 0
-    points = emit_curve(args.a, args.points)
+    points = emit_curve(args.a, 101 if args.points is None else args.points)
     if args.out:
         write_curve_csv(points, args.out)
         tmin = min(points, key=lambda p: p.f)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import binary_entropy, inverse_binary_entropy
-from .pmf import SUM_TOL, AuxChannel, PmfError
+from .pmf import SUM_TOL, AuxChannel, PmfError, _is_int
 
 #: closed forms hold strictly inside the crossover range
 _A_MIN_MARGIN = 1e-9
@@ -164,9 +164,9 @@ def t_star(a):
 
 
 def emit_curve(a, num_points):
-    """Curve points at uniformly spaced t covering both endpoints."""
-    if not 2 <= num_points <= CURVE_POINTS_CAP:
-        raise PmfError(f"emit_curve: need 2 to {CURVE_POINTS_CAP} points, got {num_points}")
+    """Curve points at ``num_points`` (an integer) uniformly spaced t covering both endpoints."""
+    if not (_is_int(num_points) and 2 <= num_points <= CURVE_POINTS_CAP):
+        raise PmfError(f"emit_curve: need 2 to {CURVE_POINTS_CAP} points, got {num_points!r}")
     t = np.linspace(0.0, 1.0, num_points)
     return [CurvePoint(*row) for row in zip(t.tolist(), *(v.tolist() for v in _curve(a, t)))]
 

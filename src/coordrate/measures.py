@@ -13,6 +13,8 @@ import numpy as np
 
 from .pmf import AXES, FullJoint, Pmf, PmfError, _check_simplex
 
+#: tolerance on I(X;Y|U) in bits, for wyner_ci's feasibility and the simulator's X - U - Y check alike
+MARKOV_TOL = 1e-6
 #: max iterations for the binary-entropy inversion bisection; the interval
 #: tolerance sits at float resolution so steep regions still invert exactly
 _INV_H_ITERS = 200

@@ -97,6 +97,8 @@ def achievable_bounds(q, aux):
 
 def in_achievable_region(q, aux, rates):
     """All six inequalities, non-strict with 1e-12 slack."""
+    if not isinstance(rates, RateTriple):
+        raise PmfError(f"in_achievable_region: rates must be a RateTriple, got {type(rates).__name__}")
     b = achievable_bounds(q, aux)
     s = MEMBERSHIP_SLACK
     return (
@@ -113,6 +115,8 @@ def xy_equal_region(hx, rates):
     """Exact region for X = Y almost surely: R + min{R1, R2} >= H(X), R >= H(X)/2."""
     if not (_is_real(hx) and hx >= 0):
         raise PmfError(f"xy_equal_region: entropy must be finite and nonnegative, got {hx!r}")
+    if not isinstance(rates, RateTriple):
+        raise PmfError(f"xy_equal_region: rates must be a RateTriple, got {type(rates).__name__}")
     s = MEMBERSHIP_SLACK
     return (
         rates.r + min(rates.r1, rates.r2) >= hx - s

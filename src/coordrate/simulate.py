@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._seeding import _srandom, draw_integers, seed_words, state_address
-from .measures import conditional_mutual_information
+from .measures import MARKOV_TOL, conditional_mutual_information
 from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _write_json, compose, tv_distance
 
 #: hard cap on each index-set size (desk-scale memory guard)
@@ -55,8 +55,6 @@ BLOCK_BYTES_CAP = 2**30
 #: cap on the symbols a run may test, trials * n* * n: every trial's search
 #: failing tests all n* rows of n symbols
 WORK_CAP = 2**32
-#: default tolerance on I(X;Y|U) of the composed channel, in bits
-MARKOV_DEFECT_TOL = 1e-6
 
 _W_STREAM, _U_STREAM, _X_STREAM, _Y_STREAM = 0, 1, 2, 3
 #: candidate rows the coordinator draws and tests before its first doubling
@@ -121,7 +119,7 @@ class SimConfig:
     eps_typ: float = 0.1
     trials: int = 1
     seed: int = 0
-    max_markov_defect: float = MARKOV_DEFECT_TOL
+    max_markov_defect: float = MARKOV_TOL
 
     def __post_init__(self):
         for name, kind in (("q", JointPmf), ("channel", AuxChannel), ("rates", SimRates)):
@@ -198,7 +196,7 @@ class SimReport:
         _write_json(path, self.to_dict())
 
 
-def derive_components(channel, q, max_defect=MARKOV_DEFECT_TOL):
+def derive_components(channel, q, max_defect=MARKOV_TOL):
     """Per-letter generation components of the composed joint.
 
     Returns (p_u, p_x_given_u, p_y_given_u) where the conditionals are
@@ -232,15 +230,14 @@ def _generation(full, max_defect):
     return joint_uxy, Pmf(p_u), p_x_given_u, p_y_given_u
 
 
-def _sample(cum, uniforms, out=None):
-    """Inverse-CDF sampling: the number of CDF entries at or below each uniform.
+def _sample(cum, uniforms):
+    """Inverse-CDF sampling: the number of CDF entries at or below each uniform, as int64.
 
     ``cum`` rows must be nondecreasing and end at exactly 1, which no uniform
     in [0, 1) reaches, so the count is the first index whose entry exceeds
     the uniform.  ``cum`` is one table or a table per uniform (trailing axis).
-    The int64 indices are written to ``out`` when given.
     """
-    idx = np.empty(uniforms.shape, dtype=np.int64) if out is None else out
+    idx = np.empty(uniforms.shape, dtype=np.int64)
     np.greater_equal(uniforms, cum[..., 0], out=idx)
     for j in range(1, cum.shape[-1] - 1):
         idx += uniforms >= cum[..., j]
@@ -271,6 +268,8 @@ class Codebooks:
             compose(cfg.q, cfg.channel), cfg.max_markov_defect
         )
         self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
+        #: exclusive bounds of a trial row (m01, m02, b1, b2)
+        self.bounds = (self.n01, self.n01, self.nb1, self.nb2)
         #: inverse-CDF tables of u, x and y, one row per u symbol for x and y
         self._cum = tuple(np.cumsum(p, axis=-1) for p in (self.p_u.probs, self.p_x_given_u, self.p_y_given_u))
         for cum in self._cum:
@@ -282,6 +281,8 @@ class Codebooks:
     def states(self, table):
         """(3, trials, 4) ``_srandom`` rows of the u, x and y blocks of the trial rows (m01, m02, b1, b2) of ``table``."""
         table = np.asarray(table)
+        if table.ndim != 2 or table.shape[1] != 4 or ((table < 0) | (table >= self.bounds)).any():
+            raise SimulationError(f"Codebooks.states: table rows must be (m01, m02, b1, b2) within {self.bounds}")
         # rows [stream, m01, m02, b_i] after the prefix [seed, 0]; a u key ends
         # at m02, and the x and y keys, of one length, hash in one pass
         keys = np.empty((3, len(table), 4), dtype=np.int64)
@@ -296,9 +297,11 @@ class Codebooks:
         x and y symbols are drawn from p(.|u) per symbol of the u rows.
         """
         n, gen = self.cfg.n, self._gen
+        if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= self.nstar):
+            raise SimulationError(f"Codebooks.rows: need integers 0 <= start < stop <= {self.nstar}, got {start!r}, {stop!r}")
         states = np.ascontiguousarray(states, dtype=np.uint64)
         if states.ndim != 3 or states.shape[0] != 3 or states.shape[2] != 4:
-            raise ValueError(f"Codebooks.rows: states must be (3, blocks, 4) _srandom rows, got shape {states.shape}")
+            raise SimulationError(f"Codebooks.rows: states must be (3, blocks, 4) _srandom rows, got shape {states.shape}")
         uniforms = np.empty((*states.shape[:2], stop - start, n))
         row = states.ctypes.data
         for out in uniforms.reshape(-1, stop - start, n):
@@ -330,7 +333,7 @@ def _typical_mask(ub, xb, yb, p, eps_typ):
     return ~bad.any(axis=1)
 
 
-def _search(books, table, eps_typ):
+def _search(books, table):
     """The coordinator's bin search for each trial (m01, m02, b1, b2) in the rows of ``table``.
 
     The trials search together in rounds: a round draws and tests rows
@@ -338,12 +341,12 @@ def _search(books, table, eps_typ):
     doubling up to n*, in parts of trials whose arrays fit ``_ROUND_BYTES``
     (a round ends early where one trial's rows would not fit), each part's
     u, x and y rows from one ``Codebooks.rows`` call.  A trial's m* is its
-    first typical row; with none, every row has been tested once, m* falls
-    back to 0 and the trial is flagged.  Returns (m_star, failed, x,
-    y), x and y the (trials, n) emitted codewords, read from the rows the
-    search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
+    first row typical within ``cfg.eps_typ``; with none, all rows are tested
+    once, m* falls back to 0 and the trial is flagged.  Returns (m_star,
+    failed, x, y), x and y the (trials, n) emitted codewords, read from the
+    rows the search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
     """
-    n, nstar = books.cfg.n, books.nstar
+    n, nstar, eps_typ = books.cfg.n, books.nstar, books.cfg.eps_typ
     states = books.states(table)
     m_star, failed = np.zeros(len(table), dtype=np.int64), np.ones(len(table), dtype=bool)
     x_out, y_out = np.empty((2, len(table), n), dtype=np.int64)
@@ -386,15 +389,15 @@ def run_trials(cfg):
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
-    n01, _, nb1, nb2 = sizes = books.n01, books.nstar, books.nb1, books.nb2
+    sizes = books.n01, books.nstar, books.nb1, books.nb2
     # trials a chunk may hold: their emitted x and y rows take 16 bytes a symbol
     chunk = max(1, min(_SEED_CHUNK, _ROUND_BYTES // (16 * cfg.n)))
     for start in range(0, cfg.trials, chunk):
         ks = np.arange(start, min(start + chunk, cfg.trials))
         keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
         # each trial's (m01, m02, b1, b2), as integers(size) per index on its w stream draws them
-        table = draw_integers(keys, (n01, n01, nb1, nb2))
-        _, failed, x, y = _search(books, table, cfg.eps_typ)
+        table = draw_integers(keys, books.bounds)
+        _, failed, x, y = _search(books, table)
         x *= ny
         x += y  # each pair's cell index, in place
         counts += np.bincount(x.ravel(), minlength=nx * ny)

@@ -31,7 +31,7 @@ def aux_with_copy_sides(base, nx, ny):
     return AuxChannel.from_array(rows)
 
 
-def processor_isolation(books, table, eps_typ, which):
+def processor_isolation(books, table, which):
     """Check that processor ``which`` emits from its own view of a trial only.
 
     Runs ``_search`` on the trial rows (m01, m02, b1, b2) of ``table`` and on
@@ -49,7 +49,7 @@ def processor_isolation(books, table, eps_typ, which):
     assert not np.array_equal(changed, table), "the other processor's index set has one entry"
     runs = []
     for t in (table, changed):
-        m_star, _, x, y = _search(books, t, eps_typ)
+        m_star, _, x, y = _search(books, t)
         runs.append((t, m_star, (x, y)[which - 1]))
     (_, m_a, rows_a), (_, m_b, rows_b) = runs
     agree = m_a == m_b

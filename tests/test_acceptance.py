@@ -262,7 +262,7 @@ def test_criterion_9_invariant_suites():
     # each processor's rows against a change to the other's codeword index
     books = Codebooks(cfg)
     table = rng.integers((books.n01, books.n01, books.nb1, books.nb2), size=(200, 4))
-    iso = [processor_isolation(books, table, cfg.eps_typ, which) for which in (1, 2)]
+    iso = [processor_isolation(books, table, which) for which in (1, 2)]
     iso_ok = all(matched > 0 and ok for matched, ok in iso)
 
     elapsed = time.perf_counter() - start

@@ -46,6 +46,14 @@ class TestInfo:
         code, _, err = run(["info", "--dist", files["dist02"], "--measure", "tv"])
         assert code == 1 and "dist2" in err
 
+    @pytest.mark.parametrize("measure", ["mi", "entropy"])
+    def test_second_dist_needs_tv(self, files, measure):
+        # --dist2 is read by tv only; elsewhere it is a usage error, even for a missing file
+        code, out, err = run(["info", "--dist", files["dist02"], "--measure", measure, "--dist2", "missing.json"])
+        assert code == 1 and out == ""
+        assert err.splitlines()[0] == "error: info --measure tv needs --dist2, and only tv reads it"
+        assert err.splitlines()[1].startswith("usage: coordrate")
+
     def test_tv(self, files):
         code, out, _ = run(["info", "--dist", files["dist02"], "--measure", "tv",
                             "--dist2", files["dist01"]])
@@ -137,6 +145,19 @@ class TestDsbs:
         run(["dsbs", "--a", "0.2", "--points", "7", "--out", str(path)])
         code, out, _ = run(["dsbs", "--a", "0.2", "--points", "7"])
         assert code == 0 and out.encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("extra", [["--out", "t.csv"], ["--points", "101"], ["--points", "5", "--out", "t.csv"]])
+    def test_tstar_takes_no_curve_flags(self, tmp_path, monkeypatch, extra):
+        # t* alone is printed, so a curve flag beside it would do nothing
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["dsbs", "--a", "0.1", "--tstar", *extra])
+        assert code == 1 and out == "" and not (tmp_path / "t.csv").exists()
+        assert err.splitlines()[0] == "error: dsbs --tstar prints t* only; it takes neither --out nor --points"
+        assert err.splitlines()[1].startswith("usage: coordrate")
+
+    def test_default_points(self):
+        code, out, _ = run(["dsbs", "--a", "0.1"])
+        assert code == 0 and len(out.splitlines()) == 102
 
     def test_bad_a(self):
         code, _, err = run(["dsbs", "--a", "0.7", "--tstar"])
@@ -242,6 +263,21 @@ class TestSimulate:
         doc = json.loads(open(path).read())
         assert doc["trials_run"] == 20
         assert doc["config_echo"]["rates"]["r"] == pytest.approx(0.7 / 2 + 0.3)
+
+    def test_rows_written_to_ten_decimals(self, tmp_path):
+        # rows of three 0.3333333333 sum to 1 - 1e-10, within the 1e-9 row
+        # tolerance, so both commands that compose the channel accept them
+        dist, aux = tmp_path / "q.json", tmp_path / "aux.json"
+        dist.write_text(json.dumps({"pmf": [[0.5, 0.5], [0, 0]]}))
+        row = [0.3333333333] * 3
+        aux.write_text(json.dumps({"card_u": 3, "cond": {"0,0": row, "0,1": row}}))
+        code, out, err = run(["region", "check", "--dist", str(dist), "--aux", str(aux), "--rates", "1,1,1"])
+        assert (code, out, err) == (0, "member\n", "")
+        code, out, err = run(["simulate", "--dist", str(dist), "--aux", str(aux), "--n", "8",
+                              "--rates", "0.5,0.25,0.5,0.5", "--trials", "5"])
+        assert code == 0 and err == ""
+        tv, fail = (float(v) for v in out.splitlines())
+        assert 0.0 <= tv <= 1.0 and 0.0 <= fail <= 1.0
 
     def test_markov_violation_is_validation_error(self, files):
         bad_aux = str(files["d"] / "flat.json")

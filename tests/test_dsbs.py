@@ -171,6 +171,11 @@ class TestEmitCurve:
         with pytest.raises(PmfError):
             emit_curve(0.1, 1)
 
+    @pytest.mark.parametrize("points", [2.5, 5.0, "5", True, None])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(PmfError, match=f"need 2 to {CURVE_POINTS_CAP} points, got {points!r}"):
+            emit_curve(0.1, points)
+
     def test_points_cap(self):
         pts = emit_curve(0.1, CURVE_POINTS_CAP)
         assert len(pts) == CURVE_POINTS_CAP

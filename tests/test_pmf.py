@@ -10,6 +10,7 @@ from coordrate.pmf import (
     FullJoint,
     JointPmf,
     Pmf,
+    SUM_TOL,
     PmfError,
     compose,
     degenerate_channel,
@@ -179,6 +180,18 @@ class TestCompose:
                     expect[x, y] = q.probs[x, y] * aux.probs[x, y]
         assert np.array_equal(compose(q, aux).probs, expect)
 
+    def test_rows_within_sum_tolerance_compose(self, tmp_path):
+        # a channel file written to 10 decimals: each row sums to 1 - 1e-10,
+        # which AuxChannel accepts, so the composition is accepted too and its
+        # (x, y) marginal is within q(x,y) * SUM_TOL of q
+        q = JointPmf(np.array([[0.5, 0.5], [0.0, 0.0]]))
+        path = tmp_path / "aux.json"
+        row = [0.3333333333] * 3
+        path.write_text(json.dumps({"card_u": 3, "cond": {"0,0": row, "0,1": row}}))
+        full = compose(q, load_aux_channel(path, q))
+        assert np.all(np.abs(full.probs.sum(axis=(2, 3, 4)) - q.probs) <= q.probs * SUM_TOL)
+        assert np.abs(full.probs.sum(axis=(2, 3, 4)) - q.probs).max() > 1e-12
+
     def test_grid_must_match_source(self):
         with pytest.raises(PmfError, match="does not match source shape"):
             compose(dsbs_joint(0.2), degenerate_channel(3, 2))
@@ -285,6 +298,14 @@ class TestFiles:
         path = tmp_path / "q.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(PmfError, match="load_joint_pmf"):
+            load_joint_pmf(path)
+
+    @pytest.mark.parametrize("pmf", [[0.5, 0.5], [[[1.0]]], 1.0], ids=["vector", "cube", "scalar"])
+    def test_pmf_must_be_a_matrix(self, tmp_path, pmf):
+        # JointPmf makes the one shape check
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"pmf": pmf}))
+        with pytest.raises(PmfError, match="JointPmf: expected 2-d matrix"):
             load_joint_pmf(path)
 
     @pytest.mark.parametrize(

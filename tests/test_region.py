@@ -129,6 +129,11 @@ class TestMembership:
         assert in_achievable_region(q, aux, exact)
 
 
+    def test_rates_must_be_a_rate_triple(self):
+        with pytest.raises(PmfError, match="in_achievable_region: rates must be a RateTriple, got tuple"):
+            in_achievable_region(dsbs_joint(0.2), copy_sides_aux(), (1, 1, 1))
+
+
 class TestXyEqualRegion:
     def test_corner_point(self):
         assert xy_equal_region(1.0, RateTriple(0.5, 0.5, 0.5)) is True
@@ -156,3 +161,8 @@ class TestXyEqualRegion:
     def test_rejects_non_finite_entropy(self, hx):
         with pytest.raises(PmfError, match="finite"):
             xy_equal_region(hx, RateTriple(1, 1, 1))
+
+    @pytest.mark.parametrize("rates", [(1, 1, 1), None, 1.0])
+    def test_rates_must_be_a_rate_triple(self, rates):
+        with pytest.raises(PmfError, match="xy_equal_region: rates must be a RateTriple"):
+            xy_equal_region(1.0, rates)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
 from conftest import processor_isolation
-from coordrate import _seeding, simulate
+from coordrate import _seeding, measures, simulate, wyner
 from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words, state_address
 from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
@@ -196,6 +196,12 @@ class TestDeriveComponents:
     def test_relaxed_tolerance_admits_it(self):
         derive_components(degenerate_channel(2, 2), dsbs_joint(0.2), max_defect=1.0)
 
+    def test_default_tolerance_is_the_solvers(self):
+        # one tolerance on I(X;Y|U): the simulator accepts what wyner_ci certifies
+        assert wyner.MARKOV_TOL is measures.MARKOV_TOL
+        assert dsbs_cfg().max_markov_defect == measures.MARKOV_TOL
+        assert derive_components.__defaults__ == (measures.MARKOV_TOL,)
+
 
 class TestCodebooks:
     def test_deterministic_rebuild(self):
@@ -292,9 +298,9 @@ class TestCodebooks:
         cfg = dsbs_cfg(trials=60, seed=4, **DEEP)
         uniforms = []
 
-        def recording_sample(cum, u, out=None):
+        def recording_sample(cum, u):
             uniforms.append(u.reshape(-1, cfg.n))
-            return _sample(cum, u, out)
+            return _sample(cum, u)
 
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         run_trials(cfg)
@@ -365,13 +371,11 @@ class TestSample:
     @given(_cdf_tables_and_uniforms())
     def test_matches_argmax_reference(self, case):
         # the first CDF entry above each uniform, as test_hand_traced_codeword
-        # writes it; ``out`` is overwritten whatever it held
+        # writes it
         cum, u, uniforms = case
         for table in (cum[0], cum[u]):
             expect = (uniforms[..., None] < table).argmax(-1)
             assert np.array_equal(_sample(table, uniforms), expect)
-            out = np.full(uniforms.shape, 7, dtype=np.int64)
-            assert _sample(table, uniforms, out=out) is out and np.array_equal(out, expect)
 
 
 #: entropy entries of one 32-bit word, as a key's tail holds them
@@ -553,6 +557,24 @@ class TestSeedStreams:
         with pytest.raises(ValueError, match=r"states must be \(3, blocks, 4\) _srandom rows"):
             Codebooks(dsbs_cfg()).rows(states, 0, 1)
 
+    @pytest.mark.parametrize("start, stop", [(0, 7), (-1, 1), (2, 1), (0, 0), (4, 5), (0.0, 1), (0, 2.5)])
+    def test_rows_refuses_ranges_outside_the_bin(self, start, stop):
+        # n* = 4: rows past the bin, before the block, or an empty or reversed range
+        books = Codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.25))
+        assert (books.nstar, books.n01) == (4, 4)
+        states = books.states([(0, 0, 0, 0)])
+        with pytest.raises(SimulationError, match=r"Codebooks.rows: need integers 0 <= start < stop <= 4"):
+            books.rows(states, start, stop)
+
+    @pytest.mark.parametrize(
+        "table", [[(99, 0, 0, 0)], [(0, 4, 0, 0)], [(0, 0, 16, 0)], [(0, 0, 0, 16)], [(0, -1, 0, 0)], [(0, 0, 0)], [0, 0, 0, 0]]
+    )
+    def test_states_refuses_indices_outside_the_code(self, table):
+        books = Codebooks(dsbs_cfg(n=8, r0=0.5, r_star=0.25))
+        assert books.bounds == (4, 4, 16, 16)
+        with pytest.raises(SimulationError, match=r"Codebooks.states: table rows must be \(m01, m02, b1, b2\) within \(4, 4, 16, 16\)"):
+            books.states(table)
+
     def test_states_are_keyed_by_stream_and_indices(self):
         # row k of stream s is the PCG64 state of default_rng on the key
         # [seed, 0, s, m01, m02] (u), with b1 (x) or b2 (y) appended, written
@@ -677,19 +699,19 @@ class TestCoordinatorAndProcessors:
         # for every pair of halves, each processor emits row m* of its block
         # in the bin m0 = (m01, m02) the coordinator searched: its
         # reconstruction of m0 from the broadcast XOR is exact
-        cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.5)
+        cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.5, eps=0.2)
         books = Codebooks(cfg)
         table = np.array([(m01, m02, 0, 0) for m01 in range(books.n01) for m02 in range(books.n01)])
-        m_star, _, x, y = _search(books, table, 0.2)
+        m_star, _, x, y = _search(books, table)
         assert len(set(m_star.tolist())) > 1
         _, x_rows, y_rows = blocks(books, table)
         trials = np.arange(len(table))
         assert np.array_equal(x, x_rows[trials, m_star]) and np.array_equal(y, y_rows[trials, m_star])
 
     def test_processors_consistent_with_coordinator(self):
-        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=0.2)
         books = Codebooks(cfg)
-        m_star, _, x, y = _search(books, KEY, 0.2)
+        m_star, _, x, y = _search(books, KEY)
         _, x_rows, y_rows = blocks(books, KEY)
         assert np.array_equal(x[0], x_rows[0, m_star[0]])
         assert np.array_equal(y[0], y_rows[0, m_star[0]])
@@ -702,18 +724,19 @@ class TestCoordinatorAndProcessors:
         rng = np.random.default_rng(5)
         table = rng.integers((books.n01, books.n01, books.nb1, books.nb2), size=(200, 4))
         for which in (1, 2):
-            matched, ok = processor_isolation(books, table, cfg.eps_typ, which)
+            matched, ok = processor_isolation(books, table, which)
             assert ok and 0 < matched < len(table)
 
     def test_deterministic_source_never_fails(self):
         q = JointPmf(np.array([[1.0]]))
         cfg = SimConfig(q=q, channel=degenerate_channel(1, 1), n=8,
                         rates=SimRates(0.4, 0.2, 0.2, 0.2), eps_typ=0.05, trials=1, seed=0)
-        m_star, failed, _, _ = _search(Codebooks(cfg), np.array([(0, 1, 0, 1)]), 0.05)
+        m_star, failed, _, _ = _search(Codebooks(cfg), np.array([(0, 1, 0, 1)]))
         assert not failed[0] and m_star[0] == 0
 
     def test_failed_search_tests_every_row_once(self, monkeypatch):
-        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        # an impossible tolerance fails the search
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=1e-9)
         books = Codebooks(cfg)
         tested = []
 
@@ -722,32 +745,32 @@ class TestCoordinatorAndProcessors:
             return _typical_mask(ub, xb, yb, p, eps_typ)
 
         monkeypatch.setattr(simulate, "_typical_mask", recording_mask)
-        m_star, failed, _, _ = _search(books, KEY, 1e-9)
+        m_star, failed, _, _ = _search(books, KEY)
         assert (m_star[0], failed[0]) == (0, True)
         assert [len(t) for t in tested] == [16, 16, 32, 21]
         assert np.array_equal(np.concatenate(tested), blocks(Codebooks(cfg), KEY)[0][0])
 
     def test_early_hit_draws_first_chunk_only(self, monkeypatch):
-        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=0.2)
         books = Codebooks(cfg)
         sampled = []
 
-        def recording_sample(cum, uniforms, out=None):
+        def recording_sample(cum, uniforms):
             sampled.append(uniforms.shape[-2])
-            return _sample(cum, uniforms, out)
+            return _sample(cum, uniforms)
 
         monkeypatch.setattr(simulate, "_sample", recording_sample)
-        m_star, failed, _, _ = _search(books, KEY, 0.2)
+        m_star, failed, _, _ = _search(books, KEY)
         assert (m_star[0], failed[0]) == (0, False)
         # u, x and y draw their first 16 rows once; the emitted rows are read from them
         assert sampled == [16, 16, 16] and books.nstar == 85
 
     def test_failure_flag_and_fallback(self):
         # an impossible tolerance forces the flagged first-candidate fallback
-        cfg = dsbs_cfg(n=16, r0=0.5, r_star=0.2, seed=1)
+        cfg = dsbs_cfg(n=16, r0=0.5, r_star=0.2, seed=1, eps=1e-9)
         books = Codebooks(cfg)
         table = np.zeros((1, 4), dtype=np.int64)
-        m_star, failed, x, y = _search(books, table, 1e-9)
+        m_star, failed, x, y = _search(books, table)
         assert failed[0] and m_star[0] == 0
         _, x_rows, y_rows = blocks(books, table)
         assert np.array_equal(x[0], x_rows[0, 0]) and np.array_equal(y[0], y_rows[0, 0])
@@ -879,7 +902,7 @@ class TestRunTrials:
             [[int(rng_w.integers(size)) for size in sizes]
              for rng_w in (np.random.default_rng([cfg.seed, k, 0]) for k in range(cfg.trials))]
         )
-        m_star, _, x, y = _search(books, table, cfg.eps_typ)
+        m_star, _, x, y = _search(books, table)
         # the selected u rows, drawn for the trials of each m* together
         u, states = np.empty_like(x), books.states(table)
         for m in np.unique(m_star).tolist():
