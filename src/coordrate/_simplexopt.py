@@ -1,18 +1,22 @@
-"""Batched exponentiated-gradient descent over conditional-pmf simplices.
+"""The solver run that ``wyner_ci`` and ``ulsr_rate`` share.
 
-The optimization variable is a batch of channels p(u|x,y), one per
-restart, stored as an array of shape (restarts, nx, ny, nu).  Updates are
-multiplicative, so iterates stay inside the (floored) simplex without
-projections.  Gradients are preconditioned by 1/q(x,y), which makes the
-update scale-free across source cells.  ``ChannelStats`` takes each log
-once per iterate and holds both gradients as arrays; the two information
-terms are weighted sums of those arrays, so objectives combine terms and
-gradients without recomputing either.
+``descend`` minimizes over a batch of channels p(u|x,y), one per restart,
+of shape (restarts, nx, ny, nu), by exponentiated-gradient descent; each
+caller keeps only its objectives, its starts and its answer.  Updates are
+multiplicative, so iterates stay inside the (floored) simplex, and are
+preconditioned by 1/q(x,y), which makes them scale-free across source
+cells.  ``ChannelStats`` takes each log once per iterate; both information
+terms are weighted sums of its two gradient arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .measures import table_entropy
+from .pmf import PmfError, _is_int, _is_real
 
 #: smallest admissible conditional probability; keeps logs finite
 FLOOR = 1e-13
@@ -26,6 +30,50 @@ STREAK = 25
 #: standard deviation of the log-scale noise jitter_channels applies at each stage start
 JITTER_SIGMA = 1e-3
 LN2 = float(np.log(2.0))
+#: base step size for the exponentiated-gradient updates
+STEP0 = 2.0
+#: slack in bits when checking a solver value against its known bracket
+BRACKET_SLACK = 1e-9
+#: cap on the solver working memory: the solvers hold at most 32 float64
+#: arrays of the (restarts, nx, ny, card_u) batch at once, 256 bytes per cell
+BATCH_BYTES_CAP = 2**30
+
+
+def check_int(who, name, value, low):
+    """``value`` as an int when it is an integer, not a bool, and >= ``low``; else PmfError."""
+    if not (_is_int(value) and value >= low):
+        raise PmfError(f"{who}: {name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    restarts: int = 50
+    max_iters: int = 5000
+    tol_objective: float = 1e-9
+    seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("restarts", 1), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int("SolverOptions", name, getattr(self, name), low))
+        if not (_is_real(self.tol_objective) and self.tol_objective > 0):
+            raise PmfError(f"SolverOptions: tol_objective must be finite and > 0, got {self.tol_objective!r}")
+
+
+def options(who, opts):
+    """``opts``, or the defaults when it is None; PmfError for anything else."""
+    if not (opts is None or isinstance(opts, SolverOptions)):
+        raise PmfError(f"{who}: opts must be a SolverOptions or None, got {type(opts).__name__}")
+    return SolverOptions() if opts is None else opts
+
+
+def check_batch_bytes(who, restarts, nx, ny, card_u):
+    """Refuse a restart batch whose solver working arrays would exceed BATCH_BYTES_CAP."""
+    need = 256 * restarts * nx * ny * card_u
+    if need > BATCH_BYTES_CAP:
+        raise PmfError(
+            f"{who}: {restarts} restarts of {nx}x{ny}x{card_u} channels need {need} bytes, cap is {BATCH_BYTES_CAP}"
+        )
 
 
 def normalize_rows(batch):
@@ -151,18 +199,24 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
     return out_batch, ChannelStats(q, out_batch), frozen_at
 
 
-def descend(q, batch, stages, opts, step0, records):
-    """Warm-started stages on a batch; returns the last stage's (batch, stats).
+def descend(q, card_u, starts, stages, opts, polish=None):
+    """Run the ``starts``, then seeded random rows up to ``opts.restarts`` (at least one), through ``stages``.
 
-    ``stages`` holds (kind, parameter, objective_and_grad) triples.  Each
-    stage jitters the batch (keyed by its index), runs ``eg_minimize`` and
-    appends its ``stage_record`` to ``records``.
+    Each (kind, parameter, objective_and_grad) stage jitters the batch by
+    its index, then runs ``eg_minimize``; ``polish``, when given, runs last
+    without jitter.  Returns (batch, stats, each run's ``stage_record``).
     """
-    for index, (kind, parameter, objective_and_grad) in enumerate(stages):
-        batch = jitter_channels(batch, opts.seed, index)
-        batch, stats, frozen_at = eg_minimize(q, batch, objective_and_grad, opts.max_iters, opts.tol_objective, step0)
+    batch = random_channels(*q.shape, card_u, max(opts.restarts - len(starts), 1), opts.seed)
+    if starts:
+        batch = normalize_rows(np.concatenate([np.stack(starts), batch]))
+    runs = [*stages, ("polish", None, polish)] if polish is not None else stages
+    records = []
+    for index, (kind, parameter, objective_and_grad) in enumerate(runs):
+        if index < len(stages):
+            batch = jitter_channels(batch, opts.seed, index)
+        batch, stats, frozen_at = eg_minimize(q, batch, objective_and_grad, opts.max_iters, opts.tol_objective, STEP0)
         records.append(stage_record(kind, parameter, frozen_at, opts.max_iters))
-    return batch, stats
+    return batch, stats, records
 
 
 def stage_record(stage, parameter, frozen_at, max_iters):
@@ -179,3 +233,19 @@ def stage_record(stage, parameter, frozen_at, max_iters):
         "converged": frozen_at.size - stopped,
         "max_iters_reached": stopped,
     }
+
+
+def terms(stats, row):
+    """(I(X,Y;U), I(X;Y|U)) of one row in bits, each clamped at 0: rounding can leave a zero just below it."""
+    return max(float(stats.i_joint[row]), 0.0), max(float(stats.i_cond[row]), 0.0)
+
+
+def source_info(q):
+    """(I(X;Y), min(H(X), H(Y))) of the source, in bits."""
+    hx, hy = table_entropy(q.probs.sum(axis=1)), table_entropy(q.probs.sum(axis=0))
+    return hx + hy - table_entropy(q.probs), min(hx, hy)
+
+
+def bracket(value, lo, hi):
+    """Diagnostics entries recording whether ``value`` lies in its known bracket."""
+    return {"bracket": [lo, hi], "within_bracket": bool(lo - BRACKET_SLACK <= value <= hi + BRACKET_SLACK)}

@@ -138,6 +138,7 @@ class SimConfig:
             object.__setattr__(self, name, int(value))
         if not (_is_real(self.eps_typ) and self.eps_typ > 0):
             raise SimulationError(f"SimConfig: eps_typ must be finite and > 0, got {self.eps_typ!r}")
+        _check_max_defect("SimConfig: max_markov_defect", self.max_markov_defect)
         if self.channel.card_u1 != 1 or self.channel.card_u2 != 1:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
@@ -196,6 +197,12 @@ class SimReport:
         _write_json(path, self.to_dict())
 
 
+def _check_max_defect(name, value):
+    """Refuse a bound on I(X;Y|U) that is not a finite real >= 0 (a bool or a string is not one)."""
+    if not (_is_real(value) and value >= 0):
+        raise SimulationError(f"{name} must be a finite real >= 0, got {value!r}")
+
+
 def derive_components(channel, q, max_defect=MARKOV_TOL):
     """Per-letter generation components of the composed joint.
 
@@ -210,8 +217,7 @@ def derive_components(channel, q, max_defect=MARKOV_TOL):
 
 def _generation(full, max_defect):
     """(joint_uxy, p_u, p_x_given_u, p_y_given_u) of a composed joint."""
-    if not (_is_real(max_defect) and max_defect >= 0):
-        raise SimulationError(f"derive_components: max_defect must be a finite real >= 0, got {max_defect!r}")
+    _check_max_defect("derive_components: max_defect", max_defect)
     defect = conditional_mutual_information(full, ("x",), ("y",), ("u",))
     if defect > max_defect:
         raise SimulationError(

@@ -25,7 +25,6 @@ import numpy as np
 from . import _simplexopt as so
 from .dsbs import interpolated_channel
 from .pmf import AuxChannel, JointPmf, PmfError
-from .wyner import BRACKET_SLACK, STEP0, SolverOptions, _bracket, _check_batch_bytes, _source_info
 
 #: softmax temperatures (1/bits) for annealing the kinked max
 TEMPERATURES = (10.0, 100.0, 1000.0)
@@ -40,8 +39,7 @@ class UlsrForm(enum.Enum):
 
 @dataclass(frozen=True)
 class UlsrResult:
-    #: the objective of the channel's terms; ``ulsr_rate`` reports one above
-    #: its bracket by at most BRACKET_SLACK as the bracket's upper end
+    #: the channel's objective, or its bracket's upper end when at most so.BRACKET_SLACK above it
     value: float
     channel: AuxChannel
     term_cond: float
@@ -65,8 +63,7 @@ def _form_value(i_cond, i_joint, form):
 
 def _result(stats, row, channel, form):
     """UlsrResult of ``channel`` from row ``row`` of its ``ChannelStats``."""
-    # both terms are nonnegative; rounding can leave a zero just below it
-    i_cond, i_joint = max(float(stats.i_cond[row]), 0.0), max(float(stats.i_joint[row]), 0.0)
+    i_joint, i_cond = so.terms(stats, row)
     return UlsrResult(float(_form_value(i_cond, i_joint, form)), channel, i_cond, i_joint, form)
 
 
@@ -74,8 +71,7 @@ def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
     """Evaluate the chosen objective for one channel, no optimization."""
     if not isinstance(q, JointPmf) or not isinstance(ch, AuxChannel):
         raise PmfError("ulsr_objective: expected (JointPmf, AuxChannel)")
-    if not isinstance(form, UlsrForm):
-        form = UlsrForm(form)
+    form = UlsrForm(form)
     if ch.probs.shape[:2] != q.shape or ch.card_u1 != 1 or ch.card_u2 != 1:
         raise PmfError("ulsr_objective: channel must be a single-auxiliary p(u|x,y) on the source's grid")
     return _result(so.ChannelStats(q.probs, ch.probs[None, :, :, :, 0, 0]), 0, ch, form)
@@ -115,30 +111,17 @@ def _pad_rows(rows, card_u):
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def _symmetric_binary_crossover(q):
-    """Crossover parameter when q is a symmetric binary source, else None."""
-    if q.shape != (2, 2):
-        return None
-    p = q.probs
-    if abs(p[0, 0] - p[1, 1]) > 1e-12 or abs(p[0, 1] - p[1, 0]) > 1e-12:
-        return None
-    return float(p[0, 1] + p[1, 0])
-
-
 def _structured_starts(q, card_u):
-    nx, ny = q.shape
-    starts = []
-    # degenerate auxiliary: nearly all mass on the first symbol
-    starts.append(_pad_rows(np.ones((nx, ny, 1)), card_u))
-    # uniform rows
-    starts.append(np.full((nx, ny, card_u), 1.0 / card_u))
-    # for symmetric binary sources, points on the interpolated family between
-    # the Wyner-minimizing channel and the uninformative channel
-    a = _symmetric_binary_crossover(q)
-    if a is not None and 0.0 < a < 0.5:
-        for t in (0.0, 0.25, 0.5, 0.75):
-            rows = interpolated_channel(a, t).probs[:, :, :, 0, 0]
-            starts.append(_pad_rows(rows, card_u))
+    # the degenerate auxiliary (nearly all mass on the first symbol) and uniform rows
+    starts = [_pad_rows(np.ones((*q.shape, 1)), card_u), np.full((*q.shape, card_u), 1.0 / card_u)]
+    # for a symmetric binary source of crossover a in (0, 1/2), points on the
+    # interpolated family between the Wyner-minimizing and the uninformative channel
+    p = q.probs
+    if q.shape == (2, 2) and abs(p[0, 0] - p[1, 1]) <= 1e-12 and abs(p[0, 1] - p[1, 0]) <= 1e-12:
+        a = float(p[0, 1] + p[1, 0])
+        if 0.0 < a < 0.5:
+            for t in (0.0, 0.25, 0.5, 0.75):
+                starts.append(_pad_rows(interpolated_channel(a, t).probs[:, :, :, 0, 0], card_u))
     return starts
 
 
@@ -150,35 +133,24 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     """
     if not isinstance(q, JointPmf):
         raise PmfError("ulsr_rate: expected a JointPmf")
-    if not isinstance(form, UlsrForm):
-        form = UlsrForm(form)
-    opts = opts or SolverOptions()
+    form = UlsrForm(form)
+    opts = so.options("ulsr_rate", opts)
     nx, ny = q.shape
     card_u = nx * ny + 2
-    qarr = q.probs
     # at most six structured starts plus one random row
-    _check_batch_bytes("ulsr_rate", max(opts.restarts, 7), nx, ny, card_u)
+    so.check_batch_bytes("ulsr_rate", max(opts.restarts, 7), nx, ny, card_u)
 
     structured = _structured_starts(q, card_u)
-    n_random = max(opts.restarts - len(structured), 1)
-    batch = so.normalize_rows(
-        np.concatenate([np.stack(structured), so.random_channels(nx, ny, card_u, n_random, opts.seed)])
-    )
-
     schedule = [("temperature", temp, _objective(form, temp)) for temp in TEMPERATURES]
-    stages = []
-    batch, _ = so.descend(qarr, batch, schedule, opts, STEP0, stages)
-    # polish on the exact kinked objective; its accepted row is the best
-    # exact iterate, since the polish objective is the exact value
-    batch, stats, frozen_at = so.eg_minimize(qarr, batch, _objective(form), opts.max_iters, opts.tol_objective, STEP0)
-    stages.append(so.stage_record("polish", None, frozen_at, opts.max_iters))
+    # the polish runs on the exact max, so its accepted row is the best exact iterate
+    batch, stats, stages = so.descend(q.probs, card_u, structured, schedule, opts, polish=_objective(form))
     values = _form_value(stats.i_cond, stats.i_joint, form)
     best = so.best_row(values, stats.i_cond, batch)
     result = _result(stats, best, AuxChannel(batch[best]), form)
-    ixy, h_min = _source_info(q)
+    ixy, h_min = so.source_info(q)
     # the upper end is a theorem, so a value above it within the slack is rounding
     hi = max(min(ixy, 0.5 * h_min), 0.0)
-    if hi < result.value <= hi + BRACKET_SLACK:
+    if hi < result.value <= hi + so.BRACKET_SLACK:
         result = replace(result, value=hi)
     result.diagnostics.update(
         restarts=batch.shape[0],
@@ -186,6 +158,6 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
         card_u=card_u,
         best_values=np.sort(values)[:5].tolist(),
         stages=stages,
-        **_bracket(result.value, 0.5 * ixy, hi),
+        **so.bracket(result.value, 0.5 * ixy, hi),
     )
     return result

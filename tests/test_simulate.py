@@ -152,13 +152,13 @@ class TestConfig:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, "1e-6", True])
     def test_markov_defect_tolerance_is_checked(self, tol):
         # the degenerate channel has I(X;Y|U) = 0.278 bits on DSBS(0.2): a
-        # tolerance that compares false against it must not let it through
+        # tolerance that compares false against it must not let it through;
+        # a SimConfig refuses it when it is built, not when it is run
         q, ch = dsbs_joint(0.2), degenerate_channel(2, 2)
         rates = SimRates(r0=0.5, r_star=0.25, rt1=0.5, rt2=0.5)
-        cfg = SimConfig(q=q, channel=ch, n=4, rates=rates, max_markov_defect=tol)
+        with pytest.raises(SimulationError, match="SimConfig: max_markov_defect must be a finite real >= 0"):
+            SimConfig(q=q, channel=ch, n=4, rates=rates, max_markov_defect=tol)
         match = "max_defect must be a finite real >= 0"
-        with pytest.raises(SimulationError, match=match):
-            run_trials(cfg)
         with pytest.raises(SimulationError, match=match):
             derive_components(ch, q, max_defect=tol)
 

@@ -13,8 +13,10 @@ from coordrate.pmf import (
     dsbs_joint,
 )
 from coordrate.region import RateTriple, in_achievable_region
+from coordrate import ulsr
+from coordrate._simplexopt import BRACKET_SLACK
 from coordrate.ulsr import UlsrForm, _pad_rows, _structured_starts, ulsr_objective, ulsr_rate
-from coordrate.wyner import BRACKET_SLACK, SolverOptions, wyner_ci
+from coordrate.wyner import SolverOptions, wyner_ci
 
 FAST = SolverOptions(restarts=10, seed=0)
 
@@ -153,6 +155,18 @@ class TestRateSolver:
     def test_batch_guard(self):
         with pytest.raises(PmfError, match="ulsr_rate: 1000000000 restarts .* cap is 1073741824"):
             ulsr_rate(dsbs_joint(0.1), opts=SolverOptions(restarts=10**9))
+
+    def test_batch_guard_runs_before_structured_starts(self, monkeypatch):
+        # the guard counts six structured starts plus one random row before
+        # building any: two 30 x 30 x 902 starts alone would take 13 MB
+        def refuse(*args):
+            raise AssertionError("structured starts built before the batch guard")
+
+        monkeypatch.setattr(ulsr, "_structured_starts", refuse)
+        q = JointPmf(np.full((30, 30), 1 / 900))
+        message = "ulsr_rate: 7 restarts of 30x30x902 channels need 1454745600 bytes, cap is 1073741824"
+        with pytest.raises(PmfError, match=f"^{message}$"):
+            ulsr_rate(q, opts=SolverOptions(restarts=1))
 
     @pytest.mark.parametrize("form", list(UlsrForm))
     @pytest.mark.parametrize("name", ["dsbs03", "3x3"])

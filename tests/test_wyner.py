@@ -6,18 +6,10 @@ import pytest
 
 from coordrate.dsbs import common_information, dsbs_wyner_channel
 from coordrate.measures import conditional_mutual_information, mutual_information, table_entropy
+from coordrate._simplexopt import BATCH_BYTES_CAP, bracket, check_batch_bytes
 from coordrate.pmf import JointPmf, PmfError, compose, degenerate_channel, dsbs_joint
 from coordrate.ulsr import ulsr_rate
-from coordrate.wyner import (
-    BATCH_BYTES_CAP,
-    PENALTIES,
-    SolverInfeasibleError,
-    SolverOptions,
-    _bracket,
-    _check_batch_bytes,
-    no_sr_rate,
-    wyner_ci,
-)
+from coordrate.wyner import PENALTIES, SolverInfeasibleError, SolverOptions, no_sr_rate, wyner_ci
 
 C_01 = 0.872760566800152
 C_02 = 0.705904900983266
@@ -64,13 +56,20 @@ class TestSolverOptions:
         with pytest.raises(PmfError, match="tol_objective must be finite and > 0"):
             SolverOptions(tol_objective=tol)
 
+    @pytest.mark.parametrize("opts", [{"restarts": 2}, (2,), "fast", 0, {}], ids=["dict", "tuple", "str", "zero", "empty"])
+    @pytest.mark.parametrize("solver", [wyner_ci, ulsr_rate, no_sr_rate])
+    def test_options_of_another_kind_are_refused(self, solver, opts):
+        # a falsy value is refused too, not read as the defaults
+        with pytest.raises(PmfError, match="opts must be a SolverOptions or None, got"):
+            solver(dsbs_joint(0.2), opts=opts)
+
 
 class TestBatchGuard:
     def test_boundary(self):
         # 256 bytes per cell: 2^19 restarts of 2 x 2 x 2 channels fill the cap exactly
-        _check_batch_bytes("wyner_ci", 2**19, 2, 2, 2)
+        check_batch_bytes("wyner_ci", 2**19, 2, 2, 2)
         with pytest.raises(PmfError, match="need 1073743872 bytes, cap is 1073741824"):
-            _check_batch_bytes("wyner_ci", 2**19 + 1, 2, 2, 2)
+            check_batch_bytes("wyner_ci", 2**19 + 1, 2, 2, 2)
 
     @pytest.mark.parametrize("card_u, restarts", [(2_000_000_000, 50), (2, 10**9)], ids=["card", "restarts"])
     def test_refused_before_allocation(self, card_u, restarts):
@@ -187,9 +186,9 @@ class TestWynerSolver:
         assert res.diagnostics["within_bracket"] is True
 
     def test_bracket_slack(self):
-        assert _bracket(0.5 + 0.5e-9, 0.0, 0.5)["within_bracket"] is True
-        assert _bracket(0.5 + 2e-9, 0.0, 0.5)["within_bracket"] is False
-        assert _bracket(-2e-9, 0.0, 0.5)["within_bracket"] is False
+        assert bracket(0.5 + 0.5e-9, 0.0, 0.5)["within_bracket"] is True
+        assert bracket(0.5 + 2e-9, 0.0, 0.5)["within_bracket"] is False
+        assert bracket(-2e-9, 0.0, 0.5)["within_bracket"] is False
 
     def test_stages_in_diagnostics(self):
         opts = SolverOptions(restarts=6, seed=0)
