@@ -5,8 +5,10 @@ of shape (restarts, nx, ny, nu), by exponentiated-gradient descent; each
 caller keeps only its objectives, its starts and its answer.  Updates are
 multiplicative, so iterates stay inside the (floored) simplex, and are
 preconditioned by 1/q(x,y), which makes them scale-free across source
-cells.  ``ChannelStats`` takes each log once per iterate; both information
-terms are weighted sums of its two gradient arrays.
+cells.  ``ChannelStats`` takes each log once per iterate and stacks the
+gradients of the two information terms; each term is a weighted sum of its
+gradient.  An objective returns its value and the weights of its gradient
+on the two terms, so ``eg_minimize`` forms that gradient in one einsum.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ STEP0 = 2.0
 BRACKET_SLACK = 1e-9
 #: cap on the solver working memory: the solvers hold at most 32 float64
 #: arrays of the (restarts, nx, ny, card_u) batch at once, 256 bytes per cell
+#: (16.5-18.9 measured, each stacked gradient array counting as two)
 BATCH_BYTES_CAP = 2**30
 
 
@@ -106,33 +109,59 @@ def jitter_channels(batch, seed, stage):
     return normalize_rows(out)
 
 
+class Source:
+    """The constants of a source q(x,y) that every ``ChannelStats`` of its channels reads.
+
+    For channels p(u|x,y) with ``nu`` symbols: ``q`` is q(x,y) repeated
+    along u, shape (nx, ny, nu); the 0/1 ``gather``, (nx + ny + 1, nx ny),
+    sums the cells of w = q(x,y) p(u|x,y) into p(x,u), p(y,u) and p(u) in
+    one matmul; ``support`` is the 0/1 mask of the cells with q(x,y) > 0,
+    shaped like ``q``, or None when every cell has mass.
+    """
+
+    def __init__(self, q, nu):
+        nx, ny = q.shape
+        self.q = np.repeat(q[:, :, None], nu, axis=2)
+        self.gather = np.vstack([np.kron(np.eye(nx), np.ones(ny)), np.kron(np.ones(nx), np.eye(ny)), np.ones(nx * ny)])
+        self.support = None if (q > 0).all() else (self.q > 0).astype(float)
+
+
 class ChannelStats:
     """The two information terms of a channel batch and their gradients.
 
     One natural-log pass gives the preconditioned gradients of I(X,Y;U)
-    and I(X;Y|U) w.r.t. p(u|x,y) as arrays ``g_joint`` and ``g_cond``
-    (nats, zero where q(x,y) = 0).  Each term is the w-weighted sum of its
-    gradient, w = q(x,y) p(u|x,y), so ``i_joint`` and ``i_cond`` (bits)
-    come from the same logs.
+    and I(X;Y|U) w.r.t. p(u|x,y), stacked in ``g`` of shape
+    (2, restarts, nx, ny, nu) as ``g_joint`` and ``g_cond`` (nats, zero
+    where q(x,y) = 0).  Each term is the w-weighted sum of its gradient,
+    w = q(x,y) p(u|x,y), so ``i`` = (``i_joint``, ``i_cond``) (bits) comes
+    from the same logs in one batched dot.  ``q`` is the source table or
+    its ``Source``.
     """
 
     def __init__(self, q, batch):
-        q4 = q[None, :, :, None]
-        w = q4 * batch
-        log_pu = np.log(np.maximum(w.sum(axis=(1, 2)), 1e-300))[:, None, None, :]
-        self.g_joint = np.log(np.maximum(batch, 1e-300)) - log_pu
-        self.g_cond = (
-            np.log(np.maximum(w, 1e-300))
-            + log_pu
-            - np.log(np.maximum(w.sum(axis=2), 1e-300))[:, :, None, :]
-            - np.log(np.maximum(w.sum(axis=1), 1e-300))[:, None, :, :]
-        )
-        if not (q > 0).all():
-            support = q4 > 0
-            self.g_joint = np.where(support, self.g_joint, 0.0)
-            self.g_cond = np.where(support, self.g_cond, 0.0)
-        self.i_joint = (w * self.g_joint).sum(axis=(1, 2, 3)) / LN2
-        self.i_cond = (w * self.g_cond).sum(axis=(1, 2, 3)) / LN2
+        src = q if isinstance(q, Source) else Source(q, batch.shape[-1])
+        rows, nx, ny, nu = batch.shape
+        w = src.q * batch
+        # logs of p(x,u), p(y,u) and p(u), in that order along axis 1
+        log_m = np.log(np.maximum(src.gather @ w.reshape(rows, nx * ny, nu), 1e-300))
+        log_pu = log_m[:, None, None, -1]
+        self.g = np.empty((2, *batch.shape))
+        self.g_joint, self.g_cond = self.g
+        np.maximum(batch, 1e-300, out=self.g_joint)
+        np.maximum(w, 1e-300, out=self.g_cond)
+        np.log(self.g, out=self.g)
+        # g_cond adds the marginals' logs cell by cell in this order, not as
+        # one signed matmul: at Wyner's last penalty, 1e7, a rounding change
+        # in I(X;Y|U) is worth a whole tol_objective, and another order moves
+        # the pinned seeded values by more than their 1e-9 tolerance
+        self.g_joint -= log_pu
+        self.g_cond += log_pu
+        self.g_cond -= log_m[:, :nx, None]
+        self.g_cond -= log_m[:, None, nx:-1]
+        if src.support is not None:
+            self.g *= src.support
+        self.i = (self.g.reshape(2, rows, 1, -1) @ w.reshape(rows, -1, 1)).reshape(2, rows) / LN2
+        self.i_joint, self.i_cond = self.i
 
 
 def best_row(values, residuals, batch):
@@ -143,22 +172,31 @@ def best_row(values, residuals, batch):
 def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
     """Minimize per-restart objectives by exponentiated-gradient descent.
 
-    objective_and_grad(stats) must return (values, grads) with shapes
-    (restarts,) and batch.shape.  A step is accepted only if it does not
-    raise the objective, so a restart's accepted row is the best iterate it
-    has seen, subgradient steps on a kinked objective included.  Each
-    restart stops once the objective change per iteration drops below
-    ``tol`` (or at ``max_iters``) and is then frozen: its row is written to
-    the output and dropped from the working arrays, so each iteration
-    evaluates only the live restarts.  Restarts never interact, so the
-    result is identical to running them one at a time.
+    objective_and_grad(stats) must return (values, coef) with shapes (restarts,)
+    and (2, restarts): each row's objective and the weights of its
+    gradient on ``stats.g_joint`` and ``stats.g_cond``.  A step is
+    accepted only if it does not raise the objective, so a restart's
+    accepted row is the best iterate it has seen, subgradient steps on a
+    kinked objective included.  Each restart stops once the objective
+    change per iteration drops below ``tol`` (or at ``max_iters``) and is
+    then frozen: its row is written to the output and dropped from the
+    working arrays, so each iteration evaluates only the live restarts.
+    Restarts never interact, so the result is identical to running them
+    one at a time.
 
     Returns (batch, stats, frozen_at); the stats describe the returned
     batch, and frozen_at[r] is the iteration at which restart r froze, 0 if
     it was still live at ``max_iters``.
     """
-    stats = ChannelStats(q, batch)
-    values, grads = objective_and_grad(stats)
+    nu = batch.shape[-1]
+    src = Source(q, nu)
+    # minus the centring matrix I - 11'/nu: one matmul turns a gradient into
+    # its descent direction, which keeps every row of the batch on the simplex
+    descent = 1.0 / nu - np.eye(nu)
+    row_sum = np.ones((nu, 1))
+    stats = ChannelStats(src, batch)
+    values, coef = objective_and_grad(stats)
+    g = stats.g
     out_batch = np.empty_like(batch)
     frozen_at = np.zeros(batch.shape[0], dtype=int)
     # working set: the live restarts and their row indices in the output
@@ -166,37 +204,48 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
     steps = np.full(rows.size, step0)
     small_streak = np.zeros(rows.size, dtype=int)
     for it in range(1, max_iters + 1):
-        g = grads - grads.sum(axis=-1, keepdims=True) / grads.shape[-1]
+        step = np.einsum("tr,tr...->r...", coef, g).reshape(rows.size, -1, nu) @ descent
         # rescale instead of clipping so a steep penalty cannot flip the
         # update direction; a single step never multiplies by more than e^CAP
-        gmax = np.abs(g).max(axis=(1, 2, 3))
-        scale = np.minimum(steps, EXP_CAP / np.maximum(gmax, 1e-300))
-        update = -scale[:, None, None, None] * g
-        proposed = normalize_rows(batch * np.exp(update))
-        new_values, new_grads = objective_and_grad(ChannelStats(q, proposed))
-        # adaptive step: accept and grow on descent, shrink and stay otherwise
+        gmax = np.abs(step).max(axis=(1, 2))
+        step *= np.minimum(steps, EXP_CAP / np.maximum(gmax, 1e-300))[:, None, None]
+        # the multiplicative update and its row normalization, in place
+        proposed = np.exp(step, out=step)
+        proposed *= batch.reshape(proposed.shape)
+        np.maximum(proposed, FLOOR, out=proposed)
+        proposed /= proposed @ row_sum
+        proposed = proposed.reshape(batch.shape)
+        new = ChannelStats(src, proposed)
+        new_values, new_coef = objective_and_grad(new)
+        # adaptive step: accept and grow on descent, shrink and stay
+        # otherwise; no step exceeds step0 * 8, so the cap binds only on growth
         accepted = new_values <= values
-        steps = np.where(accepted, np.minimum(steps * GROW, step0 * 8.0), steps * SHRINK)
+        steps = np.minimum(steps * np.where(accepted, GROW, SHRINK), step0 * 8.0)
         # a run of sub-tol improvements is required before declaring
         # convergence; single tiny steps also occur while creeping past
-        # saddle points and must not stop the descent
-        small = accepted & (values - new_values < tol)
-        small_streak = np.where(small, small_streak + 1, np.where(accepted, 0, small_streak))
+        # saddle points and must not stop the descent.  An accepted step
+        # extends the run if small and ends it otherwise, a rejected one
+        # leaves it
+        small_streak = np.where(accepted, (small_streak + 1) * (values - new_values < tol), small_streak)
         converged = (small_streak >= STREAK) | (steps < 1e-14)
-        keep = accepted[:, None, None, None]
-        batch = np.where(keep, proposed, batch)
-        values = np.where(accepted, new_values, values)
-        grads = np.where(keep, new_grads, grads)
+        if accepted.all():
+            batch, values, g, coef = proposed, new_values, new.g, new_coef
+        else:
+            keep = accepted[:, None, None, None]
+            batch = np.where(keep, proposed, batch)
+            values = np.where(accepted, new_values, values)
+            g = np.where(keep, new.g, g)
+            coef = np.where(accepted, new_coef, coef)
         if converged.any():
             done = rows[converged]
             out_batch[done], frozen_at[done] = batch[converged], it
             live = ~converged
-            rows, batch, values, grads = rows[live], batch[live], values[live], grads[live]
+            rows, batch, values, g, coef = rows[live], batch[live], values[live], g[:, live], coef[:, live]
             steps, small_streak = steps[live], small_streak[live]
             if not rows.size:
                 break
     out_batch[rows] = batch
-    return out_batch, ChannelStats(q, out_batch), frozen_at
+    return out_batch, ChannelStats(src, out_batch), frozen_at
 
 
 def descend(q, card_u, starts, stages, opts, polish=None):
@@ -208,7 +257,7 @@ def descend(q, card_u, starts, stages, opts, polish=None):
     """
     batch = random_channels(*q.shape, card_u, max(opts.restarts - len(starts), 1), opts.seed)
     if starts:
-        batch = normalize_rows(np.concatenate([np.stack(starts), batch]))
+        batch = np.concatenate([normalize_rows(np.stack(starts)), batch])
     runs = [*stages, ("polish", None, polish)] if polish is not None else stages
     records = []
     for index, (kind, parameter, objective_and_grad) in enumerate(runs):

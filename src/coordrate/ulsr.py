@@ -51,7 +51,7 @@ class UlsrResult:
 def _second_term(joint, cond, form):
     """What I(X;Y|U) is maxed against: I(X,Y;U), or the average of both terms.
 
-    Linear in its inputs, so it maps the two gradients as it maps the terms.
+    Linear in its inputs, so it maps the terms' unit weights as it maps the terms.
     """
     return joint if form is UlsrForm.MAX_PAIR else 0.5 * (joint + cond)
 
@@ -77,28 +77,32 @@ def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
     return _result(so.ChannelStats(q.probs, ch.probs[None, :, :, :, 0, 0]), 0, ch, form)
 
 
+def _soft_max(a, b, temp):
+    """The log-sum-exp softmax of max(a, b) at ``temp`` (1/bits) and the softmax weight of a."""
+    ta, tb = temp * a, temp * b
+    lse = np.logaddexp2(ta, tb)
+    return lse / temp, np.exp2(ta - lse)
+
+
 def _objective(form, temp=None):
     """Objective on max(a, b): log-sum-exp softmax at ``temp``, exact subgradient when None.
 
     a = I(X;Y|U) and b is its ``_second_term``; the gradient mixes the two
-    term gradients with weight wa on a.
+    term gradients with weight wa on a, so its weights on (I(X,Y;U),
+    I(X;Y|U)) are b's plus wa times (a's - b's).
     """
+    on_joint, on_cond = np.eye(2)[:, :, None]
+    on_b = _second_term(on_joint, on_cond, form)
+    a_minus_b = on_cond - on_b
 
     def objective_and_grad(stats):
         a, b = stats.i_cond, _second_term(stats.i_joint, stats.i_cond, form)
-        ga, gb = stats.g_cond, _second_term(stats.g_joint, stats.g_cond, form)
-        values = _form_value(stats.i_cond, stats.i_joint, form)
         if temp is None:
+            values = np.maximum(a, b)
             wa = np.where(a > b + 1e-12, 1.0, np.where(b > a + 1e-12, 0.0, 0.5))
         else:
-            # softmax weight of the a-term, numerically stable
-            z = np.clip(so.LN2 * temp * (b - a), -60.0, 60.0)
-            wa = 1.0 / (1.0 + np.exp(z))
-            values = values + np.log2(
-                np.exp(np.clip(so.LN2 * temp * (np.minimum(a, b) - values), -60.0, 0.0)) + 1.0
-            ) / temp
-        grads = wa[:, None, None, None] * ga + (1.0 - wa)[:, None, None, None] * gb
-        return values, grads
+            values, wa = _soft_max(a, b, temp)
+        return values, on_b + a_minus_b * wa
 
     return objective_and_grad
 

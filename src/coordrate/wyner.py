@@ -45,8 +45,10 @@ class WynerResult:
 
 
 def _penalized(lam, stats):
-    """Objective I(X,Y;U) + lam * I(X;Y|U) and its gradient."""
-    return stats.i_joint + lam * stats.i_cond, stats.g_joint + lam * stats.g_cond
+    """Objective I(X,Y;U) + lam * I(X;Y|U) and its gradient's weights (1, lam) on the two terms."""
+    coef = np.full((2, stats.i_cond.size), lam)
+    coef[0] = 1.0
+    return stats.i_joint + lam * stats.i_cond, coef
 
 
 def wyner_ci(q, card_u=None, opts=None):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BASE_3X3
 from coordrate import _simplexopt as so
 from coordrate.measures import conditional_mutual_information, mutual_information
 from coordrate.pmf import AuxChannel, JointPmf, compose, dsbs_joint
-from coordrate.ulsr import UlsrForm, ulsr_rate
+from coordrate.ulsr import UlsrForm, _objective, ulsr_rate
 from coordrate.wyner import SolverOptions, wyner_ci
 
 
@@ -16,9 +17,9 @@ def _max_avg(stats):
 
 def _max_avg_subgradient(stats):
     a, b = stats.i_cond, 0.5 * (stats.i_joint + stats.i_cond)
-    wa = np.where(a > b, 1.0, 0.0)[:, None, None, None]
-    grads = wa * stats.g_cond + (1.0 - wa) * 0.5 * (stats.g_joint + stats.g_cond)
-    return np.maximum(a, b), grads
+    wa = np.where(a > b, 1.0, 0.0)
+    # weights on (g_joint, g_cond) of wa * g_cond + (1 - wa) * (g_joint + g_cond) / 2
+    return np.maximum(a, b), np.stack([0.5 * (1.0 - wa), wa + 0.5 * (1.0 - wa)])
 
 
 class TestEgMinimize:
@@ -52,24 +53,36 @@ class TestEgMinimize:
 
 
 def _penalized(stats):
-    return stats.i_joint + 10.0 * stats.i_cond, stats.g_joint + 10.0 * stats.g_cond
+    return stats.i_joint + 10.0 * stats.i_cond, np.repeat([[1.0], [10.0]], stats.i_cond.size, axis=1)
 
 
-#: (objective, max_iters) on six restarts that freeze at different
-#: iterations: after a streak of small accepted steps (penalized; two are
-#: still live at 150 iterations) or by step collapse at the kink (subgradient)
+_DSBS = dsbs_joint(0.1).probs
+_3X3 = BASE_3X3 / BASE_3X3.sum()
+#: the 3 x 3 source with cell (0, 2) emptied
+_ZERO_MASS = BASE_3X3.copy()
+_ZERO_MASS[0, 2] = 0.0
+_ZERO_MASS /= _ZERO_MASS.sum()
+
+#: (source, card_u, objective, max_iters) on six restarts that freeze at
+#: different iterations: after a streak of small accepted steps (penalized
+#: and softmax; some are still live at max_iters) or by step collapse at the
+#: kink (subgradient); on DSBS(0.1) and the 3 x 3 source, whose gathers and
+#: matmuls have other shapes, and on a source with a zero-mass cell, whose
+#: gradients are masked
 _RUNS = {
-    "streak": (_penalized, 150),
-    "collapse": (_max_avg_subgradient, 2000),
+    "streak": (_DSBS, 3, _penalized, 150),
+    "collapse": (_DSBS, 3, _max_avg_subgradient, 2000),
+    "3x3": (_3X3, 11, _penalized, 900),
+    "softmax": (_3X3, 11, _objective(UlsrForm.MAX_AVG, 100.0), 900),
+    "zero_mass": (_ZERO_MASS, 4, _penalized, 1100),
 }
 
 
 class TestCompaction:
     @pytest.mark.parametrize("case", _RUNS)
     def test_batch_matches_separate_restarts(self, case):
-        objective, max_iters = _RUNS[case]
-        q = dsbs_joint(0.1).probs
-        batch = so.random_channels(2, 2, 3, 6, seed=0)
+        q, card_u, objective, max_iters = _RUNS[case]
+        batch = so.random_channels(*q.shape, card_u, 6, seed=0)
         best, stats, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9, 2.0)
         values = objective(stats)[0]
         assert len(set(frozen_at.tolist())) > 1
@@ -93,9 +106,8 @@ class TestCompaction:
                 super().__init__(q, batch)
 
         monkeypatch.setattr(so, "ChannelStats", CountingStats)
-        objective, max_iters = _RUNS["streak"]
-        q = dsbs_joint(0.1).probs
-        batch = so.random_channels(2, 2, 3, 6, seed=0)
+        q, card_u, objective, max_iters = _RUNS["streak"]
+        batch = so.random_channels(*q.shape, card_u, 6, seed=0)
         *_, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9, 2.0)
         counted = list(rows)
         assert 0 < (frozen_at == 0).sum() < 6

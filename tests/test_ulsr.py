@@ -14,7 +14,7 @@ from coordrate.pmf import (
 )
 from coordrate.region import RateTriple, in_achievable_region
 from coordrate import ulsr
-from coordrate._simplexopt import BRACKET_SLACK
+from coordrate._simplexopt import BRACKET_SLACK, LN2
 from coordrate.ulsr import UlsrForm, _pad_rows, _structured_starts, ulsr_objective, ulsr_rate
 from coordrate.wyner import SolverOptions, wyner_ci
 
@@ -60,6 +60,28 @@ class TestObjective:
             avg = ulsr_objective(q, ch, UlsrForm.MAX_AVG).value
             pair = ulsr_objective(q, ch, UlsrForm.MAX_PAIR).value
             assert avg <= pair + 1e-12
+
+
+def _clipped_softmax(a, b, temp):
+    """The annealed softmax of max(a, b) and the weight of a, written with clipped natural exponents."""
+    z = np.clip(LN2 * temp * (b - a), -60.0, 60.0)
+    top = np.maximum(a, b)
+    value = top + np.log2(np.exp(np.clip(LN2 * temp * (np.minimum(a, b) - top), -60.0, 0.0)) + 1.0) / temp
+    return value, 1.0 / (1.0 + np.exp(z))
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("temp", ulsr.TEMPERATURES)
+    def test_matches_clipped_formula(self, temp):
+        # |b - a| * temp * ln 2 runs from 0 past the old clip at 60, both ways
+        gaps = np.array([0.0, 1e-9, 1e-3, 0.1, 1.0, 10.0, 50.0, 86.0, 87.0, 150.0, 1000.0]) / temp
+        a = np.repeat([0.0, 0.1, 0.3, 0.7, 1.0], gaps.size)
+        b = a + np.tile(gaps, 5)
+        for x, y in ((a, b), (b, a)):
+            value, weight = ulsr._soft_max(x, y, temp)
+            old_value, old_weight = _clipped_softmax(x, y, temp)
+            assert np.abs(weight - old_weight).max() <= 1e-12
+            assert np.abs(value - old_value).max() <= 1e-15
 
 
 class TestRateSolver:
