@@ -28,13 +28,13 @@ from .measures import (
     binary_entropy,
     conditional_mutual_information,
     entropy,
-    entropy_vec4,
     inverse_binary_entropy,
     mutual_information,
+    source_info,
 )
 from .wyner import SolverInfeasibleError, SolverOptions, WynerResult, no_sr_rate, wyner_ci
 from .ulsr import UlsrForm, UlsrResult, ulsr_objective, ulsr_rate
-from .dsbs import CurvePoint, DsbsParams, curve_csv_lines, dsbs_wyner_channel, emit_curve, f_of_t, i_cond_closed_form, i_joint_closed_form, interpolated_channel, t_star, write_curve_csv
+from .dsbs import CurvePoint, curve_csv_lines, dsbs_wyner_channel, emit_curve, f_of_t, i_cond_closed_form, i_joint_closed_form, interpolated_channel, t_star, write_curve_csv
 from .region import RateTriple, RegionBounds, achievable_bounds, check_markov_quadruple, in_achievable_region, xy_equal_region
 from .simulate import Codebooks, SimConfig, SimRates, SimReport, derive_components, run_trials
 

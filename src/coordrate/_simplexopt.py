@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import table_entropy
 from .pmf import PmfError, _is_int, _is_real
 
 #: smallest admissible conditional probability; keeps logs finite
@@ -134,12 +133,11 @@ class ChannelStats:
     (2, restarts, nx, ny, nu) as ``g_joint`` and ``g_cond`` (nats, zero
     where q(x,y) = 0).  Each term is the w-weighted sum of its gradient,
     w = q(x,y) p(u|x,y), so ``i`` = (``i_joint``, ``i_cond``) (bits) comes
-    from the same logs in one batched dot.  ``q`` is the source table or
-    its ``Source``.
+    from the same logs in one batched dot.  ``src`` is the ``Source`` of
+    q(x,y) at the batch's ``nu``.
     """
 
-    def __init__(self, q, batch):
-        src = q if isinstance(q, Source) else Source(q, batch.shape[-1])
+    def __init__(self, src, batch):
         rows, nx, ny, nu = batch.shape
         w = src.q * batch
         # logs of p(x,u), p(y,u) and p(u), in that order along axis 1
@@ -287,12 +285,6 @@ def stage_record(stage, parameter, frozen_at, max_iters):
 def terms(stats, row):
     """(I(X,Y;U), I(X;Y|U)) of one row in bits, each clamped at 0: rounding can leave a zero just below it."""
     return max(float(stats.i_joint[row]), 0.0), max(float(stats.i_cond[row]), 0.0)
-
-
-def source_info(q):
-    """(I(X;Y), min(H(X), H(Y))) of the source, in bits."""
-    hx, hy = table_entropy(q.probs.sum(axis=1)), table_entropy(q.probs.sum(axis=0))
-    return hx + hy - table_entropy(q.probs), min(hx, hy)
 
 
 def bracket(value, lo, hi):

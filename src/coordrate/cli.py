@@ -15,16 +15,8 @@ import functools
 import sys
 
 from .dsbs import curve_csv_lines, emit_curve, t_star, write_curve_csv
-from .measures import entropy, mutual_information
-from .pmf import (
-    Pmf,
-    PmfError,
-    compose,
-    degenerate_channel,
-    load_aux_channel,
-    load_joint_pmf,
-    tv_distance,
-)
+from .measures import source_info, table_entropy
+from .pmf import PmfError, load_aux_channel, load_joint_pmf, tv_distance
 from .region import RateTriple, in_achievable_region, xy_equal_region
 from .simulate import SimConfig, SimRates, SimulationError, run_trials
 from .ulsr import UlsrForm, ulsr_rate
@@ -121,10 +113,9 @@ def _cmd_info(args, out):
         raise _CliError("info --measure tv needs --dist2, and only tv reads it")
     q = load_joint_pmf(args.dist)
     if args.measure == "entropy":
-        out.write(_fmt(entropy(Pmf(q.probs.ravel()))) + "\n")
+        out.write(_fmt(table_entropy(q.probs)) + "\n")
     elif args.measure == "mi":
-        full = compose(q, degenerate_channel(*q.shape))
-        out.write(_fmt(mutual_information(full, ("x",), ("y",))) + "\n")
+        out.write(_fmt(source_info(q)[2]) + "\n")
     else:
         out.write(_fmt(tv_distance(q, load_joint_pmf(args.dist2))) + "\n")
     return 0

@@ -26,12 +26,12 @@ and the matching ``f_of_t`` are equal bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import binary_entropy, inverse_binary_entropy
-from .pmf import SUM_TOL, AuxChannel, PmfError, _is_int
+from .measures import _h, _inverse_h
+from .pmf import SUM_TOL, AuxChannel, PmfError, _is_int, _is_real
 
 #: closed forms hold strictly inside the crossover range
 _A_MIN_MARGIN = 1e-9
@@ -41,8 +41,13 @@ CURVE_POINTS_CAP = 10**5
 
 def _check_a(a):
     lo, hi = _A_MIN_MARGIN, 0.5 - _A_MIN_MARGIN
-    if not lo <= a <= hi:
+    if not (_is_real(a) and lo <= a <= hi):
         raise PmfError(f"crossover must lie in ({lo}, {hi}), got {a!r}")
+
+
+def _check_t(who, t):
+    if not (_is_real(t) and 0.0 <= t <= 1.0):
+        raise PmfError(f"{who}: t must lie in [0, 1], got {t!r}")
 
 
 def crossover_b(a):
@@ -53,26 +58,7 @@ def crossover_b(a):
 def common_information(a):
     """Wyner's common information C = 1 + h(a) - 2 h(b) of DSBS(a), in bits (Wyner 1975)."""
     _check_a(a)
-    return 1.0 + binary_entropy(a) - 2.0 * binary_entropy(crossover_b(a))
-
-
-@dataclass(frozen=True)
-class DsbsParams:
-    """Crossover a and interpolation t with the derived b and alpha."""
-
-    a: float
-    t: float
-    b: float = field(init=False)
-    alpha: float = field(init=False)
-
-    def __post_init__(self):
-        _check_a(self.a)
-        if not 0.0 <= self.t <= 1.0:
-            raise PmfError(f"DsbsParams: t must lie in [0, 1], got {self.t!r}")
-        b = crossover_b(self.a)
-        alpha = (1.0 - self.t) * b * b + 0.5 * self.t * (1.0 - self.a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "alpha", alpha)
+    return 1.0 + _h(a) - 2.0 * _h(crossover_b(a))
 
 
 @dataclass(frozen=True)
@@ -89,7 +75,7 @@ def dsbs_wyner_channel(a):
     With b = ``crossover_b(a)`` the rows are p(0|0,1) = p(1|1,0) = 0.5
     and p(1|0,0) = p(0|1,1) = b^2 / (1 - a), complements accordingly.
     """
-    if not 0.0 < a < 0.5:
+    if not (_is_real(a) and 0.0 < a < 0.5):
         raise PmfError(f"dsbs_wyner_channel: crossover must lie strictly inside (0, 0.5), got {a!r}")
     b = crossover_b(a)
     r = b * b / (1.0 - a)
@@ -105,8 +91,7 @@ def dsbs_wyner_channel(a):
 def interpolated_channel(a, t):
     """The channel p^t: convex combination of the flat and Wyner channels."""
     _check_a(a)
-    if not 0.0 <= t <= 1.0:
-        raise PmfError(f"interpolated_channel: t must lie in [0, 1], got {t!r}")
+    _check_t("interpolated_channel", t)
     return AuxChannel(t * 0.5 + (1.0 - t) * dsbs_wyner_channel(a).probs)
 
 
@@ -136,15 +121,14 @@ def _curve(a, t):
     h4 = -(((plogp[0] + plogp[1]) + plogp[2]) + plogp[3])
     p = alpha + 0.5 * a
     h_p = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    i_joint = 1.0 + binary_entropy(a) - h4
+    i_joint = 1.0 + _h(a) - h4
     i_cond = 2.0 * h_p - h4
     return np.maximum(i_cond, 0.5 * (i_joint + i_cond)), i_joint, i_cond
 
 
 def f_of_t(a, t):
     """Curve point: both information terms and f = max{cond, (joint+cond)/2}."""
-    if not 0.0 <= t <= 1.0:
-        raise PmfError(f"f_of_t: t must lie in [0, 1], got {t!r}")
+    _check_t("f_of_t", t)
     (f,), (i_joint,), (i_cond,) = (v.tolist() for v in _curve(a, np.array([t], dtype=np.float64)))
     return CurvePoint(t=t, f=f, i_joint=i_joint, i_cond=i_cond)
 
@@ -159,7 +143,7 @@ def t_star(a):
     denom = 0.5 * (1.0 - a) - b * b
     if denom <= 1e-9:
         raise PmfError(f"t_star: degenerate interpolation range at a={a!r}")
-    ts = (inverse_binary_entropy(0.5 * (1.0 + binary_entropy(a))) - 0.5 * a - b * b) / denom
+    ts = (_inverse_h(0.5 * (1.0 + _h(a))) - 0.5 * a - b * b) / denom
     return ts
 
 

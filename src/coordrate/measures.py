@@ -1,8 +1,10 @@
 """Shannon information quantities over finite joints, in bits.
 
-All logarithms are base 2 and 0 * log 0 = 0 throughout.  The group-wise
-mutual informations operate on the five named axes of a FullJoint.  The
-region bounds and the simulator use them; the solvers' terms are tested against them.
+All logarithms are base 2 and 0 * log 0 = 0 throughout.  ``source_info``
+gives a source's H(X), H(Y) and I(X;Y) for the solvers' brackets and the
+CLI.  The group-wise mutual informations operate on the five named axes of
+a FullJoint.  The region bounds and the simulator use them; the solvers'
+terms are tested against them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .pmf import AXES, FullJoint, Pmf, PmfError, _check_simplex
+from .pmf import AXES, FullJoint, Pmf, PmfError, _is_real
 
 #: tolerance on I(X;Y|U) in bits, for wyner_ci's feasibility and the simulator's X - U - Y check alike
 MARKOV_TOL = 1e-6
@@ -35,19 +37,38 @@ def entropy(p):
     return table_entropy(p.probs)
 
 
-def binary_entropy(a):
-    """h(a) = -a log2 a - (1-a) log2(1-a) for a in [0, 1]."""
-    if not 0.0 <= a <= 1.0:
-        raise PmfError(f"binary_entropy: argument must lie in [0, 1], got {a!r}")
+def source_info(q):
+    """(H(X), H(Y), I(X;Y)) of a JointPmf q(x,y), in bits."""
+    hx, hy = table_entropy(q.probs.sum(axis=1)), table_entropy(q.probs.sum(axis=0))
+    return hx, hy, hx + hy - table_entropy(q.probs)
+
+
+def _h(a):
+    """h(a) for a float a in [0, 1], unchecked."""
     if a == 0.0 or a == 1.0:
         return 0.0
     return float(-a * np.log2(a) - (1.0 - a) * np.log2(1.0 - a))
 
 
+def _check_unit(who, value):
+    if not (_is_real(value) and 0.0 <= value <= 1.0):
+        raise PmfError(f"{who}: argument must be a real in [0, 1], got {value!r}")
+
+
+def binary_entropy(a):
+    """h(a) = -a log2 a - (1-a) log2(1-a) for a real a in [0, 1]."""
+    _check_unit("binary_entropy", a)
+    return _h(a)
+
+
 def inverse_binary_entropy(y):
     """The unique x in [0, 0.5] with h(x) = y, by bisection."""
-    if not 0.0 <= y <= 1.0:
-        raise PmfError(f"inverse_binary_entropy: argument must lie in [0, 1], got {y!r}")
+    _check_unit("inverse_binary_entropy", y)
+    return _inverse_h(y)
+
+
+def _inverse_h(y):
+    """``inverse_binary_entropy`` for a float y in [0, 1], unchecked."""
     if y == 0.0:
         return 0.0
     if y == 1.0:
@@ -55,20 +76,13 @@ def inverse_binary_entropy(y):
     lo, hi = 0.0, 0.5
     for _ in range(_INV_H_ITERS):
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
+        if _h(mid) < y:
             lo = mid
         else:
             hi = mid
         if hi - lo < _INV_H_TOL:
             break
-    x = 0.5 * (lo + hi)
-    return x
-
-
-def entropy_vec4(p1, p2, p3, p4):
-    """Entropy of a 4-point distribution, in bits."""
-    vec = _check_simplex([p1, p2, p3, p4], "entropy_vec4")
-    return table_entropy(vec)
+    return 0.5 * (lo + hi)
 
 
 def _group_axes(group):

@@ -62,6 +62,18 @@ def _frozen(arr):
     return out
 
 
+def _of_checked_factors(cls, arr):
+    """A ``cls`` (Pmf or FullJoint) holding ``arr``, a new array derived from checked tables, unchecked.
+
+    A product of two factors within ``SUM_TOL`` of 1 can miss 1 by twice
+    it, so a second check would refuse inputs that passed every check.
+    """
+    out = object.__new__(cls)
+    arr.setflags(write=False)
+    object.__setattr__(out, "probs", arr)
+    return out
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function on a finite alphabet."""
@@ -164,7 +176,7 @@ class FullJoint:
 
 def dsbs_joint(a):
     """Doubly symmetric binary source: diagonal mass (1-a)/2, off-diagonal a/2."""
-    if not 0.0 <= a <= 0.5:
+    if not (_is_real(a) and 0.0 <= a <= 0.5):
         raise PmfError(f"dsbs_joint: crossover must lie in [0, 0.5], got {a!r}")
     d, o = 0.5 * (1.0 - a), 0.5 * a
     return JointPmf(np.array([[d, o], [o, d]]), labels_x=("0", "1"), labels_y=("0", "1"))
@@ -220,13 +232,14 @@ def compose(q, aux):
 
     The channel's (x, y) grid must be q's.  Each channel row sums to 1
     within ``SUM_TOL`` (``AuxChannel`` checks it), so the (x, y) marginal
-    of the result is within q(x,y) * ``SUM_TOL`` of q.
+    of the result is within q(x,y) * ``SUM_TOL`` of q and the whole table,
+    which is not checked again, sums to 1 within about 2 ``SUM_TOL``.
     """
     if not isinstance(q, JointPmf) or not isinstance(aux, AuxChannel):
         raise PmfError("compose: expected (JointPmf, AuxChannel)")
     if aux.probs.shape[:2] != q.shape:
         raise PmfError(f"compose: channel grid {aux.probs.shape[:2]} does not match source shape {q.shape}")
-    return FullJoint(q.probs[:, :, None, None, None] * aux.probs)
+    return _of_checked_factors(FullJoint, q.probs[:, :, None, None, None] * aux.probs)
 
 
 def degenerate_channel(nx, ny):

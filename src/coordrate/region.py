@@ -3,14 +3,14 @@
 The inner bound is parametrized by a channel p(u,u1,u2|x,y) whose
 composition with the source satisfies the double Markov chain
 X - (U,U1) - (U,U2) - Y.  Six lower bounds on linear combinations of
-(R, R1, R2) follow; a rate triple is in the region for that channel when
-all six hold.  The special case X = Y almost surely has an exact region
-with just two inequalities.
+(R, R1, R2) follow, one row of ``COEFFICIENTS`` each; a rate triple is in
+the region for that channel when all six hold.  The special case X = Y
+almost surely has an exact region with just two inequalities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .measures import conditional_mutual_information, mutual_information
 from .pmf import AuxChannel, FullJoint, JointPmf, PmfError, _is_real, compose
@@ -19,6 +19,16 @@ from .pmf import AuxChannel, FullJoint, JointPmf, PmfError, _is_real, compose
 MARKOV_QUAD_TOL = 1e-6
 #: slack applied to the non-strict membership inequalities
 MEMBERSHIP_SLACK = 1e-12
+#: the (R, R1, R2) coefficients of the six inequalities' left-hand sides,
+#: one row each, in ``RegionBounds`` field order
+COEFFICIENTS = (
+    (1.0, 1.0, 0.0),
+    (1.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0),
+    (1.0, 1.0, 1.0),
+    (2.0, 1.0, 1.0),
+    (2.0, 0.0, 0.0),
+)
 
 
 @dataclass(frozen=True)
@@ -37,10 +47,7 @@ class RateTriple:
 
 @dataclass(frozen=True)
 class RegionBounds:
-    """Right-hand sides of the six region inequalities, in bits.
-
-    The left-hand sides are, in order: R+R1, R+R2, R, R+R1+R2, 2R+R1+R2, 2R.
-    """
+    """Right-hand sides of the six region inequalities, in bits, in the row order of ``COEFFICIENTS``."""
 
     b_r_r1: float
     b_r_r2: float
@@ -51,18 +58,18 @@ class RegionBounds:
     markov_defect: float
 
 
-def check_markov_quadruple(full, tol=MARKOV_QUAD_TOL):
+def check_markov_quadruple(full):
     """Does X - (U,U1) - (U,U2) - Y hold for this joint?
 
     The defect I(X; Y,U2 | U,U1) + I(Y; X,U1 | U,U2) is zero exactly when
-    both factorization links hold; returns (defect <= tol, defect).
+    both factorization links hold; returns (defect <= MARKOV_QUAD_TOL, defect).
     """
     if not isinstance(full, FullJoint):
         raise PmfError("check_markov_quadruple: expected a FullJoint")
     defect = conditional_mutual_information(full, ("x",), ("y", "u2"), ("u", "u1")) + \
         conditional_mutual_information(full, ("y",), ("x", "u1"), ("u", "u2"))
     defect = max(defect, 0.0)
-    return defect <= tol, defect
+    return defect <= MARKOV_QUAD_TOL, defect
 
 
 def achievable_bounds(q, aux):
@@ -96,18 +103,13 @@ def achievable_bounds(q, aux):
 
 
 def in_achievable_region(q, aux, rates):
-    """All six inequalities, non-strict with 1e-12 slack."""
+    """Does each row of ``COEFFICIENTS`` hold against the channel's bounds, non-strict with 1e-12 slack?"""
     if not isinstance(rates, RateTriple):
         raise PmfError(f"in_achievable_region: rates must be a RateTriple, got {type(rates).__name__}")
-    b = achievable_bounds(q, aux)
-    s = MEMBERSHIP_SLACK
-    return (
-        rates.r + rates.r1 >= b.b_r_r1 - s
-        and rates.r + rates.r2 >= b.b_r_r2 - s
-        and rates.r >= b.b_r - s
-        and rates.r + rates.r1 + rates.r2 >= b.b_r_r1_r2 - s
-        and 2.0 * rates.r + rates.r1 + rates.r2 >= b.b_2r_r1_r2 - s
-        and 2.0 * rates.r >= b.b_2r - s
+    bounds = astuple(achievable_bounds(q, aux))[: len(COEFFICIENTS)]
+    return all(
+        a * rates.r + b * rates.r1 + c * rates.r2 >= bound - MEMBERSHIP_SLACK
+        for (a, b, c), bound in zip(COEFFICIENTS, bounds)
     )
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from ._seeding import _srandom, draw_integers, seed_words, state_address
 from .measures import MARKOV_TOL, conditional_mutual_information
-from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _write_json, compose, tv_distance
+from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _of_checked_factors, _write_json, compose, tv_distance
 
 #: hard cap on each index-set size (desk-scale memory guard)
 INDEX_CAP = 2**20
@@ -233,7 +233,7 @@ def _generation(full, max_defect):
     zero = p_u <= 0
     p_x_given_u[zero] = 1.0 / joint_uxy.shape[1]
     p_y_given_u[zero] = 1.0 / joint_uxy.shape[2]
-    return joint_uxy, Pmf(p_u), p_x_given_u, p_y_given_u
+    return joint_uxy, _of_checked_factors(Pmf, p_u), p_x_given_u, p_y_given_u
 
 
 def _sample(cum, uniforms):

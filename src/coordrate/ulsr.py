@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _simplexopt as so
 from .dsbs import interpolated_channel
+from .measures import source_info
 from .pmf import AuxChannel, JointPmf, PmfError
 
 #: softmax temperatures (1/bits) for annealing the kinked max
@@ -74,7 +75,7 @@ def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
     form = UlsrForm(form)
     if ch.probs.shape[:2] != q.shape or ch.card_u1 != 1 or ch.card_u2 != 1:
         raise PmfError("ulsr_objective: channel must be a single-auxiliary p(u|x,y) on the source's grid")
-    return _result(so.ChannelStats(q.probs, ch.probs[None, :, :, :, 0, 0]), 0, ch, form)
+    return _result(so.ChannelStats(so.Source(q.probs, ch.card_u), ch.probs[None, :, :, :, 0, 0]), 0, ch, form)
 
 
 def _soft_max(a, b, temp):
@@ -151,9 +152,9 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     values = _form_value(stats.i_cond, stats.i_joint, form)
     best = so.best_row(values, stats.i_cond, batch)
     result = _result(stats, best, AuxChannel(batch[best]), form)
-    ixy, h_min = so.source_info(q)
+    hx, hy, ixy = source_info(q)
     # the upper end is a theorem, so a value above it within the slack is rounding
-    hi = max(min(ixy, 0.5 * h_min), 0.0)
+    hi = max(min(ixy, 0.5 * min(hx, hy)), 0.0)
     if hi < result.value <= hi + so.BRACKET_SLACK:
         result = replace(result, value=hi)
     result.diagnostics.update(

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _simplexopt as so
 from ._simplexopt import SolverOptions  # noqa: F401  (re-exported: the CLI, the package and perfbench read it here)
-from .measures import MARKOV_TOL
+from .measures import MARKOV_TOL, source_info
 from .pmf import AuxChannel, JointPmf, PmfError
 
 #: increasing penalty weights lambda on I(X;Y|U), one warm-started stage each
@@ -76,7 +76,7 @@ def wyner_ci(q, card_u=None, opts=None):
         )
     best = so.best_row(np.where(feasible, stats.i_joint, np.inf), stats.i_cond, batch)
     value, defect = so.terms(stats, best)
-    ixy, h_min = so.source_info(q)
+    hx, hy, ixy = source_info(q)
     return WynerResult(
         value=value,
         channel=AuxChannel(batch[best]),
@@ -87,7 +87,7 @@ def wyner_ci(q, card_u=None, opts=None):
             "card_u": card_u,
             "values": np.sort(stats.i_joint[feasible])[: min(5, int(feasible.sum()))].tolist(),
             "stages": stages,
-            **so.bracket(value, ixy, h_min),
+            **so.bracket(value, ixy, min(hx, hy)),
         },
     )
 

@@ -31,6 +31,19 @@ def aux_with_copy_sides(base, nx, ny):
     return AuxChannel.from_array(rows)
 
 
+def near_tolerance_pair():
+    """DSBS(0.1) and its Wyner channel, each nudged up to sum to 1 + 9e-10, just inside SUM_TOL.
+
+    The source sums to 1 + 9e-10 and so does every channel row, so their
+    product sums to about 1 + 1.8e-9, beyond SUM_TOL; X - U - Y still holds.
+    """
+    q = JointPmf(np.array([[0.45000000045, 0.05], [0.05, 0.45000000045]]))
+    from coordrate.dsbs import dsbs_wyner_channel
+
+    rows = dsbs_wyner_channel(0.1).probs[:, :, :, 0, 0] + 4.5e-10
+    return q, AuxChannel(rows)
+
+
 def processor_isolation(books, table, which):
     """Check that processor ``which`` emits from its own view of a trial only.
 

@@ -42,6 +42,13 @@ class TestInfo:
         assert code == 0
         assert float(out) == pytest.approx(1.721928094887362, abs=1e-12)
 
+    def test_dsbs_01_values(self, tmp_path):
+        # the printed lines are those of the composed degenerate channel and of entropy(Pmf(ravel))
+        dist = tmp_path / "dsbs.json"
+        dist.write_text('{"pmf": [[0.45, 0.05], [0.05, 0.45]]}')
+        assert run(["info", "--dist", str(dist), "--measure", "mi"]) == (0, "0.531004406410719\n", "")
+        assert run(["info", "--dist", str(dist), "--measure", "entropy"]) == (0, "1.46899559358928\n", "")
+
     def test_tv_needs_second_dist(self, files):
         code, _, err = run(["info", "--dist", files["dist02"], "--measure", "tv"])
         assert code == 1 and "dist2" in err
@@ -271,6 +278,21 @@ class TestSimulate:
         dist.write_text(json.dumps({"pmf": [[0.5, 0.5], [0, 0]]}))
         row = [0.3333333333] * 3
         aux.write_text(json.dumps({"card_u": 3, "cond": {"0,0": row, "0,1": row}}))
+        code, out, err = run(["region", "check", "--dist", str(dist), "--aux", str(aux), "--rates", "1,1,1"])
+        assert (code, out, err) == (0, "member\n", "")
+        code, out, err = run(["simulate", "--dist", str(dist), "--aux", str(aux), "--n", "8",
+                              "--rates", "0.5,0.25,0.5,0.5", "--trials", "5"])
+        assert code == 0 and err == ""
+        tv, fail = (float(v) for v in out.splitlines())
+        assert 0.0 <= tv <= 1.0 and 0.0 <= fail <= 1.0
+
+    def test_factors_near_sum_tolerance(self, tmp_path):
+        # a source and channel rows that each sum to 1 + 9e-10 load, so both
+        # commands that compose them run, although the product is 1.8e-9 over 1
+        dist, aux = tmp_path / "q.json", tmp_path / "aux.json"
+        dist.write_text(json.dumps({"pmf": [[0.45000000045, 0.05], [0.05, 0.45000000045]]}))
+        rows = dsbs_wyner_channel(0.1).probs[:, :, :, 0, 0] + 4.5e-10
+        aux.write_text(json.dumps({"card_u": 2, "cond": {f"{x},{y}": rows[x, y].tolist() for x in (0, 1) for y in (0, 1)}}))
         code, out, err = run(["region", "check", "--dist", str(dist), "--aux", str(aux), "--rates", "1,1,1"])
         assert (code, out, err) == (0, "member\n", "")
         code, out, err = run(["simulate", "--dist", str(dist), "--aux", str(aux), "--n", "8",

@@ -4,7 +4,6 @@ import pytest
 from coordrate.dsbs import (
     CURVE_POINTS_CAP,
     CurvePoint,
-    DsbsParams,
     common_information,
     crossover_b,
     curve_csv_lines,
@@ -17,7 +16,7 @@ from coordrate.dsbs import (
     t_star,
     write_curve_csv,
 )
-from coordrate.measures import binary_entropy, conditional_mutual_information, entropy_vec4, mutual_information
+from coordrate.measures import binary_entropy, conditional_mutual_information, mutual_information, table_entropy
 from coordrate.pmf import PmfError, compose, dsbs_joint
 
 C_01 = 0.872760566800152
@@ -29,27 +28,33 @@ F0_02 = 0.352952450491633
 
 
 class TestParams:
+    """b = crossover_b(a) and the curve's alpha = (1-t) b^2 + t (1-a)/2, read through the closed forms."""
+
     def test_derived_fields(self):
-        p = DsbsParams(a=0.1, t=0.0)
-        assert p.b == pytest.approx(0.052786404500042, abs=1e-15)
-        assert p.alpha == pytest.approx(p.b**2, abs=1e-15)
+        b = crossover_b(0.1)
+        assert b == pytest.approx(0.052786404500042, abs=1e-15)
+        # at t = 0 the first h4 cell, alpha, is b^2
+        h4 = table_entropy([b * b, 0.05, 0.05, 0.9 - b * b])
+        assert i_joint_closed_form(0.1, 0.0) == pytest.approx(1.0 + binary_entropy(0.1) - h4, abs=1e-15)
 
     def test_alpha_interpolates(self):
-        p = DsbsParams(a=0.1, t=1.0)
-        assert p.alpha == pytest.approx(0.45, abs=1e-15)
+        # at t = 1, alpha = (1-a)/2 = 0.45
+        h4 = table_entropy([0.45, 0.05, 0.05, 0.45])
+        assert i_joint_closed_form(0.1, 1.0) == pytest.approx(1.0 + binary_entropy(0.1) - h4, abs=1e-15)
 
     def test_alpha_range(self):
+        # alpha is twice the mass q(0,0) p^t(1|0,0) of the channel the curve describes
+        a, b = 0.3, crossover_b(0.3)
         for t in np.linspace(0, 1, 11):
-            p = DsbsParams(a=0.3, t=float(t))
-            assert 0.0 <= p.alpha <= (1 - 0.3) / 2 + 1e-15
+            alpha = (1.0 - t) * b * b + 0.5 * t * (1.0 - a)
+            assert alpha == pytest.approx(2 * 0.35 * interpolated_channel(a, float(t)).probs[0, 0, 1, 0, 0], abs=1e-15)
+            assert 0.0 <= alpha <= (1 - a) / 2 + 1e-15
 
     def test_rejects_bad_t(self):
         with pytest.raises(PmfError):
-            DsbsParams(a=0.1, t=1.5)
-
-    def test_derived_fields_are_not_arguments(self):
-        with pytest.raises(TypeError):
-            DsbsParams(0.1, 0.0, b=0.3)
+            f_of_t(0.1, 1.5)
+        with pytest.raises(PmfError):
+            interpolated_channel(0.1, 1.5)
 
 
 class TestInterpolatedChannel:
@@ -199,8 +204,9 @@ class TestEmitCurve:
 
 def oracle_point(a, t):
     """One curve point by the per-point formulas, written out."""
-    alpha = DsbsParams(a, t).alpha
-    h4 = entropy_vec4(alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha)
+    b = crossover_b(a)
+    alpha = (1.0 - t) * b * b + 0.5 * t * (1.0 - a)
+    h4 = table_entropy([alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha])
     i_joint = 1.0 + binary_entropy(a) - h4
     i_cond = 2.0 * binary_entropy(alpha + 0.5 * a) - h4
     return CurvePoint(t=t, f=max(i_cond, 0.5 * (i_joint + i_cond)), i_joint=i_joint, i_cond=i_cond)
@@ -236,6 +242,29 @@ class TestCurveKernel:
         monkeypatch.setattr(dsbs, "SUM_TOL", -1.0)
         with pytest.raises(PmfError, match=r"cells at t=0.0 must be finite"):
             emit_curve(0.1, 3)
+
+
+NON_REALS = [True, False, "0.1", None, np.array([0.1, 0.1])]
+
+
+class TestRefusesNonReals:
+    """A bool, a string, None or an array is not a crossover or a t: each is a PmfError, never a value or a TypeError."""
+
+    @pytest.mark.parametrize("value", NON_REALS)
+    @pytest.mark.parametrize("fn", [dsbs_joint, dsbs_wyner_channel, common_information, t_star, lambda a: f_of_t(a, 0.5)])
+    def test_crossover(self, fn, value):
+        with pytest.raises(PmfError, match="crossover must lie"):
+            fn(value)
+
+    @pytest.mark.parametrize("value", NON_REALS)
+    @pytest.mark.parametrize("fn", [f_of_t, interpolated_channel, i_joint_closed_form])
+    def test_t(self, fn, value):
+        with pytest.raises(PmfError, match=r"t must lie in \[0, 1\]"):
+            fn(0.1, value)
+
+    def test_numpy_reals_are_reals(self):
+        assert f_of_t(np.float64(0.1), np.float64(0.5)) == f_of_t(0.1, 0.5)
+        assert t_star(np.float64(0.1)) == t_star(0.1)
 
 
 class TestGoldenCurves:

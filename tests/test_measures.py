@@ -6,11 +6,12 @@ from coordrate.measures import (
     binary_entropy,
     conditional_mutual_information,
     entropy,
-    entropy_vec4,
     inverse_binary_entropy,
     mutual_information,
+    source_info,
+    table_entropy,
 )
-from coordrate.pmf import FullJoint, JointPmf, Pmf, PmfError, compose, degenerate_channel, dsbs_joint
+from coordrate.pmf import FullJoint, JointPmf, Pmf, PmfError, compose, degenerate_channel, dsbs_joint, marginal
 
 # frozen reference values for the symmetric binary source
 H_01 = 0.468995593589281          # h(0.1)
@@ -83,11 +84,13 @@ class TestInverseBinaryEntropy:
 
 
 class TestEntropyVec4:
+    """The entropy of a 4-point distribution, the h4 of the DSBS closed forms: ``entropy(Pmf([...]))``."""
+
     def test_uniform(self):
-        assert entropy_vec4(0.25, 0.25, 0.25, 0.25) == pytest.approx(2.0, abs=1e-15)
+        assert entropy(Pmf([0.25, 0.25, 0.25, 0.25])) == pytest.approx(2.0, abs=1e-15)
 
     def test_point_mass(self):
-        assert entropy_vec4(1.0, 0.0, 0.0, 0.0) == 0.0
+        assert entropy(Pmf([1.0, 0.0, 0.0, 0.0])) == 0.0
 
     def test_wyner_channel_vector(self):
         # at the closed-form minimizing channel the 4-vector entropy makes
@@ -95,12 +98,57 @@ class TestEntropyVec4:
         a = 0.1
         b = 0.5 * (1 - np.sqrt(1 - 2 * a))
         alpha = b * b
-        h4 = entropy_vec4(alpha, a / 2, a / 2, 1 - a - alpha)
+        h4 = entropy(Pmf([alpha, a / 2, a / 2, 1 - a - alpha]))
         assert 1 + binary_entropy(a) - h4 == pytest.approx(C_DSBS_01, abs=1e-12)
 
     def test_rejects_bad_simplex(self):
         with pytest.raises(PmfError):
-            entropy_vec4(0.5, 0.5, 0.5, -0.5)
+            entropy(Pmf([0.5, 0.5, 0.5, -0.5]))
+
+
+def random_sources(seed, count):
+    """``count`` seeded JointPmfs of every shape from 1x1 to 6x6, about a third of the cells zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        for shape in np.ndindex(6, 6):
+            t = rng.random((shape[0] + 1, shape[1] + 1)) ** 2
+            t[rng.random(t.shape) < 0.3] = 0.0
+            t.flat[rng.integers(t.size)] = 1.0
+            yield JointPmf(t / t.sum())
+
+
+class TestSourceInfo:
+    def test_equals_generic_path(self):
+        # bit for bit what I(X;Y) of the composed degenerate channel gives, and the marginals' entropies
+        for q in random_sources(22, 20):
+            hx, hy, ixy = source_info(q)
+            assert ixy == mutual_information(compose(q, degenerate_channel(*q.shape)), ("x",), ("y",))
+            assert (hx, hy) == (entropy(marginal(q, "x")), entropy(marginal(q, "y")))
+
+    def test_dsbs_values(self):
+        hx, hy, ixy = source_info(dsbs_joint(0.1))
+        assert (hx, hy) == (1.0, 1.0)
+        assert ixy == pytest.approx(MI_DSBS_01, abs=1e-14)
+        assert table_entropy(dsbs_joint(0.1).probs) == pytest.approx(1 + H_01, abs=1e-14)
+
+    def test_table_entropy_is_entropy_of_raveled_table(self):
+        for q in random_sources(23, 2):
+            assert table_entropy(q.probs) == entropy(Pmf(q.probs.ravel()))
+
+
+NON_REALS = [True, False, "0.5", None, np.array([0.5, 0.5])]
+
+
+class TestRefusesNonReals:
+    @pytest.mark.parametrize("value", NON_REALS)
+    @pytest.mark.parametrize("fn", [binary_entropy, inverse_binary_entropy])
+    def test_refused(self, fn, value):
+        with pytest.raises(PmfError, match=f"{fn.__name__}: argument must be a real in \\[0, 1\\]"):
+            fn(value)
+
+    def test_numpy_reals_are_reals(self):
+        assert binary_entropy(np.float64(0.1)) == binary_entropy(0.1)
+        assert inverse_binary_entropy(np.float64(0.5)) == inverse_binary_entropy(0.5)
 
 
 class TestMutualInformation:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import aux_with_copy_sides
+from conftest import aux_with_copy_sides, near_tolerance_pair
 from coordrate.dsbs import dsbs_wyner_channel
 from coordrate.pmf import (
     AuxChannel,
@@ -74,6 +74,12 @@ class TestDsbsJoint:
     def test_out_of_range(self):
         with pytest.raises(PmfError):
             dsbs_joint(0.6)
+
+    @pytest.mark.parametrize("a", [False, True, "0.1", None, np.array([0.1, 0.1])])
+    def test_non_real_crossover(self, a):
+        # False would build the a = 0 source, and a string would raise TypeError
+        with pytest.raises(PmfError, match="dsbs_joint: crossover must lie in"):
+            dsbs_joint(a)
 
     @pytest.mark.parametrize("a", [0.0, 0.1, 0.25, 0.5])
     def test_uniform_marginals(self, a):
@@ -191,6 +197,18 @@ class TestCompose:
         full = compose(q, load_aux_channel(path, q))
         assert np.all(np.abs(full.probs.sum(axis=(2, 3, 4)) - q.probs) <= q.probs * SUM_TOL)
         assert np.abs(full.probs.sum(axis=(2, 3, 4)) - q.probs).max() > 1e-12
+
+    def test_factors_near_sum_tolerance_compose(self):
+        # source and rows each sum to 1 + 9e-10, within SUM_TOL; the product
+        # sums to about 1 + 1.8e-9, and compose neither refuses nor renormalizes it
+        q, aux = near_tolerance_pair()
+        full = compose(q, aux)
+        assert full.probs.sum() - 1.0 > SUM_TOL
+        assert np.array_equal(full.probs, q.probs[:, :, None, None, None] * aux.probs)
+        assert not full.probs.flags.writeable
+        # built from outside input, the same table is still refused
+        with pytest.raises(PmfError, match="FullJoint: entries sum to"):
+            FullJoint(np.array(full.probs))
 
     def test_grid_must_match_source(self):
         with pytest.raises(PmfError, match="does not match source shape"):

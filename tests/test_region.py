@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import aux_with_copy_sides
+from dataclasses import fields
+
+from conftest import aux_with_copy_sides, near_tolerance_pair
 from coordrate.dsbs import dsbs_wyner_channel
 from coordrate.measures import binary_entropy, mutual_information
 from coordrate.pmf import (
@@ -12,7 +14,10 @@ from coordrate.pmf import (
     dsbs_joint,
 )
 from coordrate.region import (
+    COEFFICIENTS,
+    MEMBERSHIP_SLACK,
     RateTriple,
+    RegionBounds,
     achievable_bounds,
     check_markov_quadruple,
     in_achievable_region,
@@ -52,7 +57,7 @@ class TestMarkovQuadruple:
 
     def test_wyner_channel_chain(self):
         full = compose(dsbs_joint(0.1), dsbs_wyner_channel(0.1))
-        ok, defect = check_markov_quadruple(full, tol=1e-9)
+        ok, defect = check_markov_quadruple(full)
         assert ok and defect <= 1e-9
 
     def test_bare_dependent_source_fails(self):
@@ -85,6 +90,14 @@ class TestAchievableBounds:
         assert b.b_r_r1 == pytest.approx(C_01, abs=1e-9)
         assert b.b_r_r2 == pytest.approx(C_01, abs=1e-9)
         assert b.b_2r == pytest.approx(C_01, abs=1e-9)
+
+    def test_factors_near_sum_tolerance(self):
+        # source and channel rows each 9e-10 over 1: their product is past SUM_TOL, yet both were accepted
+        q, aux = near_tolerance_pair()
+        b = achievable_bounds(q, aux)
+        assert b.markov_defect <= 1e-9
+        assert b.b_r_r1 == pytest.approx(C_01, abs=1e-6)
+        assert in_achievable_region(q, aux, RateTriple(1, 0, 0))
 
     def test_rejects_non_chain_channel(self):
         # a middle auxiliary that copies neither side leaves X and Y coupled
@@ -132,6 +145,57 @@ class TestMembership:
     def test_rates_must_be_a_rate_triple(self):
         with pytest.raises(PmfError, match="in_achievable_region: rates must be a RateTriple, got tuple"):
             in_achievable_region(dsbs_joint(0.2), copy_sides_aux(), (1, 1, 1))
+
+
+def six_inequalities(b, r, r1, r2):
+    """The inner bound's six inequalities, written out."""
+    s = MEMBERSHIP_SLACK
+    return (
+        r + r1 >= b.b_r_r1 - s
+        and r + r2 >= b.b_r_r2 - s
+        and r >= b.b_r - s
+        and r + r1 + r2 >= b.b_r_r1_r2 - s
+        and 2.0 * r + r1 + r2 >= b.b_2r_r1_r2 - s
+        and 2.0 * r >= b.b_2r - s
+    )
+
+
+class TestCoefficientTable:
+    def test_shape_and_field_order(self):
+        assert np.array(COEFFICIENTS).shape == (6, 3)
+        assert [f.name for f in fields(RegionBounds)][6:] == ["markov_defect"]
+
+    @pytest.mark.parametrize("case", ["copy_sides_02", "wyner_01", "copy_sides_3x3"])
+    def test_table_matches_written_out_inequalities(self, case):
+        rng = np.random.default_rng(["copy_sides_02", "wyner_01", "copy_sides_3x3"].index(case))
+        if case == "copy_sides_02":
+            q, aux = dsbs_joint(0.2), copy_sides_aux()
+        elif case == "wyner_01":
+            q, aux = dsbs_joint(0.1), dsbs_wyner_channel(0.1)
+        else:
+            p = rng.random((3, 3))
+            q, aux = JointPmf(p / p.sum()), copy_sides_aux(3, 3)
+        b = achievable_bounds(q, aux)
+        bounds = [b.b_r_r1, b.b_r_r2, b.b_r, b.b_r_r1_r2, b.b_2r_r1_r2, b.b_2r]
+        verdicts = []
+        for k in range(400):
+            r, r1, r2 = rng.random(3) * 2.5
+            if k % 4 == 0:
+                # a quarter of the triples on a bound: solve one row for its last
+                # rate, at the bound or a slack's width or 1e-16 off it
+                row = k // 4 % 6
+                (ca, cb, cc), bound = COEFFICIENTS[row], bounds[row]
+                bound += rng.choice([0.0, MEMBERSHIP_SLACK, -MEMBERSHIP_SLACK, 2 * MEMBERSHIP_SLACK, 1e-16])
+                if cc:
+                    r2 = max(bound - ca * r - cb * r1, 0.0)
+                elif cb:
+                    r1 = max(bound - ca * r, 0.0)
+                else:
+                    r = max(bound / ca, 0.0)
+            got = in_achievable_region(q, aux, RateTriple(r, r1, r2))
+            assert got == six_inequalities(b, r, r1, r2), (k, r, r1, r2)
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestXyEqualRegion:

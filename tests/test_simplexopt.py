@@ -29,7 +29,7 @@ class TestEgMinimize:
         q = dsbs_joint(0.1).probs
         batch = so.random_channels(2, 2, 6, 8, seed=0)
         best, stats, _ = so.eg_minimize(q, batch, _max_avg_subgradient, 5, 1e-12, 8.0)
-        ref = so.ChannelStats(q, best)
+        ref = so.ChannelStats(so.Source(q, best.shape[-1]), best)
         assert np.array_equal(stats.i_joint, ref.i_joint)
         assert np.array_equal(stats.i_cond, ref.i_cond)
         assert np.array_equal(stats.g_joint, ref.g_joint) and np.array_equal(stats.g_cond, ref.g_cond)
@@ -101,9 +101,9 @@ class TestCompaction:
         rows = []
 
         class CountingStats(so.ChannelStats):
-            def __init__(self, q, batch):
+            def __init__(self, src, batch):
                 rows.append(batch.shape[0])
-                super().__init__(q, batch)
+                super().__init__(src, batch)
 
         monkeypatch.setattr(so, "ChannelStats", CountingStats)
         q, card_u, objective, max_iters = _RUNS["streak"]
@@ -160,7 +160,7 @@ class TestChannelStatsReference:
     @given(_source_and_channel())
     def test_terms_match_measures(self, case):
         q, rows, _ = case
-        stats = so.ChannelStats(q, rows[None])
+        stats = so.ChannelStats(so.Source(q, rows.shape[-1]), rows[None])
         full = compose(JointPmf(q), AuxChannel.from_array(rows))
         assert stats.i_joint[0] == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-12)
         assert stats.i_cond[0] == pytest.approx(
@@ -178,7 +178,7 @@ class TestChannelStatsReference:
         d -= d.mean(axis=-1, keepdims=True)
         d /= max(np.abs(d).max(), 1e-300)
         h = 1e-5
-        stats = so.ChannelStats(q, np.stack([p, p + h * d, p - h * d]))
+        stats = so.ChannelStats(so.Source(q, nu), np.stack([p, p + h * d, p - h * d]))
         # g is the gradient divided by q(x,y), in nats
         for g, i in ((stats.g_joint, stats.i_joint), (stats.g_cond, stats.i_cond)):
             assert np.all(g[:, q == 0] == 0.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
-from conftest import processor_isolation
+from conftest import near_tolerance_pair, processor_isolation
 from coordrate import _seeding, measures, simulate, wyner
 from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words, state_address
 from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
@@ -820,6 +820,15 @@ class TestRunTrials:
         expect = np.zeros((2, 2))
         np.add.at(expect, (x, y), 1.0 / cfg.n)
         assert np.allclose(rep.empirical_joint.probs, expect)
+
+    def test_factors_near_sum_tolerance(self):
+        # source and channel rows each 9e-10 over 1, within SUM_TOL: the run
+        # composes them without refusing the product or renormalizing p(u)
+        q, aux = near_tolerance_pair()
+        p_u, _, _ = derive_components(aux, q)
+        assert p_u.probs.sum() - 1.0 > 1e-9
+        rep = run_trials(SimConfig(q=q, channel=aux, n=8, rates=SimRates(0.5, 0.25, 0.5, 0.5), trials=5))
+        assert rep.trials_run == 5 and 0.0 <= rep.tv_per_letter <= 1.0
 
     def test_acceptance_style_run_is_tight(self):
         rep = run_trials(dsbs_cfg(n=32, trials=300, seed=6))
