@@ -16,11 +16,15 @@ and the broadcast-rate curve is f(t) = max{I(X;Y|U), (I(X,Y;U)+I(X;Y|U))/2}.
 The two information terms cross at a closed-form t*, the minimum of f.
 
 One private kernel evaluates the curve over a whole array of t in one
-array pass, with the per-point arithmetic: the four cells of h4 are
-checked to be a distribution and their plog p terms summed left to right,
-0 log 0 = 0, and h(p) = -p log2 p - (1-p) log2(1-p).  ``emit_curve`` runs
-it once on its grid and ``f_of_t`` is its one-point case, so a curve point
-and the matching ``f_of_t`` are equal bit for bit.
+array pass, with the per-point arithmetic: the plog p terms of the four
+cells of h4 summed left to right, 0 log 0 = 0, and h(p) = -p log2 p -
+(1-p) log2(1-p).  ``emit_curve`` runs it once on its grid and ``f_of_t``
+is its one-point case, so a curve point and the matching ``f_of_t`` are
+equal bit for bit.
+
+Each crossover range is tested in one place, whose check returns a float:
+a source's [0, 1/2] (``pmf._check_crossover``), the channel family's
+(0, 1/2) (``_in_family``) and the closed-form curve's (``_check_a``).
 """
 
 from __future__ import annotations
@@ -31,34 +35,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import _h, _inverse_h
-from .pmf import SUM_TOL, AuxChannel, PmfError, _is_int, _is_real
+from .pmf import AuxChannel, PmfError, _check_crossover, _is_int, _is_real
 
-#: closed forms hold strictly inside the crossover range
-_A_MIN_MARGIN = 1e-9
 #: most points ``emit_curve`` evaluates; checked before the t grid is allocated
 CURVE_POINTS_CAP = 10**5
 
 
 def _check_a(a):
-    lo, hi = _A_MIN_MARGIN, 0.5 - _A_MIN_MARGIN
+    lo, hi = 1e-9, 0.5 - 1e-9  # the closed forms hold strictly inside the source's range
     if not (_is_real(a) and lo <= a <= hi):
-        raise PmfError(f"crossover must lie in ({lo}, {hi}), got {a!r}")
+        raise PmfError(f"crossover must lie in [{lo}, {hi}], got {a!r}")
+    return float(a)
+
+
+def _in_family(a):
+    """Is ``a`` a crossover of the channel family, a real strictly inside (0, 1/2)?"""
+    return _is_real(a) and 0.0 < a < 0.5
 
 
 def _check_t(who, t):
     if not (_is_real(t) and 0.0 <= t <= 1.0):
         raise PmfError(f"{who}: t must lie in [0, 1], got {t!r}")
+    return float(t)
+
+
+def _b(a):
+    """``crossover_b`` for a float a in [0, 1/2], unchecked."""
+    return 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * a))
 
 
 def crossover_b(a):
-    """b = (1 - sqrt(1 - 2a)) / 2, the equivalent additive-noise flip rate."""
-    return 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * a))
+    """b = (1 - sqrt(1 - 2a)) / 2, the equivalent additive-noise flip rate, for a crossover a in [0, 1/2]."""
+    return _b(_check_crossover("crossover_b", a))
 
 
 def common_information(a):
     """Wyner's common information C = 1 + h(a) - 2 h(b) of DSBS(a), in bits (Wyner 1975)."""
-    _check_a(a)
-    return 1.0 + _h(a) - 2.0 * _h(crossover_b(a))
+    a = _check_a(a)
+    return 1.0 + _h(a) - 2.0 * _h(_b(a))
 
 
 @dataclass(frozen=True)
@@ -69,54 +83,38 @@ class CurvePoint:
     i_cond: float
 
 
+def _wyner_rows(who, a):
+    """The (2, 2, 2) table of ``dsbs_wyner_channel``, refused unless ``_in_family(a)``."""
+    if not _in_family(a):
+        raise PmfError(f"{who}: crossover must lie strictly inside (0, 0.5), got {a!r}")
+    a = float(a)
+    b = _b(a)
+    r = b * b / (1.0 - a)
+    return np.array([[[1.0 - r, r], [0.5, 0.5]], [[0.5, 0.5], [r, 1.0 - r]]])
+
+
 def dsbs_wyner_channel(a):
     """Closed-form minimizing channel for the doubly symmetric binary source.
 
     With b = ``crossover_b(a)`` the rows are p(0|0,1) = p(1|1,0) = 0.5
     and p(1|0,0) = p(0|1,1) = b^2 / (1 - a), complements accordingly.
     """
-    if not (_is_real(a) and 0.0 < a < 0.5):
-        raise PmfError(f"dsbs_wyner_channel: crossover must lie strictly inside (0, 0.5), got {a!r}")
-    b = crossover_b(a)
-    r = b * b / (1.0 - a)
-    rows = np.array(
-        [
-            [[1.0 - r, r], [0.5, 0.5]],
-            [[0.5, 0.5], [r, 1.0 - r]],
-        ]
-    )
-    return AuxChannel(rows)
+    return AuxChannel(_wyner_rows("dsbs_wyner_channel", a))
 
 
 def interpolated_channel(a, t):
     """The channel p^t: convex combination of the flat and Wyner channels."""
-    _check_a(a)
-    _check_t("interpolated_channel", t)
-    return AuxChannel(t * 0.5 + (1.0 - t) * dsbs_wyner_channel(a).probs)
-
-
-def i_joint_closed_form(a, t):
-    """I(X,Y;U) under p^t, in bits."""
-    return f_of_t(a, t).i_joint
-
-
-def i_cond_closed_form(a, t):
-    """I(X;Y|U) under p^t, in bits."""
-    return f_of_t(a, t).i_cond
+    rows, t = _wyner_rows("interpolated_channel", a), _check_t("interpolated_channel", t)
+    return AuxChannel(t * 0.5 + (1.0 - t) * rows)
 
 
 def _curve(a, t):
     """f, I(X,Y;U) and I(X;Y|U) at every entry of the float array ``t`` in [0, 1], in bits."""
-    _check_a(a)
-    b = crossover_b(a)
+    a = _check_a(a)
+    b = _b(a)
+    # b^2 <= alpha <= (1-a)/2, so the four cells are >= 0 and sum to 1 up to rounding
     alpha = (1.0 - t) * b * b + 0.5 * t * (1.0 - a)
     cells = np.stack(np.broadcast_arrays(alpha, 0.5 * a, 0.5 * a, 1.0 - a - alpha))
-    # NaN fails both tests, and an infinite cell fails one of them
-    total = ((cells[0] + cells[1]) + cells[2]) + cells[3]
-    ok = (cells >= 0.0).all(axis=0) & (np.abs(total - 1.0) <= SUM_TOL)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)[0]
-        raise PmfError(f"DSBS curve cells at t={t[bad].item()!r} must be finite, >= 0 and sum to 1 within {SUM_TOL}")
     plogp = cells * np.log2(cells, out=np.zeros_like(cells), where=cells > 0.0)
     h4 = -(((plogp[0] + plogp[1]) + plogp[2]) + plogp[3])
     p = alpha + 0.5 * a
@@ -128,7 +126,7 @@ def _curve(a, t):
 
 def f_of_t(a, t):
     """Curve point: both information terms and f = max{cond, (joint+cond)/2}."""
-    _check_t("f_of_t", t)
+    t = _check_t("f_of_t", t)
     (f,), (i_joint,), (i_cond,) = (v.tolist() for v in _curve(a, np.array([t], dtype=np.float64)))
     return CurvePoint(t=t, f=f, i_joint=i_joint, i_cond=i_cond)
 
@@ -136,15 +134,12 @@ def f_of_t(a, t):
 def t_star(a):
     """Interpolation point where I(X,Y;U) = I(X;Y|U), the minimum of f.
 
-    t* = (h^{-1}((1 + h(a))/2) - a/2 - b^2) / ((1-a)/2 - b^2).
+    t* = (h^{-1}((1 + h(a))/2) - a/2 - b^2) / ((1-a)/2 - b^2); over the
+    curve's crossover range the denominator is at least 2.2e-5.
     """
-    _check_a(a)
-    b = crossover_b(a)
-    denom = 0.5 * (1.0 - a) - b * b
-    if denom <= 1e-9:
-        raise PmfError(f"t_star: degenerate interpolation range at a={a!r}")
-    ts = (_inverse_h(0.5 * (1.0 + _h(a))) - 0.5 * a - b * b) / denom
-    return ts
+    a = _check_a(a)
+    b = _b(a)
+    return (_inverse_h(0.5 * (1.0 + _h(a))) - 0.5 * a - b * b) / (0.5 * (1.0 - a) - b * b)
 
 
 def emit_curve(a, num_points):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .pmf import AXES, FullJoint, Pmf, PmfError, _is_real
 
-#: tolerance on I(X;Y|U) in bits, for wyner_ci's feasibility and the simulator's X - U - Y check alike
+#: tolerance on I(X;Y|U) in bits, for wyner_ci's feasibility, the simulator and each link of the region's chain alike
 MARKOV_TOL = 1e-6
 #: max iterations for the binary-entropy inversion bisection; the interval
 #: tolerance sits at float resolution so steep regions still invert exactly
@@ -53,18 +53,17 @@ def _h(a):
 def _check_unit(who, value):
     if not (_is_real(value) and 0.0 <= value <= 1.0):
         raise PmfError(f"{who}: argument must be a real in [0, 1], got {value!r}")
+    return float(value)
 
 
 def binary_entropy(a):
     """h(a) = -a log2 a - (1-a) log2(1-a) for a real a in [0, 1]."""
-    _check_unit("binary_entropy", a)
-    return _h(a)
+    return _h(_check_unit("binary_entropy", a))
 
 
 def inverse_binary_entropy(y):
     """The unique x in [0, 0.5] with h(x) = y, by bisection."""
-    _check_unit("inverse_binary_entropy", y)
-    return _inverse_h(y)
+    return _inverse_h(_check_unit("inverse_binary_entropy", y))
 
 
 def _inverse_h(y):

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SUM_TOL = 1e-9
+#: most bytes of the table ``load_aux_channel`` builds; ``region check`` and ``simulate`` peak at about 3 and 5 times it
+AUX_TABLE_BYTES_CAP = 2**27
 
 #: axis order of a full joint table
 AXES = ("x", "y", "u", "u1", "u2")
@@ -174,10 +176,16 @@ class FullJoint:
         return self.probs.shape
 
 
+def _check_crossover(who, a):
+    """``a`` as a float, refused unless it is a DSBS crossover: a real in [0, 1/2]."""
+    if not (_is_real(a) and 0.0 <= a <= 0.5):
+        raise PmfError(f"{who}: crossover must lie in [0, 0.5], got {a!r}")
+    return float(a)
+
+
 def dsbs_joint(a):
     """Doubly symmetric binary source: diagonal mass (1-a)/2, off-diagonal a/2."""
-    if not (_is_real(a) and 0.0 <= a <= 0.5):
-        raise PmfError(f"dsbs_joint: crossover must lie in [0, 0.5], got {a!r}")
+    a = _check_crossover("dsbs_joint", a)
     d, o = 0.5 * (1.0 - a), 0.5 * a
     return JointPmf(np.array([[d, o], [o, d]]), labels_x=("0", "1"), labels_y=("0", "1"))
 
@@ -313,7 +321,7 @@ def load_aux_channel(path, q):
     pairs to flattened probability vectors over (u, u1, u2) in row-major
     order.  Rows are resolved against q here: every cell with q(x,y) > 0
     needs a row, an omitted zero-mass cell gets the uniform row, and a row
-    for a cell outside q's grid is ignored.
+    for a cell outside q's grid is ignored.  A table past ``AUX_TABLE_BYTES_CAP`` is refused unbuilt.
     """
     doc = _read_json(path, "load_aux_channel")
     if not isinstance(doc, dict) or not isinstance(doc.get("cond"), dict):
@@ -323,6 +331,9 @@ def load_aux_channel(path, q):
         raise PmfError(f"load_aux_channel: card_u, card_u1 and card_u2 in {path} must be integers >= 1, got {cards}")
     size = math.prod(cards)
     nx, ny = q.shape
+    need = 8 * nx * ny * size  # each omitted zero-mass cell becomes a full row too
+    if need > AUX_TABLE_BYTES_CAP:
+        raise PmfError(f"load_aux_channel: a {nx}x{ny} table of {cards} rows needs {need} bytes, cap is {AUX_TABLE_BYTES_CAP}")
     rows = {}
     for key, vec in doc["cond"].items():
         try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _simplexopt as so
-from .dsbs import interpolated_channel
+from .dsbs import _in_family, interpolated_channel
 from .measures import source_info
 from .pmf import AuxChannel, JointPmf, PmfError
 
@@ -119,12 +119,12 @@ def _pad_rows(rows, card_u):
 def _structured_starts(q, card_u):
     # the degenerate auxiliary (nearly all mass on the first symbol) and uniform rows
     starts = [_pad_rows(np.ones((*q.shape, 1)), card_u), np.full((*q.shape, card_u), 1.0 / card_u)]
-    # for a symmetric binary source of crossover a in (0, 1/2), points on the
-    # interpolated family between the Wyner-minimizing and the uninformative channel
+    # for a symmetric binary source whose crossover lies in the channel family's
+    # range, points on the family between the Wyner-minimizing and the uninformative channel
     p = q.probs
     if q.shape == (2, 2) and abs(p[0, 0] - p[1, 1]) <= 1e-12 and abs(p[0, 1] - p[1, 0]) <= 1e-12:
         a = float(p[0, 1] + p[1, 0])
-        if 0.0 < a < 0.5:
+        if _in_family(a):
             for t in (0.0, 0.25, 0.5, 0.75):
                 starts.append(_pad_rows(interpolated_channel(a, t).probs[:, :, :, 0, 0], card_u))
     return starts

@@ -44,6 +44,25 @@ def near_tolerance_pair():
     return q, AuxChannel(rows)
 
 
+def near_markov_channel(ratio):
+    """DSBS(0.1)'s Wyner channel mixed toward the flat one until I(X;Y|U) is ``ratio`` * MARKOV_TOL.
+
+    The mixing weight t is found by bisection on the closed form
+    ``f_of_t(0.1, t).i_cond``, which rises from 0 at t = 0.
+    """
+    from coordrate.dsbs import f_of_t, interpolated_channel
+    from coordrate.measures import MARKOV_TOL
+
+    lo, hi = 0.0, 0.01
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f_of_t(0.1, mid).i_cond < ratio * MARKOV_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return interpolated_channel(0.1, lo)
+
+
 def processor_isolation(books, table, which):
     """Check that processor ``which`` emits from its own view of a trial only.
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from conftest import aux_with_copy_sides, processor_isolation
-from coordrate.dsbs import dsbs_wyner_channel, f_of_t, i_cond_closed_form, i_joint_closed_form, interpolated_channel, t_star
+from coordrate.dsbs import dsbs_wyner_channel, f_of_t, interpolated_channel, t_star
 from coordrate.measures import (
     binary_entropy,
     conditional_mutual_information,
@@ -68,7 +68,8 @@ def test_criterion_2_golden_curve_a02(curve_a02):
 def test_criterion_3_t_star():
     start = time.perf_counter()
     t1, t2 = t_star(0.1), t_star(0.2)
-    gaps = [abs(i_joint_closed_form(a, t_star(a)) - i_cond_closed_form(a, t_star(a))) for a in (0.1, 0.2)]
+    points = [f_of_t(a, t_star(a)) for a in (0.1, 0.2)]
+    gaps = [abs(p.i_joint - p.i_cond) for p in points]
     elapsed = time.perf_counter() - start
     ok = (
         abs(t1 - 0.343436) <= 1e-4
@@ -129,8 +130,9 @@ def test_criterion_6_closed_form_cross_validation():
             full = compose(q, interpolated_channel(float(a), float(t)))
             ij = mutual_information(full, ("x", "y"), ("u",))
             ic = conditional_mutual_information(full, ("x",), ("y",), ("u",))
-            worst_joint = max(worst_joint, abs(ij - i_joint_closed_form(float(a), float(t))))
-            worst_cond = max(worst_cond, abs(ic - i_cond_closed_form(float(a), float(t))))
+            point = f_of_t(float(a), float(t))
+            worst_joint = max(worst_joint, abs(ij - point.i_joint))
+            worst_cond = max(worst_cond, abs(ic - point.i_cond))
     elapsed = time.perf_counter() - start
     ok = worst_joint <= 1e-10 and worst_cond <= 1e-10 and elapsed < 5.0
     report(

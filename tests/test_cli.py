@@ -97,6 +97,14 @@ class TestSolvers:
         assert code == 0
         assert 0.25 <= float(out) <= 0.300527573378146 + 1e-3
 
+    def test_ulsr_on_an_edge_crossover(self, tmp_path):
+        # DSBS(5e-10): inside the channel family's range (0, 1/2), outside the closed-form curve's
+        dist = tmp_path / "edge.json"
+        dist.write_text(json.dumps({"pmf": [[0.49999999975, 2.5e-10], [2.5e-10, 0.49999999975]]}))
+        code, out, err = run(["ulsr", "--dist", str(dist), "--restarts", "4"])
+        assert code == 0 and err == ""
+        assert 0.0 <= float(out) <= 0.5
+
     @pytest.mark.parametrize(
         "argv",
         [["wyner", "--card", "2000000000"], ["ulsr", "--restarts", "1000000000"]],
@@ -240,6 +248,27 @@ class TestRegion:
         code, out, _ = run(["region", "check", "--dist", files["dist01"],
                             "--aux", aux01, "--rates", "0.9,0.0,0.0"])
         assert code == 0 and out.strip() == "member"
+
+    def test_check_accepts_each_link_within_markov_tol(self, tmp_path):
+        # DSBS(0.1)'s Wyner channel mixed toward flat, I(X;Y|U) = 8.0e-7 bits:
+        # the region takes each chain link, here I(X;Y|U), to MARKOV_TOL as the simulator does
+        dist, aux = tmp_path / "dsbs.json", tmp_path / "near.json"
+        dist.write_text(json.dumps({"pmf": [[0.45, 0.05], [0.05, 0.45]]}))
+        rows = {"0,0": [0.99683832665, 0.00316167335], "0,1": [0.5, 0.5], "1,0": [0.5, 0.5],
+                "1,1": [0.00316167335, 0.99683832665]}
+        aux.write_text(json.dumps({"card_u": 2, "cond": rows}))
+        assert run(["region", "check", "--dist", str(dist), "--aux", str(aux), "--rates", "1,1,1"]) == (0, "member\n", "")
+        code, out, err = run(["simulate", "--dist", str(dist), "--aux", str(aux), "--n", "8",
+                              "--rates", "1,0.25,0.5,0.5", "--trials", "5"])
+        assert code == 0 and err == "" and len(out.splitlines()) == 2
+
+    def test_channel_table_past_cap_is_validation_error(self, files, tmp_path):
+        # a 2 x 2 table of 2^22 + 1 symbols a row is 32 bytes past the 2^27-byte cap; nothing is built
+        aux = tmp_path / "big.json"
+        aux.write_text(json.dumps({"card_u": 2**22 + 1, "cond": {}}))
+        code, out, err = run(["region", "check", "--dist", files["dist02"], "--aux", str(aux), "--rates", "1,1,1"])
+        assert code == 1 and out == ""
+        assert err == f"error: load_aux_channel: a 2x2 table of ({2**22 + 1}, 1, 1) rows needs {2**27 + 32} bytes, cap is {2**27}\n"
 
     def test_bad_rates_format(self):
         code, _, err = run(["region", "xy-equal", "--hx", "1.0", "--rates", "0.5,0.5"])

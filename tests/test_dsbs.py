@@ -10,8 +10,6 @@ from coordrate.dsbs import (
     dsbs_wyner_channel,
     emit_curve,
     f_of_t,
-    i_cond_closed_form,
-    i_joint_closed_form,
     interpolated_channel,
     t_star,
     write_curve_csv,
@@ -35,12 +33,12 @@ class TestParams:
         assert b == pytest.approx(0.052786404500042, abs=1e-15)
         # at t = 0 the first h4 cell, alpha, is b^2
         h4 = table_entropy([b * b, 0.05, 0.05, 0.9 - b * b])
-        assert i_joint_closed_form(0.1, 0.0) == pytest.approx(1.0 + binary_entropy(0.1) - h4, abs=1e-15)
+        assert f_of_t(0.1, 0.0).i_joint == pytest.approx(1.0 + binary_entropy(0.1) - h4, abs=1e-15)
 
     def test_alpha_interpolates(self):
         # at t = 1, alpha = (1-a)/2 = 0.45
         h4 = table_entropy([0.45, 0.05, 0.05, 0.45])
-        assert i_joint_closed_form(0.1, 1.0) == pytest.approx(1.0 + binary_entropy(0.1) - h4, abs=1e-15)
+        assert f_of_t(0.1, 1.0).i_joint == pytest.approx(1.0 + binary_entropy(0.1) - h4, abs=1e-15)
 
     def test_alpha_range(self):
         # alpha is twice the mass q(0,0) p^t(1|0,0) of the channel the curve describes
@@ -88,14 +86,14 @@ class TestInterpolatedChannel:
 
 class TestClosedForms:
     def test_i_joint_endpoints(self):
-        assert i_joint_closed_form(0.1, 0.0) == pytest.approx(C_01, abs=1e-12)
-        assert i_joint_closed_form(0.1, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert i_joint_closed_form(0.2, 0.0) == pytest.approx(C_02, abs=1e-12)
+        assert f_of_t(0.1, 0.0).i_joint == pytest.approx(C_01, abs=1e-12)
+        assert f_of_t(0.1, 1.0).i_joint == pytest.approx(0.0, abs=1e-12)
+        assert f_of_t(0.2, 0.0).i_joint == pytest.approx(C_02, abs=1e-12)
 
     def test_i_cond_endpoints(self):
-        assert i_cond_closed_form(0.1, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert i_cond_closed_form(0.1, 1.0) == pytest.approx(MI_01, abs=1e-12)
-        assert i_cond_closed_form(0.2, 1.0) == pytest.approx(MI_02, abs=1e-12)
+        assert f_of_t(0.1, 0.0).i_cond == pytest.approx(0.0, abs=1e-12)
+        assert f_of_t(0.1, 1.0).i_cond == pytest.approx(MI_01, abs=1e-12)
+        assert f_of_t(0.2, 1.0).i_cond == pytest.approx(MI_02, abs=1e-12)
 
     @pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.4])
     def test_common_information(self, a):
@@ -103,7 +101,7 @@ class TestClosedForms:
         full = compose(dsbs_joint(a), dsbs_wyner_channel(a))
         assert common_information(a) == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-12)
         assert conditional_mutual_information(full, ("x",), ("y",), ("u",)) == pytest.approx(0.0, abs=1e-12)
-        assert common_information(a) == pytest.approx(i_joint_closed_form(a, 0.0), abs=1e-12)
+        assert common_information(a) == pytest.approx(f_of_t(a, 0.0).i_joint, abs=1e-12)
 
     def test_common_information_values(self):
         assert common_information(0.1) == pytest.approx(C_01, abs=1e-12)
@@ -127,8 +125,9 @@ class TestClosedForms:
             full = compose(q, interpolated_channel(a, float(t)))
             ij = mutual_information(full, ("x", "y"), ("u",))
             ic = conditional_mutual_information(full, ("x",), ("y",), ("u",))
-            assert i_joint_closed_form(a, float(t)) == pytest.approx(ij, abs=1e-10)
-            assert i_cond_closed_form(a, float(t)) == pytest.approx(ic, abs=1e-10)
+            point = f_of_t(a, float(t))
+            assert point.i_joint == pytest.approx(ij, abs=1e-10)
+            assert point.i_cond == pytest.approx(ic, abs=1e-10)
 
 
 class TestTStar:
@@ -139,7 +138,8 @@ class TestTStar:
     @pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.45])
     def test_terms_cross_at_t_star(self, a):
         ts = t_star(a)
-        assert abs(i_joint_closed_form(a, ts) - i_cond_closed_form(a, ts)) <= 1e-9
+        point = f_of_t(a, ts)
+        assert abs(point.i_joint - point.i_cond) <= 1e-9
 
     def test_strictly_below_endpoints(self):
         # the interior minimum genuinely improves on both corner strategies
@@ -235,14 +235,6 @@ class TestCurveKernel:
         with pytest.raises(PmfError, match="crossover must lie in"):
             f_of_t(0.5, 0.5)
 
-    def test_cell_check_is_live(self, monkeypatch):
-        # the four cells always sum to 1 within SUM_TOL; a negative tolerance shows the check runs
-        import coordrate.dsbs as dsbs
-
-        monkeypatch.setattr(dsbs, "SUM_TOL", -1.0)
-        with pytest.raises(PmfError, match=r"cells at t=0.0 must be finite"):
-            emit_curve(0.1, 3)
-
 
 NON_REALS = [True, False, "0.1", None, np.array([0.1, 0.1])]
 
@@ -257,7 +249,7 @@ class TestRefusesNonReals:
             fn(value)
 
     @pytest.mark.parametrize("value", NON_REALS)
-    @pytest.mark.parametrize("fn", [f_of_t, interpolated_channel, i_joint_closed_form])
+    @pytest.mark.parametrize("fn", [f_of_t, interpolated_channel])
     def test_t(self, fn, value):
         with pytest.raises(PmfError, match=r"t must lie in \[0, 1\]"):
             fn(0.1, value)
@@ -265,6 +257,28 @@ class TestRefusesNonReals:
     def test_numpy_reals_are_reals(self):
         assert f_of_t(np.float64(0.1), np.float64(0.5)) == f_of_t(0.1, 0.5)
         assert t_star(np.float64(0.1)) == t_star(0.1)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [crossover_b, common_information, t_star, lambda a: f_of_t(a, 0.5).i_joint, lambda a: dsbs_joint(a).probs[0, 0].item()],
+        ids=["crossover_b", "common_information", "t_star", "f_of_t", "dsbs_joint"],
+    )
+    def test_float32_is_computed_in_float64(self, fn):
+        # a float32 argument is the float64 number it holds, not a float32 computation
+        value = fn(np.float32(0.1))
+        assert type(value) is float and value == fn(float(np.float32(0.1)))
+
+
+class TestCrossoverB:
+    """``crossover_b`` checks the source's crossover range [0, 1/2] itself."""
+
+    def test_endpoints(self):
+        assert crossover_b(0.0) == 0.0 and crossover_b(0.5) == 0.5
+
+    @pytest.mark.parametrize("a", [*NON_REALS, -1e-12, 0.5 + 1e-12, 0.7, float("nan"), float("inf")])
+    def test_refused(self, a):
+        with pytest.raises(PmfError, match=r"crossover_b: crossover must lie in \[0, 0.5\]"):
+            crossover_b(a)
 
 
 class TestGoldenCurves:

@@ -150,6 +150,13 @@ class TestRefusesNonReals:
         assert binary_entropy(np.float64(0.1)) == binary_entropy(0.1)
         assert inverse_binary_entropy(np.float64(0.5)) == inverse_binary_entropy(0.5)
 
+    @pytest.mark.parametrize("fn", [binary_entropy, inverse_binary_entropy])
+    @pytest.mark.parametrize("value", [0.25, 0.1])
+    def test_float32_is_computed_in_float64(self, fn, value):
+        # a float32 argument is the float64 number it holds, not a float32 computation
+        result = fn(np.float32(value))
+        assert type(result) is float and result == fn(float(np.float32(value)))
+
 
 class TestMutualInformation:
     def test_independent_product(self):

@@ -6,6 +6,7 @@ import pytest
 from conftest import aux_with_copy_sides, near_tolerance_pair
 from coordrate.dsbs import dsbs_wyner_channel
 from coordrate.pmf import (
+    AUX_TABLE_BYTES_CAP,
     AuxChannel,
     FullJoint,
     JointPmf,
@@ -220,6 +221,23 @@ class TestCompose:
         path.write_text(json.dumps({"card_u": 1, "cond": {"0,0": [1.0]}}))
         with pytest.raises(PmfError, match=r"missing conditional row for support cell \(0, 1\)"):
             load_aux_channel(path, dsbs_joint(0.2))
+
+    def test_table_cap_is_checked_before_rows_are_read(self, tmp_path):
+        # one listed row of a 3 x 3 source; the other eight cells would become
+        # full rows, so the table's size, not the file's, is what is capped
+        q = JointPmf(np.diag([1.0, 0.0, 0.0]))
+        path = tmp_path / "aux.json"
+        at_cap = AUX_TABLE_BYTES_CAP // (8 * 9)
+        path.write_text(json.dumps({"card_u": at_cap, "cond": {"0,0": [1.0]}}))
+        # at the cap the rows are read: this one has the wrong size
+        with pytest.raises(PmfError, match="row '0,0' has 1 entries"):
+            load_aux_channel(path, q)
+        path.write_text(json.dumps({"card_u": at_cap + 1, "cond": {"0,0": [1.0]}}))
+        need = 8 * 9 * (at_cap + 1)
+        assert need > AUX_TABLE_BYTES_CAP
+        message = rf"a 3x3 table of \({at_cap + 1}, 1, 1\) rows needs {need} bytes, cap is {AUX_TABLE_BYTES_CAP}"
+        with pytest.raises(PmfError, match=message):
+            load_aux_channel(path, q)
 
     def test_missing_row_off_support_is_fine(self, tmp_path):
         q = JointPmf(np.array([[0.5, 0.5], [0.0, 0.0]]))

@@ -3,9 +3,10 @@ import pytest
 
 from dataclasses import fields
 
-from conftest import aux_with_copy_sides, near_tolerance_pair
+from conftest import aux_with_copy_sides, near_markov_channel, near_tolerance_pair
+from coordrate._simplexopt import ChannelStats, Source
 from coordrate.dsbs import dsbs_wyner_channel
-from coordrate.measures import binary_entropy, mutual_information
+from coordrate.measures import MARKOV_TOL, binary_entropy, conditional_mutual_information, mutual_information
 from coordrate.pmf import (
     JointPmf,
     PmfError,
@@ -13,6 +14,7 @@ from coordrate.pmf import (
     degenerate_channel,
     dsbs_joint,
 )
+from coordrate.simulate import SimulationError, derive_components
 from coordrate.region import (
     COEFFICIENTS,
     MEMBERSHIP_SLACK,
@@ -64,8 +66,33 @@ class TestMarkovQuadruple:
         full = compose(dsbs_joint(0.2), degenerate_channel(2, 2))
         ok, defect = check_markov_quadruple(full)
         assert not ok
-        # both factorization links are broken, each contributing I(X;Y)
-        assert defect == pytest.approx(2 * MI_02, abs=1e-12)
+        # both factorization links are broken, each equal to I(X;Y)
+        assert defect == pytest.approx(MI_02, abs=1e-12)
+
+
+class TestOneMarkovRule:
+    """The region, the simulator and the Wyner solver's terms decide a single-auxiliary channel alike."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.8, 0.99, 1.01, 1.2])
+    def test_same_verdict_and_defect(self, ratio):
+        q, ch = dsbs_joint(0.1), near_markov_channel(ratio)
+        full = compose(q, ch)
+        i_cond = ChannelStats(Source(q.probs, ch.card_u), ch.probs[None, :, :, :, 0, 0]).i_cond[0]
+        ok, defect = check_markov_quadruple(full)
+        # with constant U1 and U2 both links are I(X;Y|U), the quantity derive_components tests
+        assert defect == pytest.approx(ratio * MARKOV_TOL, rel=1e-6)
+        assert abs(defect - i_cond) <= 1e-15
+        assert abs(defect - conditional_mutual_information(full, ("x",), ("y",), ("u",))) <= 1e-15
+        accept = ratio < 1
+        assert ok is accept and bool(i_cond <= MARKOV_TOL) is accept
+        if accept:
+            assert achievable_bounds(q, ch).markov_defect == defect
+            derive_components(ch, q)
+        else:
+            with pytest.raises(PmfError, match=f"defect {defect:.3e} bits"):
+                achievable_bounds(q, ch)
+            with pytest.raises(SimulationError, match="X - U - Y"):
+                derive_components(ch, q)
 
 
 class TestAchievableBounds:

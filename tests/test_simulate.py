@@ -11,7 +11,7 @@ from numpy.random.bit_generator import ISeedSequence
 from conftest import near_tolerance_pair, processor_isolation
 from coordrate import _seeding, measures, simulate, wyner
 from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words, state_address
-from coordrate.dsbs import dsbs_wyner_channel, i_cond_closed_form, interpolated_channel
+from coordrate.dsbs import dsbs_wyner_channel, f_of_t, interpolated_channel
 from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
     Codebooks,
@@ -788,7 +788,7 @@ class TestMstarScarcity:
     def test_failure_rates_bracket_threshold(self):
         q = dsbs_joint(0.2)
         ch = interpolated_channel(0.2, 0.5)
-        icond = i_cond_closed_form(0.2, 0.5)
+        icond = f_of_t(0.2, 0.5).i_cond
         assert icond > 0.15
         common = dict(q=q, channel=ch, n=32, eps_typ=0.1, trials=120, max_markov_defect=1.0)
         starved = run_trials(SimConfig(rates=SimRates(1.0, 0.0, 0.5, 0.5), seed=3, **common))

@@ -174,6 +174,14 @@ class TestRateSolver:
         wyner_rows = _pad_rows(wyner_ci(q).channel.probs[:, :, :, 0, 0], nx * ny + 2)
         assert value <= ulsr_objective(q, AuxChannel.from_array(wyner_rows), form).value
 
+    @pytest.mark.parametrize("a", [1e-12, 5e-10, 0.5 - 5e-10])
+    def test_edge_crossovers_end_in_a_value(self, a):
+        # crossovers of the channel family outside the closed-form curve's
+        # range: the family's starts are built, and the answer is in its bracket
+        res = ulsr_rate(dsbs_joint(a))
+        assert res.diagnostics["structured_starts"] == 6
+        assert res.diagnostics["within_bracket"] is True
+
     def test_batch_guard(self):
         with pytest.raises(PmfError, match="ulsr_rate: 1000000000 restarts .* cap is 1073741824"):
             ulsr_rate(dsbs_joint(0.1), opts=SolverOptions(restarts=10**9))
