@@ -84,11 +84,15 @@ def _inverse_h(y):
     return 0.5 * (lo + hi)
 
 
-def _group_axes(group):
+def _group_axes(arg, group):
     if isinstance(group, str):
         group = (group,)
+    try:
+        names = list(group)
+    except TypeError as exc:
+        raise PmfError(f"mutual information: {arg} must be an axis name or a sequence of them, got {group!r}") from exc
     idx = []
-    for name in group:
+    for name in names:
         if name not in AXES:
             raise PmfError(f"unknown axis {name!r}; valid axes are {AXES}")
         idx.append(AXES.index(name))
@@ -113,7 +117,7 @@ def conditional_mutual_information(full, group_a, group_b, group_c):
     """I(A; B | C) for pairwise disjoint groups of named axes (C may be empty)."""
     if not isinstance(full, FullJoint):
         raise PmfError(f"mutual information needs a FullJoint, got {type(full).__name__}")
-    named = [(group, _group_axes(group)) for group in (group_a, group_b, group_c)]
+    named = [(g, _group_axes(arg, g)) for arg, g in zip(("group_a", "group_b", "group_c"), (group_a, group_b, group_c))]
     (_, a), (_, b), (_, c) = named
     if not a or not b:
         raise PmfError(f"mutual information needs nonempty groups A and B, got {group_a!r} and {group_b!r}")

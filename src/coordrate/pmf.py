@@ -44,8 +44,16 @@ def _is_real(value):
         return False
 
 
+def _float_array(value, who):
+    """``value`` as a float64 array; PmfError naming ``who`` when it is ragged or holds a non-number."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PmfError(f"{who} must be an array of real numbers: {exc}") from exc
+
+
 def _check_simplex(arr, what):
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = _float_array(arr, f"{what}: probs")
     if arr.size == 0:
         raise PmfError(f"{what}: empty probability table")
     if not np.all(np.isfinite(arr)):
@@ -107,7 +115,10 @@ class JointPmf:
             ("labels_y", self.labels_y, arr.shape[1]),
         ):
             if labels is not None:
-                labels = tuple(str(s) for s in labels)
+                try:
+                    labels = tuple(str(s) for s in labels)
+                except TypeError as exc:
+                    raise PmfError(f"JointPmf: {name} must be a sequence of symbol names, got {labels!r}") from exc
                 if len(labels) != size:
                     raise PmfError(f"JointPmf: {name} has {len(labels)} entries for axis of size {size}")
                 object.__setattr__(self, name, labels)
@@ -129,7 +140,7 @@ class AuxChannel:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
+        arr = _float_array(self.probs, "AuxChannel: probs")
         if arr.ndim == 3:
             arr = arr[:, :, :, None, None]
         if arr.ndim != 5 or arr.size == 0:
@@ -192,7 +203,7 @@ def dsbs_joint(a):
 
 def tv_distance(p, q):
     """Total variation distance: half the L1 difference of two same-shape pmfs."""
-    pa, qa = (obj.probs if hasattr(obj, "probs") else np.asarray(obj, dtype=np.float64) for obj in (p, q))
+    pa, qa = (_float_array(getattr(obj, "probs", obj), f"tv_distance: {name}") for name, obj in (("p", p), ("q", q)))
     if pa.shape != qa.shape:
         raise PmfError(f"tv_distance: shape mismatch {pa.shape} vs {qa.shape}")
     return 0.5 * float(np.abs(pa - qa).sum())
@@ -323,6 +334,8 @@ def load_aux_channel(path, q):
     needs a row, an omitted zero-mass cell gets the uniform row, and a row
     for a cell outside q's grid is ignored.  A table past ``AUX_TABLE_BYTES_CAP`` is refused unbuilt.
     """
+    if not isinstance(q, JointPmf):
+        raise PmfError(f"load_aux_channel: q must be a JointPmf, got {type(q).__name__}")
     doc = _read_json(path, "load_aux_channel")
     if not isinstance(doc, dict) or not isinstance(doc.get("cond"), dict):
         raise PmfError(f"load_aux_channel: cond in {path} must map 'x,y' keys to probability vectors")

@@ -57,8 +57,6 @@ BLOCK_BYTES_CAP = 2**30
 WORK_CAP = 2**32
 
 _W_STREAM, _U_STREAM, _X_STREAM, _Y_STREAM = 0, 1, 2, 3
-#: candidate rows the coordinator draws and tests before its first doubling
-_FIRST_CHUNK = 16
 #: most trials drawn and searched together; bounds the stream states held
 _SEED_CHUNK = 256
 #: cap on the bytes of the arrays one part of a search round holds, and on
@@ -143,8 +141,8 @@ class SimConfig:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
     def _row_bytes(self):
-        """Bytes of one row ``Codebooks.rows`` draws: 8 a symbol for 3 uniforms, 3 symbols and k gathered CDF entries."""
-        return 8 * (6 + max(self.q.shape)) * self.n
+        """Bytes a search row holds: 8 a symbol (3 uniforms, 3 symbols, k CDF entries), 24 a ``_typical_mask`` table cell."""
+        return 8 * (6 + max(self.q.shape)) * self.n + 24 * self.channel.card_u * self.q.probs.size
 
     def index_sizes(self):
         """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs.
@@ -269,6 +267,8 @@ class Codebooks:
     """
 
     def __init__(self, cfg):
+        if not isinstance(cfg, SimConfig):
+            raise SimulationError(f"Codebooks: cfg must be a SimConfig, got {type(cfg).__name__}")
         self.cfg = cfg
         self.target_uxy, self.p_u, self.p_x_given_u, self.p_y_given_u = _generation(
             compose(cfg.q, cfg.channel), cfg.max_markov_defect
@@ -343,14 +343,14 @@ def _search(books, table):
     """The coordinator's bin search for each trial (m01, m02, b1, b2) in the rows of ``table``.
 
     The trials search together in rounds: a round draws and tests rows
-    [tested, rows) of every trial still searching, the first 16 and then
-    doubling up to n*, in parts of trials whose arrays fit ``_ROUND_BYTES``
-    (a round ends early where one trial's rows would not fit), each part's
-    u, x and y rows from one ``Codebooks.rows`` call.  A trial's m* is its
-    first row typical within ``cfg.eps_typ``; with none, all rows are tested
-    once, m* falls back to 0 and the trial is flagged.  Returns (m_star,
-    failed, x, y), x and y the (trials, n) emitted codewords, read from the
-    rows the search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
+    [tested, rows) of every trial still searching, row 0 and then doubling
+    up to n*, in parts of trials whose ``cfg._row_bytes`` a row fit
+    ``_ROUND_BYTES`` (a round ends early where one trial's rows would not
+    fit), each part's u, x and y rows from one ``Codebooks.rows`` call.  A
+    trial's m* is its first row typical within ``cfg.eps_typ``; with none,
+    all rows are tested once, m* falls back to 0 and the trial is flagged.
+    Returns (m_star, failed, x, y), x and y the (trials, n) emitted codewords,
+    read from the rows the search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
     """
     n, nstar, eps_typ = books.cfg.n, books.nstar, books.cfg.eps_typ
     states = books.states(table)
@@ -358,7 +358,7 @@ def _search(books, table):
     x_out, y_out = np.empty((2, len(table), n), dtype=np.int64)
     cap = max(1, _ROUND_BYTES // books.cfg._row_bytes())  # rows one part of a round may hold
     live = np.arange(len(table))
-    tested, rows = 0, min(_FIRST_CHUNK, nstar, cap)
+    tested, rows = 0, 1
     while live.size and tested < nstar:
         step = max(1, cap // (rows - tested))
         for part in (live[i : i + step] for i in range(0, live.size, step)):
@@ -389,8 +389,6 @@ def run_trials(cfg):
     ``default_rng([seed, k, 0])`` per trial, and its bin searches run
     together (``_search``).
     """
-    if not isinstance(cfg, SimConfig):
-        raise SimulationError("run_trials: expected a SimConfig")
     books = Codebooks(cfg)
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)

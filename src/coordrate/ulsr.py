@@ -68,11 +68,19 @@ def _result(stats, row, channel, form):
     return UlsrResult(float(_form_value(i_cond, i_joint, form)), channel, i_cond, i_joint, form)
 
 
+def _check_form(who, form):
+    """``form`` as a UlsrForm, given as a member or its value."""
+    try:
+        return UlsrForm(form)
+    except ValueError as exc:
+        raise PmfError(f"{who}: form must be a UlsrForm or one of {[f.value for f in UlsrForm]}, got {form!r}") from exc
+
+
 def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
     """Evaluate the chosen objective for one channel, no optimization."""
     if not isinstance(q, JointPmf) or not isinstance(ch, AuxChannel):
         raise PmfError("ulsr_objective: expected (JointPmf, AuxChannel)")
-    form = UlsrForm(form)
+    form = _check_form("ulsr_objective", form)
     if ch.probs.shape[:2] != q.shape or ch.card_u1 != 1 or ch.card_u2 != 1:
         raise PmfError("ulsr_objective: channel must be a single-auxiliary p(u|x,y) on the source's grid")
     return _result(so.ChannelStats(so.Source(q.probs, ch.card_u), ch.probs[None, :, :, :, 0, 0]), 0, ch, form)
@@ -138,7 +146,7 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     """
     if not isinstance(q, JointPmf):
         raise PmfError("ulsr_rate: expected a JointPmf")
-    form = UlsrForm(form)
+    form = _check_form("ulsr_rate", form)
     opts = so.options("ulsr_rate", opts)
     nx, ny = q.shape
     card_u = nx * ny + 2

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import aux_with_copy_sides, near_tolerance_pair
 from coordrate.dsbs import dsbs_wyner_channel
+from coordrate.measures import conditional_mutual_information
 from coordrate.pmf import (
     AUX_TABLE_BYTES_CAP,
     AuxChannel,
@@ -23,6 +24,8 @@ from coordrate.pmf import (
     save_joint_pmf,
     tv_distance,
 )
+from coordrate.simulate import Codebooks, SimulationError, run_trials
+from coordrate.ulsr import ulsr_objective, ulsr_rate
 
 
 class TestValidation:
@@ -60,6 +63,42 @@ class TestValidation:
         rows[1, 0] = rows[1, 1] = bad
         with pytest.raises(PmfError, match=r"row \(1, 0\)"):
             AuxChannel(rows)
+
+
+def _saved_channel(tmp_path):
+    path = tmp_path / "aux.json"
+    save_aux_channel(degenerate_channel(2, 2), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda _: JointPmf([[0.5, 0.5]], labels_x=5), PmfError, "JointPmf: labels_x must be a sequence"),
+        (lambda _: JointPmf([[0.5], [0.25, 0.25]]), PmfError, "JointPmf: probs must be an array of real numbers"),
+        (lambda _: AuxChannel([[[1.0]], [[0.5, 0.5]]]), PmfError, "AuxChannel: probs must be an array of real numbers"),
+        (
+            lambda _: conditional_mutual_information(compose(dsbs_joint(0.1), degenerate_channel(2, 2)), 5, "y", ()),
+            PmfError,
+            "group_a must be an axis name",
+        ),
+        (lambda path: load_aux_channel(_saved_channel(path), None), PmfError, "load_aux_channel: q must be a JointPmf"),
+        (lambda _: Codebooks(None), SimulationError, "Codebooks: cfg must be a SimConfig"),
+        (lambda _: run_trials(None), SimulationError, "Codebooks: cfg must be a SimConfig"),
+        (lambda _: ulsr_rate(dsbs_joint(0.1), form="x"), PmfError, "ulsr_rate: form must be a UlsrForm"),
+        (
+            lambda _: ulsr_objective(dsbs_joint(0.1), degenerate_channel(2, 2), form="x"),
+            PmfError,
+            "ulsr_objective: form must be a UlsrForm",
+        ),
+        (lambda _: tv_distance("ab", "ab"), PmfError, "tv_distance: p must be an array of real numbers"),
+    ],
+    ids=["labels", "ragged-joint", "ragged-channel", "axis-group", "aux-source", "codebooks", "run-trials",
+         "ulsr-rate-form", "ulsr-objective-form", "tv-strings"],
+)
+def test_library_calls_refuse_bad_arguments_with_typed_errors(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
 
 
 class TestDsbsJoint:

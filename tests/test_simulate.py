@@ -12,7 +12,7 @@ from conftest import near_tolerance_pair, processor_isolation
 from coordrate import _seeding, measures, simulate, wyner
 from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words, state_address
 from coordrate.dsbs import dsbs_wyner_channel, f_of_t, interpolated_channel
-from coordrate.pmf import JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
+from coordrate.pmf import AuxChannel, JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
     Codebooks,
     SimConfig,
@@ -265,6 +265,27 @@ class TestCodebooks:
         assert rep.trials_run == 50
         assert peak <= 2 * simulate._ROUND_BYTES + 256 * 1024
 
+    def test_search_parts_count_the_typicality_table(self):
+        # a row is counted in a (card_u * |X| * |Y|) table of 24 bytes a cell,
+        # here 3.5 MB against the 256 KiB parts: a part holds one row, and a
+        # run holds a few copies of the 1.1 MB channel table, not one per row
+        q = np.zeros((60, 60))
+        q[0, 0] = 1.0
+        channel = AuxChannel(np.full((60, 60, 40), 1 / 40))
+
+        def cfg(trials):
+            return SimConfig(q=JointPmf(q), channel=channel, n=8, rates=SimRates(1, 0.25, 0.5, 0.5), trials=trials)
+
+        run_trials(cfg(1))
+        tracemalloc.start()
+        try:
+            rep = run_trials(cfg(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.trials_run == 5
+        assert peak <= 8 * channel.probs.nbytes + 2 * simulate._ROUND_BYTES + 256 * 1024
+
     def test_work_guard_boundary(self):
         # at n = 32 and n* = 2^20 a failed search tests 2^25 symbols, so 128
         # trials reach WORK_CAP = 2^32 exactly and 129 pass it
@@ -282,10 +303,11 @@ class TestCodebooks:
 
     def test_search_row_bytes_guard(self):
         # one search row plus one trial's emitted rows take 80 * n bytes on
-        # binary alphabets: 640 MiB at n = 2^23, 1.25 GiB at n = 2^24
+        # binary alphabets and 24 bytes for each of the 8 cells of the (u, x, y)
+        # table the row is counted in: 640 MiB at n = 2^23, 1.25 GiB at n = 2^24
         dsbs_cfg(n=2**23, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0).index_sizes()
         cfg = dsbs_cfg(n=2**24, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
-        match = r"one search row and one trial's emitted rows at n = 16777216 need 1342177280 bytes, cap is 1073741824"
+        match = r"one search row and one trial's emitted rows at n = 16777216 need 1342177472 bytes, cap is 1073741824"
         with pytest.raises(SimulationError, match=match):
             cfg.index_sizes()
         with pytest.raises(SimulationError, match=match):
@@ -305,11 +327,11 @@ class TestCodebooks:
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         run_trials(cfg)
         trials = reference_trials(cfg)
-        # rounds end at rows 16, 32, 64 and 85; a failed search draws them all
-        ends = [
-            85 if failed else next(e for e in (16, 32, 64, 85) if e > m_star) for _, m_star, failed, _, _ in trials
-        ]
-        assert set(ends) == {16, 32, 64, 85} and any(failed for _, _, failed, _, _ in trials)
+        # rounds end at rows 1, 2, 4, ..., 64 and 85; a failed search draws them all,
+        # and the m* of these trials lie past row 7
+        round_ends = (1, 2, 4, 8, 16, 32, 64, 85)
+        ends = [85 if failed else next(e for e in round_ends if e > m_star) for _, m_star, failed, _, _ in trials]
+        assert set(ends) == {8, 16, 32, 64, 85} and any(failed for _, _, failed, _, _ in trials)
         for stream, cols in ((1, [0, 1]), (2, [0, 1, 2]), (3, [0, 1, 3])):
             expect = []
             for (key, *_), end in zip(trials, ends):
@@ -608,8 +630,9 @@ class TestSeedStreams:
         if round_bytes is not None:
             monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes)
         trials = reference_trials(cfg)
-        if cfg.index_sizes()[1] > 2 * simulate._FIRST_CHUNK:
-            assert any(m_star > 2 * simulate._FIRST_CHUNK for _, m_star, _, _, _ in trials)
+        # an m* past row 32 is found in the seventh round, [32, 64), or later
+        if cfg.index_sizes()[1] > 32:
+            assert any(m_star > 32 for _, m_star, _, _, _ in trials)
             assert 0 < sum(failed for _, _, failed, _, _ in trials) < cfg.trials
         counts, failures = np.zeros((2, 2), dtype=np.int64), 0
         for _, _, failed, x, y in trials:
@@ -747,10 +770,10 @@ class TestCoordinatorAndProcessors:
         monkeypatch.setattr(simulate, "_typical_mask", recording_mask)
         m_star, failed, _, _ = _search(books, KEY)
         assert (m_star[0], failed[0]) == (0, True)
-        assert [len(t) for t in tested] == [16, 16, 32, 21]
+        assert [len(t) for t in tested] == [1, 1, 2, 4, 8, 16, 32, 21]
         assert np.array_equal(np.concatenate(tested), blocks(Codebooks(cfg), KEY)[0][0])
 
-    def test_early_hit_draws_first_chunk_only(self, monkeypatch):
+    def test_early_hit_draws_first_round_only(self, monkeypatch):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=0.2)
         books = Codebooks(cfg)
         sampled = []
@@ -762,8 +785,8 @@ class TestCoordinatorAndProcessors:
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         m_star, failed, _, _ = _search(books, KEY)
         assert (m_star[0], failed[0]) == (0, False)
-        # u, x and y draw their first 16 rows once; the emitted rows are read from them
-        assert sampled == [16, 16, 16] and books.nstar == 85
+        # u, x and y draw their row 0 once; the emitted rows are read from it
+        assert sampled == [1, 1, 1] and books.nstar == 85
 
     def test_failure_flag_and_fallback(self):
         # an impossible tolerance forces the flagged first-candidate fallback

@@ -236,11 +236,14 @@ class TestRateSolver:
         assert in_achievable_region(q, aux, RateTriple(res.value + 1e-9, L, L))
 
     def test_strict_improvement_both_sources(self):
+        crossovers = (0.05, 0.1, 0.2, 0.3, 0.4)
+        values = {(form, a): ulsr_rate(dsbs_joint(a), form, FAST).value for form in UlsrForm for a in crossovers}
         for a in (0.1, 0.2):
             q = dsbs_joint(a)
-            res = ulsr_rate(q, UlsrForm.MAX_AVG, FAST)
             w = wyner_ci(q, card_u=2, opts=FAST)
             ixy = mutual_information(compose(q, degenerate_channel(2, 2)), ("x",), ("y",))
-            assert res.value < min(0.5 * w.value, ixy) - 0.01
-            # and it lands at the interpolated family's own minimum
-            assert res.value <= f_of_t(a, t_star(a)).f + 1e-3
+            assert values[UlsrForm.MAX_AVG, a] < min(0.5 * w.value, ixy) - 0.01
+        # and both forms land at the interpolated family's own minimum, a sharp
+        # oracle: the largest gap, MAX_PAIR's at a = 0.05, is 7.3e-8
+        for (form, a), value in values.items():
+            assert value <= f_of_t(a, t_star(a)).f + 1e-6, (form, a, value)
