@@ -167,20 +167,20 @@ def best_row(values, residuals, batch):
     return int(min(range(batch.shape[0]), key=lambda r: (values[r], residuals[r], batch[r].tobytes())))
 
 
-def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
+def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     """Minimize per-restart objectives by exponentiated-gradient descent.
 
     objective_and_grad(stats) must return (values, coef) with shapes (restarts,)
     and (2, restarts): each row's objective and the weights of its
-    gradient on ``stats.g_joint`` and ``stats.g_cond``.  A step is
-    accepted only if it does not raise the objective, so a restart's
-    accepted row is the best iterate it has seen, subgradient steps on a
-    kinked objective included.  Each restart stops once the objective
-    change per iteration drops below ``tol`` (or at ``max_iters``) and is
-    then frozen: its row is written to the output and dropped from the
-    working arrays, so each iteration evaluates only the live restarts.
-    Restarts never interact, so the result is identical to running them
-    one at a time.
+    gradient on ``stats.g_joint`` and ``stats.g_cond``.  Steps start at
+    ``STEP0``; one is accepted, row by row, only if it does not raise the
+    objective, so a restart's accepted row is the best iterate it has
+    seen, subgradient steps on a kinked objective included.  Each restart
+    stops once the objective change per iteration drops below ``tol`` (or
+    at ``max_iters``) and is then frozen: its row is written to the output
+    and dropped from the working arrays, so each iteration evaluates only
+    the live restarts.  Restarts never interact, so the result is
+    identical to running them one at a time.
 
     Returns (batch, stats, frozen_at); the stats describe the returned
     batch, and frozen_at[r] is the iteration at which restart r froze, 0 if
@@ -199,7 +199,7 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
     frozen_at = np.zeros(batch.shape[0], dtype=int)
     # working set: the live restarts and their row indices in the output
     rows = np.arange(batch.shape[0])
-    steps = np.full(rows.size, step0)
+    steps = np.full(rows.size, STEP0)
     small_streak = np.zeros(rows.size, dtype=int)
     for it in range(1, max_iters + 1):
         step = np.einsum("tr,tr...->r...", coef, g).reshape(rows.size, -1, nu) @ descent
@@ -216,9 +216,9 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
         new = ChannelStats(src, proposed)
         new_values, new_coef = objective_and_grad(new)
         # adaptive step: accept and grow on descent, shrink and stay
-        # otherwise; no step exceeds step0 * 8, so the cap binds only on growth
+        # otherwise; no step exceeds STEP0 * 8, so the cap binds only on growth
         accepted = new_values <= values
-        steps = np.minimum(steps * np.where(accepted, GROW, SHRINK), step0 * 8.0)
+        steps = np.minimum(steps * np.where(accepted, GROW, SHRINK), STEP0 * 8.0)
         # a run of sub-tol improvements is required before declaring
         # convergence; single tiny steps also occur while creeping past
         # saddle points and must not stop the descent.  An accepted step
@@ -226,14 +226,11 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol, step0):
         # leaves it
         small_streak = np.where(accepted, (small_streak + 1) * (values - new_values < tol), small_streak)
         converged = (small_streak >= STREAK) | (steps < 1e-14)
-        if accepted.all():
-            batch, values, g, coef = proposed, new_values, new.g, new_coef
-        else:
-            keep = accepted[:, None, None, None]
-            batch = np.where(keep, proposed, batch)
-            values = np.where(accepted, new_values, values)
-            g = np.where(keep, new.g, g)
-            coef = np.where(accepted, new_coef, coef)
+        keep = accepted[:, None, None, None]
+        batch = np.where(keep, proposed, batch)
+        values = np.where(accepted, new_values, values)
+        g = np.where(keep, new.g, g)
+        coef = np.where(accepted, new_coef, coef)
         if converged.any():
             done = rows[converged]
             out_batch[done], frozen_at[done] = batch[converged], it
@@ -261,7 +258,7 @@ def descend(q, card_u, starts, stages, opts, polish=None):
     for index, (kind, parameter, objective_and_grad) in enumerate(runs):
         if index < len(stages):
             batch = jitter_channels(batch, opts.seed, index)
-        batch, stats, frozen_at = eg_minimize(q, batch, objective_and_grad, opts.max_iters, opts.tol_objective, STEP0)
+        batch, stats, frozen_at = eg_minimize(q, batch, objective_and_grad, opts.max_iters, opts.tol_objective)
         records.append(stage_record(kind, parameter, frozen_at, opts.max_iters))
     return batch, stats, records
 

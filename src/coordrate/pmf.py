@@ -202,8 +202,11 @@ def dsbs_joint(a):
 
 
 def tv_distance(p, q):
-    """Total variation distance: half the L1 difference of two same-shape pmfs."""
+    """Total variation distance: half the L1 difference of two same-shape pmfs of finite entries."""
     pa, qa = (_float_array(getattr(obj, "probs", obj), f"tv_distance: {name}") for name, obj in (("p", p), ("q", q)))
+    for name, arr in (("p", pa), ("q", qa)):
+        if not np.isfinite(arr).all():
+            raise PmfError(f"tv_distance: {name} has a non-finite entry")
     if pa.shape != qa.shape:
         raise PmfError(f"tv_distance: shape mismatch {pa.shape} vs {qa.shape}")
     return 0.5 * float(np.abs(pa - qa).sum())

@@ -57,10 +57,8 @@ BLOCK_BYTES_CAP = 2**30
 WORK_CAP = 2**32
 
 _W_STREAM, _U_STREAM, _X_STREAM, _Y_STREAM = 0, 1, 2, 3
-#: most trials drawn and searched together; bounds the stream states held
-_SEED_CHUNK = 256
 #: cap on the bytes of the arrays one part of a search round holds, and on
-#: the emitted rows of one chunk of trials (at least one row or trial each)
+#: those one chunk of trials holds (at least one row or trial each)
 _ROUND_BYTES = 2**18
 
 
@@ -383,7 +381,7 @@ def run_trials(cfg):
     randomness (w1, w2) from the stream of ``default_rng([seed, k, 0])``.
     This estimates the induced per-letter distribution of a single code,
     the quantity the coordination criterion constrains.  Trials run in
-    chunks of ``_SEED_CHUNK``, fewer where their emitted rows would not fit
+    chunks, as many as their emitted rows, keys and stream states fit
     ``_ROUND_BYTES``.  A chunk's (m01, m02, b1, b2) are drawn in one array
     pass over its w streams (``draw_integers``), bit-identical to one
     ``default_rng([seed, k, 0])`` per trial, and its bin searches run
@@ -394,8 +392,9 @@ def run_trials(cfg):
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
     sizes = books.n01, books.nstar, books.nb1, books.nb2
-    # trials a chunk may hold: their emitted x and y rows take 16 bytes a symbol
-    chunk = max(1, min(_SEED_CHUNK, _ROUND_BYTES // (16 * cfg.n)))
+    # trials a chunk may hold: a trial's search holds its emitted x and y rows, 16 bytes a symbol,
+    # and 192 of keys, states and indices; hashing its states peaks at 704 (185 and 699 measured)
+    chunk = max(1, _ROUND_BYTES // max(16 * cfg.n + 192, 704))
     for start in range(0, cfg.trials, chunk):
         ks = np.arange(start, min(start + chunk, cfg.trials))
         keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))

@@ -1,22 +1,35 @@
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import coordrate
-from coordrate.cli import build_parser, dispatch
+from coordrate.cli import build_parser, dispatch, main
 from coordrate.dsbs import CURVE_POINTS_CAP, curve_csv_lines, dsbs_wyner_channel, f_of_t
-from coordrate.pmf import dsbs_joint, save_aux_channel, save_joint_pmf
+from coordrate.measures import source_info
+from coordrate.pmf import JointPmf, dsbs_joint, save_aux_channel, save_joint_pmf
+
+#: a 3 x 3 source with a zero-mass cell, whose gradients the solver kernel masks
+ZERO_MASS_3X3 = [[0.2, 0.1, 0.0], [0.05, 0.25, 0.1], [0.05, 0.05, 0.2]]
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = dispatch(argv, out, err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_python(*args):
+    """``python *args`` in a fresh process that imports coordrate from this checkout."""
+    src = str(pathlib.Path(coordrate.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +110,23 @@ class TestSolvers:
         assert code == 0
         assert 0.25 <= float(out) <= 0.300527573378146 + 1e-3
 
+    def test_ulsr_maxpair_value(self, files):
+        # the pair form lands in the same acceptance band [0.25, f(t*) + 1e-3]
+        code, out, err = run(["ulsr", "--dist", files["dist01"], "--form", "maxpair", "--restarts", "8"])
+        assert code == 0 and err == ""
+        assert 0.25 <= float(out) <= 0.300527573378146 + 1e-3
+
+    def test_solvers_on_a_zero_mass_cell(self, tmp_path):
+        # wyner lands in [I(X;Y), min(H(X), H(Y))] +- 1e-6; ulsr prints a finite value
+        dist = tmp_path / "zero.json"
+        dist.write_text(json.dumps({"pmf": ZERO_MASS_3X3}))
+        hx, hy, ixy = source_info(JointPmf(np.array(ZERO_MASS_3X3)))
+        code, out, err = run(["wyner", "--dist", str(dist), "--restarts", "8"])
+        assert code == 0 and err == ""
+        assert ixy - 1e-6 <= float(out) <= min(hx, hy) + 1e-6
+        code, out, err = run(["ulsr", "--dist", str(dist), "--restarts", "8"])
+        assert code == 0 and err == "" and math.isfinite(float(out))
+
     def test_ulsr_on_an_edge_crossover(self, tmp_path):
         # DSBS(5e-10): inside the channel family's range (0, 1/2), outside the closed-form curve's
         dist = tmp_path / "edge.json"
@@ -121,11 +151,23 @@ class TestSolvers:
         assert code == 1 and out == ""
         assert "tol_objective must be finite and > 0" in err
 
+    def test_zero_tolerance_is_validation_error(self, files):
+        # --tol is one of the flags both solvers share
+        code, out, err = run(["ulsr", "--dist", files["dist02"], "--tol", "0", "--restarts", "2"])
+        assert code == 1 and out == ""
+        assert "tol_objective must be finite and > 0, got 0.0" in err
+
     def test_wyner_on_a_one_row_source_is_zero(self, tmp_path):
         # X is constant, so C = 0; a value rounded below zero is reported as 0
         dist = tmp_path / "row.json"
         dist.write_text(json.dumps({"pmf": [[0.5, 0.5]]}))
         assert run(["wyner", "--dist", str(dist)]) == (0, "0\n", "")
+
+    def test_ulsr_on_a_one_row_source_is_zero(self, tmp_path):
+        # the top of its bracket [0, 0]
+        dist = tmp_path / "row.json"
+        dist.write_text(json.dumps({"pmf": [[0.5, 0.5]]}))
+        assert run(["ulsr", "--dist", str(dist)]) == (0, "0\n", "")
 
     def test_wyner_infeasible_exit_code(self, files):
         # with |U| = 1 the residual I(X;Y|U) is I(X;Y), about 0.278 bits
@@ -169,6 +211,15 @@ class TestDsbs:
         assert code == 1 and out == "" and not (tmp_path / "t.csv").exists()
         assert err.splitlines()[0] == "error: dsbs --tstar prints t* only; it takes neither --out nor --points"
         assert err.splitlines()[1].startswith("usage: coordrate")
+
+    def test_curve_of_201_points(self):
+        # a header and 201 rows of four finite values, t running from 0 to 1
+        code, out, err = run(["dsbs", "--a", "0.1", "--points", "201"])
+        lines = out.splitlines()
+        assert code == 0 and err == "" and lines[0] == "t,f,i_joint,i_cond"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (201, 4) and np.isfinite(rows).all()
+        assert rows[0, 0] == 0 and rows[-1, 0] == 1
 
     def test_default_points(self):
         code, out, _ = run(["dsbs", "--a", "0.1"])
@@ -290,6 +341,12 @@ class TestSimulate:
         assert 0.0 <= tv <= 1.0 and 0.0 <= fail <= 1.0
         assert run(args) == first
 
+    def test_two_word_seed_runs(self, files):
+        # 4294967301 = 2^32 + 5 keys the streams with two 32-bit words
+        code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
+                              "--n", "8", "--rates", "0.7,0.3,0.5,0.5", "--trials", "5", "--seed", "4294967301"])
+        assert code == 0 and err == "" and len(out.splitlines()) == 2
+
     def test_report_file(self, files):
         path = str(files["d"] / "report.json")
         code, out, _ = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
@@ -381,6 +438,31 @@ class TestSimulate:
         assert code == 1 and out == "" and "Traceback" not in err
         assert "= 4320133120 symbols tested when every search fails, cap is 4294967296" in err
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, its unit on Linux")
+    def test_wide_table_peak_rss(self, tmp_path):
+        # a 60 x 60 source with one cell of mass 1 and a one-row card_u = 500
+        # channel: each search row is counted in a 1.8M-cell (u, x, y) table,
+        # 43 MB at 24 bytes a cell, so a search part holds one row and the
+        # process, which reports its own peak, stays far under 300 MB
+        q = np.zeros((60, 60))
+        q[0, 0] = 1.0
+        dist, aux = tmp_path / "q60.json", tmp_path / "aux500.json"
+        dist.write_text(json.dumps({"pmf": q.tolist()}))
+        aux.write_text(json.dumps({"card_u": 500, "cond": {"0,0": [1 / 500] * 500}}))
+        child = (
+            "import resource, sys\n"
+            "from coordrate.cli import dispatch\n"
+            "code = dispatch(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_python("-c", child, "simulate", "--dist", str(dist), "--aux", str(aux), "--n", "8",
+                          "--rates", "1,0.25,0.5,0.5", "--trials", "5")
+        assert proc.returncode == 0, proc.stderr
+        tv, fail = (float(v) for v in proc.stdout.splitlines())
+        assert 0.0 <= tv <= 1.0 and 0.0 <= fail <= 1.0
+        assert int(proc.stderr) / 1024 < 300
+
 
 class TestMalformedFiles:
     """A malformed input file ends in exit 1 and one error line, never a traceback."""
@@ -401,13 +483,8 @@ class TestMalformedFiles:
         bad = tmp_path / "bad.json"
         bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         paths = {"--dist": files["dist02"], "--aux": files["aux02"], flag: str(bad)}
-        src = str(pathlib.Path(coordrate.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "coordrate.cli", "region", "check", "--rates", "1,1,1",
-             "--dist", paths["--dist"], "--aux", paths["--aux"]],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "coordrate.cli", "region", "check", "--rates", "1,1,1",
+                          "--dist", paths["--dist"], "--aux", paths["--aux"])
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: load_")
 
@@ -420,3 +497,13 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         code, _, err = run(["dsbs", "--a", "0.1", "--bogus"])
         assert code == 1
+
+
+@pytest.mark.parametrize("flag, code", [("--tstar", 0), ("--bogus", 1)], ids=["tstar", "unknown-flag"])
+def test_main_exits_with_dispatch_code(monkeypatch, capsys, flag, code):
+    # the console script's entry point: its argv in, dispatch's streams and code out
+    monkeypatch.setattr(sys, "argv", ["coordrate", "dsbs", "--a", "0.1", flag])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == code
+    assert capsys.readouterr() == run(["dsbs", "--a", "0.1", flag])[1:]

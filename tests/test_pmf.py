@@ -146,6 +146,16 @@ class TestTvDistance:
         with pytest.raises(PmfError):
             tv_distance(Pmf(np.array([1.0])), Pmf(np.array([0.5, 0.5])))
 
+    @pytest.mark.parametrize(
+        "p, q, name",
+        [(None, None, "p"), ([0.5, np.nan], [0.5, 0.5], "p"), ([0.5, 0.5], [np.inf, 0.5], "q")],
+        ids=["none", "nan", "inf"],
+    )
+    def test_non_finite_is_refused(self, p, q, name):
+        # numpy reads None as nan; a nan or inf entry would make the distance nan or inf
+        with pytest.raises(PmfError, match=f"tv_distance: {name} has a non-finite entry"):
+            tv_distance(p, q)
+
     def test_metric_properties_random(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):

@@ -28,7 +28,7 @@ class TestEgMinimize:
         # not leak into the stats returned with the batch
         q = dsbs_joint(0.1).probs
         batch = so.random_channels(2, 2, 6, 8, seed=0)
-        best, stats, _ = so.eg_minimize(q, batch, _max_avg_subgradient, 5, 1e-12, 8.0)
+        best, stats, _ = so.eg_minimize(q, batch, _max_avg_subgradient, 5, 1e-12)
         ref = so.ChannelStats(so.Source(q, best.shape[-1]), best)
         assert np.array_equal(stats.i_joint, ref.i_joint)
         assert np.array_equal(stats.i_cond, ref.i_cond)
@@ -46,9 +46,9 @@ class TestEgMinimize:
             proposed.append(_max_avg(stats))
             return _max_avg_subgradient(stats)
 
-        so.eg_minimize(q, batch[:1], recording, 60, 1e-12, 8.0)
+        so.eg_minimize(q, batch[:1], recording, 60, 1e-12)
         assert any(b > a for a, b in zip(proposed, proposed[1:]))
-        accepted = [_max_avg(so.eg_minimize(q, batch, _max_avg_subgradient, k, 1e-12, 8.0)[1]) for k in range(61)]
+        accepted = [_max_avg(so.eg_minimize(q, batch, _max_avg_subgradient, k, 1e-12)[1]) for k in range(61)]
         assert all(np.all(b <= a) for a, b in zip(accepted, accepted[1:]))
 
 
@@ -83,18 +83,18 @@ class TestCompaction:
     def test_batch_matches_separate_restarts(self, case):
         q, card_u, objective, max_iters = _RUNS[case]
         batch = so.random_channels(*q.shape, card_u, 6, seed=0)
-        best, stats, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9, 2.0)
+        best, stats, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9)
         values = objective(stats)[0]
         assert len(set(frozen_at.tolist())) > 1
         for r in range(batch.shape[0]):
-            one, one_stats, one_frozen = so.eg_minimize(q, batch[r : r + 1], objective, max_iters, 1e-9, 2.0)
+            one, one_stats, one_frozen = so.eg_minimize(q, batch[r : r + 1], objective, max_iters, 1e-9)
             assert np.array_equal(one[0], best[r]) and one_frozen[0] == frozen_at[r]
             for name in ("i_joint", "i_cond", "g_joint", "g_cond"):
                 assert np.array_equal(getattr(one_stats, name)[0], getattr(stats, name)[r])
             if frozen_at[r]:
                 # a frozen restart keeps its accepted state, never a rejected
                 # proposal, so it is no worse than one iteration earlier
-                before = so.eg_minimize(q, batch[r : r + 1], objective, frozen_at[r] - 1, 1e-9, 2.0)
+                before = so.eg_minimize(q, batch[r : r + 1], objective, frozen_at[r] - 1, 1e-9)
                 assert values[r] <= objective(before[1])[0][0]
 
     def test_frozen_rows_are_not_reevaluated(self, monkeypatch):
@@ -108,7 +108,7 @@ class TestCompaction:
         monkeypatch.setattr(so, "ChannelStats", CountingStats)
         q, card_u, objective, max_iters = _RUNS["streak"]
         batch = so.random_channels(*q.shape, card_u, 6, seed=0)
-        *_, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9, 2.0)
+        *_, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9)
         counted = list(rows)
         assert 0 < (frozen_at == 0).sum() < 6
         live = [int(((frozen_at == 0) | (frozen_at >= it)).sum()) for it in range(1, max_iters + 1)]
@@ -116,7 +116,7 @@ class TestCompaction:
         assert counted == [6, *live, 6]
         # each restart froze where it first converged: one iteration less leaves it live
         for r in np.flatnonzero(frozen_at):
-            *_, earlier = so.eg_minimize(q, batch, objective, frozen_at[r] - 1, 1e-9, 2.0)
+            *_, earlier = so.eg_minimize(q, batch, objective, frozen_at[r] - 1, 1e-9)
             assert earlier[r] == 0
 
 

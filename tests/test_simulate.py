@@ -18,7 +18,6 @@ from coordrate.simulate import (
     SimConfig,
     SimRates,
     SimulationError,
-    _SEED_CHUNK,
     _sample,
     _search,
     _typical_mask,
@@ -43,6 +42,11 @@ DEEP = dict(n=16, r0=0.6, r_star=0.4, eps=0.04)
 
 #: one trial row (m01, m02, b1, b2) of the hand-picked searches below
 KEY = np.array([(2, 0, 1, 3)])
+
+
+def chunk_trials(n):
+    """Trials ``run_trials`` holds in one chunk at block length ``n``: 16 bytes a symbol and 192 a trial, or 704."""
+    return simulate._ROUND_BYTES // max(16 * n + 192, 704)
 
 
 def blocks(books, table, start=0, stop=None):
@@ -625,10 +629,11 @@ class TestSeedStreams:
         ],
     )
     def test_run_trials_matches_per_block_generators(self, kwargs, round_bytes, monkeypatch):
-        # the streams of one default_rng per trial and per block, over three chunks
-        cfg = dsbs_cfg(trials=2 * _SEED_CHUNK + 1, **kwargs)
-        if round_bytes is not None:
-            monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes)
+        # the streams of one default_rng per trial and per block, over three
+        # chunks of 200 trials, or more, smaller chunks at the small parts
+        monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes or 200 * 704)
+        cfg = dsbs_cfg(trials=513, **kwargs)
+        assert cfg.trials > 2 * chunk_trials(cfg.n)
         trials = reference_trials(cfg)
         # an m* past row 32 is found in the seventh round, [32, 64), or later
         if cfg.index_sizes()[1] > 32:
@@ -654,20 +659,36 @@ class TestSeedStreams:
                 tracemalloc.stop()
 
         # warm the interpreter's and numpy's one-time caches first
-        run_trials(dsbs_cfg(n=32, trials=_SEED_CHUNK, seed=2, r0=I_JOINT_02 - 0.6, r_star=0.0))
-        assert peak(20 * _SEED_CHUNK) <= peak(_SEED_CHUNK) + 64 * 1024
+        chunk = chunk_trials(32)
+        run_trials(dsbs_cfg(n=32, trials=chunk, seed=2, r0=I_JOINT_02 - 0.6, r_star=0.0))
+        assert peak(20 * chunk) <= peak(chunk) + 64 * 1024
+
+    def test_short_blocks_run_in_capped_chunks(self):
+        # at n = 1 a chunk holds 372 trials: their stream states, hashed at
+        # 699 bytes a trial, fit the round cap, where a count of emitted rows
+        # alone would put 16384 trials in a chunk
+        kwargs = dict(n=1, seed=1, r0=I_JOINT_02 - 0.6, r_star=0.0)
+        run_trials(dsbs_cfg(trials=3, **kwargs))
+        tracemalloc.start()
+        try:
+            rep = run_trials(dsbs_cfg(trials=4000, **kwargs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.trials_run == 4000 and chunk_trials(1) == 372
+        assert peak <= 2 * simulate._ROUND_BYTES + 256 * 1024
 
     @pytest.mark.parametrize(
-        "trials, eps, failure_rate", [(8, 0.001, 1.0), (_SEED_CHUNK + 1, 0.1, 0.0)], ids=["failing", "full-chunk"]
+        "trials, eps, failure_rate", [(8, 0.001, 1.0), (257, 0.1, 0.0)], ids=["failing", "full-chunk"]
     )
     def test_long_blocks_run_in_capped_parts(self, trials, eps, failure_rate):
         # at n = 4096 one part of a search round holds one row of the 71-row
-        # blocks and a chunk holds 4 trials, whose emitted rows fit the round
+        # blocks and a chunk holds 3 trials, whose emitted rows fit the round
         # cap too; whole blocks would take 32 * 71 * n bytes and the emitted
-        # rows of a chunk of 256 trials 16 MiB
+        # rows of all 257 trials 16 MiB
         kwargs = dict(n=4096, seed=1, r0=0.001, r_star=0.0015, rt1=0.001, rt2=0.001)
         cfg = dsbs_cfg(trials=trials, eps=eps, **kwargs)
-        assert cfg.index_sizes()[1] == 71
+        assert cfg.index_sizes()[1] == 71 and chunk_trials(cfg.n) == 3
         run_trials(dsbs_cfg(trials=1, **kwargs))
         tracemalloc.start()
         try:
