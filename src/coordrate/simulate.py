@@ -23,11 +23,13 @@ the stream of numpy's ``default_rng([seed, 0, stream, *indices])``, which
 keeps memory flat while preserving the i.i.d. codebook statistics and
 exact reproducibility.  The shared randomness of a chunk of trials is
 drawn in one array pass (``_seeding.draw_integers``), bit-identical to one
-``default_rng([seed, k, 0])`` per trial k.  The trials of a chunk search
-their bins together, as arrays (``_search``), drawing each row once, the
-u, x and y rows of a search part in one ``Codebooks.rows`` call; a row's
-uniforms continue its block's stream from where the row begins, so the
-seeded results do not depend on how far a search went.
+``default_rng([seed, k, 0])`` per trial k.  The trials of a chunk are
+ordered by bin and search their bins together, as arrays (``_search``),
+drawing each row once, the u, x and y rows of a search part in one
+``Codebooks.rows`` call; the u block depends on the bin alone, so the
+trials of one bin in a part share its u rows.  A row's uniforms continue
+its block's stream from where the row begins, so the seeded results do
+not depend on how far a search went or how the trials were grouped.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -258,10 +260,11 @@ class Codebooks:
     the block's stream advanced to where row ``start`` begins, so any range
     equals the same rows of a full draw.  Every block is drawn from one
     reused generator, which makes one ``Codebooks`` the property of one
-    thread: a block's ``_srandom`` row is copied into the generator's PCG64
-    (state, inc), 32 bytes at the address numpy's ``pcg64_state`` points to
-    (``_seeding.state_address``, which checks that layout once per process
-    and raises ``StateLayoutError`` on a mismatch).
+    thread: a block's ``_srandom`` row is written into the generator's
+    PCG64 (state, inc) through a memoryview over the 32 bytes at the
+    address numpy's ``pcg64_state`` points to, built once from
+    ``_seeding.state_address``, which checks that layout once per process
+    and raises ``StateLayoutError`` on a mismatch.
     """
 
     def __init__(self, cfg):
@@ -278,9 +281,9 @@ class Codebooks:
         self._cum = tuple(np.cumsum(p, axis=-1) for p in (self.p_u.probs, self.p_x_given_u, self.p_y_given_u))
         for cum in self._cum:
             cum[..., -1] = 1.0
-        #: the generator every block is drawn from, and the address of its PCG64 (state, inc)
+        #: the generator every block is drawn from, and its PCG64 (state, inc) as 32 writable bytes
         self._gen = np.random.Generator(np.random.PCG64(0))
-        self._address = state_address(self._gen)
+        self._state = memoryview((ctypes.c_char * 32).from_address(state_address(self._gen))).cast("B")
 
     def states(self, table):
         """(3, trials, 4) ``_srandom`` rows of the u, x and y blocks of the trial rows (m01, m02, b1, b2) of ``table``."""
@@ -298,6 +301,8 @@ class Codebooks:
     def rows(self, states, start, stop):
         """Rows [start, stop) of the u, x and y blocks of a ``states`` table: three (blocks, stop - start, n) arrays.
 
+        Adjacent blocks with equal u states share one u stream, so each run
+        of them draws its u rows once and every block of the run reads them.
         x and y symbols are drawn from p(.|u) per symbol of the u rows.
         """
         n, gen = self.cfg.n, self._gen
@@ -306,19 +311,27 @@ class Codebooks:
         states = np.ascontiguousarray(states, dtype=np.uint64)
         if states.ndim != 3 or states.shape[0] != 3 or states.shape[2] != 4:
             raise SimulationError(f"Codebooks.rows: states must be (3, blocks, 4) _srandom rows, got shape {states.shape}")
-        uniforms = np.empty((*states.shape[:2], stop - start, n))
-        row = states.ctypes.data
-        for out in uniforms.reshape(-1, stop - start, n):
+        blocks = states.shape[1]
+        first = np.ones(blocks, dtype=bool)  # where each run of equal u states begins
+        first[1:] = (states[0, 1:] != states[0, :-1]).any(axis=1)
+        runs = int(first.sum())
+        if runs < blocks:
+            states = np.concatenate((states[0, first], states[1:].reshape(-1, 4)))
+        uniforms = np.empty((runs + 2 * blocks, stop - start, n))
+        words = memoryview(states).cast("B")
+        for i, out in enumerate(uniforms):
             # the whole (state, inc) is written, so nothing carries over from the
             # last block; has_uint32 stays as it was: random and advance never set it
-            ctypes.memmove(self._address, row, 32)
-            row += 32
+            self._state[:] = words[32 * i : 32 * i + 32]
             if start:
                 gen.bit_generator.advance(start * n)
             gen.random(out=out)
         cum_u, cum_x, cum_y = self._cum
-        u = _sample(cum_u, uniforms[0])
-        return u, _sample(np.take(cum_x, u, axis=0), uniforms[1]), _sample(np.take(cum_y, u, axis=0), uniforms[2])
+        u = _sample(cum_u, uniforms[:runs])
+        if runs < blocks:
+            u = u[np.cumsum(first) - 1]  # the runs' rows are freed here, so the part holds no more than _row_bytes counts
+        x = _sample(np.take(cum_x, u, axis=0), uniforms[runs : runs + blocks])
+        return u, x, _sample(np.take(cum_y, u, axis=0), uniforms[runs + blocks :])
 
 
 def _typical_mask(ub, xb, yb, p, eps_typ):
@@ -384,8 +397,10 @@ def run_trials(cfg):
     chunks, as many as their emitted rows, keys and stream states fit
     ``_ROUND_BYTES``.  A chunk's (m01, m02, b1, b2) are drawn in one array
     pass over its w streams (``draw_integers``), bit-identical to one
-    ``default_rng([seed, k, 0])`` per trial, and its bin searches run
-    together (``_search``).
+    ``default_rng([seed, k, 0])`` per trial, ordered by bin
+    m01 * n01 + m02 (stable), so that the trials of one bin share their
+    u draws, and its bin searches run together (``_search``); the counts
+    and failures pool over trials, so the order does not change the report.
     """
     books = Codebooks(cfg)
     nx, ny = cfg.q.shape
@@ -400,6 +415,8 @@ def run_trials(cfg):
         keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
         # each trial's (m01, m02, b1, b2), as integers(size) per index on its w stream draws them
         table = draw_integers(keys, books.bounds)
+        # ordered by bin, so the trials of one bin share their u draws; the counts pool over trials
+        table = table[np.argsort(table[:, 0] * books.n01 + table[:, 1], kind="stable")]
         _, failed, x, y = _search(books, table)
         x *= ny
         x += y  # each pair's cell index, in place

@@ -54,33 +54,51 @@ def blocks(books, table, start=0, stop=None):
     return books.rows(books.states(table), start, books.nstar if stop is None else stop)
 
 
+def reference_blocks(cfg):
+    """A function giving the full u, x and y blocks of a trial row (m01, m02, b1, b2) of ``cfg``.
+
+    Each block is drawn from its own default_rng and sampled as the number
+    of CDF entries at or below each uniform, by argmax.
+    """
+    p_u, p_x_u, p_y_u = derive_components(cfg.channel, cfg.q, cfg.max_markov_defect)
+    cum_u, cum_x, cum_y = (np.cumsum(p, axis=-1) for p in (p_u.probs, p_x_u, p_y_u))
+    for cum in (cum_u, cum_x, cum_y):
+        cum[..., -1] = 1.0
+    nstar = cfg.index_sizes()[1]
+
+    def block(stream, idx, table):
+        uniforms = np.random.default_rng([cfg.seed, 0, stream, *idx]).random((nstar, cfg.n))
+        return (uniforms[..., None] < table).argmax(-1)
+
+    def draw(key):
+        m01, m02, b1, b2 = (int(k) for k in key)
+        u = block(1, (m01, m02), cum_u)
+        return u, block(2, (m01, m02, b1), cum_x[u]), block(3, (m01, m02, b2), cum_y[u])
+
+    return draw
+
+
+def reference_search(cfg, key):
+    """(m_star, failed, x, y) of the bin search of trial row ``key``, every row of its blocks tested at once."""
+    target = compose(cfg.q, cfg.channel).probs[:, :, :, 0, 0].transpose(2, 0, 1)
+    u, x, y = reference_blocks(cfg)(key)
+    mask = _typical_mask(u, x, y, target, cfg.eps_typ)
+    m_star = int(mask.argmax())
+    return m_star, not mask.any(), x[m_star], y[m_star]
+
+
 def reference_trials(cfg):
     """Each trial of ``cfg`` from one default_rng per trial and per block.
 
     Every block is drawn in full and all its rows are tested at once.
     Returns a list of ((m01, m02, b1, b2), m_star, failed, x, y).
     """
-    p_u, p_x_u, p_y_u = derive_components(cfg.channel, cfg.q, cfg.max_markov_defect)
-    target = compose(cfg.q, cfg.channel).probs[:, :, :, 0, 0].transpose(2, 0, 1)
-    cum_u, cum_x, cum_y = (np.cumsum(p, axis=-1) for p in (p_u.probs, p_x_u, p_y_u))
-    for cum in (cum_u, cum_x, cum_y):
-        cum[..., -1] = 1.0
     n01, nstar, nb1, nb2 = cfg.index_sizes()
-
-    def block(stream, idx, table):
-        uniforms = np.random.default_rng([cfg.seed, 0, stream, *idx]).random((nstar, cfg.n))
-        return (uniforms[..., None] < table).argmax(-1)
-
     out = []
     for k in range(cfg.trials):
         rng_w = np.random.default_rng([cfg.seed, k, 0])
-        m01, m02, b1, b2 = (int(rng_w.integers(size)) for size in (n01, n01, nb1, nb2))
-        u = block(1, (m01, m02), cum_u)
-        x = block(2, (m01, m02, b1), cum_x[u])
-        y = block(3, (m01, m02, b2), cum_y[u])
-        mask = _typical_mask(u, x, y, target, cfg.eps_typ)
-        m_star = int(mask.argmax())
-        out.append(((m01, m02, b1, b2), m_star, not mask.any(), x[m_star], y[m_star]))
+        key = tuple(int(rng_w.integers(size)) for size in (n01, n01, nb1, nb2))
+        out.append((key, *reference_search(cfg, key)))
     return out
 
 
@@ -318,9 +336,12 @@ class TestCodebooks:
             Codebooks(cfg)
 
     def test_each_block_drawn_once_per_trial(self, monkeypatch):
-        # a run draws each row of a trial's u, x and y blocks once, up to the
-        # end of the round that found m* (all n* rows on a failure), and
-        # emits from those rows without drawing again
+        # a run draws each row of a trial's x and y blocks once, up to the end
+        # of the round that found m* (all n* rows on a failure), and each row
+        # of a u block once per run of its bin in a part, and emits from those
+        # rows without drawing again; parts of 3449 rows hold each round whole,
+        # so a round draws its u rows once per bin its live trials hold
+        monkeypatch.setattr(simulate, "_ROUND_BYTES", 2**22)
         cfg = dsbs_cfg(trials=60, seed=4, **DEEP)
         uniforms = []
 
@@ -336,14 +357,22 @@ class TestCodebooks:
         round_ends = (1, 2, 4, 8, 16, 32, 64, 85)
         ends = [85 if failed else next(e for e in round_ends if e > m_star) for _, m_star, failed, _, _ in trials]
         assert set(ends) == {8, 16, 32, 64, 85} and any(failed for _, _, failed, _, _ in trials)
+        # u, x and y draws alternate, one each per part, one part per round
+        assert len(uniforms) == 3 * len(round_ends)
         for stream, cols in ((1, [0, 1]), (2, [0, 1, 2]), (3, [0, 1, 3])):
             expect = []
-            for (key, *_), end in zip(trials, ends):
-                rng = np.random.default_rng([cfg.seed, 0, stream, *(key[c] for c in cols)])
-                expect.extend(rng.random((end, cfg.n)))
-            # u, x and y draws alternate, one each per part of a round
+            for begin, end in zip((0, *round_ends), round_ends):
+                keys = [tuple(key[c] for c in cols) for (key, *_), last in zip(trials, ends) if last >= end]
+                if stream == 1:
+                    keys = set(keys)
+                for key in keys:
+                    rng = np.random.default_rng([cfg.seed, 0, stream, *key])
+                    rng.bit_generator.advance(begin * cfg.n)
+                    expect.extend(rng.random((end - begin, cfg.n)))
             drawn = np.concatenate(uniforms[stream - 1 :: 3])
             assert sorted(r.tobytes() for r in drawn) == sorted(r.tobytes() for r in expect)
+        # two bins hold two trials each, live in every round, so u draws 2 * 85 rows fewer than x
+        assert sum(map(len, uniforms[::3])) == sum(map(len, uniforms[1::3])) - 2 * 85
 
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 33, 85])
     def test_prefix_rows_match_full_block(self, rows):
@@ -502,14 +531,14 @@ class TestSeedStreams:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_keyed_entropy())
     def test_matches_default_rng(self, case):
-        # each key's state, copied into a reused generator as Codebooks.rows
-        # copies it, seeds the stream of default_rng on that key
+        # each key's state, written into a reused generator as Codebooks.rows
+        # writes it, seeds the stream of default_rng on that key
         prefix, tails = case
         states = _srandom(seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1)))
         gen = np.random.Generator(np.random.PCG64())
-        address = state_address(gen)
+        view = memoryview((ctypes.c_char * 32).from_address(state_address(gen))).cast("B")
         for tail, row in zip(tails, states):
-            ctypes.memmove(address, row.ctypes.data, 32)
+            view[:] = row.tobytes()
             expect = np.random.default_rng([*prefix, *tail])
             assert gen.bit_generator.state == expect.bit_generator.state
             assert gen.random() == expect.random()
@@ -575,6 +604,78 @@ class TestSeedStreams:
         for start, stop in ((0, books.nstar), (17, 40)):
             drawn = books.rows(lone, start, stop)[stream - 1]
             assert np.array_equal(blocks(books, table, start, stop)[stream - 1][1], drawn[0]), name
+
+    @pytest.mark.parametrize(
+        "table, runs",
+        [
+            pytest.param([(1, 3, 0, 2), (1, 3, 5, 7), (1, 3, 0, 9), (2, 0, 1, 3)], 2, id="adjacent"),
+            pytest.param([(1, 3, 0, 2), (2, 0, 1, 3), (1, 3, 5, 7), (2, 0, 4, 4)], 4, id="non-adjacent"),
+            pytest.param([(2, 0, 1, 3), (2, 0, 1, 3), (2, 0, 6, 0)], 1, id="all-equal"),
+            pytest.param([(1, 3, 0, 2), (2, 0, 1, 3), (0, 0, 0, 0)], 3, id="all-distinct"),
+        ],
+    )
+    @pytest.mark.parametrize("start, stop", [(0, 85), (0, 1), (17, 40)])
+    def test_repeated_bins_draw_the_same_rows(self, table, runs, start, stop, monkeypatch):
+        # each run of adjacent trials of one bin draws its u rows once, and
+        # every u, x and y row equals that of its block's own default_rng
+        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4)
+        books = Codebooks(cfg)
+        draws = []
+
+        def recording_sample(cum, uniforms):
+            draws.append(len(uniforms))
+            return _sample(cum, uniforms)
+
+        monkeypatch.setattr(simulate, "_sample", recording_sample)
+        u, x, y = blocks(books, table, start, stop)
+        assert draws == [runs, len(table), len(table)]
+        reference = reference_blocks(cfg)
+        for k, key in enumerate(table):
+            for drawn, block in zip((u[k], x[k], y[k]), reference(key)):
+                assert np.array_equal(drawn, block[start:stop]), (key, start)
+
+    @pytest.mark.parametrize("round_bytes", [None, 20 * 1024], ids=["parts", "small-parts"])
+    def test_search_results_follow_their_trials(self, round_bytes, monkeypatch):
+        # 60 trials in 4 bins search the same as each trial alone, in any
+        # order: random, by bin as run_trials orders them, and reversed
+        if round_bytes:
+            monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes)
+        cfg = dsbs_cfg(seed=4, **DEEP)
+        books = Codebooks(cfg)
+        rng = np.random.default_rng(5)
+        table = np.column_stack((rng.integers(2, size=(60, 2)), rng.integers(books.nb1, size=(60, 2))))
+        base = _search(books, table)
+        expect = [reference_search(cfg, key) for key in table]
+        assert 0 < sum(failed for _, failed, _, _ in expect) < 60
+        for k, (m_star, failed, x, y) in enumerate(expect):
+            assert (base[0][k], base[1][k]) == (m_star, failed)
+            assert np.array_equal(base[2][k], x) and np.array_equal(base[3][k], y)
+        for order in (np.argsort(table[:, 0] * books.n01 + table[:, 1], kind="stable"), np.arange(60)[::-1]):
+            for got, want in zip(_search(books, table[order]), base):
+                assert np.array_equal(got, want[order])
+
+    def test_shared_u_rows_hold_no_more_than_distinct_ones(self):
+        # a part whose trials share u blocks draws fewer uniforms and frees the
+        # runs' u rows once they are gathered, so it peaks no higher than a part
+        # of distinct blocks, which SimConfig._row_bytes counts
+        cfg = dsbs_cfg(n=256, r0=0.05, r_star=0.01, rt1=0.05, rt2=0.05)
+        books = Codebooks(cfg)
+        distinct = np.array([(k, 0, k, k) for k in range(40)])
+
+        def peak(runs):
+            table = distinct.copy()
+            table[runs:, :2] = table[runs - 1, :2]
+            states = books.states(table)
+            books.rows(states, 0, books.nstar)
+            tracemalloc.start()
+            try:
+                books.rows(states, 0, books.nstar)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (books.n01, books.nstar) == (85, 6)
+        assert max(peak(runs) for runs in (1, 2, 20, 39)) <= peak(40)
 
     @pytest.mark.parametrize("states", [np.zeros((2, 3)), np.zeros(4), np.zeros((1, 2, 4)), np.zeros((2, 2, 4))])
     def test_draw_refuses_states_of_another_shape(self, states):
