@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import json
 import tracemalloc
 
@@ -335,20 +336,29 @@ class TestCodebooks:
         with pytest.raises(SimulationError, match=match):
             Codebooks(cfg)
 
-    def test_each_block_drawn_once_per_trial(self, monkeypatch):
-        # a run draws each row of a trial's x and y blocks once, up to the end
-        # of the round that found m* (all n* rows on a failure), and each row
-        # of a u block once per run of its bin in a part, and emits from those
-        # rows without drawing again; parts of 3449 rows hold each round whole,
-        # so a round draws its u rows once per bin its live trials hold
-        monkeypatch.setattr(simulate, "_ROUND_BYTES", 2**22)
+    @staticmethod
+    def _draws_of_a_run(monkeypatch):
+        """The u, x and y uniforms each ``_sample`` call of a 60-trial run took
+        and the u states and rows [start, stop) of each ``Codebooks.rows`` call.
+
+        Asserts that the run draws each row of a trial's x and y blocks once,
+        up to the end of the round that found m* (all n* rows on a failure),
+        and each row of a u block once per run of its bin in a part, and
+        emits from those rows without drawing again.
+        """
         cfg = dsbs_cfg(trials=60, seed=4, **DEEP)
-        uniforms = []
+        uniforms, parts = [], []
+        rows = Codebooks.rows
+
+        def recording_rows(books, states, start, stop):
+            parts.append((np.array(states[0]), start, stop))
+            return rows(books, states, start, stop)
 
         def recording_sample(cum, u):
             uniforms.append(u.reshape(-1, cfg.n))
             return _sample(cum, u)
 
+        monkeypatch.setattr(Codebooks, "rows", recording_rows)
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         run_trials(cfg)
         trials = reference_trials(cfg)
@@ -357,21 +367,53 @@ class TestCodebooks:
         round_ends = (1, 2, 4, 8, 16, 32, 64, 85)
         ends = [85 if failed else next(e for e in round_ends if e > m_star) for _, m_star, failed, _, _ in trials]
         assert set(ends) == {8, 16, 32, 64, 85} and any(failed for _, _, failed, _, _ in trials)
-        # u, x and y draws alternate, one each per part, one part per round
-        assert len(uniforms) == 3 * len(round_ends)
-        for stream, cols in ((1, [0, 1]), (2, [0, 1, 2]), (3, [0, 1, 3])):
-            expect = []
-            for begin, end in zip((0, *round_ends), round_ends):
-                keys = [tuple(key[c] for c in cols) for (key, *_), last in zip(trials, ends) if last >= end]
-                if stream == 1:
-                    keys = set(keys)
-                for key in keys:
-                    rng = np.random.default_rng([cfg.seed, 0, stream, *key])
-                    rng.bit_generator.advance(begin * cfg.n)
-                    expect.extend(rng.random((end - begin, cfg.n)))
-            drawn = np.concatenate(uniforms[stream - 1 :: 3])
-            assert sorted(r.tobytes() for r in drawn) == sorted(r.tobytes() for r in expect)
-        # two bins hold two trials each, live in every round, so u draws 2 * 85 rows fewer than x
+        # u, x and y draws alternate, one each per part
+        assert len(uniforms) == 3 * len(parts)
+
+        def stream_rows(stream, key, start, stop):
+            rng = np.random.default_rng([cfg.seed, 0, stream, *key])
+            rng.bit_generator.advance(start * cfg.n)
+            return list(rng.random((stop - start, cfg.n)))
+
+        def multiset(rows):
+            return sorted(r.tobytes() for r in rows)
+
+        for stream, col in ((2, 2), (3, 3)):
+            expect = [r for (key, *_), end in zip(trials, ends) for r in stream_rows(stream, (*key[:2], key[col]), 0, end)]
+            assert multiset(np.concatenate(uniforms[stream - 1 :: 3])) == multiset(expect)
+        # a part draws its u rows once per run of adjacent trials of one bin
+        keys = np.array([key for key, *_ in trials])
+        bins = {state.tobytes(): tuple(key[:2]) for state, key in zip(Codebooks(cfg).states(keys)[0], keys)}
+        expect = [
+            r
+            for states, start, stop in parts
+            for key, _ in itertools.groupby(bins[state.tobytes()] for state in states)
+            for r in stream_rows(1, key, start, stop)
+        ]
+        drawn = np.concatenate(uniforms[::3])
+        assert multiset(drawn) == multiset(expect)
+        # and the parts of a round draw the rows of each bin its live trials hold
+        needed = {
+            r.tobytes()
+            for begin, end in zip((0, *round_ends), round_ends)
+            for key in {tuple(key[:2]) for (key, *_), last in zip(trials, ends) if last >= end}
+            for r in stream_rows(1, key, begin, end)
+        }
+        assert set(multiset(drawn)) == needed
+        return uniforms, parts
+
+    def test_each_block_drawn_once_per_trial(self, monkeypatch):
+        # parts hold 215 rows at n = 16, so the rounds from [4, 8) on split
+        # into parts, and a part draws only the bins of its own trials
+        _, parts = self._draws_of_a_run(monkeypatch)
+        assert len(parts) > 8
+
+    def test_whole_rounds_draw_each_bin_once(self, monkeypatch):
+        # parts of 3449 rows hold each of the 8 rounds whole; two bins hold two
+        # trials each, live in every round, so u draws 2 * 85 rows fewer than x
+        monkeypatch.setattr(simulate, "_ROUND_BYTES", 2**22)
+        uniforms, parts = self._draws_of_a_run(monkeypatch)
+        assert len(parts) == 8
         assert sum(map(len, uniforms[::3])) == sum(map(len, uniforms[1::3])) - 2 * 85
 
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 33, 85])
