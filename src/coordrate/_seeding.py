@@ -8,11 +8,12 @@ numpy uint32 arithmetic over a whole batch of keys, which costs about as
 much for a few hundred keys as for one.  The keys of a batch share a
 prefix of any nonnegative ints and end in rows of 32-bit entries, so every
 key has the same number of words.  ``_srandom`` then runs PCG64's seeding
-on the batch and gives each key's (state, inc) as four uint64 words, which
-a reused ``Generator(PCG64)`` takes with one 32-byte copy to the address
-``state_address`` finds.  That address and the word order are numpy's
-``pcg64_state`` internals, so the first call of ``state_address`` in a
-process checks them against the generator's ``state`` dict and
+on the batch and gives each key's (state, inc) as four uint64 words.
+``draw_uniforms`` draws from those states: it writes each row with one
+32-byte copy into the calling thread's ``Generator(PCG64)``, through a view
+of the (state, inc) that numpy's ``pcg64_state`` points to.  That pointer
+and the word order are numpy internals, which this module alone reads; a
+thread's first draw checks them against the generator's ``state`` dict and
 ``default_rng`` and raises ``StateLayoutError`` on a mismatch.  The
 streams are bit-identical to ``default_rng([*prefix, *row])``.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 
 import numpy as np
 
@@ -147,57 +149,64 @@ class StateLayoutError(RuntimeError):
     """numpy's PCG64 does not hold its state as the words of a ``_srandom`` row."""
 
 
-#: whether this process has checked numpy's PCG64 state layout
-_layout_checked = False
+def _check_layout(gen, view):
+    """Raise StateLayoutError unless a ``_srandom`` row written through ``view`` seeds ``gen`` as numpy would.
 
-
-def _read_words(address):
-    """The four uint64 words at ``address``, as ints."""
-    return list((ctypes.c_uint64 * 4).from_address(address))
-
-
-def _check_layout(gen, address):
-    """Raise StateLayoutError unless a ``_srandom`` row written to ``address`` seeds ``gen`` as numpy would.
-
-    The 32 bytes at ``address`` must read as ``gen``'s own (state, inc) in
-    a row's word order, which is checked before anything is written.  Then
-    one row is written and ``gen``'s next double must equal that of
-    ``default_rng`` on the row's key.  ``gen`` is left as it was found.
+    ``view`` is 32 writable bytes that must read as ``gen``'s own (state,
+    inc) in a row's word order, which is checked before anything is
+    written.  Then one row is written and ``gen``'s next double must equal
+    that of ``default_rng`` on the row's key.
     """
-    bits = gen.bit_generator
-    saved = bits.state
-    pcg = saved["state"]
+    pcg = gen.bit_generator.state["state"]
     expect = [pcg["state"] & _MASK64, pcg["state"] >> 64, pcg["inc"] & _MASK64, pcg["inc"] >> 64]
-    found = _read_words(address)
+    found = np.frombuffer(view, dtype=np.uint64).tolist()
     if found != expect:
         raise StateLayoutError(
             f"PCG64 state words read {found}, expected (state lo, state hi, inc lo, inc hi) = {expect}"
         )
     key = [_MASK32, 0, 1]
-    row = _srandom(seed_words((), [key]))
-    ctypes.memmove(address, row.ctypes.data, row.nbytes)
-    try:
-        drawn = gen.random()
-    finally:
-        bits.state = saved
-    expect_draw = np.random.default_rng(key).random()
+    view[:] = _srandom(seed_words((), [key])).tobytes()
+    drawn, expect_draw = gen.random(), np.random.default_rng(key).random()
     if drawn != expect_draw:
         raise StateLayoutError(f"PCG64 seeded by a written state drew {drawn!r}, default_rng drew {expect_draw!r}")
 
 
-def state_address(gen):
-    """Address of the 32 bytes holding the PCG64 (state, inc) of ``gen``, where a ``_srandom`` row may be written.
+#: each thread's generator and a writable view of its PCG64 (state, inc)
+_local = threading.local()
 
-    The first call in a process checks the layout (``_check_layout``) and
-    raises StateLayoutError on a mismatch; later calls skip the check.
+
+def _thread_generator():
+    """The calling thread's ``Generator(PCG64)`` and its (state, inc) as 32 writable bytes, built and checked on first use."""
+    try:
+        return _local.gen, _local.view
+    except AttributeError:
+        gen = np.random.Generator(np.random.PCG64(0))
+        # numpy's pcg64_state, whose first member points to the (state, inc) pair
+        address = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
+        view = memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
+        _check_layout(gen, view)
+        _local.gen, _local.view = gen, view
+        return gen, view
+
+
+def draw_uniforms(rows, skip, out):
+    """Fill each ``out[i]`` with what ``Generator.random`` draws from the stream of ``_srandom`` row ``rows[i]`` after ``skip`` raw outputs.
+
+    ``rows`` is a C-contiguous (len(out), 4) uint64 array.  Each row is
+    written whole into the calling thread's generator, so nothing carries
+    over from one row to the next, and ``has_uint32`` stays as it was:
+    ``random`` and ``advance`` never set it.  The thread's first draw checks
+    the state layout (``_check_layout``) and raises StateLayoutError on a
+    mismatch; a failed check keeps nothing, so the next draw checks again.
     """
-    global _layout_checked
-    # numpy's pcg64_state, whose first member points to the (state, inc) pair
-    address = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
-    if not _layout_checked:
-        _check_layout(gen, address)
-        _layout_checked = True
-    return address
+    gen, view = _thread_generator()
+    words = memoryview(rows).cast("B")
+    for i, block in enumerate(out):
+        view[:] = words[32 * i : 32 * i + 32]
+        if skip:
+            gen.bit_generator.advance(skip)
+        gen.random(out=block)
+    return out
 
 
 def _step(hi, lo, inc_hi, inc_lo):

@@ -15,21 +15,22 @@ accounting R = R0/2 + R*, R_i = Rt_i + R0/2.
 
 A run holds the codebooks fixed and varies only the shared-randomness
 draws across trials: the induced distribution being estimated is that of
-one concrete code, which is what makes insufficient rates measurable
-(too few codewords get reused and their sampling noise never averages
-out).  Codewords are never materialized as full tables: each codebook
-block is a deterministic function of (seed, code stream, indices) through
-the stream of numpy's ``default_rng([seed, 0, stream, *indices])``, which
-keeps memory flat while preserving the i.i.d. codebook statistics and
-exact reproducibility.  The shared randomness of a chunk of trials is
+one concrete code, which is what makes insufficient rates measurable (too
+few codewords get reused and their sampling noise never averages out).
+Codewords are never materialized as full tables: each codebook block is a
+deterministic function of (seed, code stream, indices) through the stream
+of numpy's ``default_rng([seed, 0, stream, *indices])``, which keeps
+memory flat while preserving the i.i.d. codebook statistics and exact
+reproducibility; blocks are drawn from the calling thread's generator, so
+threads may share one code.  The shared randomness of a chunk of trials is
 drawn in one array pass (``_seeding.draw_integers``), bit-identical to one
 ``default_rng([seed, k, 0])`` per trial k.  The trials of a chunk are
 ordered by bin and search their bins together, as arrays (``_search``),
 drawing each row once, the u, x and y rows of a search part in one
 ``Codebooks.rows`` call; the u block depends on the bin alone, so the
 trials of one bin in a part share its u rows.  A row's uniforms continue
-its block's stream from where the row begins, so the seeded results do
-not depend on how far a search went or how the trials were grouped.
+its block's stream from where the row begins, so the seeded results do not
+depend on how far a search went or how the trials were grouped.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -39,13 +40,12 @@ value is necessary for success.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._seeding import _srandom, draw_integers, seed_words, state_address
+from ._seeding import _srandom, draw_integers, draw_uniforms, seed_words
 from .measures import MARKOV_TOL, conditional_mutual_information
 from .pmf import AuxChannel, JointPmf, Pmf, _is_int, _is_real, _of_checked_factors, _write_json, compose, tv_distance
 
@@ -258,13 +258,8 @@ class Codebooks:
     is stored: ``states`` keys the u, x and y blocks of many trials in one
     table, and ``rows`` samples rows [start, stop) of all of them, each from
     the block's stream advanced to where row ``start`` begins, so any range
-    equals the same rows of a full draw.  Every block is drawn from one
-    reused generator, which makes one ``Codebooks`` the property of one
-    thread: a block's ``_srandom`` row is written into the generator's
-    PCG64 (state, inc) through a memoryview over the 32 bytes at the
-    address numpy's ``pcg64_state`` points to, built once from
-    ``_seeding.state_address``, which checks that layout once per process
-    and raises ``StateLayoutError`` on a mismatch.
+    equals the same rows of a full draw.  A ``Codebooks`` holds no generator
+    and nothing in it changes after construction, so threads may share one.
     """
 
     def __init__(self, cfg):
@@ -281,9 +276,6 @@ class Codebooks:
         self._cum = tuple(np.cumsum(p, axis=-1) for p in (self.p_u.probs, self.p_x_given_u, self.p_y_given_u))
         for cum in self._cum:
             cum[..., -1] = 1.0
-        #: the generator every block is drawn from, and its PCG64 (state, inc) as 32 writable bytes
-        self._gen = np.random.Generator(np.random.PCG64(0))
-        self._state = memoryview((ctypes.c_char * 32).from_address(state_address(self._gen))).cast("B")
 
     def states(self, table):
         """(3, trials, 4) ``_srandom`` rows of the u, x and y blocks of the trial rows (m01, m02, b1, b2) of ``table``."""
@@ -303,9 +295,12 @@ class Codebooks:
 
         Adjacent blocks with equal u states share one u stream, so each run
         of them draws its u rows once and every block of the run reads them.
-        x and y symbols are drawn from p(.|u) per symbol of the u rows.
+        x and y symbols are drawn from p(.|u) per symbol of the u rows.  The
+        uniforms come from the calling thread's generator
+        (``_seeding.draw_uniforms``), whose first draw checks numpy's PCG64
+        state layout and raises ``StateLayoutError`` on a mismatch.
         """
-        n, gen = self.cfg.n, self._gen
+        n = self.cfg.n
         if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= self.nstar):
             raise SimulationError(f"Codebooks.rows: need integers 0 <= start < stop <= {self.nstar}, got {start!r}, {stop!r}")
         states = np.ascontiguousarray(states, dtype=np.uint64)
@@ -317,15 +312,7 @@ class Codebooks:
         runs = int(first.sum())
         if runs < blocks:
             states = np.concatenate((states[0, first], states[1:].reshape(-1, 4)))
-        uniforms = np.empty((runs + 2 * blocks, stop - start, n))
-        words = memoryview(states).cast("B")
-        for i, out in enumerate(uniforms):
-            # the whole (state, inc) is written, so nothing carries over from the
-            # last block; has_uint32 stays as it was: random and advance never set it
-            self._state[:] = words[32 * i : 32 * i + 32]
-            if start:
-                gen.bit_generator.advance(start * n)
-            gen.random(out=out)
+        uniforms = draw_uniforms(states.reshape(-1, 4), start * n, np.empty((runs + 2 * blocks, stop - start, n)))
         cum_u, cum_x, cum_y = self._cum
         u = _sample(cum_u, uniforms[:runs])
         if runs < blocks:

@@ -1,7 +1,8 @@
-import ctypes
 import itertools
 import json
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from conftest import near_tolerance_pair, processor_isolation
 from coordrate import _seeding, measures, simulate, wyner
-from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words, state_address
+from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words
 from coordrate.dsbs import dsbs_wyner_channel, f_of_t, interpolated_channel
 from coordrate.pmf import AuxChannel, JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
@@ -441,6 +442,24 @@ class TestCodebooks:
         byhand = (uniforms[..., None] < cum).argmax(-1)
         assert np.array_equal(u, byhand)
 
+    def test_threads_may_share_codebooks(self):
+        # every thread draws from its own generator, so one code serves all
+        books = Codebooks(dsbs_cfg(n=32))
+        tables = [np.random.default_rng(k).integers(books.bounds, size=(3, 4)) for k in range(30)]
+        expect = [books.rows(books.states(t), 0, 4) for t in tables]
+        start = threading.Barrier(8, timeout=60)
+
+        def draws():
+            start.wait()
+            return [books.rows(books.states(t), 0, 4) for t in tables]
+
+        with ThreadPoolExecutor(8) as pool:
+            results = [future.result() for future in [pool.submit(draws) for _ in range(8)]]
+        for got in results:
+            assert len(got) == len(expect)
+            for rows, want in zip(got, expect):
+                assert all(np.array_equal(a, b) for a, b in zip(rows, want))
+
 
 #: probability masses with zero-mass symbols, which repeat CDF entries
 _MASS = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
@@ -525,46 +544,48 @@ def _steps_taken(gen, key):
     raise AssertionError("more than 64 raw outputs drawn")
 
 
+def _in_new_thread(fn):
+    """Run ``fn`` in a thread of its own, which has no generator yet, and raise what it raised."""
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(fn).result()
+
+
 class TestStateLayout:
-    """The once-per-process check of numpy's PCG64 state layout, which ``Codebooks.rows`` writes into."""
+    """The per-thread check of numpy's PCG64 state layout, which ``_seeding.draw_uniforms`` writes into."""
 
-    @pytest.fixture(autouse=True)
-    def unchecked(self, monkeypatch):
-        monkeypatch.setattr(_seeding, "_layout_checked", False)
-
-    @pytest.mark.parametrize(
-        "patch",
-        [
-            # the high word of each 128-bit value first, as emulated-128-bit builds store it
-            pytest.param(("_read_words", lambda read: lambda address: [read(address)[i] for i in (1, 0, 3, 2)]),
-                         id="bytes-read"),
-            # rows in that word order, which then disagree with the generator's own
-            pytest.param(("_srandom", lambda srandom: lambda words: srandom(words)[:, [1, 0, 3, 2]]),
-                         id="row-order"),
-        ],
-    )
-    def test_mismatch_raises_and_leaves_generator(self, monkeypatch, patch):
-        name, wrap = patch
-        monkeypatch.setattr(_seeding, name, wrap(getattr(_seeding, name)))
-        memmove, written = ctypes.memmove, []
-        monkeypatch.setattr(ctypes, "memmove", lambda *args: written.append(args) or memmove(*args))
+    def test_words_high_first_raise_before_writing(self):
+        # the high word of each 128-bit value first, as emulated-128-bit builds store it
         gen = np.random.Generator(np.random.PCG64(5))
-        before = gen.bit_generator.state
-        with pytest.raises(StateLayoutError):
-            state_address(gen)
-        assert gen.bit_generator.state == before
-        # a mismatch in the bytes read is caught before anything is written
-        assert written == [] if name == "_read_words" else len(written) == 1
-        assert not _seeding._layout_checked
-        with pytest.raises(StateLayoutError):
-            Codebooks(dsbs_cfg())
+        words = bytearray(np.array([_state_words(gen)[i] for i in (1, 0, 3, 2)], dtype=np.uint64).tobytes())
+        found = bytes(words)
+        with pytest.raises(StateLayoutError, match="state words read"):
+            _seeding._check_layout(gen, memoryview(words))
+        assert words == found
 
-    def test_check_runs_once_per_process(self, monkeypatch):
+    def test_row_order_mismatch_raises_on_every_draw(self, monkeypatch):
+        # rows in that word order, which then disagree with the generator's own
+        srandom = _seeding._srandom
+        monkeypatch.setattr(_seeding, "_srandom", lambda words: srandom(words)[:, [1, 0, 3, 2]])
+
+        def draw_twice():
+            # a failed check keeps no generator, so the second run checks again
+            for _ in range(2):
+                with pytest.raises(StateLayoutError, match="drew"):
+                    run_trials(dsbs_cfg())
+
+        _in_new_thread(draw_twice)
+
+    def test_check_runs_once_per_thread(self, monkeypatch):
         check, calls = _seeding._check_layout, []
-        monkeypatch.setattr(_seeding, "_check_layout", lambda gen, address: calls.append(address) or check(gen, address))
-        for seed in range(3):
-            Codebooks(dsbs_cfg(seed=seed))
-        assert len(calls) == 1 and _seeding._layout_checked
+        monkeypatch.setattr(_seeding, "_check_layout", lambda gen, view: calls.append(gen) or check(gen, view))
+
+        def three_codes():
+            for seed in range(3):
+                run_trials(dsbs_cfg(seed=seed))
+
+        for _ in range(2):
+            _in_new_thread(three_codes)
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 class TestSeedStreams:
@@ -573,12 +594,11 @@ class TestSeedStreams:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_keyed_entropy())
     def test_matches_default_rng(self, case):
-        # each key's state, written into a reused generator as Codebooks.rows
-        # writes it, seeds the stream of default_rng on that key
+        # each key's state, written into the thread's generator as
+        # draw_uniforms writes it, seeds the stream of default_rng on that key
         prefix, tails = case
         states = _srandom(seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1)))
-        gen = np.random.Generator(np.random.PCG64())
-        view = memoryview((ctypes.c_char * 32).from_address(state_address(gen))).cast("B")
+        gen, view = _seeding._thread_generator()
         for tail, row in zip(tails, states):
             view[:] = row.tobytes()
             expect = np.random.default_rng([*prefix, *tail])
