@@ -33,7 +33,7 @@ def table_entropy(arr):
 def entropy(p):
     """Entropy H(p) of a Pmf in bits."""
     if not isinstance(p, Pmf):
-        p = Pmf(np.asarray(p, dtype=np.float64))
+        p = Pmf(p)
     return table_entropy(p.probs)
 
 

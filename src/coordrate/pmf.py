@@ -221,11 +221,12 @@ def marginal(p, axes):
     """
     if isinstance(axes, str):
         axes = (axes,)
-    axes = tuple(axes)
+    try:
+        axes = tuple(axes)
+    except TypeError as exc:
+        raise PmfError(f"marginal: axes must be an axis name or a sequence of them, got {axes!r}") from exc
     if not axes:
         raise PmfError("marginal: empty axis set")
-    if len(set(axes)) != len(axes):
-        raise PmfError(f"marginal: duplicate axes in {axes}")
 
     if isinstance(p, JointPmf):
         valid = ("x", "y")
@@ -234,8 +235,10 @@ def marginal(p, axes):
     else:
         raise PmfError(f"marginal: expected JointPmf or FullJoint, got {type(p).__name__}")
     for name in axes:
-        if name not in valid:
+        if not (isinstance(name, str) and name in valid):
             raise PmfError(f"marginal: unknown axis {name!r} for {type(p).__name__}")
+    if len(set(axes)) != len(axes):
+        raise PmfError(f"marginal: duplicate axes in {axes}")
 
     keep = [valid.index(name) for name in axes]
     drop = tuple(i for i in range(len(valid)) if i not in keep)
@@ -266,6 +269,9 @@ def compose(q, aux):
 
 def degenerate_channel(nx, ny):
     """Trivial channel with a single auxiliary symbol on every cell."""
+    for name, size in (("nx", nx), ("ny", ny)):
+        if not (_is_int(size) and size >= 1):
+            raise PmfError(f"degenerate_channel: {name} must be an integer >= 1, got {size!r}")
     return AuxChannel(np.ones((nx, ny, 1, 1, 1)))
 
 
@@ -319,6 +325,8 @@ def load_joint_pmf(path):
 
 
 def save_joint_pmf(q, path):
+    if not isinstance(q, JointPmf):
+        raise PmfError(f"save_joint_pmf: q must be a JointPmf, got {type(q).__name__}")
     doc = {
         "alphabet_x": list(q.labels_x) if q.labels_x else [str(i) for i in range(q.shape[0])],
         "alphabet_y": list(q.labels_y) if q.labels_y else [str(i) for i in range(q.shape[1])],
@@ -376,6 +384,8 @@ def load_aux_channel(path, q):
 
 
 def save_aux_channel(aux, path):
+    if not isinstance(aux, AuxChannel):
+        raise PmfError(f"save_aux_channel: aux must be an AuxChannel, got {type(aux).__name__}")
     doc = {
         "card_u": aux.card_u,
         "card_u1": aux.card_u1,

@@ -159,7 +159,7 @@ class SimConfig:
             _index_size("b1", n, self.rates.rt1),
             _index_size("b2", n, self.rates.rt2),
         )
-        row_bytes = self._row_bytes() + 16 * n
+        row_bytes = self._row_bytes() + 8 * n
         if row_bytes > BLOCK_BYTES_CAP:
             raise SimulationError(
                 f"SimConfig: one search row and one trial's emitted rows at n = {n} "
@@ -321,17 +321,16 @@ class Codebooks:
         return u, x, _sample(np.take(cum_y, u, axis=0), uniforms[runs + blocks :])
 
 
-def _typical_mask(ub, xb, yb, p, eps_typ):
-    """Typicality of each candidate row triple of the (rows, n) arrays ``ub``, ``xb``, ``yb``.
+def _typical_mask(cells, p, eps_typ):
+    """Typicality of each candidate row of ``cells``, a (rows, n) array of (u, x, y) cell indices (u·|X| + x)·|Y| + y.
 
-    A triple is typical when its empirical type is within ``eps_typ`` of
-    ``p``, the composed per-letter joint indexed [u, x, y], in every cell,
-    and no zero-probability cell occurs in it.
+    A row is typical when its empirical type is within ``eps_typ`` of ``p``,
+    the composed per-letter joint indexed [u, x, y], in every cell, and no
+    zero-probability cell occurs in it.
     """
-    rows, n = ub.shape
-    _, nx, ny = p.shape
+    rows, n = cells.shape
     p = p.ravel()
-    flat = ((ub * nx + xb) * ny + yb) + np.arange(0, rows * p.size, p.size)[:, None]
+    flat = cells + np.arange(0, rows * p.size, p.size)[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows * p.size).reshape(rows, p.size)
     bad = (np.abs(counts / n - p) > eps_typ) | ((counts > 0) & (p <= 0.0))
     return ~bad.any(axis=1)
@@ -344,16 +343,17 @@ def _search(books, table):
     [tested, rows) of every trial still searching, row 0 and then doubling
     up to n*, in parts of trials whose ``cfg._row_bytes`` a row fit
     ``_ROUND_BYTES`` (a round ends early where one trial's rows would not
-    fit), each part's u, x and y rows from one ``Codebooks.rows`` call.  A
-    trial's m* is its first row typical within ``cfg.eps_typ``; with none,
-    all rows are tested once, m* falls back to 0 and the trial is flagged.
-    Returns (m_star, failed, x, y), x and y the (trials, n) emitted codewords,
-    read from the rows the search drew; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
+    fit), each part's rows from one ``Codebooks.rows`` call, tested as one
+    array of (u, x, y) cells.  A trial's m* is its first row typical within
+    ``cfg.eps_typ``; with none, all rows are tested once, m* falls back to 0
+    and the trial is flagged.  Returns (m_star, failed, pairs), ``pairs`` the
+    (trials, n) emitted cells x·|Y| + y; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
     """
     n, nstar, eps_typ = books.cfg.n, books.nstar, books.cfg.eps_typ
+    _, nx, ny = books.target_uxy.shape
     states = books.states(table)
     m_star, failed = np.zeros(len(table), dtype=np.int64), np.ones(len(table), dtype=bool)
-    x_out, y_out = np.empty((2, len(table), n), dtype=np.int64)
+    pairs = np.empty((len(table), n), dtype=np.int64)
     cap = max(1, _ROUND_BYTES // books.cfg._row_bytes())  # rows one part of a round may hold
     live = np.arange(len(table))
     tested, rows = 0, 1
@@ -361,17 +361,17 @@ def _search(books, table):
         step = max(1, cap // (rows - tested))
         for part in (live[i : i + step] for i in range(0, live.size, step)):
             u, x, y = books.rows(states[:, part], tested, rows)
-            mask = _typical_mask(*(a.reshape(-1, n) for a in (u, x, y)), books.target_uxy, eps_typ)
-            mask = mask.reshape(part.size, -1)
+            xy = x * ny + y  # each symbol's (x, y) cell; its (u, x, y) cell adds u·|X||Y|
+            mask = _typical_mask((u * (nx * ny) + xy).reshape(-1, n), books.target_uxy, eps_typ).reshape(part.size, -1)
             if not tested:
-                x_out[part], y_out[part] = x[:, 0], y[:, 0]
+                pairs[part] = xy[:, 0]
             hit = mask.any(axis=1)
             first, found = mask.argmax(axis=1)[hit], part[hit]
             m_star[found], failed[found] = tested + first, False
-            x_out[found], y_out[found] = x[hit, first], y[hit, first]
+            pairs[found] = xy[hit, first]
         live = live[failed[live]]
         tested, rows = rows, min(2 * rows, nstar, rows + cap)
-    return m_star, failed, x_out, y_out
+    return m_star, failed, pairs
 
 
 def run_trials(cfg):
@@ -381,22 +381,23 @@ def run_trials(cfg):
     randomness (w1, w2) from the stream of ``default_rng([seed, k, 0])``.
     This estimates the induced per-letter distribution of a single code,
     the quantity the coordination criterion constrains.  Trials run in
-    chunks, as many as their emitted rows, keys and stream states fit
+    chunks, as many as their emitted pair cells, keys and stream states fit
     ``_ROUND_BYTES``.  A chunk's (m01, m02, b1, b2) are drawn in one array
     pass over its w streams (``draw_integers``), bit-identical to one
     ``default_rng([seed, k, 0])`` per trial, ordered by bin
     m01 * n01 + m02 (stable), so that the trials of one bin share their
-    u draws, and its bin searches run together (``_search``); the counts
-    and failures pool over trials, so the order does not change the report.
+    u draws, and its bin searches run together (``_search``), whose pair
+    cells x·|Y| + y one ``bincount`` counts; the counts and failures pool
+    over trials, so the order does not change the report.
     """
     books = Codebooks(cfg)
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
     sizes = books.n01, books.nstar, books.nb1, books.nb2
-    # trials a chunk may hold: a trial's search holds its emitted x and y rows, 16 bytes a symbol,
+    # trials a chunk may hold: a trial's search holds its emitted pair cells, 8 bytes a symbol,
     # and 192 of keys, states and indices; hashing its states peaks at 704 (185 and 699 measured)
-    chunk = max(1, _ROUND_BYTES // max(16 * cfg.n + 192, 704))
+    chunk = max(1, _ROUND_BYTES // max(8 * cfg.n + 192, 704))
     for start in range(0, cfg.trials, chunk):
         ks = np.arange(start, min(start + chunk, cfg.trials))
         keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
@@ -404,12 +405,10 @@ def run_trials(cfg):
         table = draw_integers(keys, books.bounds)
         # ordered by bin, so the trials of one bin share their u draws; the counts pool over trials
         table = table[np.argsort(table[:, 0] * books.n01 + table[:, 1], kind="stable")]
-        _, failed, x, y = _search(books, table)
-        x *= ny
-        x += y  # each pair's cell index, in place
-        counts += np.bincount(x.ravel(), minlength=nx * ny)
+        _, failed, pairs = _search(books, table)
+        counts += np.bincount(pairs.ravel(), minlength=nx * ny)
         failures += int(failed.sum())
-        del x, y  # freed before the next chunk's search allocates its own
+        del pairs  # freed before the next chunk's search allocates its own
     total = cfg.trials * cfg.n
     empirical = JointPmf(
         (counts / total).reshape(nx, ny), labels_x=cfg.q.labels_x, labels_y=cfg.q.labels_y

@@ -81,8 +81,8 @@ def processor_isolation(books, table, which):
     assert not np.array_equal(changed, table), "the other processor's index set has one entry"
     runs = []
     for t in (table, changed):
-        m_star, _, x, y = _search(books, t)
-        runs.append((t, m_star, (x, y)[which - 1]))
+        m_star, _, pairs = _search(books, t)
+        runs.append((t, m_star, np.divmod(pairs, books.cfg.q.shape[1])[which - 1]))
     (_, m_a, rows_a), (_, m_b, rows_b) = runs
     agree = m_a == m_b
     ok = np.array_equal(rows_a[agree], rows_b[agree])

@@ -194,7 +194,7 @@ class TestDsbs:
         code, out, _ = run(["dsbs", "--a", "0.1", "--points", "11", "--out", path])
         assert code == 0
         assert "wrote 11 points" in out
-        rows = open(path).read().strip().split("\n")
+        rows = pathlib.Path(path).read_text().strip().split("\n")
         assert rows[0] == "t,f,i_joint,i_cond" and len(rows) == 12
 
     def test_curve_stdout_is_file_bytes(self, files):
@@ -353,7 +353,7 @@ class TestSimulate:
                             "--n", "8", "--rates", "0.7,0.3,0.5,0.5", "--trials", "20",
                             "--seed", "1", "--out", path])
         assert code == 0 and "wrote report" in out
-        doc = json.loads(open(path).read())
+        doc = json.loads(pathlib.Path(path).read_text())
         assert doc["trials_run"] == 20
         assert doc["config_echo"]["rates"]["r"] == pytest.approx(0.7 / 2 + 0.3)
 
@@ -428,7 +428,7 @@ class TestSimulate:
         code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
                               "--n", "16777216", "--rates", "0,0,0,0", "--trials", "1"])
         assert code == 1 and out == "" and "Traceback" not in err
-        assert "need 1342177472 bytes, cap is 1073741824" in err
+        assert "need 1207959744 bytes, cap is 1073741824" in err
 
     def test_work_beyond_cap_is_validation_error(self, files):
         # 2^20 candidates of 40 symbols, tested in full by each of 103 failed

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import aux_with_copy_sides, near_tolerance_pair
 from coordrate.dsbs import dsbs_wyner_channel
-from coordrate.measures import conditional_mutual_information
+from coordrate.measures import conditional_mutual_information, entropy
 from coordrate.pmf import (
     AUX_TABLE_BYTES_CAP,
     AuxChannel,
@@ -92,9 +92,23 @@ def _saved_channel(tmp_path):
             "ulsr_objective: form must be a UlsrForm",
         ),
         (lambda _: tv_distance("ab", "ab"), PmfError, "tv_distance: p must be an array of real numbers"),
+        (lambda _: entropy("abc"), PmfError, "Pmf: probs must be an array of real numbers"),
+        (lambda _: entropy([0.5, [0.5]]), PmfError, "Pmf: probs must be an array of real numbers"),
+        (lambda _: entropy({"a": 1}), PmfError, "Pmf: probs must be an array of real numbers"),
+        (lambda _: marginal(dsbs_joint(0.1), None), PmfError, "marginal: axes must be an axis name"),
+        (lambda _: marginal(dsbs_joint(0.1), 5), PmfError, "marginal: axes must be an axis name"),
+        (lambda _: marginal(dsbs_joint(0.1), [["x"]]), PmfError, r"marginal: unknown axis \['x'\]"),
+        (lambda _: degenerate_channel(-1, 2), PmfError, "degenerate_channel: nx must be an integer >= 1, got -1"),
+        (lambda _: degenerate_channel(2.5, 2), PmfError, "degenerate_channel: nx must be an integer >= 1, got 2.5"),
+        (lambda _: degenerate_channel(True, 2), PmfError, "degenerate_channel: nx must be an integer >= 1, got True"),
+        # a save that opened its file first would raise FileNotFoundError in a missing directory
+        (lambda path: save_joint_pmf(None, path / "no" / "q.json"), PmfError, "save_joint_pmf: q must be a JointPmf"),
+        (lambda path: save_aux_channel(None, path / "no" / "a.json"), PmfError, "save_aux_channel: aux must be an AuxChannel"),
     ],
     ids=["labels", "ragged-joint", "ragged-channel", "axis-group", "aux-source", "codebooks", "run-trials",
-         "ulsr-rate-form", "ulsr-objective-form", "tv-strings"],
+         "ulsr-rate-form", "ulsr-objective-form", "tv-strings", "entropy-string", "entropy-ragged", "entropy-dict",
+         "marginal-none", "marginal-int", "marginal-nested", "degenerate-negative", "degenerate-float",
+         "degenerate-bool", "save-joint-none", "save-aux-none"],
 )
 def test_library_calls_refuse_bad_arguments_with_typed_errors(tmp_path, call, error, match):
     with pytest.raises(error, match=match):

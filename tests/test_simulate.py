@@ -47,8 +47,8 @@ KEY = np.array([(2, 0, 1, 3)])
 
 
 def chunk_trials(n):
-    """Trials ``run_trials`` holds in one chunk at block length ``n``: 16 bytes a symbol and 192 a trial, or 704."""
-    return simulate._ROUND_BYTES // max(16 * n + 192, 704)
+    """Trials ``run_trials`` holds in one chunk at block length ``n``: 8 bytes a symbol and 192 a trial, or 704."""
+    return simulate._ROUND_BYTES // max(8 * n + 192, 704)
 
 
 def blocks(books, table, start=0, stop=None):
@@ -80,11 +80,17 @@ def reference_blocks(cfg):
     return draw
 
 
+def cells(u, x, y, p):
+    """Flat (u, x, y) cell indices of the joint ``p`` indexed [u, x, y]."""
+    _, nx, ny = p.shape
+    return (np.asarray(u) * nx + x) * ny + y
+
+
 def reference_search(cfg, key):
     """(m_star, failed, x, y) of the bin search of trial row ``key``, every row of its blocks tested at once."""
     target = compose(cfg.q, cfg.channel).probs[:, :, :, 0, 0].transpose(2, 0, 1)
     u, x, y = reference_blocks(cfg)(key)
-    mask = _typical_mask(u, x, y, target, cfg.eps_typ)
+    mask = _typical_mask(cells(u, x, y, target), target, cfg.eps_typ)
     m_star = int(mask.argmax())
     return m_star, not mask.any(), x[m_star], y[m_star]
 
@@ -326,12 +332,12 @@ class TestCodebooks:
             Codebooks(cfg)
 
     def test_search_row_bytes_guard(self):
-        # one search row plus one trial's emitted rows take 80 * n bytes on
+        # one search row plus one trial's emitted rows take 72 * n bytes on
         # binary alphabets and 24 bytes for each of the 8 cells of the (u, x, y)
-        # table the row is counted in: 640 MiB at n = 2^23, 1.25 GiB at n = 2^24
+        # table the row is counted in: 576 MiB at n = 2^23, 1.125 GiB at n = 2^24
         dsbs_cfg(n=2**23, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0).index_sizes()
         cfg = dsbs_cfg(n=2**24, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
-        match = r"one search row and one trial's emitted rows at n = 16777216 need 1342177472 bytes, cap is 1073741824"
+        match = r"one search row and one trial's emitted rows at n = 16777216 need 1207959744 bytes, cap is 1073741824"
         with pytest.raises(SimulationError, match=match):
             cfg.index_sizes()
         with pytest.raises(SimulationError, match=match):
@@ -711,7 +717,7 @@ class TestSeedStreams:
         assert 0 < sum(failed for _, failed, _, _ in expect) < 60
         for k, (m_star, failed, x, y) in enumerate(expect):
             assert (base[0][k], base[1][k]) == (m_star, failed)
-            assert np.array_equal(base[2][k], x) and np.array_equal(base[3][k], y)
+            assert np.array_equal(np.divmod(base[2][k], 2), (x, y))
         for order in (np.argsort(table[:, 0] * books.n01 + table[:, 1], kind="stable"), np.arange(60)[::-1]):
             for got, want in zip(_search(books, table[order]), base):
                 assert np.array_equal(got, want[order])
@@ -846,12 +852,12 @@ class TestSeedStreams:
     )
     def test_long_blocks_run_in_capped_parts(self, trials, eps, failure_rate):
         # at n = 4096 one part of a search round holds one row of the 71-row
-        # blocks and a chunk holds 3 trials, whose emitted rows fit the round
+        # blocks and a chunk holds 7 trials, whose emitted rows fit the round
         # cap too; whole blocks would take 32 * 71 * n bytes and the emitted
-        # rows of all 257 trials 16 MiB
+        # rows of all 257 trials 8 MiB
         kwargs = dict(n=4096, seed=1, r0=0.001, r_star=0.0015, rt1=0.001, rt2=0.001)
         cfg = dsbs_cfg(trials=trials, eps=eps, **kwargs)
-        assert cfg.index_sizes()[1] == 71 and chunk_trials(cfg.n) == 3
+        assert cfg.index_sizes()[1] == 71 and chunk_trials(cfg.n) == 7
         run_trials(dsbs_cfg(trials=1, **kwargs))
         tracemalloc.start()
         try:
@@ -865,7 +871,7 @@ class TestSeedStreams:
 
 def typical(u, x, y, p, eps_typ):
     """``_typical_mask`` of one row triple."""
-    return bool(_typical_mask(*(np.asarray(s)[None] for s in (u, x, y)), p, eps_typ)[0])
+    return bool(_typical_mask(cells(u, x, y, p)[None], p, eps_typ)[0])
 
 
 class TestTypicality:
@@ -909,7 +915,8 @@ class TestCoordinatorAndProcessors:
         cfg = dsbs_cfg(n=8, r0=0.5, r_star=0.5, eps=0.2)
         books = Codebooks(cfg)
         table = np.array([(m01, m02, 0, 0) for m01 in range(books.n01) for m02 in range(books.n01)])
-        m_star, _, x, y = _search(books, table)
+        m_star, _, pairs = _search(books, table)
+        x, y = np.divmod(pairs, 2)
         assert len(set(m_star.tolist())) > 1
         _, x_rows, y_rows = blocks(books, table)
         trials = np.arange(len(table))
@@ -918,7 +925,8 @@ class TestCoordinatorAndProcessors:
     def test_processors_consistent_with_coordinator(self):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=0.2)
         books = Codebooks(cfg)
-        m_star, _, x, y = _search(books, KEY)
+        m_star, _, pairs = _search(books, KEY)
+        x, y = np.divmod(pairs, 2)
         _, x_rows, y_rows = blocks(books, KEY)
         assert np.array_equal(x[0], x_rows[0, m_star[0]])
         assert np.array_equal(y[0], y_rows[0, m_star[0]])
@@ -938,7 +946,7 @@ class TestCoordinatorAndProcessors:
         q = JointPmf(np.array([[1.0]]))
         cfg = SimConfig(q=q, channel=degenerate_channel(1, 1), n=8,
                         rates=SimRates(0.4, 0.2, 0.2, 0.2), eps_typ=0.05, trials=1, seed=0)
-        m_star, failed, _, _ = _search(Codebooks(cfg), np.array([(0, 1, 0, 1)]))
+        m_star, failed, _ = _search(Codebooks(cfg), np.array([(0, 1, 0, 1)]))
         assert not failed[0] and m_star[0] == 0
 
     def test_failed_search_tests_every_row_once(self, monkeypatch):
@@ -947,15 +955,16 @@ class TestCoordinatorAndProcessors:
         books = Codebooks(cfg)
         tested = []
 
-        def recording_mask(ub, xb, yb, p, eps_typ):
-            tested.append(np.array(ub))
-            return _typical_mask(ub, xb, yb, p, eps_typ)
+        def recording_mask(rows, p, eps_typ):
+            tested.append(np.array(rows))
+            return _typical_mask(rows, p, eps_typ)
 
         monkeypatch.setattr(simulate, "_typical_mask", recording_mask)
-        m_star, failed, _, _ = _search(books, KEY)
+        m_star, failed, _ = _search(books, KEY)
         assert (m_star[0], failed[0]) == (0, True)
         assert [len(t) for t in tested] == [1, 1, 2, 4, 8, 16, 32, 21]
-        assert np.array_equal(np.concatenate(tested), blocks(Codebooks(cfg), KEY)[0][0])
+        u, x, y = (rows[0] for rows in blocks(Codebooks(cfg), KEY))
+        assert np.array_equal(np.concatenate(tested), cells(u, x, y, books.target_uxy))
 
     def test_early_hit_draws_first_round_only(self, monkeypatch):
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=0.2)
@@ -967,7 +976,7 @@ class TestCoordinatorAndProcessors:
             return _sample(cum, uniforms)
 
         monkeypatch.setattr(simulate, "_sample", recording_sample)
-        m_star, failed, _, _ = _search(books, KEY)
+        m_star, failed, _ = _search(books, KEY)
         assert (m_star[0], failed[0]) == (0, False)
         # u, x and y draw their row 0 once; the emitted rows are read from it
         assert sampled == [1, 1, 1] and books.nstar == 85
@@ -977,7 +986,8 @@ class TestCoordinatorAndProcessors:
         cfg = dsbs_cfg(n=16, r0=0.5, r_star=0.2, seed=1, eps=1e-9)
         books = Codebooks(cfg)
         table = np.zeros((1, 4), dtype=np.int64)
-        m_star, failed, x, y = _search(books, table)
+        m_star, failed, pairs = _search(books, table)
+        x, y = np.divmod(pairs, 2)
         assert failed[0] and m_star[0] == 0
         _, x_rows, y_rows = blocks(books, table)
         assert np.array_equal(x[0], x_rows[0, 0]) and np.array_equal(y[0], y_rows[0, 0])
@@ -1118,7 +1128,8 @@ class TestRunTrials:
             [[int(rng_w.integers(size)) for size in sizes]
              for rng_w in (np.random.default_rng([cfg.seed, k, 0]) for k in range(cfg.trials))]
         )
-        m_star, _, x, y = _search(books, table)
+        m_star, _, pairs = _search(books, table)
+        x, y = np.divmod(pairs, 2)
         # the selected u rows, drawn for the trials of each m* together
         u, states = np.empty_like(x), books.states(table)
         for m in np.unique(m_star).tolist():
