@@ -22,15 +22,9 @@ deterministic function of (seed, code stream, indices) through the stream
 of numpy's ``default_rng([seed, 0, stream, *indices])``, which keeps
 memory flat while preserving the i.i.d. codebook statistics and exact
 reproducibility; blocks are drawn from the calling thread's generator, so
-threads may share one code.  The shared randomness of a chunk of trials is
-drawn in one array pass (``_seeding.draw_integers``), bit-identical to one
-``default_rng([seed, k, 0])`` per trial k.  The trials of a chunk are
-ordered by bin and search their bins together, as arrays (``_search``),
-drawing each row once, the u, x and y rows of a search part in one
-``Codebooks.rows`` call; the u block depends on the bin alone, so the
-trials of one bin in a part share its u rows.  A row's uniforms continue
-its block's stream from where the row begins, so the seeded results do not
-depend on how far a search went or how the trials were grouped.
+threads may share one code.  A seeded result does not depend on how
+``run_trials`` chunks and orders the trials or on how ``_search`` splits
+their bin searches into parts.
 
 The report pools the per-position (x, y) pairs over all trials into an
 empirical per-letter joint.  Its distance to the target lower-bounds the
@@ -141,16 +135,16 @@ class SimConfig:
             raise SimulationError("SimConfig: scheme uses a single auxiliary, need card_u1 = card_u2 = 1")
 
     def _row_bytes(self):
-        """Bytes a search row holds: 8 a symbol (3 uniforms, 3 symbols, k CDF entries), 24 a ``_typical_mask`` table cell."""
-        return 8 * (6 + max(self.q.shape)) * self.n + 24 * self.channel.card_u * self.q.probs.size
+        """Search row bytes: 57 a symbol (3 uniforms, 3 symbols, a threshold, a mask byte), 24 a ``_typical_mask`` cell."""
+        return 57 * self.n + 24 * self.channel.card_u * self.q.probs.size
 
     def index_sizes(self):
         """Sizes (n01, nstar, nb1, nb2); m0 ranges over n01 * n01 pairs.
 
         Refused with SimulationError when an index set exceeds INDEX_CAP,
-        one search row plus one trial's emitted rows would exceed
-        BLOCK_BYTES_CAP bytes, or trials * n* * n, the symbols a run tests
-        when every search fails, would exceed WORK_CAP.
+        one search row (``_row_bytes``) plus one trial's emitted pair cells
+        (8 bytes a symbol) would exceed BLOCK_BYTES_CAP, or trials * n* * n,
+        the symbols a run tests when every search fails, would exceed WORK_CAP.
         """
         n = self.n
         sizes = (
@@ -234,18 +228,30 @@ def _generation(full, max_defect):
     return joint_uxy, _of_checked_factors(Pmf, p_u), p_x_given_u, p_y_given_u
 
 
-def _sample(cum, uniforms):
-    """Inverse-CDF sampling: the number of CDF entries at or below each uniform, as int64.
+def _sample(cum, uniforms, given):
+    """Inverse-CDF sampling: the number of entries of row ``given`` of ``cum`` at or below each uniform, as int64.
 
-    ``cum`` rows must be nondecreasing and end at exactly 1, which no uniform
-    in [0, 1) reaches, so the count is the first index whose entry exceeds
-    the uniform.  ``cum`` is one table or a table per uniform (trailing axis).
+    ``cum`` is a (rows, k) table whose rows are nondecreasing and end at
+    exactly 1, which no uniform in [0, 1) reaches, so the count is the first
+    index whose entry exceeds the uniform.  ``given`` is each uniform's row
+    (or one for all), read one threshold at a time: 9 bytes a uniform for any k.
     """
     idx = np.empty(uniforms.shape, dtype=np.int64)
-    np.greater_equal(uniforms, cum[..., 0], out=idx)
-    for j in range(1, cum.shape[-1] - 1):
-        idx += uniforms >= cum[..., j]
+    np.greater_equal(uniforms, np.take(cum[:, 0], given), out=idx)
+    for j in range(1, cum.shape[1] - 1):
+        idx += uniforms >= np.take(cum[:, j], given)
     return idx
+
+
+def _int_array(who, value):
+    """``value`` as an array, refused before any cast unless it is rectangular of an integer dtype (not bool)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = np.asarray(None)
+    if array.dtype.kind in "iu":  # bool's kind is "b"
+        return array
+    raise SimulationError(f"{who} must be a rectangular array of integers, got dtype {array.dtype}")
 
 
 class Codebooks:
@@ -272,14 +278,14 @@ class Codebooks:
         self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
         #: exclusive bounds of a trial row (m01, m02, b1, b2)
         self.bounds = (self.n01, self.n01, self.nb1, self.nb2)
-        #: inverse-CDF tables of u, x and y, one row per u symbol for x and y
-        self._cum = tuple(np.cumsum(p, axis=-1) for p in (self.p_u.probs, self.p_x_given_u, self.p_y_given_u))
+        #: inverse-CDF tables of u (one row), x and y (one row per u symbol)
+        self._cum = tuple(np.cumsum(p, axis=1) for p in (self.p_u.probs[None], self.p_x_given_u, self.p_y_given_u))
         for cum in self._cum:
-            cum[..., -1] = 1.0
+            cum[:, -1] = 1.0
 
     def states(self, table):
         """(3, trials, 4) ``_srandom`` rows of the u, x and y blocks of the trial rows (m01, m02, b1, b2) of ``table``."""
-        table = np.asarray(table)
+        table = _int_array("Codebooks.states: table", table)
         if table.ndim != 2 or table.shape[1] != 4 or ((table < 0) | (table >= self.bounds)).any():
             raise SimulationError(f"Codebooks.states: table rows must be (m01, m02, b1, b2) within {self.bounds}")
         # rows [stream, m01, m02, b_i] after the prefix [seed, 0]; a u key ends
@@ -295,7 +301,7 @@ class Codebooks:
 
         Adjacent blocks with equal u states share one u stream, so each run
         of them draws its u rows once and every block of the run reads them.
-        x and y symbols are drawn from p(.|u) per symbol of the u rows.  The
+        Each x and y symbol is drawn against the CDF row of its u symbol.  The
         uniforms come from the calling thread's generator
         (``_seeding.draw_uniforms``), whose first draw checks numpy's PCG64
         state layout and raises ``StateLayoutError`` on a mismatch.
@@ -303,7 +309,7 @@ class Codebooks:
         n = self.cfg.n
         if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= self.nstar):
             raise SimulationError(f"Codebooks.rows: need integers 0 <= start < stop <= {self.nstar}, got {start!r}, {stop!r}")
-        states = np.ascontiguousarray(states, dtype=np.uint64)
+        states = np.ascontiguousarray(_int_array("Codebooks.rows: states", states), dtype=np.uint64)
         if states.ndim != 3 or states.shape[0] != 3 or states.shape[2] != 4:
             raise SimulationError(f"Codebooks.rows: states must be (3, blocks, 4) _srandom rows, got shape {states.shape}")
         blocks = states.shape[1]
@@ -314,11 +320,10 @@ class Codebooks:
             states = np.concatenate((states[0, first], states[1:].reshape(-1, 4)))
         uniforms = draw_uniforms(states.reshape(-1, 4), start * n, np.empty((runs + 2 * blocks, stop - start, n)))
         cum_u, cum_x, cum_y = self._cum
-        u = _sample(cum_u, uniforms[:runs])
+        u = _sample(cum_u, uniforms[:runs], 0)
         if runs < blocks:
             u = u[np.cumsum(first) - 1]  # the runs' rows are freed here, so the part holds no more than _row_bytes counts
-        x = _sample(np.take(cum_x, u, axis=0), uniforms[runs : runs + blocks])
-        return u, x, _sample(np.take(cum_y, u, axis=0), uniforms[runs + blocks :])
+        return u, _sample(cum_x, uniforms[runs : runs + blocks], u), _sample(cum_y, uniforms[runs + blocks :], u)
 
 
 def _typical_mask(cells, p, eps_typ):
@@ -394,25 +399,19 @@ def run_trials(cfg):
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
-    sizes = books.n01, books.nstar, books.nb1, books.nb2
     # trials a chunk may hold: a trial's search holds its emitted pair cells, 8 bytes a symbol,
     # and 192 of keys, states and indices; hashing its states peaks at 704 (185 and 699 measured)
     chunk = max(1, _ROUND_BYTES // max(8 * cfg.n + 192, 704))
     for start in range(0, cfg.trials, chunk):
         ks = np.arange(start, min(start + chunk, cfg.trials))
         keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
-        # each trial's (m01, m02, b1, b2), as integers(size) per index on its w stream draws them
         table = draw_integers(keys, books.bounds)
-        # ordered by bin, so the trials of one bin share their u draws; the counts pool over trials
         table = table[np.argsort(table[:, 0] * books.n01 + table[:, 1], kind="stable")]
         _, failed, pairs = _search(books, table)
         counts += np.bincount(pairs.ravel(), minlength=nx * ny)
         failures += int(failed.sum())
         del pairs  # freed before the next chunk's search allocates its own
-    total = cfg.trials * cfg.n
-    empirical = JointPmf(
-        (counts / total).reshape(nx, ny), labels_x=cfg.q.labels_x, labels_y=cfg.q.labels_y
-    )
+    empirical = JointPmf((counts / (cfg.trials * cfg.n)).reshape(nx, ny), labels_x=cfg.q.labels_x, labels_y=cfg.q.labels_y)
     return SimReport(
         empirical_joint=empirical,
         tv_per_letter=tv_distance(empirical, cfg.q),
@@ -424,6 +423,6 @@ def run_trials(cfg):
             "seed": cfg.seed,
             "eps_typ": cfg.eps_typ,
             "rates": {**asdict(cfg.rates), "r": cfg.rates.r, "r1": cfg.rates.r1, "r2": cfg.rates.r2},
-            "index_sizes": dict(zip(("m0_half", "m_star", "b1", "b2"), sizes)),
+            "index_sizes": dict(zip(("m0_half", "m_star", "b1", "b2"), (books.n01, books.nstar, books.nb1, books.nb2))),
         },
     )

@@ -428,7 +428,7 @@ class TestSimulate:
         code, out, err = run(["simulate", "--dist", files["dist02"], "--aux", files["aux02"],
                               "--n", "16777216", "--rates", "0,0,0,0", "--trials", "1"])
         assert code == 1 and out == "" and "Traceback" not in err
-        assert "need 1207959744 bytes, cap is 1073741824" in err
+        assert "need 1090519232 bytes, cap is 1073741824" in err
 
     def test_work_beyond_cap_is_validation_error(self, files):
         # 2^20 candidates of 40 symbols, tested in full by each of 103 failed

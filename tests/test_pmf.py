@@ -24,7 +24,7 @@ from coordrate.pmf import (
     save_joint_pmf,
     tv_distance,
 )
-from coordrate.simulate import Codebooks, SimulationError, run_trials
+from coordrate.simulate import Codebooks, SimConfig, SimRates, SimulationError, run_trials
 from coordrate.ulsr import ulsr_objective, ulsr_rate
 
 
@@ -63,6 +63,15 @@ class TestValidation:
         rows[1, 0] = rows[1, 1] = bad
         with pytest.raises(PmfError, match=r"row \(1, 0\)"):
             AuxChannel(rows)
+
+
+def _dsbs_books():
+    """The fixed code of DSBS(0.2) at n = 8 through its Wyner channel."""
+    return Codebooks(SimConfig(q=dsbs_joint(0.2), channel=dsbs_wyner_channel(0.2), n=8, rates=SimRates(0.5, 0.25, 0.5, 0.5)))
+
+
+#: a Codebooks table or states argument must be a rectangular array of integers
+_NOT_INT_TABLE = "must be a rectangular array of integers, got dtype"
 
 
 def _saved_channel(tmp_path):
@@ -104,11 +113,22 @@ def _saved_channel(tmp_path):
         # a save that opened its file first would raise FileNotFoundError in a missing directory
         (lambda path: save_joint_pmf(None, path / "no" / "q.json"), PmfError, "save_joint_pmf: q must be a JointPmf"),
         (lambda path: save_aux_channel(None, path / "no" / "a.json"), PmfError, "save_aux_channel: aux must be an AuxChannel"),
+        # refused before any cast: numpy would raise its own errors, or read 0.5 as 0 and nan with a warning
+        (lambda _: _dsbs_books().states([["a", "b", "c", "d"]]), SimulationError, f"Codebooks.states: table {_NOT_INT_TABLE} <U1"),
+        (lambda _: _dsbs_books().states([(0, 0, 0, 0), (0, 0, 0)]), SimulationError, f"Codebooks.states: table {_NOT_INT_TABLE} object"),
+        (lambda _: _dsbs_books().states([(0.5, 0, 0, 0)]), SimulationError, f"Codebooks.states: table {_NOT_INT_TABLE} float64"),
+        (lambda _: _dsbs_books().states([(np.nan, 0, 0, 0)]), SimulationError, f"Codebooks.states: table {_NOT_INT_TABLE} float64"),
+        (lambda _: _dsbs_books().states([(True, False, False, False)]), SimulationError, f"Codebooks.states: table {_NOT_INT_TABLE} bool"),
+        (lambda _: _dsbs_books().rows("abc", 0, 1), SimulationError, f"Codebooks.rows: states {_NOT_INT_TABLE} <U3"),
+        (lambda _: _dsbs_books().rows([[[0] * 4], [[0] * 4, [0] * 4], [[0] * 4]], 0, 1), SimulationError, f"Codebooks.rows: states {_NOT_INT_TABLE} object"),
+        (lambda _: _dsbs_books().rows(np.zeros((3, 1, 4)), 0, 1), SimulationError, f"Codebooks.rows: states {_NOT_INT_TABLE} float64"),
+        (lambda _: _dsbs_books().rows(np.zeros((3, 1, 4), dtype=bool), 0, 1), SimulationError, f"Codebooks.rows: states {_NOT_INT_TABLE} bool"),
     ],
     ids=["labels", "ragged-joint", "ragged-channel", "axis-group", "aux-source", "codebooks", "run-trials",
          "ulsr-rate-form", "ulsr-objective-form", "tv-strings", "entropy-string", "entropy-ragged", "entropy-dict",
          "marginal-none", "marginal-int", "marginal-nested", "degenerate-negative", "degenerate-float",
-         "degenerate-bool", "save-joint-none", "save-aux-none"],
+         "degenerate-bool", "save-joint-none", "save-aux-none", "states-strings", "states-ragged", "states-float",
+         "states-nan", "states-bool", "rows-string", "rows-ragged", "rows-float", "rows-bool"],
 )
 def test_library_calls_refuse_bad_arguments_with_typed_errors(tmp_path, call, error, match):
     with pytest.raises(error, match=match):

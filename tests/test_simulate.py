@@ -332,16 +332,49 @@ class TestCodebooks:
             Codebooks(cfg)
 
     def test_search_row_bytes_guard(self):
-        # one search row plus one trial's emitted rows take 72 * n bytes on
+        # one search row plus one trial's emitted rows take 65 * n bytes on
         # binary alphabets and 24 bytes for each of the 8 cells of the (u, x, y)
-        # table the row is counted in: 576 MiB at n = 2^23, 1.125 GiB at n = 2^24
+        # table the row is counted in: 520 MiB at n = 2^23, 1040 MiB at n = 2^24
         dsbs_cfg(n=2**23, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0).index_sizes()
         cfg = dsbs_cfg(n=2**24, r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
-        match = r"one search row and one trial's emitted rows at n = 16777216 need 1207959744 bytes, cap is 1073741824"
+        match = r"one search row and one trial's emitted rows at n = 16777216 need 1090519232 bytes, cap is 1073741824"
         with pytest.raises(SimulationError, match=match):
             cfg.index_sizes()
         with pytest.raises(SimulationError, match=match):
             Codebooks(cfg)
+
+    def test_row_bytes_cap_boundary(self):
+        # on binary alphabets with a two-symbol U a row and the emitted pair
+        # cells take 65 * n + 192 bytes, so n = 16519102 is the last to fit 2^30
+        zero = dict(r0=0.0, r_star=0.0, rt1=0.0, rt2=0.0)
+        assert 65 * 16519102 + 192 <= simulate.BLOCK_BYTES_CAP < 65 * 16519103 + 192
+        assert dsbs_cfg(n=16519102, **zero).index_sizes() == (1, 1, 1, 1)
+        match = r"emitted rows at n = 16519103 need 1073741887 bytes, cap is 1073741824"
+        with pytest.raises(SimulationError, match=match):
+            dsbs_cfg(n=16519103, **zero).index_sizes()
+
+    def test_row_bytes_do_not_grow_with_the_alphabet(self):
+        # on a 60 x 60 source, X - U - Y through a two-symbol U, a row is counted
+        # as 57 bytes a symbol and 24 a cell of the (u, x, y) table, and a
+        # Codebooks.rows call peaks within 57 bytes a drawn (u, x, y) position
+        # (three uniforms, three symbols, one threshold and one mask byte) plus
+        # 16 KiB; a copy of each symbol's 60-entry CDF row would take 480 more
+        rng = np.random.default_rng(3)
+        p_x_u, p_y_u = rng.dirichlet(np.ones(60), size=2), rng.dirichlet(np.ones(60), size=2)
+        joint = np.einsum("u,ux,uy->xyu", [0.4, 0.6], p_x_u, p_y_u)
+        q = joint.sum(axis=2)
+        cfg = SimConfig(q=JointPmf(q), channel=AuxChannel(joint / q[..., None]), n=64, rates=SimRates(0.5, 0.25, 0.25, 0.25))
+        assert cfg._row_bytes() == 57 * 64 + 24 * 2 * 60 * 60
+        books = Codebooks(cfg)
+        states = books.states([(k, k, k, k) for k in range(16)])
+        books.rows(states, 0, 8)
+        tracemalloc.start()
+        try:
+            books.rows(states, 0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 57 * 16 * 8 * 64 + 16 * 1024
 
     @staticmethod
     def _draws_of_a_run(monkeypatch):
@@ -361,9 +394,9 @@ class TestCodebooks:
             parts.append((np.array(states[0]), start, stop))
             return rows(books, states, start, stop)
 
-        def recording_sample(cum, u):
+        def recording_sample(cum, u, given):
             uniforms.append(u.reshape(-1, cfg.n))
-            return _sample(cum, u)
+            return _sample(cum, u, given)
 
         monkeypatch.setattr(Codebooks, "rows", recording_rows)
         monkeypatch.setattr(simulate, "_sample", recording_sample)
@@ -492,12 +525,12 @@ class TestSample:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_cdf_tables_and_uniforms())
     def test_matches_argmax_reference(self, case):
-        # the first CDF entry above each uniform, as test_hand_traced_codeword
-        # writes it
+        # the first entry above each uniform of its CDF row, row 0 for all or
+        # row u per uniform, as test_hand_traced_codeword writes it
         cum, u, uniforms = case
-        for table in (cum[0], cum[u]):
-            expect = (uniforms[..., None] < table).argmax(-1)
-            assert np.array_equal(_sample(table, uniforms), expect)
+        for given in (0, u):
+            expect = (uniforms[..., None] < cum[given]).argmax(-1)
+            assert np.array_equal(_sample(cum, uniforms, given), expect)
 
 
 #: entropy entries of one 32-bit word, as a key's tail holds them
@@ -690,9 +723,9 @@ class TestSeedStreams:
         books = Codebooks(cfg)
         draws = []
 
-        def recording_sample(cum, uniforms):
+        def recording_sample(cum, uniforms, given):
             draws.append(len(uniforms))
-            return _sample(cum, uniforms)
+            return _sample(cum, uniforms, given)
 
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         u, x, y = blocks(books, table, start, stop)
@@ -745,7 +778,7 @@ class TestSeedStreams:
         assert (books.n01, books.nstar) == (85, 6)
         assert max(peak(runs) for runs in (1, 2, 20, 39)) <= peak(40)
 
-    @pytest.mark.parametrize("states", [np.zeros((2, 3)), np.zeros(4), np.zeros((1, 2, 4)), np.zeros((2, 2, 4))])
+    @pytest.mark.parametrize("states", [np.zeros(shape, dtype=np.uint64) for shape in ((2, 3), 4, (1, 2, 4), (2, 2, 4))])
     def test_draw_refuses_states_of_another_shape(self, states):
         # each state is copied to the generator as 32 bytes, so a row must
         # hold four words, and every block has a u, an x and a y state
@@ -971,9 +1004,9 @@ class TestCoordinatorAndProcessors:
         books = Codebooks(cfg)
         sampled = []
 
-        def recording_sample(cum, uniforms):
+        def recording_sample(cum, uniforms, given):
             sampled.append(uniforms.shape[-2])
-            return _sample(cum, uniforms)
+            return _sample(cum, uniforms, given)
 
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         m_star, failed, _ = _search(books, KEY)
