@@ -7,8 +7,11 @@ cost of building one is per-call overhead.  Here the same hash runs as
 numpy uint32 arithmetic over a whole batch of keys, which costs about as
 much for a few hundred keys as for one.  The keys of a batch share a
 prefix of any nonnegative ints and end in rows of 32-bit entries, so every
-key has the same number of words.  ``_srandom`` then runs PCG64's seeding
-on the batch and gives each key's (state, inc) as four uint64 words.
+key has the same number of words, or one fewer for a leading run of short
+keys, which lets the u keys of a chunk share its x and y keys' pass.  The
+hash runs in place over a pool of four words a key, and ``_srandom`` then
+runs PCG64's seeding on its output rows in place, giving each key's
+(state, inc) as four uint64 words.
 ``draw_uniforms`` draws from those states: it writes each row with one
 32-byte copy into the calling thread's ``Generator(PCG64)``, through a view
 of the (state, inc) that numpy's ``pcg64_state`` points to.  That pointer
@@ -46,6 +49,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
 _MULT_LO1, _MULT_LO0 = np.uint64(_PCG_MULT >> 32 & _MASK32), np.uint64(_PCG_MULT & _MASK32)
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+_ONE, _TOP = np.uint64(1), np.uint64(63)
 
 
 def _int_words(value):
@@ -88,61 +92,105 @@ def _schedule(total):
 _OUTPUT = tuple(v[:, None] for v in _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
 
 
-def _hashmix(values, xors, mults):
-    values = (values ^ xors) * mults
-    return values ^ (values >> _XSHIFT)
+def _hashmix(values, xors, mults, out, spare):
+    """hashmix of ``values`` with each (xor, multiplier) pair, written into ``out``; ``spare`` is scratch of ``out``'s shape."""
+    np.bitwise_xor(values, xors, out=out)
+    out *= mults
+    np.right_shift(out, _XSHIFT, out=spare)
+    out ^= spare
+    return out
 
 
-def _mix(x, y):
-    result = x * _MIX_L - y * _MIX_R
-    return result ^ (result >> _XSHIFT)
+def _mix(x, y, spare):
+    """x <- mix(x, y) in place; ``y`` is overwritten and ``spare`` is scratch of ``x``'s shape."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    np.right_shift(x, _XSHIFT, out=spare)
+    x ^= spare
 
 
-def seed_words(prefix, table):
+def seed_words(prefix, table, short=0):
     """``generate_state(4, uint64)`` of ``SeedSequence([*prefix, *row])`` for each row of ``table``.
 
     ``prefix`` holds the nonnegative ints every key starts with; ``table``
     is a (keys, k) array of ints in [0, 2^32) ending each key, one entropy
-    word each; another entry raises ValueError.
-    Returns a (keys, 4) uint64 array: seed hi, seed lo, inc hi, inc lo.
+    word each; another entry raises ValueError.  The first ``short`` keys
+    end one word early: their last table entry is not read.
+    Returns a (keys, 4) uint64 array: seed hi, seed lo, inc hi, inc lo,
+    the transpose of a C-contiguous (4, keys) array, so that ``_srandom``
+    reads each word of all keys as one contiguous row.  The hash runs in
+    place on a pool of four words a key, with two scratch arrays of its
+    size, and copies its output words into the returned array: 64 bytes a
+    key at its peak, the table aside, or up to 84 with the buffers numpy's
+    ufuncs take below a few thousand keys.
     """
     table = np.asarray(table)
     if table.size and not (table.min() >= 0 and table.max() <= _MASK32):
         raise ValueError(f"seed_words: table entries must lie in [0, 2^32), got {table.min()} to {table.max()}")
     head = [w for value in prefix for w in _int_words(value)]
     keys, cols = table.shape
-    # one key per column, zero-padded to the pool size
-    words = np.zeros((max(_POOL, len(head) + cols), keys), dtype=np.uint32)
-    words[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    words[len(head) : len(head) + cols] = table.T
+    # each key's words, one entry per word: the prefix's as ints, the table's as rows
+    words = [*head, *table.astype(np.uint32, copy=False).T]
+    last = len(words) - 1  # the word the short keys lack
+    words += [0] * (_POOL - len(words))  # zero-padded to the pool size
     steps = _schedule(len(words))
+    # scratch and the pool, one array: output words 0-3 end in the scratch and 4-7 in the pool
+    hashed, pool = both = np.empty((2, _POOL, keys), dtype=np.uint32)
+    spare, kept = np.empty_like(pool), np.empty(keys, dtype=np.uint32)
     # seed_seq_fe mix_entropy: fill the pool, cross-mix it, then fold in
     # the words past the pool, each into every pool word
-    pool = _hashmix(words[:_POOL], *steps[0])
+    for row, word in zip(pool, words):
+        row[:] = word
+    if short and last < _POOL:
+        pool[last, :short] = 0  # a short key's padding
+    _hashmix(pool, *steps[0], pool, spare)
     for src, consts in enumerate(steps[1 : _POOL + 1]):
-        mixed = _mix(pool, _hashmix(pool[src], *consts))
-        mixed[src] = pool[src]
-        pool = mixed
-    for word, consts in zip(words[_POOL:], steps[_POOL + 1 :]):
-        pool = _mix(pool, _hashmix(word, *consts))
-    # generate_state: eight output words cycling over the pool, paired
-    # little-endian into 64-bit words
-    out = _hashmix(np.tile(pool, (2, 1)), *_OUTPUT).astype(np.uint64)
-    return (out[0::2] | (out[1::2] << np.uint64(32))).T
+        kept[:] = pool[src]  # the source row is not mixed into itself
+        _mix(pool, _hashmix(pool[src], *consts, hashed, spare), spare)
+        pool[src] = kept
+    for i, (word, consts) in enumerate(zip(words[_POOL:], steps[_POOL + 1 :]), _POOL):
+        live = slice(short if i == last else 0, None)
+        _hashmix(word, *consts, hashed, spare)
+        _mix(pool[:, live], hashed[:, live], spare[:, live])
+    # generate_state: eight output words cycling over the pool, hashed
+    # before the output is allocated, then paired little-endian into
+    # 64-bit words, one contiguous row per word
+    xors, mults = _OUTPUT
+    _hashmix(pool, xors[:_POOL], mults[:_POOL], hashed, spare)
+    _hashmix(pool, xors[_POOL:], mults[_POOL:], pool, spare)
+    del spare, kept
+    out = np.empty((_POOL, keys), dtype="<u8")
+    halves = out.view("<u4").reshape(_POOL, keys, 2)
+    output = both.reshape(2 * _POOL, keys)  # words 0-7
+    halves[..., 0], halves[..., 1] = output[0::2], output[1::2]
+    return out.T
 
 
 def _srandom(words):
-    """PCG64's seeding (srandom) of each row of ``words``: a C-contiguous (keys, 4) uint64 array.
+    """PCG64's seeding (srandom) of each row of ``words``, a (keys, 4) uint64 array, in place; returns ``words``.
 
-    ``words`` holds rows of ``seed_words``.  Each output row is the seeded
-    state and increment as 64-bit words: state lo, state hi, inc lo, inc hi.
+    ``words`` holds rows of ``seed_words``: seed hi, seed lo, inc hi, inc
+    lo.  Each row is overwritten by the seeded state and increment as
+    64-bit words: state lo, state hi, inc lo, inc hi.  It holds six
+    8-byte scratch words a row at most, and no copy of ``words``.
     """
-    seed_hi, seed_lo, inc_hi, inc_lo = np.asarray(words, dtype=np.uint64).T
-    # inc = 2 initseq + 1, step from 0 (giving inc), add the seed, step
-    inc_hi, inc_lo = inc_hi << np.uint64(1) | inc_lo >> np.uint64(63), inc_lo << np.uint64(1) | np.uint64(1)
-    lo = inc_lo + seed_lo
-    state_hi, state_lo = _step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-    return np.stack((state_lo, state_hi, inc_lo, inc_hi), axis=1)
+    words = np.asarray(words, dtype=np.uint64)
+    col = words.T
+    # inc = 2 initseq + 1, its low word into column 2 and its high one into 3
+    low = col[3] << _ONE
+    low |= _ONE
+    col[3] >>= _TOP
+    col[3] |= col[2] << _ONE
+    col[2] = low
+    # step from 0 (giving inc), add the seed, its low word into column 0 and
+    # its high one into 1, and step
+    np.add(col[1], col[2], out=low)
+    np.add(col[0], col[3], out=col[1])
+    col[1] += low < col[2]
+    col[0] = low
+    _step(words)
+    return words
 
 
 class StateLayoutError(RuntimeError):
@@ -209,15 +257,30 @@ def draw_uniforms(rows, skip, out):
     return out
 
 
-def _step(hi, lo, inc_hi, inc_lo):
-    """PCG64's LCG step, state * multiplier + inc mod 2^128, on (hi, lo) uint64 arrays."""
-    # the high word of lo * multiplier's low word, from 32-bit limbs
-    lo0, lo1 = lo & _LOW32, lo >> _SHIFT32
-    cross0, cross1 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
-    mid = (lo0 * _MULT_LO0 >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
-    carry_hi = lo1 * _MULT_LO1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (mid >> _SHIFT32)
-    new_lo = lo * _MULT_LO + inc_lo
-    return carry_hi + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo), new_lo
+def _step(rows):
+    """PCG64's LCG step, state * multiplier + inc mod 2^128, in place on each row of ``rows``: state lo, state hi, inc lo, inc hi."""
+    lo, hi, inc_lo, inc_hi = rows.T
+    # the high word of lo * multiplier's low word, from 32-bit limbs: mid
+    # gathers the low limbs' product's high half and the cross products'
+    # low halves, carry the rest
+    mid, carry = lo & _LOW32, lo >> _SHIFT32
+    cross = mid * _MULT_LO1, carry * _MULT_LO0
+    mid *= _MULT_LO0
+    mid >>= _SHIFT32
+    carry *= _MULT_LO1
+    for c in cross:
+        carry += c >> _SHIFT32
+        c &= _LOW32
+        mid += c
+    mid >>= _SHIFT32
+    carry += mid
+    hi *= _MULT_LO
+    hi += carry
+    hi += lo * _MULT_HI
+    hi += inc_hi
+    lo *= _MULT_LO
+    lo += inc_lo
+    hi += lo < inc_lo
 
 
 def _xsl_rr(hi, lo):
@@ -240,9 +303,8 @@ def draw_integers(words, highs):
     for high in highs:
         if not (_is_int(high) and 1 <= high <= 1 << 32):
             raise ValueError(f"draw_integers: bounds must be integers in [1, 2^32], got {high!r}")
-    state_lo, state_hi, inc_lo, inc_hi = _srandom(words).T
-    state = state_hi, state_lo
-    keys = np.arange(len(state_lo))
+    states = _srandom(np.array(words, dtype=np.uint64))
+    keys = np.arange(len(states))
     halves = np.empty((0, keys.size), dtype=np.uint64)  # row i: each key's i-th 32-bit half
     used = np.zeros(keys.size, dtype=np.intp)  # halves each key has taken
     out = np.zeros((len(highs), keys.size), dtype=np.uint64)
@@ -253,8 +315,8 @@ def draw_integers(words, highs):
         todo, threshold = keys, np.uint64((1 << 32) % high)
         while todo.size:
             if used[todo].max() == len(halves):  # one more raw output for every key
-                state = _step(*state, inc_hi, inc_lo)
-                raw = _xsl_rr(*state)
+                _step(states)
+                raw = _xsl_rr(states[:, 1], states[:, 0])
                 halves = np.concatenate((halves, [raw & _LOW32, raw >> _SHIFT32]))
             product = halves[used[todo], todo] * np.uint64(high)
             used[todo] += 1

@@ -284,17 +284,24 @@ class Codebooks:
             cum[:, -1] = 1.0
 
     def states(self, table):
-        """(3, trials, 4) ``_srandom`` rows of the u, x and y blocks of the trial rows (m01, m02, b1, b2) of ``table``."""
+        """(3, trials, 4) ``_srandom`` rows of the u, x and y blocks of the trial rows (m01, m02, b1, b2) of ``table``.
+
+        All 3 · trials keys are hashed in one ``seed_words`` pass, whose
+        output rows ``_srandom`` seeds in place; the table is stored a word
+        at a time, which ``rows`` gathers into C-contiguous rows.
+        """
         table = _int_array("Codebooks.states: table", table)
         if table.ndim != 2 or table.shape[1] != 4 or ((table < 0) | (table >= self.bounds)).any():
             raise SimulationError(f"Codebooks.states: table rows must be (m01, m02, b1, b2) within {self.bounds}")
-        # rows [stream, m01, m02, b_i] after the prefix [seed, 0]; a u key ends
-        # at m02, and the x and y keys, of one length, hash in one pass
-        keys = np.empty((3, len(table), 4), dtype=np.int64)
-        keys[..., 0], keys[..., 1:3] = [[_U_STREAM], [_X_STREAM], [_Y_STREAM]], table[:, :2]
-        keys[1:, :, 3] = table[:, 2:].T
-        words = [seed_words((self.cfg.seed, 0), k) for k in (keys[0, :, :3], keys[1:].reshape(-1, 4))]
-        return _srandom(np.concatenate(words)).reshape(keys.shape)
+        # keys [stream, m01, m02, b_i] after the prefix [seed, 0], hashed in
+        # one pass; the u keys come first and end at m02, one word early
+        trials = len(table)
+        keys = np.zeros((4, 3, trials), dtype=np.uint32)  # word-major: one contiguous row per word
+        keys[0], keys[1:3] = [[_U_STREAM], [_X_STREAM], [_Y_STREAM]], table.T[:2, None]
+        keys[3, 1:] = table.T[2:]
+        words = seed_words((self.cfg.seed, 0), keys.reshape(4, -1).T, short=trials)
+        del keys  # freed before _srandom's scratch
+        return _srandom(words).reshape(3, trials, 4)
 
     def rows(self, states, start, stop):
         """Rows [start, stop) of the u, x and y blocks of a ``states`` table: three (blocks, stop - start, n) arrays.
@@ -386,26 +393,28 @@ def run_trials(cfg):
     randomness (w1, w2) from the stream of ``default_rng([seed, k, 0])``.
     This estimates the induced per-letter distribution of a single code,
     the quantity the coordination criterion constrains.  Trials run in
-    chunks, as many as their emitted pair cells, keys and stream states fit
-    ``_ROUND_BYTES``.  A chunk's (m01, m02, b1, b2) are drawn in one array
-    pass over its w streams (``draw_integers``), bit-identical to one
-    ``default_rng([seed, k, 0])`` per trial, ordered by bin
-    m01 * n01 + m02 (stable), so that the trials of one bin share their
-    u draws, and its bin searches run together (``_search``), whose pair
-    cells x·|Y| + y one ``bincount`` counts; the counts and failures pool
-    over trials, so the order does not change the report.
+    chunks, as many as fit ``_ROUND_BYTES`` both while their u, x and y
+    stream states are hashed, in one pass, and while they search, holding
+    their states and emitted pair cells.  A chunk's (m01, m02, b1, b2) are
+    drawn in one array pass over its w streams (``draw_integers``),
+    bit-identical to one ``default_rng([seed, k, 0])`` per trial, ordered
+    by bin m01 * n01 + m02 (stable), so that the trials of one bin share
+    their u draws, and its bin searches run together (``_search``), whose
+    pair cells x·|Y| + y one ``bincount`` counts; the counts and failures
+    pool over trials, so the order does not change the report.
     """
     books = Codebooks(cfg)
     nx, ny = cfg.q.shape
     counts = np.zeros(nx * ny, dtype=np.int64)
     failures = 0
     # trials a chunk may hold: a trial's search holds its emitted pair cells, 8 bytes a symbol,
-    # and 192 of keys, states and indices; hashing its states peaks at 704 (185 and 699 measured)
-    chunk = max(1, _ROUND_BYTES // max(8 * cfg.n + 192, 704))
+    # and 154 of states, trial row, indices and flags; hashing its states peaks at 352 (139 and 332 measured)
+    chunk = max(1, _ROUND_BYTES // max(8 * cfg.n + 154, 352))
     for start in range(0, cfg.trials, chunk):
         ks = np.arange(start, min(start + chunk, cfg.trials))
         keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
         table = draw_integers(keys, books.bounds)
+        del ks, keys  # dead before the search
         table = table[np.argsort(table[:, 0] * books.n01 + table[:, 1], kind="stable")]
         _, failed, pairs = _search(books, table)
         counts += np.bincount(pairs.ravel(), minlength=nx * ny)

@@ -46,9 +46,13 @@ DEEP = dict(n=16, r0=0.6, r_star=0.4, eps=0.04)
 KEY = np.array([(2, 0, 1, 3)])
 
 
+#: bytes a trial ``run_trials`` counts for hashing a chunk's stream states, the trial rows included
+HASH_BYTES = 352
+
+
 def chunk_trials(n):
-    """Trials ``run_trials`` holds in one chunk at block length ``n``: 8 bytes a symbol and 192 a trial, or 704."""
-    return simulate._ROUND_BYTES // max(8 * n + 192, 704)
+    """Trials ``run_trials`` holds in one chunk at block length ``n``: 8 bytes a symbol and 154 a trial, or HASH_BYTES."""
+    return simulate._ROUND_BYTES // max(8 * n + 154, HASH_BYTES)
 
 
 def blocks(books, table, start=0, stop=None):
@@ -679,6 +683,17 @@ class TestSeedStreams:
         assert any(rejected for rejected, _ in keys)
         assert any(rejected and steps >= 3 for rejected, steps in keys)
 
+    @pytest.mark.parametrize("prefix", [(), (7,), (7, 2**40)], ids=["padding", "last-pool-word", "folded"])
+    def test_short_keys_end_one_word_early(self, prefix):
+        # the first keys of a pass leave out the table's last entry, whether
+        # that word would sit in the pool, which pads it with zero, or be
+        # folded in past it
+        table = np.array([[3, 9, 11], [4, 0, 12], [5, 6, 7], [8, 1, 2]])
+        states = _srandom(seed_words(prefix, table, short=2))
+        keys = [[*prefix, *row[:2]] for row in table[:2].tolist()] + [[*prefix, *row] for row in table[2:].tolist()]
+        for key, row in zip(keys, states.tolist()):
+            assert row == _state_words(np.random.default_rng(key)), key
+
     @pytest.mark.parametrize("high", [0, -1, 2**32 + 1, 2.0, 2.5, "3", True])
     def test_draw_integers_refuses_bounds(self, high):
         with pytest.raises(ValueError, match=r"bounds must be integers in \[1, 2\^32\]"):
@@ -832,8 +847,9 @@ class TestSeedStreams:
     )
     def test_run_trials_matches_per_block_generators(self, kwargs, round_bytes, monkeypatch):
         # the streams of one default_rng per trial and per block, over three
-        # chunks of 200 trials, or more, smaller chunks at the small parts
-        monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes or 200 * 704)
+        # chunks, of 200 trials at n = 32 and 232 at n = 16, or more, smaller
+        # chunks at the small parts
+        monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes or 200 * 410)
         cfg = dsbs_cfg(trials=513, **kwargs)
         assert cfg.trials > 2 * chunk_trials(cfg.n)
         trials = reference_trials(cfg)
@@ -848,6 +864,72 @@ class TestSeedStreams:
         rep = run_trials(cfg)
         assert np.array_equal(rep.empirical_joint.probs, counts / (cfg.trials * cfg.n))
         assert rep.mstar_failure_rate == failures / cfg.trials
+
+    @pytest.mark.parametrize("round_bytes", [None, 20 * 1024], ids=["one-chunk", "small-chunks"])
+    def test_three_symbol_alphabets_match_per_block_generators(self, round_bytes, monkeypatch):
+        # a 3 x 3 source through a three-symbol U with X - U - Y exact, so
+        # every CDF the sampler reads has three entries; 200 trials share 36
+        # bins, some hit past row 16 and some fail, all as one default_rng
+        # per trial and per block draws them
+        if round_bytes:
+            monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes)
+        p_u = np.array([0.5, 0.3, 0.2])
+        p_x_u = np.array([[0.8, 0.1, 0.1], [0.1, 0.7, 0.2], [0.2, 0.2, 0.6]])
+        p_y_u = np.array([[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.3, 0.6]])
+        joint = p_u[:, None, None] * p_x_u[:, :, None] * p_y_u[:, None, :]
+        q = joint.sum(axis=0)
+        rates = SimRates(r0=0.3, r_star=0.4, rt1=0.5, rt2=0.5)
+        cfg = SimConfig(q=JointPmf(q), channel=AuxChannel((joint / q).transpose(1, 2, 0)), n=16, rates=rates, eps_typ=0.08, trials=200, seed=3)
+        trials = reference_trials(cfg)
+        assert 0 < sum(failed for _, _, failed, _, _ in trials) < cfg.trials
+        assert any(m_star > 16 for _, m_star, _, _, _ in trials)
+        counts, failures = np.zeros((3, 3), dtype=np.int64), 0
+        for _, _, failed, x, y in trials:
+            np.add.at(counts, (x, y), 1)
+            failures += failed
+        assert (counts > 0).all()
+        rep = run_trials(cfg)
+        assert np.array_equal(rep.empirical_joint.probs, counts / (cfg.trials * cfg.n))
+        assert rep.mstar_failure_rate == failures / cfg.trials
+        m_star, failed, pairs = _search(Codebooks(cfg), np.array([key for key, *_ in trials]))
+        for k, (_, m, fail, x, y) in enumerate(trials):
+            assert (m_star[k], failed[k]) == (m, fail)
+            assert np.array_equal(np.divmod(pairs[k], 3), (x, y))
+
+    def test_hashing_fits_the_chunk_count(self):
+        # the tracemalloc peak a trial of hashing a chunk's stream states,
+        # the slope between a small table and a full chunk at n = 1, plus the
+        # 32 bytes of trial rows run_trials holds meanwhile, is within the
+        # HASH_BYTES the chunk count reads
+        books = Codebooks(dsbs_cfg(n=1, seed=1, r0=I_JOINT_02 - 0.6, r_star=0.0))
+        rng = np.random.default_rng(3)
+
+        def peak(trials):
+            table = np.column_stack((rng.integers(books.n01, size=(trials, 2)), rng.integers(books.nb1, size=(trials, 2))))
+            books.states(table)
+            tracemalloc.start()
+            try:
+                books.states(table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 100, chunk_trials(1)
+        assert (peak(large) - peak(small)) / (large - small) + 32 <= HASH_BYTES
+
+    def test_chunks_and_hash_passes_follow_the_chunk_count(self, monkeypatch):
+        # run_trials' chunks are those chunk_trials counts: 1000 trials at
+        # n = 32 run in two chunks, each hashed in one pass over its w keys
+        # and one over its u, x and y keys, and searched in 5 + 3 parts
+        passes, chunks, parts = [], [], []
+        seed_words, search, rows = simulate.seed_words, simulate._search, Codebooks.rows
+        monkeypatch.setattr(simulate, "seed_words", lambda prefix, table, **kw: passes.append(len(table)) or seed_words(prefix, table, **kw))
+        monkeypatch.setattr(simulate, "_search", lambda books, table: chunks.append(len(table)) or search(books, table))
+        monkeypatch.setattr(Codebooks, "rows", lambda self, states, *span: parts.append(states.shape[1]) or rows(self, states, *span))
+        run_trials(dsbs_cfg(n=32, trials=1000, seed=1, r0=I_JOINT_02 - 0.6, r_star=0.0))
+        assert chunks == [chunk_trials(32), 1000 - chunk_trials(32)] == [639, 361]
+        assert passes == [639, 3 * 639, 361, 3 * 361]
+        assert len(parts) == 8 and sum(parts) == 1000
 
     def test_memory_is_flat_in_trials(self):
         # the stream states of one chunk are kept at a time
@@ -866,9 +948,9 @@ class TestSeedStreams:
         assert peak(20 * chunk) <= peak(chunk) + 64 * 1024
 
     def test_short_blocks_run_in_capped_chunks(self):
-        # at n = 1 a chunk holds 372 trials: their stream states, hashed at
-        # 699 bytes a trial, fit the round cap, where a count of emitted rows
-        # alone would put 16384 trials in a chunk
+        # at n = 1 a chunk holds 744 trials: their stream states, hashed at
+        # 332 bytes a trial with their trial rows, fit the round cap, where a
+        # count of emitted rows alone would put 16384 trials in a chunk
         kwargs = dict(n=1, seed=1, r0=I_JOINT_02 - 0.6, r_star=0.0)
         run_trials(dsbs_cfg(trials=3, **kwargs))
         tracemalloc.start()
@@ -877,7 +959,7 @@ class TestSeedStreams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.trials_run == 4000 and chunk_trials(1) == 372
+        assert rep.trials_run == 4000 and chunk_trials(1) == 744
         assert peak <= 2 * simulate._ROUND_BYTES + 256 * 1024
 
     @pytest.mark.parametrize(
