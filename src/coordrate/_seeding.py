@@ -176,19 +176,19 @@ def _srandom(words):
     8-byte scratch words a row at most, and no copy of ``words``.
     """
     words = np.asarray(words, dtype=np.uint64)
-    col = words.T
-    # inc = 2 initseq + 1, its low word into column 2 and its high one into 3
-    low = col[3] << _ONE
+    c0, c1, c2, c3 = words.T  # seed hi, seed lo, initseq hi, initseq lo
+    # inc = 2 initseq + 1, its low word into c2 and its high one into c3
+    low = c3 << _ONE
     low |= _ONE
-    col[3] >>= _TOP
-    col[3] |= col[2] << _ONE
-    col[2] = low
-    # step from 0 (giving inc), add the seed, its low word into column 0 and
-    # its high one into 1, and step
-    np.add(col[1], col[2], out=low)
-    np.add(col[0], col[3], out=col[1])
-    col[1] += low < col[2]
-    col[0] = low
+    c3 >>= _TOP
+    c3 |= c2 << _ONE
+    c2[:] = low
+    # step from 0 (giving inc), add the seed, its low word into c0 and its
+    # high one into c1, and step
+    np.add(c1, c2, out=low)
+    np.add(c0, c3, out=c1)
+    c1 += low < c2
+    c0[:] = low
     _step(words)
     return words
 
