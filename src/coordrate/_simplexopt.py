@@ -243,19 +243,19 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     return out_batch, ChannelStats(src, out_batch), frozen_at
 
 
-def descend(q, card_u, starts, stages, opts, polish=None):
+def descend(q, card_u, starts, stages, opts, exact=()):
     """Run the ``starts``, then seeded random rows up to ``opts.restarts`` (at least one), through ``stages``.
 
     Each (kind, parameter, objective_and_grad) stage jitters the batch by
-    its index, then runs ``eg_minimize``; ``polish``, when given, runs last
-    without jitter.  Returns (batch, stats, each run's ``stage_record``).
+    its index, then runs ``eg_minimize``; the runs of ``exact``, given in
+    the same form, follow in order without jitter.  Returns (batch, stats,
+    each run's ``stage_record``).
     """
     batch = random_channels(*q.shape, card_u, max(opts.restarts - len(starts), 1), opts.seed)
     if starts:
         batch = np.concatenate([normalize_rows(np.stack(starts)), batch])
-    runs = [*stages, ("polish", None, polish)] if polish is not None else stages
     records = []
-    for index, (kind, parameter, objective_and_grad) in enumerate(runs):
+    for index, (kind, parameter, objective_and_grad) in enumerate([*stages, *exact]):
         if index < len(stages):
             batch = jitter_channels(batch, opts.seed, index)
         batch, stats, frozen_at = eg_minimize(q, batch, objective_and_grad, opts.max_iters, opts.tol_objective)

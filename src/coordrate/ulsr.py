@@ -7,12 +7,18 @@ either of two equivalent objectives:
     MAX_AVG:  max{ I(X;Y|U), (I(X,Y;U) + I(X;Y|U)) / 2 }
 
 The max makes the objective kinked exactly where the two terms meet,
-which is where the minimizer tends to sit.  The solver anneals a
-log-sum-exp softmax of the two terms over increasing temperatures and
-finishes with subgradient steps on the exact max, the polish; the answer
-is the best row the polish returns.  Multi-start with structured initial
-channels: the degenerate auxiliary, uniform rows, the interpolated
-family for symmetric binary sources, plus random rows.
+which is where the minimizer tends to sit.  Both forms share one descent:
+it anneals a log-sum-exp softmax of MAX_AVG's two terms over increasing
+temperatures, then takes subgradient steps on MAX_AVG's exact max, the
+polish.  MAX_AVG's answer is the best row the polish returns.  MAX_PAIR
+runs one more unjittered run from the polished batch, the finish, on its
+own exact max, and answers with the finish's best row.  The finish only
+accepts steps that do not raise MAX_PAIR, so its answer is never above
+MAX_PAIR at MAX_AVG's winner.  It is needed where MAX_AVG's minimum is
+flat: on X = Y, U = X minimizes MAX_AVG at H(X)/2, but MAX_PAIR reads
+H(X) there.  Multi-start with structured initial channels: the
+degenerate auxiliary, uniform rows, the interpolated family for
+symmetric binary sources, plus random rows.
 """
 
 from __future__ import annotations
@@ -154,9 +160,12 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     so.check_batch_bytes("ulsr_rate", max(opts.restarts, 7), nx, ny, card_u)
 
     structured = _structured_starts(q, card_u)
-    schedule = [("temperature", temp, _objective(form, temp)) for temp in TEMPERATURES]
-    # the polish runs on the exact max, so its accepted row is the best exact iterate
-    batch, stats, stages = so.descend(q.probs, card_u, structured, schedule, opts, polish=_objective(form))
+    schedule = [("temperature", temp, _objective(UlsrForm.MAX_AVG, temp)) for temp in TEMPERATURES]
+    # the exact runs' accepted rows are their best exact iterates
+    exact = [("polish", None, _objective(UlsrForm.MAX_AVG))]
+    if form is UlsrForm.MAX_PAIR:
+        exact.append(("finish", None, _objective(form)))
+    batch, stats, stages = so.descend(q.probs, card_u, structured, schedule, opts, exact)
     values = _form_value(stats.i_cond, stats.i_joint, form)
     best = so.best_row(values, stats.i_cond, batch)
     result = _result(stats, best, AuxChannel(batch[best]), form)
@@ -170,6 +179,7 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
         structured_starts=len(structured),
         card_u=card_u,
         best_values=np.sort(values)[:5].tolist(),
+        kink_gap=result.term_cond - result.term_joint,
         stages=stages,
         **so.bracket(result.value, 0.5 * ixy, hi),
     )
