@@ -37,7 +37,7 @@ STEP0 = 2.0
 BRACKET_SLACK = 1e-9
 #: cap on the solver working memory: the solvers hold at most 32 float64
 #: arrays of the (restarts, nx, ny, card_u) batch at once, 256 bytes per cell
-#: (16.5-18.9 measured, each stacked gradient array counting as two)
+#: (12.4-14.3 measured, each stacked gradient array counting as two)
 BATCH_BYTES_CAP = 2**30
 
 
@@ -188,13 +188,16 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     """
     nu = batch.shape[-1]
     src = Source(q, nu)
-    # minus the centring matrix I - 11'/nu: one matmul turns a gradient into
-    # its descent direction, which keeps every row of the batch on the simplex
+    # minus the centring matrix I - 11'/nu: one matmul turns the objective's gradient into the
+    # descent direction carried for each live restart, which keeps every row on the simplex
     descent = 1.0 / nu - np.eye(nu)
     row_sum = np.ones((nu, 1))
-    stats = ChannelStats(src, batch)
-    values, coef = objective_and_grad(stats)
-    g = stats.g
+
+    def evaluate(stats):
+        values, coef = objective_and_grad(stats)
+        return values, np.einsum("tr,tr...->r...", coef, stats.g).reshape(values.size, -1, nu) @ descent
+
+    values, heading = evaluate(ChannelStats(src, batch))
     out_batch = np.empty_like(batch)
     frozen_at = np.zeros(batch.shape[0], dtype=int)
     # working set: the live restarts and their row indices in the output
@@ -202,19 +205,17 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     steps = np.full(rows.size, STEP0)
     small_streak = np.zeros(rows.size, dtype=int)
     for it in range(1, max_iters + 1):
-        step = np.einsum("tr,tr...->r...", coef, g).reshape(rows.size, -1, nu) @ descent
         # rescale instead of clipping so a steep penalty cannot flip the
         # update direction; a single step never multiplies by more than e^CAP
-        gmax = np.abs(step).max(axis=(1, 2))
-        step *= np.minimum(steps, EXP_CAP / np.maximum(gmax, 1e-300))[:, None, None]
+        gmax = np.abs(heading).max(axis=(1, 2))
+        step = heading * np.minimum(steps, EXP_CAP / np.maximum(gmax, 1e-300))[:, None, None]
         # the multiplicative update and its row normalization, in place
         proposed = np.exp(step, out=step)
         proposed *= batch.reshape(proposed.shape)
         np.maximum(proposed, FLOOR, out=proposed)
         proposed /= proposed @ row_sum
         proposed = proposed.reshape(batch.shape)
-        new = ChannelStats(src, proposed)
-        new_values, new_coef = objective_and_grad(new)
+        new_values, new_heading = evaluate(ChannelStats(src, proposed))
         # adaptive step: accept and grow on descent, shrink and stay
         # otherwise; no step exceeds STEP0 * 8, so the cap binds only on growth
         accepted = new_values <= values
@@ -226,16 +227,14 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
         # leaves it
         small_streak = np.where(accepted, (small_streak + 1) * (values - new_values < tol), small_streak)
         converged = (small_streak >= STREAK) | (steps < 1e-14)
-        keep = accepted[:, None, None, None]
-        batch = np.where(keep, proposed, batch)
+        batch = np.where(accepted[:, None, None, None], proposed, batch)
         values = np.where(accepted, new_values, values)
-        g = np.where(keep, new.g, g)
-        coef = np.where(accepted, new_coef, coef)
+        heading = np.where(accepted[:, None, None], new_heading, heading)
         if converged.any():
             done = rows[converged]
             out_batch[done], frozen_at[done] = batch[converged], it
             live = ~converged
-            rows, batch, values, g, coef = rows[live], batch[live], values[live], g[:, live], coef[:, live]
+            rows, batch, values, heading = rows[live], batch[live], values[live], heading[live]
             steps, small_streak = steps[live], small_streak[live]
             if not rows.size:
                 break
