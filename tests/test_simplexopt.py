@@ -120,6 +120,33 @@ class TestCompaction:
             assert earlier[r] == 0
 
 
+def test_descend_jitters_stages_not_exact_runs(monkeypatch):
+    # stage i starts from the previous run's batch (the starts, then the
+    # seeded random rows, for the first) jittered by its index i; each exact
+    # run starts from the previous run's batch as it is
+    runs = []
+    run = so.eg_minimize
+
+    def recording(q, batch, objective_and_grad, max_iters, tol):
+        result = run(q, batch, objective_and_grad, max_iters, tol)
+        runs.append((batch, result[0]))
+        return result
+
+    monkeypatch.setattr(so, "eg_minimize", recording)
+    opts = SolverOptions(restarts=5, max_iters=40, seed=3)
+    starts = [np.full((2, 2, 3), 1.0 / 3.0)]
+    stages = [("penalty", 10.0, _penalized), ("penalty", 10.0, _penalized)]
+    exact = [("polish", None, _max_avg_subgradient), ("finish", None, _max_avg_subgradient)]
+    batch, _, records = so.descend(_DSBS, 3, starts, stages, opts, exact)
+    first = np.concatenate([so.normalize_rows(np.stack(starts)), so.random_channels(2, 2, 3, opts.restarts - len(starts), opts.seed)])
+    assert len(runs) == 4
+    inputs = [so.jitter_channels(first, opts.seed, 0), so.jitter_channels(runs[0][1], opts.seed, 1), runs[1][1], runs[2][1]]
+    for (given_batch, _), expected in zip(runs, inputs):
+        assert np.array_equal(given_batch, expected)
+    assert np.array_equal(batch, runs[-1][1])
+    assert [r["stage"] for r in records] == ["penalty", "penalty", "polish", "finish"]
+
+
 def test_stage_record():
     frozen_at = np.array([12, 0, 30])
     assert so.stage_record("penalty", 10.0, frozen_at, 50) == {
