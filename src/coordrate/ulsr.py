@@ -7,16 +7,16 @@ either of two equivalent objectives:
     MAX_AVG:  max{ I(X;Y|U), (I(X,Y;U) + I(X;Y|U)) / 2 }
 
 The max makes the objective kinked exactly where the two terms meet,
-which is where the minimizer tends to sit.  Both forms share one descent:
+which is where the minimizer tends to sit.  Both forms run one descent:
 it anneals a log-sum-exp softmax of MAX_AVG's two terms over increasing
-temperatures, then takes subgradient steps on MAX_AVG's exact max, the
-polish.  MAX_AVG's answer is the best row the polish returns.  MAX_PAIR
-runs one more unjittered run from the polished batch, the finish, on its
-own exact max, and answers with the finish's best row.  The finish only
-accepts steps that do not raise MAX_PAIR, so its answer is never above
-MAX_PAIR at MAX_AVG's winner.  It is needed where MAX_AVG's minimum is
-flat: on X = Y, U = X minimizes MAX_AVG at H(X)/2, but MAX_PAIR reads
-H(X) there.  Multi-start with structured initial channels: the
+temperatures, takes subgradient steps on MAX_AVG's exact max, the polish,
+and then on MAX_PAIR's, the finish.  The form only picks the objective
+that ranks the finish's batch.  The forms are equal wherever I(X;Y|U) >=
+I(X,Y;U), and the finish's winners have landed there on every source
+tried, so both answer alike.  The polish alone can stall off the kink at
+a near-constant U, and where MAX_AVG's minimum is flat it is no answer
+for MAX_PAIR: on X = Y, U = X minimizes MAX_AVG at H(X)/2, but MAX_PAIR
+reads H(X) there.  Multi-start with structured initial channels: the
 degenerate auxiliary, uniform rows, the interpolated family for
 symmetric binary sources, plus random rows.
 """
@@ -162,9 +162,7 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     structured = _structured_starts(q, card_u)
     schedule = [("temperature", temp, _objective(UlsrForm.MAX_AVG, temp)) for temp in TEMPERATURES]
     # the exact runs' accepted rows are their best exact iterates
-    exact = [("polish", None, _objective(UlsrForm.MAX_AVG))]
-    if form is UlsrForm.MAX_PAIR:
-        exact.append(("finish", None, _objective(form)))
+    exact = [("polish", None, _objective(UlsrForm.MAX_AVG)), ("finish", None, _objective(UlsrForm.MAX_PAIR))]
     batch, stats, stages = so.descend(q.probs, card_u, structured, schedule, opts, exact)
     values = _form_value(stats.i_cond, stats.i_joint, form)
     best = so.best_row(values, stats.i_cond, batch)

@@ -112,7 +112,7 @@ def test_criterion_5_ulsr_solver():
         0.25 <= r.value <= F_NEAR_MIN_01 + 1e-3 and r.value < strict_bar
         for r in (res_avg, res_pair)
     )
-    ok = ok and res_avg.value - 1e-3 <= res_pair.value <= res_avg.value + 1e-9 and elapsed < 120.0
+    ok = ok and abs(res_pair.value - res_avg.value) <= 1e-12 and elapsed < 120.0
     report(
         "criterion 5 (unlimited-shared-randomness solver)",
         ok,

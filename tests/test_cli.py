@@ -325,6 +325,11 @@ class TestRegion:
         code, _, err = run(["region", "xy-equal", "--hx", "1.0", "--rates", "0.5,0.5"])
         assert code == 1
 
+    def test_non_numeric_rate_is_validation_error(self):
+        code, out, err = run(["region", "xy-equal", "--hx", "1", "--rates", "1,x,2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: region --rates: could not convert string to float: 'x'\n")
+
     @pytest.mark.parametrize("hx", ["nan", "inf"])
     def test_xy_equal_non_finite_entropy(self, hx):
         code, out, err = run(["region", "xy-equal", "--hx", hx, "--rates", "1,1,1"])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import aux_with_copy_sides, near_tolerance_pair
 from coordrate.dsbs import dsbs_wyner_channel
-from coordrate.measures import conditional_mutual_information, entropy
+from coordrate.measures import conditional_mutual_information, entropy, mutual_information
 from coordrate.pmf import (
     AUX_TABLE_BYTES_CAP,
     AuxChannel,
@@ -26,6 +26,7 @@ from coordrate.pmf import (
 )
 from coordrate.simulate import Codebooks, SimConfig, SimRates, SimulationError, run_trials
 from coordrate.ulsr import ulsr_objective, ulsr_rate
+from coordrate.wyner import no_sr_rate, wyner_ci
 
 
 class TestValidation:
@@ -72,6 +73,11 @@ def _dsbs_books():
 
 #: a Codebooks table or states argument must be a rectangular array of integers
 _NOT_INT_TABLE = "must be a rectangular array of integers, got dtype"
+
+
+def _dsbs_full():
+    """DSBS(0.1) composed with the degenerate auxiliary."""
+    return compose(dsbs_joint(0.1), degenerate_channel(2, 2))
 
 
 def _saved_channel(tmp_path):
@@ -123,12 +129,43 @@ def _saved_channel(tmp_path):
         (lambda _: _dsbs_books().rows([[[0] * 4], [[0] * 4, [0] * 4], [[0] * 4]], 0, 1), SimulationError, f"Codebooks.rows: states {_NOT_INT_TABLE} object"),
         (lambda _: _dsbs_books().rows(np.zeros((3, 1, 4)), 0, 1), SimulationError, f"Codebooks.rows: states {_NOT_INT_TABLE} float64"),
         (lambda _: _dsbs_books().rows(np.zeros((3, 1, 4), dtype=bool), 0, 1), SimulationError, f"Codebooks.rows: states {_NOT_INT_TABLE} bool"),
+        (lambda _: Pmf([]), PmfError, "Pmf: empty probability table"),
+        (lambda _: Pmf([np.nan, 1.0]), PmfError, "Pmf: non-finite entry"),
+        (lambda _: Pmf([[0.5, 0.5]]), PmfError, r"Pmf: expected 1-d vector, got shape \(1, 2\)"),
+        (lambda _: AuxChannel(np.ones((2, 2))), PmfError, r"AuxChannel: expected a nonempty 3-d or 5-d table, got shape \(2, 2\)"),
+        (lambda _: FullJoint(dsbs_joint(0.1).probs), PmfError, "FullJoint: expected 5-d table over"),
+        (lambda _: marginal(dsbs_joint(0.1).probs, "x"), PmfError, "marginal: expected JointPmf or FullJoint, got ndarray"),
+        (lambda _: marginal(_dsbs_full(), ("x", "x")), PmfError, "marginal: duplicate axes"),
+        (lambda _: marginal(_dsbs_full(), ("x", "y", "u")), PmfError, "marginal: at most two axes can be kept"),
+        (lambda _: compose(dsbs_joint(0.1).probs, degenerate_channel(2, 2)), PmfError, r"compose: expected \(JointPmf, AuxChannel\)"),
+        (lambda _: mutual_information(_dsbs_full(), ("w",), ("y",)), PmfError, "unknown axis 'w'"),
+        (lambda _: mutual_information(dsbs_joint(0.1), ("x",), ("y",)), PmfError, "needs a FullJoint, got JointPmf"),
+        (lambda _: mutual_information(_dsbs_full(), (), ("y",)), PmfError, "needs nonempty groups A and B"),
+        # a bare axis name is a one-axis group, so "x" against "x" overlaps
+        (lambda _: mutual_information(_dsbs_full(), "x", "x"), PmfError, "needs disjoint groups, got 'x' and 'x'"),
+        (
+            lambda _: SimConfig(
+                q=dsbs_joint(0.1),
+                channel=AuxChannel(np.eye(2)[:, None, None, :, None].repeat(2, axis=1)),
+                n=8,
+                rates=SimRates(0.5, 0.25, 0.5, 0.5),
+            ),
+            SimulationError,
+            "SimConfig: scheme uses a single auxiliary",
+        ),
+        (lambda _: wyner_ci(dsbs_joint(0.1).probs), PmfError, "wyner_ci: expected a JointPmf"),
+        (lambda _: no_sr_rate(dsbs_joint(0.1).probs), PmfError, "no_sr_rate: expected a JointPmf"),
+        (lambda _: ulsr_rate(dsbs_joint(0.1).probs), PmfError, "ulsr_rate: expected a JointPmf"),
+        (lambda _: ulsr_objective(dsbs_joint(0.1), dsbs_joint(0.1)), PmfError, r"ulsr_objective: expected \(JointPmf, AuxChannel\)"),
     ],
     ids=["labels", "ragged-joint", "ragged-channel", "axis-group", "aux-source", "codebooks", "run-trials",
          "ulsr-rate-form", "ulsr-objective-form", "tv-strings", "entropy-string", "entropy-ragged", "entropy-dict",
          "marginal-none", "marginal-int", "marginal-nested", "degenerate-negative", "degenerate-float",
          "degenerate-bool", "save-joint-none", "save-aux-none", "states-strings", "states-ragged", "states-float",
-         "states-nan", "states-bool", "rows-string", "rows-ragged", "rows-float", "rows-bool"],
+         "states-nan", "states-bool", "rows-string", "rows-ragged", "rows-float", "rows-bool", "pmf-empty",
+         "pmf-nan", "pmf-2d", "channel-2d", "full-joint-2d", "marginal-array", "marginal-duplicate",
+         "marginal-three", "compose-array", "mi-unknown-axis", "mi-joint-pmf", "mi-empty-group", "mi-bare-name",
+         "sim-side-aux", "wyner-array", "no-sr-array", "ulsr-rate-array", "ulsr-objective-joint"],
 )
 def test_library_calls_refuse_bad_arguments_with_typed_errors(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
