@@ -9,6 +9,11 @@ cells.  ``ChannelStats`` takes each log once per iterate and stacks the
 gradients of the two information terms; each term is a weighted sum of its
 gradient.  An objective returns its value and the weights of its gradient
 on the two terms, so ``eg_minimize`` forms that gradient in one einsum.
+Each proposal's exponent adds beta times its restart's last accepted
+exponent, which a rejection resets to 0: the heavy ball (Polyak 1964),
+beta = ((sqrt(m) - 1) / (sqrt(m) + 1))^2 for m the largest gradient weight
+of a run's first evaluation, floored at 1.  So beta is 0, and the update
+the plain one bit for bit, for weights <= 1, as for every ulsr objective.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ STEP0 = 2.0
 BRACKET_SLACK = 1e-9
 #: cap on the solver working memory: the solvers hold at most 32 float64
 #: arrays of the (restarts, nx, ny, card_u) batch at once, 256 bytes per cell
-#: (12.4-14.3 measured, each stacked gradient array counting as two)
+#: (12.4-16.5 measured, each stacked gradient array counting as two)
 BATCH_BYTES_CAP = 2**30
 
 
@@ -195,9 +200,13 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
 
     def evaluate(stats):
         values, coef = objective_and_grad(stats)
-        return values, np.einsum("tr,tr...->r...", coef, stats.g).reshape(values.size, -1, nu) @ descent
+        return values, np.einsum("tr,tr...->r...", coef, stats.g).reshape(values.size, -1, nu) @ descent, coef
 
-    values, heading = evaluate(ChannelStats(src, batch))
+    values, heading, coef = evaluate(ChannelStats(src, batch))
+    # the heavy ball's beta (module docstring), 0 unless a gradient weight exceeds 1
+    root = np.sqrt(max(float(coef.max()), 1.0))
+    beta = ((root - 1.0) / (root + 1.0)) ** 2
+    carried = np.zeros_like(heading) if beta else None
     out_batch = np.empty_like(batch)
     frozen_at = np.zeros(batch.shape[0], dtype=int)
     # working set: the live restarts and their row indices in the output
@@ -205,17 +214,19 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     steps = np.full(rows.size, STEP0)
     small_streak = np.zeros(rows.size, dtype=int)
     for it in range(1, max_iters + 1):
-        # rescale instead of clipping so a steep penalty cannot flip the
-        # update direction; a single step never multiplies by more than e^CAP
-        gmax = np.abs(heading).max(axis=(1, 2))
-        step = heading * np.minimum(steps, EXP_CAP / np.maximum(gmax, 1e-300))[:, None, None]
-        # the multiplicative update and its row normalization, in place
-        proposed = np.exp(step, out=step)
+        # rescale instead of clipping so a steep penalty cannot flip the update direction; with beta
+        # times the last accepted exponent (0 after a rejection) added, no step multiplies by more than e^CAP
+        step = heading * np.minimum(steps, EXP_CAP / np.maximum(np.abs(heading).max(axis=(1, 2)), 1e-300))[:, None, None]
+        if beta:
+            step += np.multiply(carried, beta, out=carried)
+            step *= np.minimum(1.0, EXP_CAP / np.maximum(np.abs(step).max(axis=(1, 2)), 1e-300))[:, None, None]
+        # the multiplicative update and its row normalization, in place unless the exponent is carried
+        proposed = np.exp(step, out=None if beta else step)
         proposed *= batch.reshape(proposed.shape)
         np.maximum(proposed, FLOOR, out=proposed)
         proposed /= proposed @ row_sum
         proposed = proposed.reshape(batch.shape)
-        new_values, new_heading = evaluate(ChannelStats(src, proposed))
+        new_values, new_heading, _ = evaluate(ChannelStats(src, proposed))
         # adaptive step: accept and grow on descent, shrink and stay
         # otherwise; no step exceeds STEP0 * 8, so the cap binds only on growth
         accepted = new_values <= values
@@ -230,19 +241,22 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
         batch = np.where(accepted[:, None, None, None], proposed, batch)
         values = np.where(accepted, new_values, values)
         heading = np.where(accepted[:, None, None], new_heading, heading)
+        if beta:
+            np.multiply(step, accepted[:, None, None], out=carried)
         if converged.any():
             done = rows[converged]
             out_batch[done], frozen_at[done] = batch[converged], it
             live = ~converged
             rows, batch, values, heading = rows[live], batch[live], values[live], heading[live]
             steps, small_streak = steps[live], small_streak[live]
+            carried = carried[live] if beta else None
             if not rows.size:
                 break
     out_batch[rows] = batch
     return out_batch, ChannelStats(src, out_batch), frozen_at
 
 
-def descend(q, card_u, starts, stages, opts, exact=()):
+def descend(q, card_u, starts, stages, opts, exact):
     """Run the ``starts``, then seeded random rows up to ``opts.restarts`` (at least one), through ``stages``.
 
     Each (kind, parameter, objective_and_grad) stage jitters the batch by

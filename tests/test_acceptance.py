@@ -94,7 +94,8 @@ def test_criterion_4_wyner_solver():
         results.append((a, res, abs(res.value - target), elapsed))
     ok = all(err <= 1e-3 and res.markov_defect <= 1e-6 and el < 30.0 for _, res, err, el in results)
     detail = "; ".join(
-        f"a={a}: value={res.value:.9f} err={err:.1e} defect={res.markov_defect:.1e} {el:.1f}s"
+        f"a={a}: value={res.value:.9f} err={err:.1e} defect={res.markov_defect:.1e} {el:.1f}s "
+        f"iterations={[s['iterations'] for s in res.diagnostics['stages']]}"
         for a, res, err, el in results
     )
     report("criterion 4 (common-information solver)", ok, detail)

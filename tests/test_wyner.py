@@ -204,6 +204,24 @@ class TestWynerSolver:
         with pytest.raises(SolverInfeasibleError, match=r"\|U\| = 1; best residual 2\.781e-01 bits"):
             wyner_ci(dsbs_joint(0.2), card_u=1, opts=SolverOptions(restarts=2, seed=0))
 
+    def test_near_degenerate_source_is_not_budget_limited(self):
+        # cells 0.0092 and 0.0193 make the penalty stiff: without the heavy
+        # ball the stages end far from their minimum at max_iters, and the
+        # seeds answer 0.0255896 and 0.0286721; both must reach about 0.02551
+        q = JointPmf(np.random.default_rng([99, 6, 0]).dirichlet(np.ones(4)).reshape(2, 2))
+        values = [wyner_ci(q, opts=SolverOptions(restarts=16, seed=s)).value for s in (0, 1)]
+        assert max(values) <= 0.02552
+        assert abs(values[0] - values[1]) <= 1e-5
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_card_u_not_above_small_card_u(self, source_3x3, seed):
+        # a channel with |U| = 3 is one with |U| = 9 and six unused symbols, so
+        # the default |U| must not answer higher.  The margin covers the
+        # rounding noise the 1e7 penalty leaves: one arithmetically equal
+        # reordering of I(X;Y|U) moved 16-restart values by up to 3.8e-7
+        opts = SolverOptions(restarts=16, seed=seed)
+        assert wyner_ci(source_3x3, opts=opts).value <= wyner_ci(source_3x3, card_u=3, opts=opts).value + 2.5e-7
+
     @pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.4])
     def test_dsbs_value_not_below_common_information(self, a):
         # the residual left by the last penalty stage must not buy a value
