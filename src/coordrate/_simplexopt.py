@@ -7,8 +7,9 @@ multiplicative, so iterates stay inside the (floored) simplex, and are
 preconditioned by 1/q(x,y), which makes them scale-free across source
 cells.  ``ChannelStats`` takes each log once per iterate and stacks the
 gradients of the two information terms; each term is a weighted sum of its
-gradient.  An objective returns its value and the weights of its gradient
-on the two terms, so ``eg_minimize`` forms that gradient in one einsum.
+gradient.  Both solvers' objectives are ``max_objective``s of their term
+tables; each returns its value and the weights of its gradient on the
+two terms, so ``eg_minimize`` forms that gradient in one einsum.
 Each proposal's exponent adds beta times its restart's last accepted
 exponent, which a rejection resets to 0: the heavy ball (Polyak 1964),
 beta = ((sqrt(m) - 1) / (sqrt(m) + 1))^2 for m the largest gradient weight
@@ -172,12 +173,48 @@ def best_row(values, residuals, batch):
     return int(min(range(batch.shape[0]), key=lambda r: (values[r], residuals[r], batch[r].tobytes())))
 
 
+def max_objective(terms, temp=None):
+    """The objective max over the rows (c_joint, c_cond) of ``terms`` of c_joint I(X,Y;U) + c_cond I(X;Y|U).
+
+    A log-sum-exp softmax at ``temp`` (1/bits); with None the exact max,
+    whose rows within 1e-12 of it share the subgradient equally.  The
+    gradient's weights are the last row's plus each other row's excess over
+    it times that row's softmax (or subgradient) weight, so a single row is
+    its own weights.  Returns the ``eg_minimize`` objective of the terms.
+    A single row's value is summed elementwise, as i_joint + lambda *
+    i_cond rounds: a matmul may fuse the multiply-add, and so rounded it
+    changed the iterations of seeded Wyner stages.  ulsr's coefficients 0,
+    1/2 and 1 multiply exactly, so its rows round alike in the matmul.
+    """
+    terms = np.array(terms, dtype=float)
+    last = terms[-1][:, None]
+    if len(terms) == 1:
+        c_joint, c_cond = terms[0]
+        return lambda i: (c_joint * i[0] + c_cond * i[1], np.repeat(last, i.shape[1], axis=1))
+    excess = (terms[:-1] - terms[-1]).T
+
+    def objective_and_grad(i):
+        rows = terms @ i
+        if temp is None:
+            values = rows.max(axis=0)
+            share = rows + 1e-12 >= values
+            share = share / share.sum(axis=0)
+        else:
+            scaled = temp * rows
+            lse = np.logaddexp2.reduce(scaled, axis=0)
+            values, share = lse / temp, np.exp2(scaled - lse)
+        return values, last + excess @ share[:-1]
+
+    return objective_and_grad
+
+
 def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     """Minimize per-restart objectives by exponentiated-gradient descent.
 
-    objective_and_grad(stats) must return (values, coef) with shapes (restarts,)
-    and (2, restarts): each row's objective and the weights of its
-    gradient on ``stats.g_joint`` and ``stats.g_cond``.  Steps start at
+    objective_and_grad(i), given the (2, restarts) terms ``stats.i`` of the
+    batch, must return (values, coef) with shapes (restarts,) and (2,
+    restarts): each row's objective and the weights of its gradient on
+    ``stats.g_joint`` and ``stats.g_cond``.  Steps start at
     ``STEP0``; one is accepted, row by row, only if it does not raise the
     objective, so a restart's accepted row is the best iterate it has
     seen, subgradient steps on a kinked objective included.  Each restart
@@ -199,7 +236,7 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     row_sum = np.ones((nu, 1))
 
     def evaluate(stats):
-        values, coef = objective_and_grad(stats)
+        values, coef = objective_and_grad(stats.i)
         return values, np.einsum("tr,tr...->r...", coef, stats.g).reshape(values.size, -1, nu) @ descent, coef
 
     values, heading, coef = evaluate(ChannelStats(src, batch))

@@ -1,6 +1,7 @@
 """Command-line frontend: one subcommand per computation.
 
-Exit codes: 0 success, 1 validation error, 2 solver-feasibility failure.
+Exit codes: 0 success, 1 validation error (or numpy's PCG64 state layout
+not the one the simulator writes), 2 solver-feasibility failure.
 All numeric stdout is printed with 15 significant digits.  Every
 stochastic subcommand accepts --seed and is bit-reproducible for a fixed
 seed.  With --out, the owning module's file format is written and stdout
@@ -14,11 +15,12 @@ import dataclasses
 import functools
 import sys
 
+from ._seeding import StateLayoutError
 from .dsbs import curve_csv_lines, emit_curve, t_star, write_curve_csv
 from .measures import source_info, table_entropy
-from .pmf import PmfError, load_aux_channel, load_joint_pmf, tv_distance
+from .pmf import load_aux_channel, load_joint_pmf, tv_distance
 from .region import RateTriple, in_achievable_region, xy_equal_region
-from .simulate import SimConfig, SimRates, SimulationError, run_trials
+from .simulate import SimConfig, SimRates, run_trials
 from .ulsr import UlsrForm, ulsr_rate
 from .wyner import SolverInfeasibleError, SolverOptions, wyner_ci
 
@@ -212,7 +214,7 @@ def dispatch(argv, out=None, err=None):
         err.write(f"error: {exc}\n")
         parser.print_usage(err)
         return 1
-    except (PmfError, SimulationError, ValueError, OSError) as exc:
+    except (ValueError, OSError, StateLayoutError) as exc:
         err.write(f"error: {exc}\n")
         return 1
     except SolverInfeasibleError as exc:

@@ -154,7 +154,7 @@ class AuxChannel:
 
     @classmethod
     def from_array(cls, rows):
-        """The constructor under its older name: ``AuxChannel(rows)``."""
+        """The constructor under its older name, ``AuxChannel(rows)``; ``perfbench/workloads.py`` is its last caller."""
         return cls(rows)
 
     @property

@@ -55,23 +55,16 @@ class UlsrResult:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def _second_term(joint, cond, form):
-    """What I(X;Y|U) is maxed against: I(X,Y;U), or the average of both terms.
-
-    Linear in its inputs, so it maps the terms' unit weights as it maps the terms.
-    """
-    return joint if form is UlsrForm.MAX_PAIR else 0.5 * (joint + cond)
-
-
-def _form_value(i_cond, i_joint, form):
-    """The exact objective max{I(X;Y|U), _second_term}."""
-    return np.maximum(i_cond, _second_term(i_joint, i_cond, form))
+def _objective(form, temp=None):
+    """``form``'s ``so.max_objective``: I(X;Y|U)'s row first, the term it is maxed against last."""
+    return so.max_objective(((0.0, 1.0), (1.0, 0.0) if form is UlsrForm.MAX_PAIR else (0.5, 0.5)), temp)
 
 
 def _result(stats, row, channel, form):
     """UlsrResult of ``channel`` from row ``row`` of its ``ChannelStats``."""
     i_joint, i_cond = so.terms(stats, row)
-    return UlsrResult(float(_form_value(i_cond, i_joint, form)), channel, i_cond, i_joint, form)
+    value = _objective(form)(np.array([[i_joint], [i_cond]]))[0]
+    return UlsrResult(float(value[0]), channel, i_cond, i_joint, form)
 
 
 def _check_form(who, form):
@@ -90,36 +83,6 @@ def ulsr_objective(q, ch, form=UlsrForm.MAX_AVG):
     if ch.probs.shape[:2] != q.shape or ch.card_u1 != 1 or ch.card_u2 != 1:
         raise PmfError("ulsr_objective: channel must be a single-auxiliary p(u|x,y) on the source's grid")
     return _result(so.ChannelStats(so.Source(q.probs, ch.card_u), ch.probs[None, :, :, :, 0, 0]), 0, ch, form)
-
-
-def _soft_max(a, b, temp):
-    """The log-sum-exp softmax of max(a, b) at ``temp`` (1/bits) and the softmax weight of a."""
-    ta, tb = temp * a, temp * b
-    lse = np.logaddexp2(ta, tb)
-    return lse / temp, np.exp2(ta - lse)
-
-
-def _objective(form, temp=None):
-    """Objective on max(a, b): log-sum-exp softmax at ``temp``, exact subgradient when None.
-
-    a = I(X;Y|U) and b is its ``_second_term``; the gradient mixes the two
-    term gradients with weight wa on a, so its weights on (I(X,Y;U),
-    I(X;Y|U)) are b's plus wa times (a's - b's).
-    """
-    on_joint, on_cond = np.eye(2)[:, :, None]
-    on_b = _second_term(on_joint, on_cond, form)
-    a_minus_b = on_cond - on_b
-
-    def objective_and_grad(stats):
-        a, b = stats.i_cond, _second_term(stats.i_joint, stats.i_cond, form)
-        if temp is None:
-            values = np.maximum(a, b)
-            wa = np.where(a > b + 1e-12, 1.0, np.where(b > a + 1e-12, 0.0, 0.5))
-        else:
-            values, wa = _soft_max(a, b, temp)
-        return values, on_b + a_minus_b * wa
-
-    return objective_and_grad
 
 
 def _pad_rows(rows, card_u):
@@ -164,7 +127,7 @@ def ulsr_rate(q, form=UlsrForm.MAX_AVG, opts=None):
     # the exact runs' accepted rows are their best exact iterates
     exact = [("polish", None, _objective(UlsrForm.MAX_AVG)), ("finish", None, _objective(UlsrForm.MAX_PAIR))]
     batch, stats, stages = so.descend(q.probs, card_u, structured, schedule, opts, exact)
-    values = _form_value(stats.i_cond, stats.i_joint, form)
+    values = _objective(form)(stats.i)[0]
     best = so.best_row(values, stats.i_cond, batch)
     result = _result(stats, best, AuxChannel(batch[best]), form)
     hx, hy, ixy = source_info(q)

@@ -20,7 +20,6 @@ certified upper bound on C, and the tests bound it below by C - 1e-6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -45,11 +44,6 @@ class WynerResult:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def _penalized(lam, stats):
-    """Objective I(X,Y;U) + lam * I(X;Y|U) and its gradient's weights (1, lam) on the two terms."""
-    return stats.i_joint + lam * stats.i_cond, np.repeat([[1.0], [lam]], stats.i_cond.size, axis=1)
-
-
 def wyner_ci(q, card_u=None, opts=None):
     """Best upper bound on C(X;Y) found over multi-start penalized descent.
 
@@ -65,7 +59,7 @@ def wyner_ci(q, card_u=None, opts=None):
     card_u = so.check_int("wyner_ci", "card_u", card_u, 1) if card_u is not None else nx * ny
     so.check_batch_bytes("wyner_ci", opts.restarts, nx, ny, card_u)
 
-    schedule = [("penalty", lam, partial(_penalized, lam)) for lam in PENALTIES]
+    schedule = [("penalty", lam, so.max_objective(((1.0, lam),))) for lam in PENALTIES]
     batch, stats, stages = so.descend(q.probs, card_u, (), schedule[:-1], opts, schedule[-1:])
     feasible = stats.i_cond <= MARKOV_TOL
     if not feasible.any():

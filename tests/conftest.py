@@ -1,5 +1,6 @@
 import csv
 import pathlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ def aux_with_copy_sides(base, nx, ny):
     for x in range(nx):
         for y in range(ny):
             rows[x, y, :, x, y] = base.probs[x, y, :, 0, 0]
-    return AuxChannel.from_array(rows)
+    return AuxChannel(rows)
+
+
+def in_new_thread(fn):
+    """Run ``fn`` in a thread of its own, which has no generator yet; return what it returned, raise what it raised."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
 
 
 def near_tolerance_pair():

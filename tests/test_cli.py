@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import coordrate
+from conftest import in_new_thread
+from coordrate import _seeding
 from coordrate.cli import build_parser, dispatch, main
 from coordrate.dsbs import CURVE_POINTS_CAP, curve_csv_lines, dsbs_wyner_channel, f_of_t
 from coordrate.measures import source_info
-from coordrate.pmf import JointPmf, dsbs_joint, save_aux_channel, save_joint_pmf
+from coordrate.pmf import JointPmf, degenerate_channel, dsbs_joint, save_aux_channel, save_joint_pmf
 
 #: a 3 x 3 source with a zero-mass cell, whose gradients the solver kernel masks
 ZERO_MASS_3X3 = [[0.2, 0.1, 0.0], [0.05, 0.25, 0.1], [0.05, 0.05, 0.2]]
@@ -400,6 +402,19 @@ class TestSimulate:
         code, _, err = run(["simulate", "--dist", files["dist02"], "--aux", bad_aux,
                             "--n", "8", "--rates", "0.7,0.3,0.5,0.5", "--trials", "5"])
         assert code == 1 and "X - U - Y" in err
+
+    def test_state_layout_mismatch_is_validation_error(self, tmp_path, monkeypatch):
+        # numpy's PCG64 state words in another order, emulated as TestStateLayout
+        # does: the calling thread's first draw checks the layout and fails
+        dist, aux = tmp_path / "q.json", tmp_path / "aux.json"
+        save_joint_pmf(JointPmf(np.outer([0.4, 0.6], [0.3, 0.7])), dist)
+        save_aux_channel(degenerate_channel(2, 2), aux)
+        srandom = _seeding._srandom
+        monkeypatch.setattr(_seeding, "_srandom", lambda words: srandom(words)[:, [1, 0, 3, 2]])
+        code, out, err = in_new_thread(lambda: run(["simulate", "--dist", str(dist), "--aux", str(aux), "--n", "8",
+                                                    "--rates", "0.5,0.25,0.5,0.5", "--trials", "5"]))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: PCG64 seeded by a written state drew") and err.count("\n") == 1
 
     def test_index_set_beyond_float_range_is_validation_error(self, files):
         # 2^(4000 * 0.5) overflows a float; the cap is checked on the exponent

@@ -65,6 +65,11 @@ class TestValidation:
         with pytest.raises(PmfError, match=r"row \(1, 0\)"):
             AuxChannel(rows)
 
+    def test_aux_channel_from_array_is_the_constructor(self):
+        rows = np.random.default_rng(2).dirichlet(np.ones(3), size=(2, 2))
+        ch = AuxChannel.from_array(rows)
+        assert type(ch) is AuxChannel and np.array_equal(ch.probs, AuxChannel(rows).probs)
+
 
 def _dsbs_books():
     """The fixed code of DSBS(0.2) at n = 8 through its Wyner channel."""
@@ -288,7 +293,7 @@ class TestCompose:
         for x in range(2):
             for y in range(2):
                 rows[x, y, x] = 1.0
-        full = compose(q, AuxChannel.from_array(rows))
+        full = compose(q, AuxChannel(rows))
         pu_eq_x = sum(full.probs[x, y, x, 0, 0] for x in range(2) for y in range(2))
         assert pu_eq_x == pytest.approx(1.0, abs=1e-15)
 

@@ -7,16 +7,16 @@ from conftest import BASE_3X3
 from coordrate import _simplexopt as so
 from coordrate.measures import conditional_mutual_information, mutual_information
 from coordrate.pmf import AuxChannel, JointPmf, compose, dsbs_joint
-from coordrate.ulsr import UlsrForm, _objective, ulsr_rate
+from coordrate.ulsr import UlsrForm, ulsr_rate
 from coordrate.wyner import SolverOptions, wyner_ci
 
 
-def _max_avg(stats):
-    return np.maximum(stats.i_cond, 0.5 * (stats.i_joint + stats.i_cond))
+def _max_avg(i):
+    return np.maximum(i[1], 0.5 * (i[0] + i[1]))
 
 
-def _max_avg_subgradient(stats):
-    a, b = stats.i_cond, 0.5 * (stats.i_joint + stats.i_cond)
+def _max_avg_subgradient(i):
+    a, b = i[1], 0.5 * (i[0] + i[1])
     wa = np.where(a > b, 1.0, 0.0)
     # weights on (g_joint, g_cond) of wa * g_cond + (1 - wa) * (g_joint + g_cond) / 2
     return np.maximum(a, b), np.stack([0.5 * (1.0 - wa), wa + 0.5 * (1.0 - wa)])
@@ -42,18 +42,35 @@ class TestEgMinimize:
         batch = so.random_channels(2, 2, 6, 4, seed=0)
         proposed = []
 
-        def recording(stats):
-            proposed.append(_max_avg(stats))
-            return _max_avg_subgradient(stats)
+        def recording(i):
+            proposed.append(_max_avg(i))
+            return _max_avg_subgradient(i)
 
         so.eg_minimize(q, batch[:1], recording, 60, 1e-12)
         assert any(b > a for a, b in zip(proposed, proposed[1:]))
-        accepted = [_max_avg(so.eg_minimize(q, batch, _max_avg_subgradient, k, 1e-12)[1]) for k in range(61)]
+        accepted = [_max_avg(so.eg_minimize(q, batch, _max_avg_subgradient, k, 1e-12)[1].i) for k in range(61)]
         assert all(np.all(b <= a) for a, b in zip(accepted, accepted[1:]))
 
 
-def _penalized(stats):
-    return stats.i_joint + 10.0 * stats.i_cond, np.repeat([[1.0], [10.0]], stats.i_cond.size, axis=1)
+class TestMaxObjective:
+    def test_one_row_is_its_own_weights(self):
+        # Wyner's stage objectives: the value rounds as i_joint + lambda * i_cond
+        i = np.random.default_rng(5).random((2, 7)) ** 4
+        for lam in (1.0, 10.0, 100.0, 1e3, 1e7):
+            values, coef = so.max_objective(((1.0, lam),))(i)
+            assert np.array_equal(values, i[0] + lam * i[1])
+            assert np.array_equal(coef, np.repeat([[1.0], [lam]], 7, axis=1))
+
+    def test_exact_max_shares_ties_within_1e_12(self):
+        # rows (I(X;Y|U), I(X,Y;U)): I(X;Y|U) wins, the two tie, I(X,Y;U) wins
+        i_joint = np.full(4, 0.3)
+        i_cond = i_joint + [2e-12, 5e-13, -5e-13, -2e-12]
+        values, coef = so.max_objective(((0.0, 1.0), (1.0, 0.0)))(np.stack([i_joint, i_cond]))
+        assert np.array_equal(values, np.maximum(i_joint, i_cond))
+        assert coef.tolist() == [[0.0, 0.5, 0.5, 1.0], [1.0, 0.5, 0.5, 0.0]]
+
+
+_penalized = so.max_objective(((1.0, 10.0),))
 
 
 _DSBS = dsbs_joint(0.1).probs
@@ -74,7 +91,7 @@ _RUNS = {
     "streak": (_DSBS, 3, _penalized, 115),
     "collapse": (_DSBS, 3, _max_avg_subgradient, 2000),
     "3x3": (_3X3, 11, _penalized, 900),
-    "softmax": (_3X3, 11, _objective(UlsrForm.MAX_AVG, 100.0), 900),
+    "softmax": (_3X3, 11, so.max_objective(((0.0, 1.0), (0.5, 0.5)), 100.0), 900),
     "zero_mass": (_ZERO_MASS, 4, _penalized, 1100),
 }
 
@@ -85,7 +102,7 @@ class TestCompaction:
         q, card_u, objective, max_iters = _RUNS[case]
         batch = so.random_channels(*q.shape, card_u, 6, seed=0)
         best, stats, frozen_at = so.eg_minimize(q, batch, objective, max_iters, 1e-9)
-        values = objective(stats)[0]
+        values = objective(stats.i)[0]
         assert len(set(frozen_at.tolist())) > 1
         for r in range(batch.shape[0]):
             one, one_stats, one_frozen = so.eg_minimize(q, batch[r : r + 1], objective, max_iters, 1e-9)
@@ -96,7 +113,7 @@ class TestCompaction:
                 # a frozen restart keeps its accepted state, never a rejected
                 # proposal, so it is no worse than one iteration earlier
                 before = so.eg_minimize(q, batch[r : r + 1], objective, frozen_at[r] - 1, 1e-9)
-                assert values[r] <= objective(before[1])[0][0]
+                assert values[r] <= objective(before[1].i)[0][0]
 
     def test_frozen_rows_are_not_reevaluated(self, monkeypatch):
         rows = []
@@ -133,8 +150,8 @@ def test_proposals_stay_within_exp_cap(monkeypatch):
             rows.append(batch[0].copy())
             super().__init__(src, batch)
 
-    def recording(stats):
-        values.append(float(stats.i_joint[0] + 1e3 * stats.i_cond[0]))
+    def recording(i):
+        values.append(float(i[0, 0] + 1e3 * i[1, 0]))
         return np.array(values[-1:]), np.array([[1.0], [1e3]])
 
     monkeypatch.setattr(so, "ChannelStats", RecordingStats)
@@ -219,7 +236,7 @@ class TestChannelStatsReference:
     def test_terms_match_measures(self, case):
         q, rows, _ = case
         stats = so.ChannelStats(so.Source(q, rows.shape[-1]), rows[None])
-        full = compose(JointPmf(q), AuxChannel.from_array(rows))
+        full = compose(JointPmf(q), AuxChannel(rows))
         assert stats.i_joint[0] == pytest.approx(mutual_information(full, ("x", "y"), ("u",)), abs=1e-12)
         assert stats.i_cond[0] == pytest.approx(
             conditional_mutual_information(full, ("x",), ("y",), ("u",)), abs=1e-12

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random.bit_generator import ISeedSequence
 
-from conftest import near_tolerance_pair, processor_isolation
+from conftest import in_new_thread, near_tolerance_pair, processor_isolation
 from coordrate import _seeding, measures, simulate, wyner
 from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words
 from coordrate.dsbs import dsbs_wyner_channel, f_of_t, interpolated_channel
@@ -220,7 +220,7 @@ class TestDeriveComponents:
             for y in range(2):
                 rows[x, y, x] = 1.0
         q = JointPmf(np.outer([0.5, 0.5], [0.5, 0.5]))
-        p_u, p_x_u, _ = derive_components(AuxChannel.from_array(rows), q)
+        p_u, p_x_u, _ = derive_components(AuxChannel(rows), q)
         assert np.allclose(p_x_u, np.eye(2))
 
     def test_rejects_non_chain_channel(self):
@@ -587,12 +587,6 @@ def _steps_taken(gen, key):
     raise AssertionError("more than 64 raw outputs drawn")
 
 
-def _in_new_thread(fn):
-    """Run ``fn`` in a thread of its own, which has no generator yet, and raise what it raised."""
-    with ThreadPoolExecutor(1) as pool:
-        pool.submit(fn).result()
-
-
 class TestStateLayout:
     """The per-thread check of numpy's PCG64 state layout, which ``_seeding.draw_uniforms`` writes into."""
 
@@ -616,7 +610,7 @@ class TestStateLayout:
                 with pytest.raises(StateLayoutError, match="drew"):
                     run_trials(dsbs_cfg())
 
-        _in_new_thread(draw_twice)
+        in_new_thread(draw_twice)
 
     def test_check_runs_once_per_thread(self, monkeypatch):
         check, calls = _seeding._check_layout, []
@@ -627,7 +621,7 @@ class TestStateLayout:
                 run_trials(dsbs_cfg(seed=seed))
 
         for _ in range(2):
-            _in_new_thread(three_codes)
+            in_new_thread(three_codes)
         assert len(calls) == 2 and calls[0] is not calls[1]
 
 

@@ -14,6 +14,7 @@ from coordrate.pmf import (
 )
 from coordrate.region import RateTriple, in_achievable_region
 from coordrate import ulsr
+from coordrate import _simplexopt as so
 from coordrate._simplexopt import BRACKET_SLACK, LN2
 from coordrate.ulsr import UlsrForm, _pad_rows, _structured_starts, ulsr_objective, ulsr_rate
 from coordrate.wyner import SolverOptions, wyner_ci
@@ -56,7 +57,7 @@ class TestObjective:
         for _ in range(100):
             rows = rng.random((2, 2, 3))
             rows /= rows.sum(-1, keepdims=True)
-            ch = AuxChannel.from_array(rows)
+            ch = AuxChannel(rows)
             avg = ulsr_objective(q, ch, UlsrForm.MAX_AVG).value
             pair = ulsr_objective(q, ch, UlsrForm.MAX_PAIR).value
             assert avg <= pair + 1e-12
@@ -77,8 +78,10 @@ class TestSoftmax:
         gaps = np.array([0.0, 1e-9, 1e-3, 0.1, 1.0, 10.0, 50.0, 86.0, 87.0, 150.0, 1000.0]) / temp
         a = np.repeat([0.0, 0.1, 0.3, 0.7, 1.0], gaps.size)
         b = a + np.tile(gaps, 5)
+        # rows (I(X;Y|U), I(X,Y;U)) = (x, y): the weight on I(X;Y|U) is x's
+        soft_max = so.max_objective(((0.0, 1.0), (1.0, 0.0)), temp)
         for x, y in ((a, b), (b, a)):
-            value, weight = ulsr._soft_max(x, y, temp)
+            value, (_, weight) = soft_max(np.stack([y, x]))
             old_value, old_weight = _clipped_softmax(x, y, temp)
             assert np.abs(weight - old_weight).max() <= 1e-12
             assert np.abs(value - old_value).max() <= 1e-15
@@ -209,10 +212,10 @@ class TestRateSolver:
         nx, ny = q.shape
         value = ulsr_rate(q, form).value
         for rows in _structured_starts(q, nx * ny + 2):
-            assert value <= ulsr_objective(q, AuxChannel.from_array(rows), form).value
+            assert value <= ulsr_objective(q, AuxChannel(rows), form).value
         # nor to a Wyner-minimizing channel, which is not among the starts
         wyner_rows = _pad_rows(wyner_ci(q).channel.probs[:, :, :, 0, 0], nx * ny + 2)
-        assert value <= ulsr_objective(q, AuxChannel.from_array(wyner_rows), form).value
+        assert value <= ulsr_objective(q, AuxChannel(wyner_rows), form).value
 
     @pytest.mark.parametrize("a", [1e-12, 5e-10, 0.5 - 5e-10])
     def test_edge_crossovers_end_in_a_value(self, a):
