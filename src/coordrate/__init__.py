@@ -32,7 +32,7 @@ from .measures import (
     mutual_information,
     source_info,
 )
-from .wyner import SolverInfeasibleError, SolverOptions, WynerResult, no_sr_rate, wyner_ci
+from .wyner import SolverInfeasibleError, SolverOptions, WynerResult, wyner_ci
 from .ulsr import UlsrForm, UlsrResult, ulsr_objective, ulsr_rate
 from .dsbs import CurvePoint, curve_csv_lines, dsbs_wyner_channel, emit_curve, f_of_t, interpolated_channel, t_star, write_curve_csv
 from .region import RateTriple, RegionBounds, achievable_bounds, check_markov_quadruple, in_achievable_region, xy_equal_region

@@ -352,13 +352,15 @@ def _search(books, table):
     """The coordinator's bin search for each trial (m01, m02, b1, b2) in the rows of ``table``.
 
     The trials search together in rounds: a round draws and tests rows
-    [tested, rows) of every trial still searching, row 0 and then doubling
-    up to n*, in parts of trials whose ``cfg._row_bytes`` a row fit
-    ``_ROUND_BYTES`` (a round ends early where one trial's rows would not
-    fit), each part's rows from one ``Codebooks.rows`` call, tested as one
-    array of (u, x, y) cells.  A trial's m* is its first row typical within
-    ``cfg.eps_typ``; with none, all rows are tested once, m* falls back to 0
-    and the trial is flagged.  Returns (m_star, failed, pairs), ``pairs`` the
+    [tested, rows) of every trial still searching, in parts of trials whose
+    ``cfg._row_bytes`` a row fit ``_ROUND_BYTES`` (a round ends early where
+    one trial's rows would not fit), each part's rows from one
+    ``Codebooks.rows`` call, tested as one array of (u, x, y) cells.  The
+    first round takes as many rows as all trials fit in one part (at least
+    1, at most n*), and each later round doubles the rows tested, up to n*.
+    A trial's m* is its first row typical within ``cfg.eps_typ``; with
+    none, all rows are tested once, m* falls back to 0 and the trial is
+    flagged.  Returns (m_star, failed, pairs), ``pairs`` the
     (trials, n) emitted cells x·|Y| + y; ``run_trials`` sizes ``table`` so they fit ``_ROUND_BYTES``.
     """
     n, nstar, eps_typ = books.cfg.n, books.nstar, books.cfg.eps_typ
@@ -368,7 +370,7 @@ def _search(books, table):
     pairs = np.empty((len(table), n), dtype=np.int64)
     cap = max(1, _ROUND_BYTES // books.cfg._row_bytes())  # rows one part of a round may hold
     live = np.arange(len(table))
-    tested, rows = 0, 1
+    tested, rows = 0, min(nstar, max(1, cap // max(1, live.size)))  # the first round fills one part
     while live.size and tested < nstar:
         step = max(1, cap // (rows - tested))
         for part in (live[i : i + step] for i in range(0, live.size, step)):

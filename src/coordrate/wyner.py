@@ -84,9 +84,3 @@ def wyner_ci(q, card_u=None, opts=None):
         },
     )
 
-
-def no_sr_rate(q, opts=None):
-    """Optimal broadcast rate with zero shared randomness: C(X;Y) with |U| = |X||Y| + 2."""
-    if not isinstance(q, JointPmf):
-        raise PmfError("no_sr_rate: expected a JointPmf")
-    return wyner_ci(q, card_u=q.probs.size + 2, opts=opts)

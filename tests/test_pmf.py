@@ -26,7 +26,7 @@ from coordrate.pmf import (
 )
 from coordrate.simulate import Codebooks, SimConfig, SimRates, SimulationError, run_trials
 from coordrate.ulsr import ulsr_objective, ulsr_rate
-from coordrate.wyner import no_sr_rate, wyner_ci
+from coordrate.wyner import wyner_ci
 
 
 class TestValidation:
@@ -159,7 +159,7 @@ def _saved_channel(tmp_path):
             "SimConfig: scheme uses a single auxiliary",
         ),
         (lambda _: wyner_ci(dsbs_joint(0.1).probs), PmfError, "wyner_ci: expected a JointPmf"),
-        (lambda _: no_sr_rate(dsbs_joint(0.1).probs), PmfError, "no_sr_rate: expected a JointPmf"),
+        (lambda _: wyner_ci(dsbs_joint(0.1).probs, card_u=6), PmfError, "wyner_ci: expected a JointPmf"),
         (lambda _: ulsr_rate(dsbs_joint(0.1).probs), PmfError, "ulsr_rate: expected a JointPmf"),
         (lambda _: ulsr_objective(dsbs_joint(0.1), dsbs_joint(0.1)), PmfError, r"ulsr_objective: expected \(JointPmf, AuxChannel\)"),
     ],

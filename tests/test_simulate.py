@@ -381,14 +381,16 @@ class TestCodebooks:
         assert peak <= 57 * 16 * 8 * 64 + 16 * 1024
 
     @staticmethod
-    def _draws_of_a_run(monkeypatch):
-        """The u, x and y uniforms each ``_sample`` call of a 60-trial run took
-        and the u states and rows [start, stop) of each ``Codebooks.rows`` call.
+    def _draws_of_a_run(monkeypatch, round_ends):
+        """The u, x and y uniforms each ``_sample`` call of a 60-trial run took,
+        the u states and rows [start, stop) of each ``Codebooks.rows`` call,
+        and the end of the round each trial's search stopped at.
 
-        Asserts that the run draws each row of a trial's x and y blocks once,
-        up to the end of the round that found m* (all n* rows on a failure),
-        and each row of a u block once per run of its bin in a part, and
-        emits from those rows without drawing again.
+        Asserts that the rounds end at ``round_ends``, that the run draws each
+        row of a trial's x and y blocks once, up to the end of the round that
+        found m* (all n* rows on a failure), and each row of a u block once
+        per run of its bin in a part, and emits from those rows without
+        drawing again.
         """
         cfg = dsbs_cfg(trials=60, seed=4, **DEEP)
         uniforms, parts = [], []
@@ -406,11 +408,10 @@ class TestCodebooks:
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         run_trials(cfg)
         trials = reference_trials(cfg)
-        # rounds end at rows 1, 2, 4, ..., 64 and 85; a failed search draws them all,
-        # and the m* of these trials lie past row 7
-        round_ends = (1, 2, 4, 8, 16, 32, 64, 85)
+        assert {(start, stop) for _, start, stop in parts} == set(zip((0, *round_ends), round_ends))
+        # a failed search draws every round
         ends = [85 if failed else next(e for e in round_ends if e > m_star) for _, m_star, failed, _, _ in trials]
-        assert set(ends) == {8, 16, 32, 64, 85} and any(failed for _, _, failed, _, _ in trials)
+        assert any(failed for _, _, failed, _, _ in trials)
         # u, x and y draws alternate, one each per part
         assert len(uniforms) == 3 * len(parts)
 
@@ -444,20 +445,26 @@ class TestCodebooks:
             for r in stream_rows(1, key, begin, end)
         }
         assert set(multiset(drawn)) == needed
-        return uniforms, parts
+        return uniforms, parts, ends
 
     def test_each_block_drawn_once_per_trial(self, monkeypatch):
-        # parts hold 215 rows at n = 16, so the rounds from [4, 8) on split
-        # into parts, and a part draws only the bins of its own trials
-        _, parts = self._draws_of_a_run(monkeypatch)
-        assert len(parts) > 8
+        # parts hold 237 rows at n = 16: the first round fills one with rows
+        # [0, 3) of all 60 trials, and the rounds double from there; those from
+        # [6, 12) on split into parts, and a part draws only the bins of its
+        # own trials.  The m* of these trials lie past row 5, so they stop in
+        # every round from [6, 12) on
+        _, parts, ends = self._draws_of_a_run(monkeypatch, (3, 6, 12, 24, 48, 85))
+        assert set(ends) == {12, 24, 48, 85}
+        assert len(parts) > 6
 
     def test_whole_rounds_draw_each_bin_once(self, monkeypatch):
-        # parts of 3449 rows hold each of the 8 rounds whole; two bins hold two
-        # trials each, live in every round, so u draws 2 * 85 rows fewer than x
+        # parts of 3799 rows hold each of the 2 rounds whole: rows [0, 63) of
+        # all 60 trials fill the first; two bins hold two trials each, live in
+        # both rounds, so u draws 2 * 85 rows fewer than x
         monkeypatch.setattr(simulate, "_ROUND_BYTES", 2**22)
-        uniforms, parts = self._draws_of_a_run(monkeypatch)
-        assert len(parts) == 8
+        uniforms, parts, ends = self._draws_of_a_run(monkeypatch, (63, 85))
+        assert set(ends) == {63, 85}
+        assert len(parts) == 2
         assert sum(map(len, uniforms[::3])) == sum(map(len, uniforms[1::3])) - 2 * 85
 
     @pytest.mark.parametrize("rows", [1, 15, 16, 17, 33, 85])
@@ -1059,9 +1066,11 @@ class TestCoordinatorAndProcessors:
         assert not failed[0] and m_star[0] == 0
 
     def test_failed_search_tests_every_row_once(self, monkeypatch):
-        # an impossible tolerance fails the search
+        # an impossible tolerance fails the search; one trial's rounds each
+        # fill a part: all 85 rows at 237 rows a part, 16 at a time at 16
         cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=1e-9)
         books = Codebooks(cfg)
+        u, x, y = (rows[0] for rows in blocks(Codebooks(cfg), KEY))
         tested = []
 
         def recording_mask(rows, p, eps_typ):
@@ -1069,14 +1078,19 @@ class TestCoordinatorAndProcessors:
             return _typical_mask(rows, p, eps_typ)
 
         monkeypatch.setattr(simulate, "_typical_mask", recording_mask)
-        m_star, failed, _ = _search(books, KEY)
-        assert (m_star[0], failed[0]) == (0, True)
-        assert [len(t) for t in tested] == [1, 1, 2, 4, 8, 16, 32, 21]
-        u, x, y = (rows[0] for rows in blocks(Codebooks(cfg), KEY))
-        assert np.array_equal(np.concatenate(tested), cells(u, x, y, books.target_uxy))
+        for round_bytes, lengths in ((None, [85]), (16 * cfg._row_bytes(), [16, 16, 16, 16, 16, 5])):
+            if round_bytes:
+                monkeypatch.setattr(simulate, "_ROUND_BYTES", round_bytes)
+            tested.clear()
+            m_star, failed, _ = _search(books, KEY)
+            assert (m_star[0], failed[0]) == (0, True)
+            assert [len(t) for t in tested] == lengths
+            assert np.array_equal(np.concatenate(tested), cells(u, x, y, books.target_uxy))
 
     def test_early_hit_draws_first_round_only(self, monkeypatch):
-        cfg = dsbs_cfg(n=16, r0=0.6, r_star=0.4, seed=4, eps=0.2)
+        # at n = 128 a part holds 35 rows, so one trial's first round is rows
+        # [0, 35) of its 85
+        cfg = dsbs_cfg(n=128, r0=0.1, r_star=0.05, rt1=0.1, rt2=0.1, seed=4, eps=0.2)
         books = Codebooks(cfg)
         sampled = []
 
@@ -1087,8 +1101,56 @@ class TestCoordinatorAndProcessors:
         monkeypatch.setattr(simulate, "_sample", recording_sample)
         m_star, failed, _ = _search(books, KEY)
         assert (m_star[0], failed[0]) == (0, False)
-        # u, x and y draw their row 0 once; the emitted rows are read from it
-        assert sampled == [1, 1, 1] and books.nstar == 85
+        # u, x and y draw the first round's rows once; the emitted rows are read from them
+        assert simulate._ROUND_BYTES // cfg._row_bytes() == 35
+        assert sampled == [35, 35, 35] and books.nstar == 85
+
+    @pytest.mark.parametrize(
+        "kwargs, trials, part_rows, first",
+        [
+            # a part of 60 rows holds row 0 of the 60 trials
+            pytest.param(DEEP, 60, 60, 1, id="one-row"),
+            # the benchmark's sim_above call: 130 rows a part, 40 trials
+            pytest.param(dict(n=32), 40, None, 3, id="sim-above"),
+            pytest.param(DEEP, 60, 60 * 85, 85, id="whole-bin"),
+            # a chunk of 232 trials and parts of 74 rows start at row 0 alone
+            pytest.param(DEEP, 513, 74, 1, id="crowded"),
+        ],
+    )
+    def test_first_round_fills_one_part(self, kwargs, trials, part_rows, first, monkeypatch):
+        # the first round draws as many rows of every trial as fit one part,
+        # no part draws more rows than one holds, and the report is the same
+        # bit for bit whatever the parts hold
+        cfg = dsbs_cfg(trials=trials, seed=7, **kwargs)
+        base = run_trials(cfg).to_dict()
+        if part_rows:
+            monkeypatch.setattr(simulate, "_ROUND_BYTES", part_rows * cfg._row_bytes())
+        cap = simulate._ROUND_BYTES // cfg._row_bytes()
+        parts = []
+        rows = Codebooks.rows
+
+        def recording_rows(books, states, start, stop):
+            parts.append((states.shape[1], start, stop))
+            return rows(books, states, start, stop)
+
+        monkeypatch.setattr(Codebooks, "rows", recording_rows)
+        rep = run_trials(cfg)
+        assert parts[0][1:] == (0, first)
+        assert max(blocks * (stop - start) for blocks, start, stop in parts) <= cap
+        assert rep.to_dict() == base
+        counts, failures = np.zeros((2, 2), dtype=np.int64), 0
+        for _, _, failed, x, y in reference_trials(cfg):
+            np.add.at(counts, (x, y), 1)
+            failures += failed
+        assert np.array_equal(rep.empirical_joint.probs, counts / (cfg.trials * cfg.n))
+        assert rep.mstar_failure_rate == failures / cfg.trials
+
+    def test_empty_table_searches_nothing(self):
+        # no trials: the first round's size divides by none, and nothing is drawn
+        cfg = dsbs_cfg(**DEEP)
+        m_star, failed, pairs = _search(Codebooks(cfg), np.zeros((0, 4), dtype=np.int64))
+        assert (m_star.shape, failed.shape, pairs.shape) == ((0,), (0,), (0, 16))
+        assert (m_star.dtype, failed.dtype, pairs.dtype) == (np.int64, bool, np.int64)
 
     def test_failure_flag_and_fallback(self):
         # an impossible tolerance forces the flagged first-candidate fallback

@@ -9,12 +9,17 @@ from coordrate.measures import conditional_mutual_information, mutual_informatio
 from coordrate._simplexopt import BATCH_BYTES_CAP, bracket, check_batch_bytes
 from coordrate.pmf import JointPmf, PmfError, compose, degenerate_channel, dsbs_joint
 from coordrate.ulsr import ulsr_rate
-from coordrate.wyner import PENALTIES, SolverInfeasibleError, SolverOptions, no_sr_rate, wyner_ci
+from coordrate.wyner import PENALTIES, SolverInfeasibleError, SolverOptions, wyner_ci
 
 C_01 = 0.872760566800152
 C_02 = 0.705904900983266
 
 FAST = SolverOptions(restarts=10, seed=0)
+
+
+def no_sr(q, opts=FAST):
+    """The optimal broadcast rate with no shared randomness: C(X;Y) at |U| = |X||Y| + 2."""
+    return wyner_ci(q, card_u=q.probs.size + 2, opts=opts)
 
 
 def make_random_joint(rng, shape):
@@ -57,7 +62,7 @@ class TestSolverOptions:
             SolverOptions(tol_objective=tol)
 
     @pytest.mark.parametrize("opts", [{"restarts": 2}, (2,), "fast", 0, {}], ids=["dict", "tuple", "str", "zero", "empty"])
-    @pytest.mark.parametrize("solver", [wyner_ci, ulsr_rate, no_sr_rate])
+    @pytest.mark.parametrize("solver", [wyner_ci, ulsr_rate, pytest.param(no_sr, id="no_sr_rate")])
     def test_options_of_another_kind_are_refused(self, solver, opts):
         # a falsy value is refused too, not read as the defaults
         with pytest.raises(PmfError, match="opts must be a SolverOptions or None, got"):
@@ -232,16 +237,16 @@ class TestWynerSolver:
 
 class TestNoSrRate:
     def test_uses_augmented_cardinality(self):
-        res = no_sr_rate(dsbs_joint(0.1), opts=FAST)
+        res = no_sr(dsbs_joint(0.1))
         assert res.channel.card_u == 6
         assert res.value == pytest.approx(C_01, abs=1e-3)
 
     def test_independent_source(self):
         q = JointPmf(np.outer([0.5, 0.5], [0.1, 0.9]))
-        res = no_sr_rate(q, opts=FAST)
+        res = no_sr(q)
         assert res.value <= 1e-6
 
     def test_equal_outputs_force_full_entropy(self):
         q = JointPmf(np.diag([0.5, 0.5]))
-        res = no_sr_rate(q, opts=FAST)
+        res = no_sr(q)
         assert res.value == pytest.approx(1.0, abs=1e-3)
