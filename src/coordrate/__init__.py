@@ -34,7 +34,7 @@ from .measures import (
 )
 from .wyner import SolverInfeasibleError, SolverOptions, WynerResult, wyner_ci
 from .ulsr import UlsrForm, UlsrResult, ulsr_objective, ulsr_rate
-from .dsbs import CurvePoint, curve_csv_lines, dsbs_wyner_channel, emit_curve, f_of_t, interpolated_channel, t_star, write_curve_csv
+from .dsbs import CurvePoint, curve_csv_lines, curve_rows, dsbs_wyner_channel, emit_curve, f_of_t, interpolated_channel, t_star, write_curve_csv
 from .region import RateTriple, RegionBounds, achievable_bounds, check_markov_quadruple, in_achievable_region, xy_equal_region
 from .simulate import Codebooks, SimConfig, SimRates, SimReport, derive_components, run_trials
 

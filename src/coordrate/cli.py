@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import operator
 import sys
 
 from ._seeding import StateLayoutError
-from .dsbs import curve_csv_lines, emit_curve, t_star, write_curve_csv
+from .dsbs import curve_csv_lines, curve_rows, t_star, write_curve_csv
 from .measures import source_info, table_entropy
 from .pmf import load_aux_channel, load_joint_pmf, tv_distance
 from .region import RateTriple, in_achievable_region, xy_equal_region
@@ -143,13 +144,13 @@ def _cmd_dsbs(args, out):
             raise _CliError("dsbs --tstar prints t* only; it takes neither --out nor --points")
         out.write(_fmt(t_star(args.a)) + "\n")
         return 0
-    points = emit_curve(args.a, 101 if args.points is None else args.points)
+    rows = curve_rows(args.a, 101 if args.points is None else args.points)
     if args.out:
-        write_curve_csv(points, args.out)
-        tmin = min(points, key=lambda p: p.f)
-        out.write(f"wrote {len(points)} points to {args.out}; grid minimum f={_fmt(tmin.f)} at t={_fmt(tmin.t)}\n")
+        write_curve_csv(rows, args.out)
+        t, f = min(rows, key=operator.itemgetter(1))[:2]
+        out.write(f"wrote {len(rows)} points to {args.out}; grid minimum f={_fmt(f)} at t={_fmt(t)}\n")
     else:
-        out.writelines(curve_csv_lines(points))
+        out.writelines(curve_csv_lines(rows))
     return 0
 
 

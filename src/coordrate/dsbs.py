@@ -18,9 +18,12 @@ The two information terms cross at a closed-form t*, the minimum of f.
 One private kernel evaluates the curve over a whole array of t in one
 array pass, with the per-point arithmetic: the plog p terms of the four
 cells of h4 summed left to right, 0 log 0 = 0, and h(p) = -p log2 p -
-(1-p) log2(1-p).  ``emit_curve`` runs it once on its grid and ``f_of_t``
+(1-p) log2(1-p).  ``curve_rows`` runs it once on its grid and ``f_of_t``
 is its one-point case, so a curve point and the matching ``f_of_t`` are
-equal bit for bit.
+equal bit for bit.  ``curve_rows`` hands the kernel's arrays out as plain
+(t, f, i_joint, i_cond) tuples, ``emit_curve`` names them as
+``CurvePoint``s, and ``curve_csv_lines``, the one CSV formatter, takes
+either with one ``%.15g`` format a row.
 
 Each crossover range is tested in one place, whose check returns a float:
 a source's [0, 1/2] (``pmf._check_crossover``), the channel family's
@@ -30,7 +33,7 @@ a source's [0, 1/2] (``pmf._check_crossover``), the channel family's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +78,9 @@ def common_information(a):
     return 1.0 + _h(a) - 2.0 * _h(_b(a))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
+    """One curve point, the tuple (t, f, i_joint, i_cond) of a ``curve_rows`` row with names."""
+
     t: float
     f: float
     i_joint: float
@@ -142,19 +146,23 @@ def t_star(a):
     return (_inverse_h(0.5 * (1.0 + _h(a))) - 0.5 * a - b * b) / (0.5 * (1.0 - a) - b * b)
 
 
-def emit_curve(a, num_points):
-    """Curve points at ``num_points`` (an integer) uniformly spaced t covering both endpoints."""
+def curve_rows(a, num_points):
+    """(t, f, i_joint, i_cond) tuples at ``num_points`` (an integer) uniformly spaced t covering both endpoints."""
     if not (_is_int(num_points) and 2 <= num_points <= CURVE_POINTS_CAP):
-        raise PmfError(f"emit_curve: need 2 to {CURVE_POINTS_CAP} points, got {num_points!r}")
+        raise PmfError(f"curve_rows: need 2 to {CURVE_POINTS_CAP} points, got {num_points!r}")
     t = np.linspace(0.0, 1.0, num_points)
-    return [CurvePoint(*row) for row in zip(t.tolist(), *(v.tolist() for v in _curve(a, t)))]
+    return list(zip(t.tolist(), *(v.tolist() for v in _curve(a, t))))
+
+
+def emit_curve(a, num_points):
+    """``curve_rows(a, num_points)`` as ``CurvePoint``s."""
+    return list(map(CurvePoint._make, curve_rows(a, num_points)))
 
 
 def curve_csv_lines(points):
-    """CSV lines with columns t,f,i_joint,i_cond; 15 significant digits, LF endings."""
+    """CSV lines with columns t,f,i_joint,i_cond from ``CurvePoint``s or ``curve_rows`` rows; 15 significant digits, LF endings."""
     yield "t,f,i_joint,i_cond\n"
-    for p in points:
-        yield f"{p.t:.15g},{p.f:.15g},{p.i_joint:.15g},{p.i_cond:.15g}\n"
+    yield from map("%.15g,%.15g,%.15g,%.15g\n".__mod__, points)
 
 
 def write_curve_csv(points, path):

@@ -100,9 +100,7 @@ def _group_axes(arg, group):
 
 
 def _joint_entropy(full, axis_idx):
-    """H of the marginal of a FullJoint on the given axis indices (bits)."""
-    if not axis_idx:
-        return 0.0
+    """H of the marginal of a FullJoint on the given (nonempty) axis indices (bits)."""
     drop = tuple(i for i in range(5) if i not in axis_idx)
     table = full.probs.sum(axis=drop) if drop else full.probs
     return table_entropy(table)
@@ -115,8 +113,11 @@ def mutual_information(full, group_a, group_b):
 
 def conditional_mutual_information(full, group_a, group_b, group_c):
     """I(A; B | C) for pairwise disjoint groups of named axes (C may be empty)."""
-    if not isinstance(full, FullJoint):
-        raise PmfError(f"mutual information needs a FullJoint, got {type(full).__name__}")
+    return _informations(full, [_query_axes(group_a, group_b, group_c)])[0]
+
+
+def _query_axes(group_a, group_b, group_c):
+    """The axis-index lists (A, B, C) of a query of named axes, refused unless A and B are nonempty and all three disjoint."""
     named = [(g, _group_axes(arg, g)) for arg, g in zip(("group_a", "group_b", "group_c"), (group_a, group_b, group_c))]
     (_, a), (_, b), (_, c) = named
     if not a or not b:
@@ -124,9 +125,24 @@ def conditional_mutual_information(full, group_a, group_b, group_c):
     for (g1, axes1), (g2, axes2) in itertools.combinations(named, 2):
         if set(axes1) & set(axes2):
             raise PmfError(f"mutual information needs disjoint groups, got {g1!r} and {g2!r}")
-    return (
-        _joint_entropy(full, a + c)
-        + _joint_entropy(full, b + c)
-        - _joint_entropy(full, a + b + c)
-        - _joint_entropy(full, c)
-    )
+    return a, b, c
+
+
+def _informations(full, queries):
+    """I(A; B | C) of a FullJoint for each ``_query_axes`` triple (A, B, C) of ``queries``.
+
+    The marginal entropies come from one memo keyed by axis set, so a
+    marginal that several queries share is summed once; each value is
+    H(A,C) + H(B,C) - H(A,B,C) - H(C), bit for bit its query's alone.
+    """
+    if not isinstance(full, FullJoint):
+        raise PmfError(f"mutual information needs a FullJoint, got {type(full).__name__}")
+    memo = {(): 0.0}
+
+    def h(axis_idx):
+        key = tuple(sorted(axis_idx))
+        if key not in memo:
+            memo[key] = _joint_entropy(full, key)
+        return memo[key]
+
+    return [h(a + c) + h(b + c) - h(a + b + c) - h(c) for a, b, c in queries]

@@ -202,13 +202,27 @@ def dsbs_joint(a):
 
 
 def tv_distance(p, q):
-    """Total variation distance: half the L1 difference of two same-shape pmfs of finite entries."""
+    """Total variation distance: half the L1 difference of two same-shape pmfs of finite entries.
+
+    Two JointPmfs are compared symbol by symbol: on an axis where both name
+    their symbols, q's entries are taken in p's label order, and labels
+    that are not the same set of distinct names are refused.  An axis
+    unlabeled on either side is compared by position.
+    """
     pa, qa = (_float_array(getattr(obj, "probs", obj), f"tv_distance: {name}") for name, obj in (("p", p), ("q", q)))
     for name, arr in (("p", pa), ("q", qa)):
         if not np.isfinite(arr).all():
             raise PmfError(f"tv_distance: {name} has a non-finite entry")
     if pa.shape != qa.shape:
         raise PmfError(f"tv_distance: shape mismatch {pa.shape} vs {qa.shape}")
+    if isinstance(p, JointPmf) and isinstance(q, JointPmf):
+        for axis, mine, theirs in ((0, p.labels_x, q.labels_x), (1, p.labels_y, q.labels_y)):
+            if mine is None or theirs is None or mine == theirs:
+                continue
+            where = {s: i for i, s in enumerate(theirs)}
+            if set(mine) != where.keys() or len(where) != len(mine):
+                raise PmfError(f"tv_distance: q's {AXES[axis]} symbols {list(theirs)} are not p's {list(mine)} reordered")
+            qa = np.take(qa, [where[s] for s in mine], axis=axis)
     return 0.5 * float(np.abs(pa - qa).sum())
 
 

@@ -272,10 +272,11 @@ class Codebooks:
         if not isinstance(cfg, SimConfig):
             raise SimulationError(f"Codebooks: cfg must be a SimConfig, got {type(cfg).__name__}")
         self.cfg = cfg
+        # the size refusals come first: they cost no composition
+        self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
         self.target_uxy, self.p_u, self.p_x_given_u, self.p_y_given_u = _generation(
             compose(cfg.q, cfg.channel), cfg.max_markov_defect
         )
-        self.n01, self.nstar, self.nb1, self.nb2 = cfg.index_sizes()
         #: exclusive bounds of a trial row (m01, m02, b1, b2)
         self.bounds = (self.n01, self.n01, self.nb1, self.nb2)
         #: inverse-CDF tables of u (one row), x and y (one row per u symbol)

@@ -13,7 +13,7 @@ import coordrate
 from conftest import in_new_thread
 from coordrate import _seeding
 from coordrate.cli import build_parser, dispatch, main
-from coordrate.dsbs import CURVE_POINTS_CAP, curve_csv_lines, dsbs_wyner_channel, f_of_t
+from coordrate.dsbs import CURVE_POINTS_CAP, curve_csv_lines, dsbs_wyner_channel, emit_curve, f_of_t
 from coordrate.measures import source_info
 from coordrate.pmf import JointPmf, degenerate_channel, dsbs_joint, save_aux_channel, save_joint_pmf
 
@@ -82,6 +82,18 @@ class TestInfo:
         assert code == 0
         # four cells differing by 0.05 each
         assert float(out) == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "labels_x, code, stdout", [(["b", "a"], 0, "0\n"), (["b", "c"], 1, "")], ids=["reordered", "other-symbols"]
+    )
+    def test_tv_compares_symbols_not_positions(self, tmp_path, labels_x, code, stdout):
+        # file b lists a's x rows in the other order; by position the distance would read 0.4
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"pmf": [[0.4, 0.1], [0.2, 0.3]], "alphabet_x": ["a", "b"], "alphabet_y": ["0", "1"]}))
+        b.write_text(json.dumps({"pmf": [[0.2, 0.3], [0.4, 0.1]], "alphabet_x": labels_x, "alphabet_y": ["0", "1"]}))
+        got = run(["info", "--dist", str(a), "--measure", "tv", "--dist2", str(b)])
+        assert got[:2] == (code, stdout)
+        assert got[2] == ("" if code == 0 else "error: tv_distance: q's x symbols ['b', 'c'] are not p's ['a', 'b'] reordered\n")
 
     def test_boolean_probabilities_are_refused(self, tmp_path):
         # numpy would read the table as [[1, 0]] and the measure print 0
@@ -236,6 +248,20 @@ class TestDsbs:
         code, out, err = run(["dsbs", "--a", "0.1", "--points", str(points)])
         assert code == 1 and out == ""
         assert f"need 2 to {CURVE_POINTS_CAP} points" in err
+
+    @pytest.mark.parametrize("points", [2, 3, 201])
+    @pytest.mark.parametrize("a", ["0.05", "0.1", "0.1182", "0.3", "0.45"])
+    def test_curve_stdout_file_and_library_agree(self, tmp_path, a, points):
+        # the one row formatter serves stdout, --out and curve_csv_lines(emit_curve(...)) alike
+        path = tmp_path / "curve.csv"
+        code, out, _ = run(["dsbs", "--a", a, "--points", str(points)])
+        assert code == 0 and run(["dsbs", "--a", a, "--points", str(points), "--out", str(path)])[0] == 0
+        assert out.encode() == path.read_bytes() == "".join(curve_csv_lines(emit_curve(float(a), points))).encode()
+        # unclamped rounding terms print as computed: i_cond at t = 0 for 0.1, i_joint at t = 1 for 0.1182
+        if a == "0.1":
+            assert out.splitlines()[1].split(",")[3] == "-2.22044604925031e-16"
+        if a == "0.1182":
+            assert out.splitlines()[-1].split(",")[2] == "-2.22044604925031e-16"
 
     def test_points_at_cap(self):
         code, out, _ = run(["dsbs", "--a", "0.1", "--points", str(CURVE_POINTS_CAP)])

@@ -232,6 +232,26 @@ class TestTvDistance:
         with pytest.raises(PmfError, match=f"tv_distance: {name} has a non-finite entry"):
             tv_distance(p, q)
 
+    def test_same_symbols_in_another_order_are_aligned(self):
+        # one distribution, its x rows listed in the other order
+        p = JointPmf([[0.4, 0.1], [0.2, 0.3]], labels_x=["a", "b"], labels_y=["0", "1"])
+        q = JointPmf([[0.2, 0.3], [0.4, 0.1]], labels_x=["b", "a"], labels_y=["0", "1"])
+        assert tv_distance(p, q) == 0.0 and tv_distance(q, p) == 0.0
+        r = JointPmf([[0.3, 0.2], [0.1, 0.4]], labels_x=["b", "a"], labels_y=["1", "0"])
+        assert tv_distance(p, r) == 0.0
+        assert tv_distance(p, JointPmf(q.probs)) == pytest.approx(0.4, abs=1e-15)  # unlabeled: by position
+
+    @pytest.mark.parametrize(
+        "labels_x, labels_y, axis",
+        [(["b", "c"], ["0", "1"], "x"), (["a", "b"], ["0", "2"], "y"), (["a", "a"], ["0", "1"], "x")],
+        ids=["other-x", "other-y", "duplicate"],
+    )
+    def test_different_symbols_are_refused(self, labels_x, labels_y, axis):
+        p = JointPmf([[0.4, 0.1], [0.2, 0.3]], labels_x=["a", "b"], labels_y=["0", "1"])
+        q = JointPmf(p.probs, labels_x=labels_x, labels_y=labels_y)
+        with pytest.raises(PmfError, match=f"tv_distance: q's {axis} symbols .* are not p's .* reordered"):
+            tv_distance(p, q)
+
     def test_metric_properties_random(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):

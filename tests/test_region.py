@@ -5,9 +5,12 @@ from dataclasses import fields
 
 from conftest import aux_with_copy_sides, near_markov_channel, near_tolerance_pair
 from coordrate._simplexopt import ChannelStats, Source
-from coordrate.dsbs import dsbs_wyner_channel
-from coordrate.measures import MARKOV_TOL, binary_entropy, conditional_mutual_information, mutual_information
+from coordrate import measures
+from coordrate.dsbs import dsbs_wyner_channel, interpolated_channel
+from coordrate.measures import MARKOV_TOL, binary_entropy, conditional_mutual_information, mutual_information, table_entropy
 from coordrate.pmf import (
+    AXES,
+    AuxChannel,
     JointPmf,
     PmfError,
     compose,
@@ -130,6 +133,61 @@ class TestAchievableBounds:
         # a middle auxiliary that copies neither side leaves X and Y coupled
         with pytest.raises(PmfError):
             achievable_bounds(dsbs_joint(0.2), degenerate_channel(2, 2))
+
+
+def reference_bounds(q, aux):
+    """The six bounds and the defect, each term one ``conditional_mutual_information`` call of its own."""
+    full = compose(q, aux)
+
+    def h(names):
+        keep = [AXES.index(n) for n in names]
+        return table_entropy(full.probs.sum(axis=tuple(i for i in range(5) if i not in keep))) if keep else 0.0
+
+    def cmi(a, b, c=()):
+        value = conditional_mutual_information(full, a, b, c)
+        # the formula written out, every marginal summed here
+        assert value == h(a + c) + h(b + c) - h(a + b + c) - h(c)
+        return value
+
+    defect = max(cmi(("x",), ("y", "u2"), ("u", "u1")), cmi(("y",), ("x", "u1"), ("u", "u2")), 0.0)
+    i_sides = cmi(("u1",), ("u2",), ("u",))
+    i_u, i_u1, i_u2, i_all = (cmi(("x", "y"), g) for g in (("u",), ("u", "u1"), ("u", "u2"), ("u", "u1", "u2")))
+    return RegionBounds(i_u1, i_u2, i_sides, i_sides + i_all, i_sides + i_u + i_all, i_sides + i_u, defect)
+
+
+def bsc(s):
+    return np.array([[1.0 - s, s], [s, 1.0 - s]])
+
+
+def memo_cases():
+    """(source, channel) pairs of three kinds: 3x3 copy-sides certificates, DSBS families A and B, and Wyner's channel."""
+    rng = np.random.default_rng(37)
+    for k in range(6):
+        q = JointPmf(rng.dirichlet(np.ones(9)).reshape(3, 3))
+        yield pytest.param(q, aux_with_copy_sides(AuxChannel(rng.dirichlet(np.ones(2), size=(3, 3))), 3, 3), id=f"copy-sides-{k}")
+    for a, s, t in ((0.05, 0.1, 0.3), (0.1, 0.25, 0.5), (0.3, 0.4, 0.9)):
+        wyner = dsbs_wyner_channel(a).probs[:, :, :, 0, 0]
+        # family A: U from Wyner's channel, U1 = X and U2 = Y each through a BSC(s)
+        family_a = AuxChannel(np.einsum("xyu,xi,yj->xyuij", wyner, bsc(s), bsc(s)))
+        yield pytest.param(dsbs_joint(a), family_a, id=f"family-a-{a}")
+        # family B: U from the interpolated channel, U1 = X and U2 = Y
+        yield pytest.param(dsbs_joint(a), aux_with_copy_sides(interpolated_channel(a, t), 2, 2), id=f"family-b-{a}")
+        yield pytest.param(dsbs_joint(a), dsbs_wyner_channel(a), id=f"wyner-{a}")
+
+
+class TestEntropyMemo:
+    @pytest.mark.parametrize("q, aux", memo_cases())
+    def test_bounds_equal_the_one_term_formulas(self, monkeypatch, q, aux):
+        expect = reference_bounds(q, aux)
+        calls = []
+        joint_entropy = measures._joint_entropy
+        monkeypatch.setattr(measures, "_joint_entropy", lambda full, axes: calls.append(tuple(axes)) or joint_entropy(full, axes))
+        got = achievable_bounds(q, aux)
+        # the chain's links and the five terms use 24 nonempty marginals, 13 of them distinct
+        assert len(calls) == len(set(calls)) == 13
+        for f in fields(RegionBounds):
+            assert getattr(got, f.name) == getattr(expect, f.name), f.name
+        assert check_markov_quadruple(compose(q, aux)) == (True, expect.markov_defect)
 
 
 class TestMembership:

@@ -276,6 +276,19 @@ class TestCodebooks:
         with pytest.raises(SimulationError, match=r"cap is 2\^20"):
             Codebooks(cfg)
 
+    @pytest.mark.parametrize("chain", [True, False], ids=["chain", "no-chain"])
+    def test_size_refusal_comes_before_composition(self, monkeypatch, chain):
+        # the m0 index set needs 2^2000 entries; refused before the channel is composed and tested,
+        # so a channel that also fails X - U - Y is reported by the size cap
+        cfg = dsbs_cfg(n=4000, r0=1.0, r_star=0.0, rt1=0.0, rt2=0.0)
+        if not chain:
+            cfg = SimConfig(q=cfg.q, channel=degenerate_channel(2, 2), n=cfg.n, rates=cfg.rates, eps_typ=0.1, trials=1, seed=0)
+        composed = []
+        monkeypatch.setattr(simulate, "compose", lambda q, aux: composed.append(q) or compose(q, aux))
+        with pytest.raises(SimulationError, match=r"^SimConfig: m0 half index set needs 2\^2000 entries, cap is 2\^20$"):
+            run_trials(cfg)
+        assert composed == []
+
     def test_index_guard_boundary(self):
         # exactly INDEX_CAP entries is allowed, one bit more is not
         assert dsbs_cfg(n=20, r0=0.0, r_star=1.0).index_sizes()[1] == 2**20
