@@ -12,18 +12,23 @@ keys, which lets the u keys of a chunk share its x and y keys' pass.  The
 hash runs in place over a pool of four words a key, and ``_srandom`` then
 runs PCG64's seeding on its output rows in place, giving each key's
 (state, inc) as four uint64 words.
-``draw_uniforms`` draws from those states: it writes each row with one
-32-byte copy into the calling thread's ``Generator(PCG64)``, through a view
-of the (state, inc) that numpy's ``pcg64_state`` points to.  That pointer
-and the word order are numpy internals, which this module alone reads; a
-thread's first draw checks them against the generator's ``state`` dict and
-``default_rng`` and raises ``StateLayoutError`` on a mismatch.  The
-streams are bit-identical to ``default_rng([*prefix, *row])``.
+``draw_uniforms`` draws from those states: it reads the rows as 32-byte
+records, a bounded slice at a time, and writes each record whole into the
+(state, inc) of the calling thread's ``Generator(PCG64)``, through a view
+of the pair that numpy's ``pcg64_state`` points to, before drawing that
+block.  That pointer and the word order are numpy internals, which this
+module alone reads; a thread's first draw checks them against the
+generator's ``state`` dict and ``default_rng`` and raises
+``StateLayoutError`` on a mismatch.  The streams are bit-identical to
+``default_rng([*prefix, *row])``.
 
 The module also reproduces ``Generator.integers``: ``draw_integers`` runs
-PCG64 and numpy's bounded 32-bit draws on uint64 arrays, one key per
-element, and returns bit for bit what ``integers`` draws from each key's
-state, with no generator set per key.
+PCG64 and numpy's bounded 32-bit draws (Lemire's method) on uint64 arrays,
+one key per element, and returns bit for bit what ``integers`` draws from
+each key's state, with no generator set per key.  One pass draws the
+halves every key needs when no draw is rejected; only the keys with a
+rejected draw run again, from their seeded states, through the bound by
+bound loop that retries each rejection.
 """
 
 from __future__ import annotations
@@ -237,23 +242,32 @@ def _thread_generator():
         return gen, view
 
 
+#: rows ``draw_uniforms`` reads as one list of 32-byte records: enough to
+#: spread the list's cost, few enough that it never grows with ``rows``
+_RECORDS = 64
+
+
 def draw_uniforms(rows, skip, out):
     """Fill each ``out[i]`` with what ``Generator.random`` draws from the stream of ``_srandom`` row ``rows[i]`` after ``skip`` raw outputs.
 
-    ``rows`` is a C-contiguous (len(out), 4) uint64 array.  Each row is
-    written whole into the calling thread's generator, so nothing carries
-    over from one row to the next, and ``has_uint32`` stays as it was:
-    ``random`` and ``advance`` never set it.  The thread's first draw checks
-    the state layout (``_check_layout``) and raises StateLayoutError on a
-    mismatch; a failed check keeps nothing, so the next draw checks again.
+    ``rows`` is a (len(out), 4) uint64 array with contiguous rows, read as
+    32-byte records ``_RECORDS`` at a time.  Each record is written whole
+    into the calling thread's generator, so nothing carries over from one
+    row to the next, and ``has_uint32`` stays as it was: ``random`` and
+    ``advance`` never set it.  The thread's first draw checks the state
+    layout (``_check_layout``) and raises StateLayoutError on a mismatch; a
+    failed check keeps nothing, so the next draw checks again.
     """
     gen, view = _thread_generator()
-    words = memoryview(rows).cast("B")
-    for i, block in enumerate(out):
-        view[:] = words[32 * i : 32 * i + 32]
-        if skip:
-            gen.bit_generator.advance(skip)
-        gen.random(out=block)
+    random, advance = gen.random, gen.bit_generator.advance
+    records = rows.view("V32")[:, 0]
+    for start in range(0, len(out), _RECORDS):
+        stop = start + _RECORDS
+        for state, block in zip(records[start:stop].tolist(), out[start:stop]):
+            view[:] = state
+            if skip:
+                advance(skip)
+            random(out=block)
     return out
 
 
@@ -296,22 +310,47 @@ def draw_integers(words, highs):
     in [1, 2^32], and another bound raises ValueError.  Each key's PCG64 is
     seeded by ``_srandom`` and stepped as arrays.  Its raw outputs are
     handed out as 32-bit halves, the low half first, as ``next_uint32``
-    does.  Each bound takes Lemire's method over the key's next halves,
-    retrying a rejected key on its next half, and a bound of 1 takes no
-    half.
+    does, and a bound of 1 takes no half.  With k bounds above 1, every key
+    draws ceil(k/2) raw outputs, and each bound takes Lemire's product with
+    its half, all k products tested for rejection at once.  A key with a
+    rejected product draws again from its seeded state in ``_retry``.
     """
     for high in highs:
         if not (_is_int(high) and 1 <= high <= 1 << 32):
             raise ValueError(f"draw_integers: bounds must be integers in [1, 2^32], got {high!r}")
-    states = _srandom(np.array(words, dtype=np.uint64))
+    highs = [int(high) for high in highs]
+    drawn = [i for i, high in enumerate(highs) if high > 1]
+    words = np.array(words, dtype=np.uint64)
+    states = _srandom(words.copy())
+    raw = np.empty((len(states), (len(drawn) + 1) // 2), dtype="<u8")
+    for column in raw.T:
+        _step(states)
+        column[:] = _xsl_rr(states[:, 1], states[:, 0])
+    product = raw.view("<u4")[:, : len(drawn)] * np.array([highs[i] for i in drawn], dtype=np.uint64)
+    out = np.zeros((len(states), len(highs)), dtype=np.int64)
+    out[:, drawn] = product >> _SHIFT32
+    # Lemire: a product whose low word is below 2^32 mod high is rejected
+    rejected = (product & _LOW32) < np.array([(1 << 32) % highs[i] for i in drawn], dtype=np.uint64)
+    if rejected.any():
+        retry = rejected.any(axis=1)
+        out[retry] = _retry(_srandom(words[retry]), highs)
+    return out
+
+
+def _retry(states, highs):
+    """``integers(highs)`` from each seeded ``_srandom`` row of ``states``, bound by bound: a (keys, len(highs)) uint64 array.
+
+    Each bound takes Lemire's method over the key's next half, retrying a
+    rejected key on its next half; a raw output is drawn for every key
+    whenever one needs a half it has not drawn.
+    """
     keys = np.arange(len(states))
     halves = np.empty((0, keys.size), dtype=np.uint64)  # row i: each key's i-th 32-bit half
     used = np.zeros(keys.size, dtype=np.intp)  # halves each key has taken
     out = np.zeros((len(highs), keys.size), dtype=np.uint64)
-    for bound, high in zip(out, map(int, highs)):
+    for bound, high in zip(out, highs):
         if high == 1:  # draws 0 and takes no half
             continue
-        # Lemire: a product whose low word is below 2^32 mod high is rejected
         todo, threshold = keys, np.uint64((1 << 32) % high)
         while todo.size:
             if used[todo].max() == len(halves):  # one more raw output for every key
@@ -322,4 +361,4 @@ def draw_integers(words, highs):
             used[todo] += 1
             bound[todo] = product >> _SHIFT32
             todo = todo[(product & _LOW32) < threshold]
-    return out.T.astype(np.int64)
+    return out.T

@@ -121,6 +121,11 @@ class JointPmf:
                     raise PmfError(f"JointPmf: {name} must be a sequence of symbol names, got {labels!r}") from exc
                 if len(labels) != size:
                     raise PmfError(f"JointPmf: {name} has {len(labels)} entries for axis of size {size}")
+                seen = set()
+                for label in labels:
+                    if label in seen:
+                        raise PmfError(f"JointPmf: {name} names symbol {label!r} twice")
+                    seen.add(label)
                 object.__setattr__(self, name, labels)
 
     @property
@@ -205,9 +210,9 @@ def tv_distance(p, q):
     """Total variation distance: half the L1 difference of two same-shape pmfs of finite entries.
 
     Two JointPmfs are compared symbol by symbol: on an axis where both name
-    their symbols, q's entries are taken in p's label order, and labels
-    that are not the same set of distinct names are refused.  An axis
-    unlabeled on either side is compared by position.
+    their symbols (``JointPmf`` names each once), q's entries are taken in
+    p's label order, and labels that are not the same set of names are
+    refused.  An axis unlabeled on either side is compared by position.
     """
     pa, qa = (_float_array(getattr(obj, "probs", obj), f"tv_distance: {name}") for name, obj in (("p", p), ("q", q)))
     for name, arr in (("p", pa), ("q", qa)):
@@ -220,7 +225,7 @@ def tv_distance(p, q):
             if mine is None or theirs is None or mine == theirs:
                 continue
             where = {s: i for i, s in enumerate(theirs)}
-            if set(mine) != where.keys() or len(where) != len(mine):
+            if set(mine) != where.keys():
                 raise PmfError(f"tv_distance: q's {AXES[axis]} symbols {list(theirs)} are not p's {list(mine)} reordered")
             qa = np.take(qa, [where[s] for s in mine], axis=axis)
     return 0.5 * float(np.abs(pa - qa).sum())
@@ -293,11 +298,25 @@ def degenerate_channel(nx, ny):
 # file formats
 
 
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; ValueError on a key given twice, which ``json`` would keep the last of."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is given twice in one object")
+        doc[key] = value
+    return doc
+
+
+#: one decoder for every file, as ``json.load`` keeps one for its defaults
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _read_json(path, who):
-    # ValueError covers bad JSON, bad UTF-8 and integers beyond Python's digit limit
+    # ValueError covers bad JSON, bad UTF-8, repeated keys and integers beyond Python's digit limit
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
     except (OSError, ValueError, RecursionError) as exc:
         raise PmfError(f"{who}: cannot parse {path}: {exc}") from exc
 
@@ -324,8 +343,9 @@ def load_joint_pmf(path):
     """Read a joint distribution from a JSON file.
 
     Expected fields: ``alphabet_x`` and ``alphabet_y`` (lists of symbol
-    names) and ``pmf`` (row-major matrix of decimals, row index = x).
-    Invalid data raises PmfError; nothing is renormalized.
+    names, each named once) and ``pmf`` (row-major matrix of decimals, row
+    index = x).  Invalid data, a key given twice in one object included,
+    raises PmfError; nothing is renormalized.
     """
     doc = _read_json(path, "load_joint_pmf")
     try:
@@ -357,7 +377,9 @@ def load_aux_channel(path, q):
     pairs to flattened probability vectors over (u, u1, u2) in row-major
     order.  Rows are resolved against q here: every cell with q(x,y) > 0
     needs a row, an omitted zero-mass cell gets the uniform row, and a row
-    for a cell outside q's grid is ignored.  A table past ``AUX_TABLE_BYTES_CAP`` is refused unbuilt.
+    for a cell outside q's grid is ignored.  A cell given twice, under one
+    key or two ("0,0" and " 0,0"), is refused.  A table past
+    ``AUX_TABLE_BYTES_CAP`` is refused unbuilt.
     """
     if not isinstance(q, JointPmf):
         raise PmfError(f"load_aux_channel: q must be a JointPmf, got {type(q).__name__}")
@@ -386,14 +408,16 @@ def load_aux_channel(path, q):
             raise PmfError(f"load_aux_channel: row {key!r} is not {size} probabilities: {exc}") from exc
         if row.size != size:
             raise PmfError(f"load_aux_channel: row {key!r} has {row.size} entries, cardinalities {cards} need {size}")
-        if x < nx and y < ny:
-            rows[x, y] = row.reshape(cards)
+        if (x, y) in rows:
+            raise PmfError(f"load_aux_channel: cell ({x}, {y}) is given twice, the second time as key {key!r}")
+        rows[x, y] = row.reshape(cards)
     for x, y in np.argwhere(q.probs > 0):
         if (x, y) not in rows:
             raise PmfError(f"load_aux_channel: missing conditional row for support cell ({x}, {y})")
     probs = np.full((nx, ny, *cards), 1.0 / size)
-    for cell, row in rows.items():
-        probs[cell] = row
+    for (x, y), row in rows.items():
+        if x < nx and y < ny:
+            probs[x, y] = row
     return AuxChannel(probs)
 
 

@@ -95,6 +95,13 @@ class TestInfo:
         assert got[:2] == (code, stdout)
         assert got[2] == ("" if code == 0 else "error: tv_distance: q's x symbols ['b', 'c'] are not p's ['a', 'b'] reordered\n")
 
+    def test_tv_refuses_a_repeated_symbol(self, tmp_path):
+        # against itself, such a file read 0 by position
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps({"pmf": [[0.4, 0.1], [0.2, 0.3]], "alphabet_x": ["a", "a"]}))
+        got = run(["info", "--dist", str(dup), "--measure", "tv", "--dist2", str(dup)])
+        assert got == (1, "", "error: JointPmf: labels_x names symbol 'a' twice\n")
+
     def test_boolean_probabilities_are_refused(self, tmp_path):
         # numpy would read the table as [[1, 0]] and the measure print 0
         bad = tmp_path / "bool.json"
@@ -340,6 +347,25 @@ class TestRegion:
         code, out, err = run(["simulate", "--dist", str(dist), "--aux", str(aux), "--n", "8",
                               "--rates", "1,0.25,0.5,0.5", "--trials", "5"])
         assert code == 0 and err == "" and len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "second, error",
+        [
+            (" 0,0", "cell (0, 0) is given twice, the second time as key ' 0,0'"),
+            ("0,0", "cannot parse {aux}: key '0,0' is given twice in one object"),
+        ],
+        ids=["two-keys", "one-key"],
+    )
+    def test_cell_given_twice_is_validation_error(self, files, tmp_path, second, error):
+        # DSBS(0.2)'s Wyner channel is a member at rates (1, 1, 1); a second row for
+        # cell (0, 0), kept as the last one read, would make it fail the chain check
+        assert run(["region", "check", "--dist", files["dist02"], "--aux", files["aux02"], "--rates", "1,1,1"]) == (0, "member\n", "")
+        text = json.dumps(json.loads(pathlib.Path(files["aux02"]).read_text()))
+        assert text.endswith("]}}")  # cond is the last field
+        aux = tmp_path / "twice.json"
+        aux.write_text(text[:-2] + f', "{second}": [0.5, 0.5]}}}}')
+        got = run(["region", "check", "--dist", files["dist02"], "--aux", str(aux), "--rates", "1,1,1"])
+        assert got == (1, "", f"error: load_aux_channel: {error.format(aux=aux)}\n")
 
     def test_channel_table_past_cap_is_validation_error(self, files, tmp_path):
         # a 2 x 2 table of 2^22 + 1 symbols a row is 32 bytes past the 2^27-byte cap; nothing is built

@@ -49,6 +49,16 @@ class TestValidation:
         with pytest.raises(PmfError):
             JointPmf(np.eye(2) / 2, labels_x=("a",))
 
+    @pytest.mark.parametrize(
+        "labels_x, labels_y, name, label",
+        [(["a", "a"], None, "labels_x", "a"), (None, ["0", "1", "0"], "labels_y", "0"), ([1, "1"], None, "labels_x", "1")],
+        ids=["x", "y", "as-str"],
+    )
+    def test_joint_refuses_repeated_symbols(self, labels_x, labels_y, name, label):
+        # a repeated name would make tv_distance compare two such tables by position
+        with pytest.raises(PmfError, match=f"JointPmf: {name} names symbol '{label}' twice"):
+            JointPmf(np.full((2, 3), 1 / 6), labels_x=labels_x, labels_y=labels_y)
+
     def test_immutability(self):
         q = dsbs_joint(0.2)
         with pytest.raises(ValueError):
@@ -243,8 +253,8 @@ class TestTvDistance:
 
     @pytest.mark.parametrize(
         "labels_x, labels_y, axis",
-        [(["b", "c"], ["0", "1"], "x"), (["a", "b"], ["0", "2"], "y"), (["a", "a"], ["0", "1"], "x")],
-        ids=["other-x", "other-y", "duplicate"],
+        [(["b", "c"], ["0", "1"], "x"), (["a", "b"], ["0", "2"], "y")],
+        ids=["other-x", "other-y"],
     )
     def test_different_symbols_are_refused(self, labels_x, labels_y, axis):
         p = JointPmf([[0.4, 0.1], [0.2, 0.3]], labels_x=["a", "b"], labels_y=["0", "1"])
@@ -511,6 +521,37 @@ class TestFiles:
         path = tmp_path / "aux.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(PmfError, match="load_aux_channel"):
+            load_aux_channel(path, JointPmf(np.array([[1.0]])))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"alphabet_x": ["a", "a"], "pmf": [[0.5, 0.5], [0, 0]]}', "JointPmf: labels_x names symbol 'a' twice"),
+            ('{"alphabet_y": ["1", "1"], "pmf": [[0.5, 0.5]]}', "JointPmf: labels_y names symbol '1' twice"),
+            ('{"pmf": [[0.5, 0.5]], "pmf": [[1.0]]}', "load_joint_pmf: cannot parse .*: key 'pmf' is given twice"),
+        ],
+        ids=["alphabet-x", "alphabet-y", "key"],
+    )
+    def test_joint_file_names_each_symbol_and_key_once(self, tmp_path, text, match):
+        path = tmp_path / "q.json"
+        path.write_text(text)
+        with pytest.raises(PmfError, match=match):
+            load_joint_pmf(path)
+
+    @pytest.mark.parametrize(
+        "cond, match",
+        [
+            ('{"0,0": [1.0], " 0,0": [1.0]}', r"load_aux_channel: cell \(0, 0\) is given twice, the second time as key ' 0,0'"),
+            ('{"0,0": [1.0], "0,0": [1.0]}', "load_aux_channel: cannot parse .*: key '0,0' is given twice"),
+            ('{"0,0": [1.0], "3,1": [1.0], "3, 1": [1.0]}', r"load_aux_channel: cell \(3, 1\) is given twice"),
+        ],
+        ids=["two-keys", "one-key", "off-grid"],
+    )
+    def test_aux_cell_given_twice_is_refused(self, tmp_path, cond, match):
+        # json keeps the last of two equal keys, and two keys of one cell would keep the last row read
+        path = tmp_path / "aux.json"
+        path.write_text('{"card_u": 1, "cond": %s}' % cond)
+        with pytest.raises(PmfError, match=match):
             load_aux_channel(path, JointPmf(np.array([[1.0]])))
 
     def test_aux_bad_key(self, tmp_path):

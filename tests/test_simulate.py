@@ -12,7 +12,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from conftest import in_new_thread, near_tolerance_pair, processor_isolation
 from coordrate import _seeding, measures, simulate, wyner
-from coordrate._seeding import StateLayoutError, _srandom, draw_integers, seed_words
+from coordrate._seeding import StateLayoutError, _srandom, draw_integers, draw_uniforms, seed_words
 from coordrate.dsbs import dsbs_wyner_channel, f_of_t, interpolated_channel
 from coordrate.pmf import AuxChannel, JointPmf, compose, degenerate_channel, dsbs_joint, tv_distance
 from coordrate.simulate import (
@@ -697,6 +697,57 @@ class TestSeedStreams:
         assert any(rejected for rejected, _ in keys)
         assert any(rejected and steps >= 3 for rejected, steps in keys)
 
+    @pytest.mark.parametrize(
+        "highs, raw",
+        [((2505, 2505, 65536, 65536), 2), ((5, 1, 7, 3, 1), 2), ((1, 2**32), 1), ((1, 1), 0)],
+        ids=["simulator", "odd-with-ones", "whole-half", "all-ones"],
+    )
+    def test_draw_integers_steps_once_per_two_bounds(self, highs, raw, monkeypatch):
+        # with no draw rejected (each bound here rejects with probability
+        # below 2^-20), every key is stepped by its seeding and then once per
+        # two bounds above 1, and numpy draws as many raw outputs
+        steps, step = [], _seeding._step
+        monkeypatch.setattr(_seeding, "_step", lambda rows: steps.append(len(rows)) or step(rows))
+        keys = [[9, tail] for tail in range(40)]
+        drawn = draw_integers(seed_words((), keys), highs)
+        assert steps == [40] * (1 + raw)
+        for key, got in zip(keys, drawn):
+            gen = np.random.default_rng(key)
+            assert np.array_equal(got, gen.integers(np.array(highs)))
+            assert _steps_taken(gen, key) == raw
+
+    def test_keys_rejected_at_any_bound_are_drawn_again(self, monkeypatch):
+        # 2^31 + 1 rejects a half below 2^31 - 1 of its products, about half of
+        # them: the keys rejected at the first, the last or both of those
+        # bounds, read from numpy's raw outputs, draw again from their
+        # seeded states, and every key draws what Generator.integers draws
+        highs, big = (2**31 + 1, 7, 1, 2**31 + 1), 2**31 + 1
+        keys = [[9, tail] for tail in range(24)]
+        rejects = []
+        for key in keys:
+            raw = np.random.default_rng(key).bit_generator.random_raw(2).tolist()
+            first, last = (r & 2**32 - 1 for r in raw)  # halves 0 and 2, the low ones
+            rejects.append(tuple((half * big) % 2**32 < 2**32 % big for half in (first, last)))
+        assert {(True, False), (False, True), (True, True), (False, False)} <= set(rejects)
+        seeded, srandom = [], _seeding._srandom
+        monkeypatch.setattr(_seeding, "_srandom", lambda words: seeded.append(len(words)) or srandom(words))
+        drawn = draw_integers(seed_words((), keys), highs)
+        assert seeded == [24, sum(any(r) for r in rejects)]
+        for key, got in zip(keys, drawn):
+            assert np.array_equal(got, np.random.default_rng(key).integers(np.array(highs))), key
+
+    @pytest.mark.parametrize("skip", [0, 40])
+    def test_draw_uniforms_matches_blocks_drawn_one_by_one(self, skip):
+        # more blocks than one list of records holds, each drawn after skip raw outputs
+        blocks = 2 * _seeding._RECORDS + 5
+        keys = [[3, tail, 2 * tail] for tail in range(blocks)]
+        rows = np.ascontiguousarray(_srandom(seed_words((), keys)))  # seed_words' rows are a transpose
+        out = draw_uniforms(rows, skip, np.empty((blocks, 2, 3)))
+        for key, block in zip(keys, out):
+            gen = np.random.default_rng(key)
+            gen.bit_generator.advance(skip)
+            assert np.array_equal(block, gen.random((2, 3))), key
+
     @pytest.mark.parametrize("prefix", [(), (7,), (7, 2**40)], ids=["padding", "last-pool-word", "folded"])
     def test_short_keys_end_one_word_early(self, prefix):
         # the first keys of a pass leave out the table's last entry, whether
@@ -806,6 +857,24 @@ class TestSeedStreams:
 
         assert (books.n01, books.nstar) == (85, 6)
         assert max(peak(runs) for runs in (1, 2, 20, 39)) <= peak(40)
+
+    def test_many_one_symbol_blocks_hold_no_more_than_row_bytes(self):
+        # at n = 1 a block row is a few dozen bytes, so a list of every
+        # block's 32-byte state record would outgrow what SimConfig._row_bytes
+        # counts; the records are read a bounded list at a time
+        cfg = dsbs_cfg(n=1, r0=10, r_star=0, rt1=10, rt2=10)
+        books = Codebooks(cfg)
+        assert (books.n01, books.nstar, books.nb1) == (32, 1, 1024)
+        table = np.array([(k // 32, k % 32, k, k) for k in range(1024)])
+        states = books.states(table)
+        books.rows(states, 0, 1)
+        tracemalloc.start()
+        try:
+            books.rows(states, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(table) * cfg._row_bytes()
 
     @pytest.mark.parametrize("states", [np.zeros(shape, dtype=np.uint64) for shape in ((2, 3), 4, (1, 2, 4), (2, 2, 4))])
     def test_draw_refuses_states_of_another_shape(self, states):
