@@ -22,13 +22,12 @@ generator's ``state`` dict and ``default_rng`` and raises
 ``StateLayoutError`` on a mismatch.  The streams are bit-identical to
 ``default_rng([*prefix, *row])``.
 
-The module also reproduces ``Generator.integers``: ``draw_integers`` runs
-PCG64 and numpy's bounded 32-bit draws (Lemire's method) on uint64 arrays,
-one key per element, and returns bit for bit what ``integers`` draws from
-each key's state, with no generator set per key.  One pass draws the
-halves every key needs when no draw is rejected; only the keys with a
-rejected draw run again, from their seeded states, through the bound by
-bound loop that retries each rejection.
+The module also reproduces ``Generator.integers``: ``draw_integers`` hashes
+a batch of keys, runs PCG64 and numpy's bounded 32-bit draws (Lemire's
+method) on uint64 arrays, one key per element, and returns bit for bit
+what ``default_rng(key).integers`` draws, with no generator per key.  One
+pass draws the halves every key needs when no draw is rejected; the rare
+key with a rejected draw is drawn by ``default_rng`` on that key.
 """
 
 from __future__ import annotations
@@ -119,9 +118,10 @@ def seed_words(prefix, table, short=0):
     """``generate_state(4, uint64)`` of ``SeedSequence([*prefix, *row])`` for each row of ``table``.
 
     ``prefix`` holds the nonnegative ints every key starts with; ``table``
-    is a (keys, k) array of ints in [0, 2^32) ending each key, one entropy
-    word each; another entry raises ValueError.  The first ``short`` keys
-    end one word early: their last table entry is not read.
+    is a (keys, k) integer array of entries in [0, 2^32) ending each key,
+    one entropy word each; another entry, in either, raises ValueError.
+    The first ``short`` keys end one word early: their last table entry is
+    not read.
     Returns a (keys, 4) uint64 array: seed hi, seed lo, inc hi, inc lo,
     the transpose of a C-contiguous (4, keys) array, so that ``_srandom``
     reads each word of all keys as one contiguous row.  The hash runs in
@@ -130,7 +130,11 @@ def seed_words(prefix, table, short=0):
     key at its peak, the table aside, or up to 84 with the buffers numpy's
     ufuncs take below a few thousand keys.
     """
+    if not all(_is_int(value) and value >= 0 for value in prefix):
+        raise ValueError(f"seed_words: prefix entries must be nonnegative integers, got {list(prefix)!r}")
     table = np.asarray(table)
+    if table.dtype.kind not in "iu":  # a float 1.9 or a bool True would hash as 1
+        raise ValueError(f"seed_words: table entries must lie in [0, 2^32) as integers, got a {table.dtype} table")
     if table.size and not (table.min() >= 0 and table.max() <= _MASK32):
         raise ValueError(f"seed_words: table entries must lie in [0, 2^32), got {table.min()} to {table.max()}")
     head = [w for value in prefix for w in _int_words(value)]
@@ -303,25 +307,27 @@ def _xsl_rr(hi, lo):
     return folded >> rot | folded << ((np.uint64(64) - rot) & np.uint64(63))
 
 
-def draw_integers(words, highs):
-    """``default_rng(key).integers(highs)`` for the key of each row of ``words``: a (keys, len(highs)) int64 array.
+def draw_integers(prefix, table, highs):
+    """``default_rng([*prefix, *row]).integers(highs)`` for each row of ``table``: a (keys, len(highs)) int64 array.
 
-    ``words`` holds rows of ``seed_words``; ``highs`` holds integer bounds
-    in [1, 2^32], and another bound raises ValueError.  Each key's PCG64 is
-    seeded by ``_srandom`` and stepped as arrays.  Its raw outputs are
-    handed out as 32-bit halves, the low half first, as ``next_uint32``
-    does, and a bound of 1 takes no half.  With k bounds above 1, every key
-    draws ceil(k/2) raw outputs, and each bound takes Lemire's product with
-    its half, all k products tested for rejection at once.  A key with a
-    rejected product draws again from its seeded state in ``_retry``.
+    The keys are hashed by ``seed_words``, which refuses an entry it cannot
+    hash; ``highs`` holds integer bounds in [1, 2^32], and another bound
+    raises ValueError.  Each key's PCG64 is seeded by ``_srandom`` and
+    stepped as arrays.  Its raw outputs are handed out as 32-bit halves,
+    the low half first, as ``next_uint32`` does, and a bound of 1 takes no
+    half.  With k bounds above 1, every key draws ceil(k/2)
+    raw outputs, and each bound takes Lemire's product with its half, all k
+    products tested for rejection at once.  A product is rejected with
+    probability (2^32 mod high) / 2^32, and a key with one is drawn by
+    ``default_rng`` on that key, which is this function's specification.
     """
     for high in highs:
         if not (_is_int(high) and 1 <= high <= 1 << 32):
             raise ValueError(f"draw_integers: bounds must be integers in [1, 2^32], got {high!r}")
     highs = [int(high) for high in highs]
     drawn = [i for i, high in enumerate(highs) if high > 1]
-    words = np.array(words, dtype=np.uint64)
-    states = _srandom(words.copy())
+    table = np.asarray(table)
+    states = _srandom(seed_words(prefix, table))
     raw = np.empty((len(states), (len(drawn) + 1) // 2), dtype="<u8")
     for column in raw.T:
         _step(states)
@@ -331,34 +337,6 @@ def draw_integers(words, highs):
     out[:, drawn] = product >> _SHIFT32
     # Lemire: a product whose low word is below 2^32 mod high is rejected
     rejected = (product & _LOW32) < np.array([(1 << 32) % highs[i] for i in drawn], dtype=np.uint64)
-    if rejected.any():
-        retry = rejected.any(axis=1)
-        out[retry] = _retry(_srandom(words[retry]), highs)
+    for key in np.flatnonzero(rejected.any(axis=1)).tolist():
+        out[key] = np.random.default_rng([*prefix, *table[key].tolist()]).integers(highs)
     return out
-
-
-def _retry(states, highs):
-    """``integers(highs)`` from each seeded ``_srandom`` row of ``states``, bound by bound: a (keys, len(highs)) uint64 array.
-
-    Each bound takes Lemire's method over the key's next half, retrying a
-    rejected key on its next half; a raw output is drawn for every key
-    whenever one needs a half it has not drawn.
-    """
-    keys = np.arange(len(states))
-    halves = np.empty((0, keys.size), dtype=np.uint64)  # row i: each key's i-th 32-bit half
-    used = np.zeros(keys.size, dtype=np.intp)  # halves each key has taken
-    out = np.zeros((len(highs), keys.size), dtype=np.uint64)
-    for bound, high in zip(out, highs):
-        if high == 1:  # draws 0 and takes no half
-            continue
-        todo, threshold = keys, np.uint64((1 << 32) % high)
-        while todo.size:
-            if used[todo].max() == len(halves):  # one more raw output for every key
-                _step(states)
-                raw = _xsl_rr(states[:, 1], states[:, 0])
-                halves = np.concatenate((halves, [raw & _LOW32, raw >> _SHIFT32]))
-            product = halves[used[todo], todo] * np.uint64(high)
-            used[todo] += 1
-            bound[todo] = product >> _SHIFT32
-            todo = todo[(product & _LOW32) < threshold]
-    return out.T

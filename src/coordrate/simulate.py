@@ -399,12 +399,13 @@ def run_trials(cfg):
     chunks, as many as fit ``_ROUND_BYTES`` both while their u, x and y
     stream states are hashed, in one pass, and while they search, holding
     their states and emitted pair cells.  A chunk's (m01, m02, b1, b2) are
-    drawn in one array pass over its w streams (``draw_integers``),
-    bit-identical to one ``default_rng([seed, k, 0])`` per trial, ordered
-    by bin m01 * n01 + m02 (stable), so that the trials of one bin share
-    their u draws, and its bin searches run together (``_search``), whose
-    pair cells x·|Y| + y one ``bincount`` counts; the counts and failures
-    pool over trials, so the order does not change the report.
+    drawn in one array pass over its w streams (``draw_integers``, numpy
+    drawing a rare rejected trial), bit-identical to one
+    ``default_rng([seed, k, 0])`` per trial, ordered by bin m01 * n01 + m02
+    (stable), so that the trials of one bin share their u draws, and its
+    bin searches run together (``_search``), whose pair cells x·|Y| + y one
+    ``bincount`` counts; the counts and failures pool over trials, so the
+    order does not change the report.
     """
     books = Codebooks(cfg)
     nx, ny = cfg.q.shape
@@ -415,9 +416,8 @@ def run_trials(cfg):
     chunk = max(1, _ROUND_BYTES // max(8 * cfg.n + 154, 352))
     for start in range(0, cfg.trials, chunk):
         ks = np.arange(start, min(start + chunk, cfg.trials))
-        keys = seed_words((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))))
-        table = draw_integers(keys, books.bounds)
-        del ks, keys  # dead before the search
+        table = draw_integers((cfg.seed,), np.column_stack((ks, np.full_like(ks, _W_STREAM))), books.bounds)
+        del ks  # dead before the search
         table = table[np.argsort(table[:, 0] * books.n01 + table[:, 1], kind="stable")]
         _, failed, pairs = _search(books, table)
         counts += np.bincount(pairs.ravel(), minlength=nx * ny)

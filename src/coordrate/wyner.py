@@ -11,10 +11,12 @@ I(X;Y|U) is <= MARKOV_TOL = 1e-6 bits; at 1e7 it falls below 1e-12.
 The problem is not convex; the returned value is the best feasible point
 over independently seeded restarts.  Off the feasible set I(X;Y|U) grows
 quadratically and I(X,Y;U) can fall linearly, so the penalized minimum
-lies just below C.  On DSBS(a), a = 0.05 to 0.4, the value lay in
-[C - 8.7e-8, C + 5.6e-9] bits at 16 restarts (seeds 0-11) and in
-[C - 8.7e-8, C - 8.7e-10] at the default 50 (seeds 0-3): it is not a
-certified upper bound on C, and the tests bound it below by C - 1e-6.
+lies just below C.  On DSBS(a), a = 0.05 to 0.4, at the default |U| = 4
+the value lay in [C - 8.7e-8, C + 5.6e-9] bits at 16 restarts (seeds
+0-11) and in [C - 8.7e-8, C - 8.7e-10] at the default 50 (seeds 0-3); at
+|U| = 2, in [C - 1.41e-7, C - 1.4e-9] and [C - 1.41e-7, C - 3.8e-9]: it
+is not a certified upper bound on C, and the tests bound it below by
+C - 1e-6.
 """
 
 from __future__ import annotations

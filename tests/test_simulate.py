@@ -682,8 +682,7 @@ class TestSeedStreams:
         @given(_keyed_entropy(), st.lists(_HIGHS, min_size=1, max_size=6))
         def check(case, highs):
             prefix, tails = case
-            words = seed_words(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1))
-            drawn = draw_integers(words, highs)
+            drawn = draw_integers(prefix, np.array(tails, dtype=np.int64).reshape(len(tails), -1), highs)
             assert drawn.dtype == np.int64 and drawn.shape == (len(tails), len(highs))
             for tail, got in zip(tails, drawn):
                 gen = np.random.default_rng([*prefix, *tail])
@@ -709,7 +708,7 @@ class TestSeedStreams:
         steps, step = [], _seeding._step
         monkeypatch.setattr(_seeding, "_step", lambda rows: steps.append(len(rows)) or step(rows))
         keys = [[9, tail] for tail in range(40)]
-        drawn = draw_integers(seed_words((), keys), highs)
+        drawn = draw_integers((), keys, highs)
         assert steps == [40] * (1 + raw)
         for key, got in zip(keys, drawn):
             gen = np.random.default_rng(key)
@@ -719,8 +718,8 @@ class TestSeedStreams:
     def test_keys_rejected_at_any_bound_are_drawn_again(self, monkeypatch):
         # 2^31 + 1 rejects a half below 2^31 - 1 of its products, about half of
         # them: the keys rejected at the first, the last or both of those
-        # bounds, read from numpy's raw outputs, draw again from their
-        # seeded states, and every key draws what Generator.integers draws
+        # bounds, read from numpy's raw outputs, are the keys default_rng
+        # draws again, and every key draws what Generator.integers draws
         highs, big = (2**31 + 1, 7, 1, 2**31 + 1), 2**31 + 1
         keys = [[9, tail] for tail in range(24)]
         rejects = []
@@ -729,10 +728,11 @@ class TestSeedStreams:
             first, last = (r & 2**32 - 1 for r in raw)  # halves 0 and 2, the low ones
             rejects.append(tuple((half * big) % 2**32 < 2**32 % big for half in (first, last)))
         assert {(True, False), (False, True), (True, True), (False, False)} <= set(rejects)
-        seeded, srandom = [], _seeding._srandom
-        monkeypatch.setattr(_seeding, "_srandom", lambda words: seeded.append(len(words)) or srandom(words))
-        drawn = draw_integers(seed_words((), keys), highs)
-        assert seeded == [24, sum(any(r) for r in rejects)]
+        redrawn, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda key: redrawn.append(key) or default_rng(key))
+        drawn = draw_integers((), keys, highs)
+        monkeypatch.undo()
+        assert redrawn == [key for key, r in zip(keys, rejects) if any(r)]
         for key, got in zip(keys, drawn):
             assert np.array_equal(got, np.random.default_rng(key).integers(np.array(highs))), key
 
@@ -762,13 +762,26 @@ class TestSeedStreams:
     @pytest.mark.parametrize("high", [0, -1, 2**32 + 1, 2.0, 2.5, "3", True])
     def test_draw_integers_refuses_bounds(self, high):
         with pytest.raises(ValueError, match=r"bounds must be integers in \[1, 2\^32\]"):
-            draw_integers(seed_words((7,), [[0]]), [5, high])
+            draw_integers((7,), [[0]], [5, high])
 
     @pytest.mark.parametrize("entry", [2**32, -1])
     def test_entries_beyond_one_word_are_refused(self, entry):
         # numpy would wrap them into another key's words
         with pytest.raises(ValueError, match=r"table entries must lie in \[0, 2\^32\)"):
             seed_words((7,), [[0, entry]])
+
+    @pytest.mark.parametrize("table", [[[0, 1.9]], [[0.0, 1.0]], [[False, True]]], ids=["float", "whole-float", "bool"])
+    def test_entries_not_of_integer_dtype_are_refused(self, table):
+        # 1.9, 1.0 and True would each hash as 1
+        with pytest.raises(ValueError, match=r"table entries must lie in \[0, 2\^32\) as integers, got a (float64|bool) table"):
+            seed_words((7,), table)
+        with pytest.raises(ValueError, match=r"table entries must lie in \[0, 2\^32\)"):
+            draw_integers((7,), table, [5])
+
+    @pytest.mark.parametrize("prefix", [(1.9,), (-1,), (True,), ("3",)])
+    def test_prefix_entries_must_be_nonnegative_integers(self, prefix):
+        with pytest.raises(ValueError, match="prefix entries must be nonnegative integers"):
+            seed_words(prefix, [[0]])
 
     @pytest.mark.parametrize("name, stream, idx", [("u", 1, (2, 0)), ("x", 2, (2, 0, 1)), ("y", 3, (2, 0, 3))])
     def test_lone_block_matches_seeded_chunk(self, name, stream, idx):
@@ -948,6 +961,33 @@ class TestSeedStreams:
         assert np.array_equal(rep.empirical_joint.probs, counts / (cfg.trials * cfg.n))
         assert rep.mstar_failure_rate == failures / cfg.trials
 
+    def test_rejected_trial_rows_are_drawn_by_default_rng(self, monkeypatch):
+        # at bounds of 1048321, 2^32 mod h = 1044480, so about one trial in a
+        # thousand has a rejected draw among its four: run_trials sends those
+        # trials' keys, and no others, to default_rng, and its report equals
+        # the one of the rows each trial's own default_rng draws
+        h = 1048321
+        rate = float(np.log2(h - 0.5)) / 8
+        cfg = dsbs_cfg(n=8, trials=4000, r0=2 * rate, r_star=0.25, rt1=rate, rt2=rate, eps=0.2)
+        books = Codebooks(cfg)
+        assert books.bounds == (h,) * 4 and h <= simulate.INDEX_CAP
+        gens = [np.random.default_rng([cfg.seed, k, 0]) for k in range(cfg.trials)]
+        halves = np.array([gen.bit_generator.random_raw(2) for gen in gens], dtype="<u8").view("<u4")
+        rejected = np.flatnonzero(((halves * np.uint64(h)) & np.uint64(2**32 - 1) < 2**32 % h).any(axis=1))
+        assert rejected.size > 0
+        table = np.array([np.random.default_rng([cfg.seed, k, 0]).integers(books.bounds) for k in range(cfg.trials)])
+        _, failed, pairs = _search(books, table)
+        assert 0 < failed.sum() < cfg.trials
+        _seeding._thread_generator()  # its layout check seeds a default_rng of its own
+        redrawn, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda key: redrawn.append(key) or default_rng(key))
+        rep = run_trials(cfg)
+        monkeypatch.undo()
+        assert redrawn == [[cfg.seed, k, 0] for k in rejected.tolist()]
+        counts = np.bincount(pairs.ravel(), minlength=4).reshape(2, 2)
+        assert np.array_equal(rep.empirical_joint.probs, counts / (cfg.trials * cfg.n))
+        assert rep.mstar_failure_rate == failed.sum() / cfg.trials
+
     @pytest.mark.parametrize("round_bytes", [None, 20 * 1024], ids=["one-chunk", "small-chunks"])
     def test_three_symbol_alphabets_match_per_block_generators(self, round_bytes, monkeypatch):
         # a 3 x 3 source through a three-symbol U with X - U - Y exact, so
@@ -1005,8 +1045,10 @@ class TestSeedStreams:
         # n = 32 run in two chunks, each hashed in one pass over its w keys
         # and one over its u, x and y keys, and searched in 5 + 3 parts
         passes, chunks, parts = [], [], []
-        seed_words, search, rows = simulate.seed_words, simulate._search, Codebooks.rows
-        monkeypatch.setattr(simulate, "seed_words", lambda prefix, table, **kw: passes.append(len(table)) or seed_words(prefix, table, **kw))
+        seed_words, search, rows = _seeding.seed_words, simulate._search, Codebooks.rows
+        _seeding._thread_generator()  # its layout check hashes a key of its own
+        for module in (simulate, _seeding):  # the u, x and y pass, and draw_integers' w pass
+            monkeypatch.setattr(module, "seed_words", lambda prefix, table, **kw: passes.append(len(table)) or seed_words(prefix, table, **kw))
         monkeypatch.setattr(simulate, "_search", lambda books, table: chunks.append(len(table)) or search(books, table))
         monkeypatch.setattr(Codebooks, "rows", lambda self, states, *span: parts.append(states.shape[1]) or rows(self, states, *span))
         run_trials(dsbs_cfg(n=32, trials=1000, seed=1, r0=I_JOINT_02 - 0.6, r_star=0.0))
