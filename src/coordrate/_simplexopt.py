@@ -43,7 +43,7 @@ STEP0 = 2.0
 BRACKET_SLACK = 1e-9
 #: cap on the solver working memory: the solvers hold at most 32 float64
 #: arrays of the (restarts, nx, ny, card_u) batch at once, 256 bytes per cell
-#: (12.4-16.5 measured, each stacked gradient array counting as two)
+#: (12.4-16.6 measured, each stacked gradient array counting as two)
 BATCH_BYTES_CAP = 2**30
 
 
@@ -107,11 +107,8 @@ def jitter_channels(batch, seed, stage):
     of the objective; a small deterministic perturbation at each stage start
     seeds the escape without disturbing warm starts.
     """
-    out = np.empty_like(batch)
-    for r in range(batch.shape[0]):
-        rng = np.random.default_rng([seed, r, stage, 811])
-        out[r] = batch[r] * np.exp(JITTER_SIGMA * rng.standard_normal(batch.shape[1:]))
-    return normalize_rows(out)
+    noise = np.stack([np.random.default_rng([seed, r, stage, 811]).standard_normal(batch.shape[1:]) for r in range(batch.shape[0])])
+    return normalize_rows(batch * np.exp(JITTER_SIGMA * noise))
 
 
 class Source:
@@ -146,26 +143,27 @@ class ChannelStats:
     def __init__(self, src, batch):
         rows, nx, ny, nu = batch.shape
         w = src.q * batch
-        # logs of p(x,u), p(y,u) and p(u), in that order along axis 1
-        log_m = np.log(np.maximum(src.gather @ w.reshape(rows, nx * ny, nu), 1e-300))
+        # logs of p(x,u), p(y,u) and p(u), in that order along axis 1, taken in the gather's output
+        log_m = src.gather @ w.reshape(rows, nx * ny, nu)
+        np.log(np.maximum(log_m, 1e-300, out=log_m), out=log_m)
         log_pu = log_m[:, None, None, -1]
-        self.g = np.empty((2, *batch.shape))
-        self.g_joint, self.g_cond = self.g
-        np.maximum(batch, 1e-300, out=self.g_joint)
-        np.maximum(w, 1e-300, out=self.g_cond)
-        np.log(self.g, out=self.g)
+        self.g = g = np.empty((2, *batch.shape))
+        self.g_joint, self.g_cond = g_joint, g_cond = g[0], g[1]
+        np.maximum(batch, 1e-300, out=g_joint)
+        np.maximum(w, 1e-300, out=g_cond)
+        np.log(g, out=g)
         # g_cond adds the marginals' logs cell by cell in this order, not as
         # one signed matmul: at Wyner's last penalty, 1e7, a rounding change
         # in I(X;Y|U) is worth a whole tol_objective, and another order moves
         # the pinned seeded values by more than their 1e-9 tolerance
-        self.g_joint -= log_pu
-        self.g_cond += log_pu
-        self.g_cond -= log_m[:, :nx, None]
-        self.g_cond -= log_m[:, None, nx:-1]
+        g_joint -= log_pu
+        g_cond += log_pu
+        g_cond -= log_m[:, :nx, None]
+        g_cond -= log_m[:, None, nx:-1]
         if src.support is not None:
-            self.g *= src.support
-        self.i = (self.g.reshape(2, rows, 1, -1) @ w.reshape(rows, -1, 1)).reshape(2, rows) / LN2
-        self.i_joint, self.i_cond = self.i
+            g *= src.support
+        self.i = i = (g.reshape(2, rows, 1, -1) @ w.reshape(rows, -1, 1)).reshape(2, rows) / LN2
+        self.i_joint, self.i_cond = i[0], i[1]
 
 
 def best_row(values, residuals, batch):
@@ -190,7 +188,7 @@ def max_objective(terms, temp=None):
     last = terms[-1][:, None]
     if len(terms) == 1:
         c_joint, c_cond = terms[0]
-        return lambda i: (c_joint * i[0] + c_cond * i[1], np.repeat(last, i.shape[1], axis=1))
+        return lambda i: (c_joint * i[0] + c_cond * i[1], last.repeat(i.shape[1], axis=1))
     excess = (terms[:-1] - terms[-1]).T
 
     def objective_and_grad(i):
@@ -228,12 +226,14 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     batch, and frozen_at[r] is the iteration at which restart r froze, 0 if
     it was still live at ``max_iters``.
     """
-    nu = batch.shape[-1]
+    size, nx, ny, nu = batch.shape
     src = Source(q, nu)
     # minus the centring matrix I - 11'/nu: one matmul turns the objective's gradient into the
     # descent direction carried for each live restart, which keeps every row on the simplex
     descent = 1.0 / nu - np.eye(nu)
     row_sum = np.ones((nu, 1))
+    # a rejected step's factor, then an accepted one's, indexed by the acceptance mask
+    factors = np.array([SHRINK, GROW])
 
     def evaluate(stats):
         values, coef = objective_and_grad(stats.i)
@@ -243,44 +243,56 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
     # the heavy ball's beta (module docstring), 0 unless a gradient weight exceeds 1
     root = np.sqrt(max(float(coef.max()), 1.0))
     beta = ((root - 1.0) / (root + 1.0)) ** 2
+    # the working set, updated in place: the live restarts' rows (a copy of the caller's batch),
+    # values, descent directions, steps and small-step streaks, with their row indices in the output
+    rows = np.arange(size)
+    batch, values = batch.reshape(heading.shape).copy(), values.copy()
+    steps = np.full(size, STEP0)
+    small_streak = np.zeros(size, dtype=int)
     carried = np.zeros_like(heading) if beta else None
-    out_batch = np.empty_like(batch)
-    frozen_at = np.zeros(batch.shape[0], dtype=int)
-    # working set: the live restarts and their row indices in the output
-    rows = np.arange(batch.shape[0])
-    steps = np.full(rows.size, STEP0)
-    small_streak = np.zeros(rows.size, dtype=int)
+    out_batch = np.empty_like(heading)
+    frozen_at = np.zeros(size, dtype=int)
+
+    def step_scale(x, limit):
+        """Per row of ``x``, min(limit, EXP_CAP / max |x|), shaped to multiply ``x``."""
+        scale = np.maximum.reduce(np.abs(x).reshape(x.shape[0], -1), axis=1)
+        np.maximum(scale, 1e-300, out=scale)
+        np.divide(EXP_CAP, scale, out=scale)
+        return np.minimum(limit, scale, out=scale)[:, None, None]
+
     for it in range(1, max_iters + 1):
         # rescale instead of clipping so a steep penalty cannot flip the update direction; with beta
         # times the last accepted exponent (0 after a rejection) added, no step multiplies by more than e^CAP
-        step = heading * np.minimum(steps, EXP_CAP / np.maximum(np.abs(heading).max(axis=(1, 2)), 1e-300))[:, None, None]
+        step = heading * step_scale(heading, steps)
         if beta:
             step += np.multiply(carried, beta, out=carried)
-            step *= np.minimum(1.0, EXP_CAP / np.maximum(np.abs(step).max(axis=(1, 2)), 1e-300))[:, None, None]
+            step *= step_scale(step, 1.0)
         # the multiplicative update and its row normalization, in place unless the exponent is carried
         proposed = np.exp(step, out=None if beta else step)
-        proposed *= batch.reshape(proposed.shape)
+        proposed *= batch
         np.maximum(proposed, FLOOR, out=proposed)
         proposed /= proposed @ row_sum
-        proposed = proposed.reshape(batch.shape)
-        new_values, new_heading, _ = evaluate(ChannelStats(src, proposed))
+        new_values, new_heading, _ = evaluate(ChannelStats(src, proposed.reshape(-1, nx, ny, nu)))
         # adaptive step: accept and grow on descent, shrink and stay
         # otherwise; no step exceeds STEP0 * 8, so the cap binds only on growth
         accepted = new_values <= values
-        steps = np.minimum(steps * np.where(accepted, GROW, SHRINK), STEP0 * 8.0)
+        steps *= factors.take(accepted.view(np.int8))
+        np.minimum(steps, STEP0 * 8.0, out=steps)
         # a run of sub-tol improvements is required before declaring
         # convergence; single tiny steps also occur while creeping past
         # saddle points and must not stop the descent.  An accepted step
-        # extends the run if small and ends it otherwise, a rejected one
-        # leaves it
-        small_streak = np.where(accepted, (small_streak + 1) * (values - new_values < tol), small_streak)
+        # extends the run if small and ends it otherwise (accepted > small
+        # zeroes it), a rejected one leaves it
+        small_streak += accepted
+        small_streak *= accepted <= (values - new_values < tol)
         converged = (small_streak >= STREAK) | (steps < 1e-14)
-        batch = np.where(accepted[:, None, None, None], proposed, batch)
-        values = np.where(accepted, new_values, values)
-        heading = np.where(accepted[:, None, None], new_heading, heading)
+        accepted_3d = accepted[:, None, None]
+        np.copyto(batch, proposed, where=accepted_3d)
+        np.copyto(values, new_values, where=accepted)
+        np.copyto(heading, new_heading, where=accepted_3d)
         if beta:
-            np.multiply(step, accepted[:, None, None], out=carried)
-        if converged.any():
+            np.multiply(step, accepted_3d, out=carried)
+        if np.count_nonzero(converged):
             done = rows[converged]
             out_batch[done], frozen_at[done] = batch[converged], it
             live = ~converged
@@ -290,6 +302,7 @@ def eg_minimize(q, batch, objective_and_grad, max_iters, tol):
             if not rows.size:
                 break
     out_batch[rows] = batch
+    out_batch = out_batch.reshape(size, nx, ny, nu)
     return out_batch, ChannelStats(src, out_batch), frozen_at
 
 

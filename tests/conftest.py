@@ -1,5 +1,10 @@
 import csv
+import enum
+import functools
+import hashlib
+import json
 import pathlib
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -104,6 +109,89 @@ def processor_isolation(books, table, which):
         for k, m in enumerate(m_star.tolist()):
             ok &= np.array_equal(rows[k], books.rows(states[:, k : k + 1], m, m + 1)[which][0, 0])
     return int(agree.sum()), bool(ok)
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--solver-digest",
+        metavar="PATH",
+        default=None,
+        help="write one line per wyner_ci, ulsr_rate and ulsr_objective call: its arguments, then its "
+        "value, channel bytes, terms and stage records (or what it raised); give it as --solver-digest=PATH",
+    )
+
+
+def _digest(value):
+    """A JSON-able stand-in for a solver argument or result field: arrays and channels by their bytes' hash."""
+    if isinstance(value, (JointPmf, AuxChannel)):
+        value = value.probs
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}{list(value.shape)}:{hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()[:16]}"
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value if value is None or isinstance(value, (bool, int, float, str)) else repr(value)
+
+
+class SolverDigest:
+    """Wraps the solver entry points in every loaded ``coordrate`` module and logs each call."""
+
+    NAMES = (("coordrate.wyner", "wyner_ci"), ("coordrate.ulsr", "ulsr_rate"), ("coordrate.ulsr", "ulsr_objective"))
+
+    def __init__(self, path):
+        self.out = open(path, "w")
+        self.test = None
+        for module, name in self.NAMES:
+            original = getattr(sys.modules[module], name)
+            wrapped = self.wrap(name, original)
+            for mod in [m for key, m in sys.modules.items() if key == "coordrate" or key.startswith("coordrate.")]:
+                if getattr(mod, name, None) is original:
+                    setattr(mod, name, wrapped)
+
+    def wrap(self, name, fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            line = {"test": self.test, "call": name, "args": [_digest(a) for a in args]}
+            line["kwargs"] = {k: _digest(v) for k, v in sorted(kwargs.items())}
+            try:
+                result = fn(*args, **kwargs)
+            except Exception as exc:
+                line["raised"] = f"{type(exc).__name__}: {exc}"
+                self.write(line)
+                raise
+            line["value"] = result.value
+            line["channel"] = _digest(result.channel)
+            line["terms"] = (
+                [result.markov_defect] if hasattr(result, "markov_defect") else [result.term_joint, result.term_cond]
+            )
+            line["stages"] = result.diagnostics.get("stages")
+            self.write(line)
+            return result
+
+        return recorded
+
+    def write(self, line):
+        self.out.write(json.dumps(line) + "\n")
+        self.out.flush()
+
+
+#: the session's SolverDigest, when --solver-digest is given
+_SOLVER_DIGEST = []
+
+
+def pytest_configure(config):
+    path = config.getoption("--solver-digest")
+    if path:
+        _SOLVER_DIGEST.append(SolverDigest(path))
+
+
+def pytest_runtest_logstart(nodeid):
+    if _SOLVER_DIGEST:
+        _SOLVER_DIGEST[0].test = nodeid
+
+
+def pytest_unconfigure(config):
+    if _SOLVER_DIGEST:
+        _SOLVER_DIGEST.pop().out.close()
 
 
 def pytest_collection_modifyitems(items):

@@ -115,6 +115,20 @@ class TestCompaction:
                 before = so.eg_minimize(q, batch[r : r + 1], objective, frozen_at[r] - 1, 1e-9)
                 assert values[r] <= objective(before[1].i)[0][0]
 
+    @pytest.mark.parametrize("case", _RUNS)
+    def test_caller_batch_is_never_written(self, case):
+        # the loop updates its working set in place, so it must start from
+        # a copy: a read-only batch raises on any write into it, and nothing
+        # returned may be a view of it
+        q, card_u, objective, max_iters = _RUNS[case]
+        batch = so.random_channels(*q.shape, card_u, 6, seed=0)
+        before = batch.copy()
+        batch.flags.writeable = False
+        best, stats, _ = so.eg_minimize(q, batch, objective, max_iters, 1e-9)
+        assert np.array_equal(batch, before)
+        for returned in (best, stats.g, stats.i):
+            assert not np.shares_memory(returned, batch)
+
     def test_frozen_rows_are_not_reevaluated(self, monkeypatch):
         rows = []
 
